@@ -13,9 +13,9 @@
 //!
 //! * `stamped` — the fast path: stamp cache trusted, bins in the
 //!   indexed `bins.pack` archive with lazy bodies;
-//! * `paranoid` — the eager baseline: every source re-read and
-//!   re-digested, bins in legacy per-unit `*.bin` files, every body
-//!   parsed up front.
+//! * `paranoid` — the eager baseline (`--paranoid`): no stamp cache,
+//!   every source re-read and re-digested, and every archived body read
+//!   and digest-verified up front when the same `bins.pack` loads.
 //!
 //! For each, the no-op latency (nothing changed; zero recompiles) and
 //! the one-leaf-edit latency (exactly one unit recompiles) are taken
@@ -74,15 +74,13 @@ fn pipeline(mode: Mode, src: &Path, bin_dir: &Path, jobs: usize) -> (Duration, u
     (elapsed, report.recompiled.len(), irm)
 }
 
-/// Persists `irm`'s caches in `mode`'s on-disk format.
+/// Persists `irm`'s caches for `mode`: the archive always, the stamp
+/// cache only where it is trusted.
 fn persist(mode: Mode, irm: &mut Irm, bin_dir: &Path) {
-    match mode {
-        Mode::Stamped => {
-            irm.save_bins(bin_dir).expect("save archive");
-            irm.save_stamps(&bin_dir.join("stamps.json"))
-                .expect("save stamps");
-        }
-        Mode::Paranoid => irm.save_bins_files(bin_dir).expect("save legacy bins"),
+    irm.save_bins(bin_dir).expect("save archive");
+    if mode == Mode::Stamped {
+        irm.save_stamps(&bin_dir.join("stamps.json"))
+            .expect("save stamps");
     }
 }
 

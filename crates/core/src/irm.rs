@@ -36,18 +36,20 @@
 //! requesting unit (same key, different file stem) is rejected the
 //! same way.
 //!
-//! # Parallel wavefront builds
+//! # The wavefront scheduler
 //!
-//! [`Irm::build_with_jobs`] runs the same schedule on a worker pool: a
-//! unit's decide/compile task is dispatched the moment every import's
-//! export environment has settled, so independent subtrees of the
-//! analysis DAG compile concurrently.  The scheduler is a thin layer —
-//! in-degree counters over the topological order, a task channel, and
-//! per-unit once-cells holding settled export environments — and it
-//! produces **bit-identical results to the sequential path**: the same
-//! export pids, the same [`RebuildDecision`] per unit, and a
-//! [`BuildReport`] in topological order regardless of completion order.
-//! `jobs <= 1` takes the sequential loop verbatim.
+//! Every build runs one scheduler: a unit's decide/compile task is
+//! dispatched the moment every import's export environment has
+//! settled.  It is a thin layer — in-degree counters over the
+//! topological order and per-unit once-cells holding settled export
+//! environments.  At `jobs == 1` the calling thread runs each ready
+//! task itself, lowest topological index first (so the cone is visited
+//! in plain topological order), with no threads and no channels; at
+//! `jobs >= 2` a worker pool drains a task channel, so independent
+//! subtrees of the analysis DAG compile concurrently.  Results are
+//! **bit-identical at every width**: the same export pids, the same
+//! [`RebuildDecision`] per unit, and a [`BuildReport`] in topological
+//! order regardless of completion order.
 //!
 //! # Fault tolerance
 //!
@@ -56,10 +58,9 @@
 //! * **Keep-going scheduling** ([`FailurePolicy::KeepGoing`], `smlsc
 //!   build -k`): a failing unit fails, its transitive dependents are
 //!   marked [`UnitOutcome::Skipped`] with the imports that blocked
-//!   them, and every independent unit still builds — in both the
-//!   sequential and the wavefront schedule, with identical failed and
-//!   skipped sets (the skip closure is a pure function of the failed
-//!   set over the import DAG).
+//!   them, and every independent unit still builds, with the same
+//!   failed and skipped sets at every width (the skip closure is a pure
+//!   function of the failed set over the import DAG).
 //! * **Panic isolation**: each unit's fallible work runs under a
 //!   [`std::panic::catch_unwind`] guard.  A compiler panic becomes
 //!   [`CoreError::Internal`] for that one unit (payload captured into
@@ -69,7 +70,8 @@
 //!   named `smlsc_faults` injection points, so chaos suites can
 //!   deterministically fail, tear, stall or crash any unit.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -86,7 +88,7 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::{self, DepGraph};
 use crate::link::{link_and_execute, DynEnv};
-use crate::pack::{PackReader, PackWriter, PACK_FILE, PACK_VERSION};
+use crate::pack::{PackReader, PackWriter, PACK_FILE};
 use crate::stamps::{StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
@@ -451,8 +453,8 @@ impl std::str::FromStr for Strategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Stop at the first failure in topological order (the default):
-    /// the build returns the error and the bin store is left exactly as
-    /// the sequential loop would have left it at that point.
+    /// the build returns the error and the bin store holds exactly the
+    /// units topologically before the failing one.
     #[default]
     FailFast,
     /// `make -k`: a failing unit fails, its transitive dependents are
@@ -590,8 +592,8 @@ struct BinEntry {
 
 #[derive(Debug)]
 enum BinBody {
-    /// The full bin is in memory (fresh compile, legacy `*.bin` load,
-    /// injected by a test).
+    /// The full bin is in memory (fresh compile, store hit, injected
+    /// by a test).
     Resident(BinFile),
     /// The body lives in `bins.pack`; forced (read + digest-verified +
     /// parsed) at most once, on first real use.
@@ -900,8 +902,7 @@ impl Irm {
     }
 
     /// Persists every bin under `dir` as one indexed archive,
-    /// `bins.pack`, and deletes any legacy per-unit `*.bin` files it
-    /// replaces (the migration path).
+    /// `bins.pack`.
     ///
     /// The archive is staged to a temp file and `rename(2)`d into place,
     /// so a crash mid-save can never tear it.  When nothing changed
@@ -935,24 +936,11 @@ impl Irm {
         for name in &names_sorted {
             let entry = &self.bins[name];
             // Materialize the body bytes: resident/forced bins
-            // serialize; still-lazy bodies copy raw from the old pack —
-            // unless that pack is a legacy format, in which case the
-            // body is parsed and re-encoded so the migrated archive
-            // carries only current-format bodies.
+            // serialize; still-lazy bodies copy raw from the old pack.
             let bytes = match (&entry.body, entry.forced()) {
                 (_, Some(bin)) => bin.to_bytes(),
                 (BinBody::Lazy { src, .. }, None) => {
-                    let raw = src.pack.read_body(src.offset, src.len, src.digest);
-                    let upgraded = raw.and_then(|b| {
-                        if src.pack.version() == PACK_VERSION {
-                            Ok(b)
-                        } else {
-                            BinFile::from_bytes(&b)
-                                .map(|bin| bin.to_bytes())
-                                .map_err(|e| e.to_string())
-                        }
-                    });
-                    match upgraded {
+                    match src.pack.read_body(src.offset, src.len, src.digest) {
                         Ok(b) => b,
                         Err(detail) => {
                             // The old archive's body is bad (torn,
@@ -1003,16 +991,6 @@ impl Irm {
             self.bins.remove(&unit);
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
         }
-        // Migration: the archive now carries everything; stale per-unit
-        // bin files would shadow it on the next load.
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.extension().is_some_and(|e| e == "bin") {
-                    std::fs::remove_file(&p).ok();
-                }
-            }
-        }
         self.dirty.clear();
         self.pack_path = Some(pack_path);
         self.pack_synced = true;
@@ -1037,100 +1015,31 @@ impl Irm {
         Ok(())
     }
 
-    /// Persists every bin under `dir` as legacy per-unit `<unit>.bin`
-    /// files (the pre-archive format), deleting any `bins.pack` there.
-    /// Kept as the eager baseline for benchmarks and for tests of the
-    /// per-file crash-safety path; [`Irm::save_bins`] (the archive) is
-    /// what builds use.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Io`]/[`CoreError::BinIo`] on filesystem failures.
-    pub fn save_bins_files(&mut self, dir: &Path) -> Result<(), CoreError> {
-        let _span = trace::span("irm.save_bins").field("bins", self.bins.len());
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        let stale_pack = dir.join(PACK_FILE);
-        if stale_pack.is_file() {
-            std::fs::remove_file(&stale_pack)
-                .map_err(|e| CoreError::Io(format!("{}: {e}", stale_pack.display())))?;
-        }
-        self.pack_path = None;
-        self.pack_synced = false;
-        let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
-        names_sorted.sort_by_key(|n| n.as_str());
-        for name in &names_sorted {
-            let path = dir.join(format!("{name}.bin"));
-            if !self.dirty.contains(name) && path.is_file() {
-                continue;
-            }
-            let bin = match self.bins[name].force() {
-                Ok(bin) => bin,
-                Err(_) => continue, // corrupt archived body: skip, recompiles next build
-            };
-            let bytes = bin.to_bytes();
-            if faults::active() {
-                match faults::check(points::BIN_SAVE, name.as_str()) {
-                    Some(FaultKind::Io) => {
-                        return Err(bin_io(
-                            *name,
-                            &path,
-                            faults::io_error(points::BIN_SAVE, name.as_str()),
-                        ));
-                    }
-                    Some(FaultKind::Torn) => {
-                        // A crash mid-write by a non-atomic writer: the
-                        // final path keeps a prefix and the save
-                        // "succeeds".  `load_bins` must catch it.
-                        let keep = bytes.len() / 2;
-                        std::fs::write(&path, &bytes[..keep])
-                            .map_err(|e| bin_io(*name, &path, e))?;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            trace::counter(names::BIN_BYTES_WRITTEN, bytes.len() as u64);
-            let tmp = dir.join(format!("{name}.bin.tmp-{}", std::process::id()));
-            std::fs::write(&tmp, bytes).map_err(|e| bin_io(*name, &tmp, e))?;
-            if let Err(e) = std::fs::rename(&tmp, &path) {
-                std::fs::remove_file(&tmp).ok();
-                return Err(bin_io(*name, &path, e));
-            }
-        }
-        self.dirty.clear();
-        Ok(())
-    }
-
     /// Loads the bin cache under `dir`: the indexed `bins.pack` archive
-    /// if present (reading *only* its footer index — bodies stay on
-    /// disk until first use), plus any legacy per-unit `*.bin` files
-    /// (which override archive entries of the same name and migrate
-    /// into the archive on the next [`Irm::save_bins`]).
+    /// if present, reading *only* its footer index — bodies stay on
+    /// disk until first use.
     ///
-    /// A corrupt individual entry — or a corrupt archive — does not
-    /// poison the load: it is reported in [`BinLoadOutcome::corrupt`],
-    /// skipped, and the affected units simply recompile.  In paranoid
-    /// mode every archived body is read and digest-verified eagerly.
+    /// A corrupt individual entry — or a corrupt archive, including one
+    /// in a format this build does not write — does not poison the
+    /// load: it is reported in [`BinLoadOutcome::corrupt`], skipped,
+    /// and the affected units simply recompile (the next save
+    /// overwrites the archive).  In paranoid mode every archived body
+    /// is read and digest-verified eagerly.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Io`] when `dir` itself cannot be listed.
+    /// Never: every failure is per-archive or per-unit and is reported
+    /// in [`BinLoadOutcome::corrupt`].
     pub fn load_bins(&mut self, dir: &Path) -> Result<BinLoadOutcome, CoreError> {
         let _span = trace::span(names::SPAN_LOAD_BINS);
         let mut out = BinLoadOutcome::default();
         let pack_path = dir.join(PACK_FILE);
         let mut pack_ok = false;
-        let mut pack_current = true;
         let mut pack_entries = 0usize;
         if pack_path.is_file() {
             match PackReader::open(&pack_path) {
                 Ok(Some(reader)) => {
                     pack_ok = true;
-                    // A legacy-format archive loads fine, but must not
-                    // count as synced: the next save rewrites it in the
-                    // current format.
-                    pack_current = reader.version() == PACK_VERSION;
                     let reader = Arc::new(reader);
                     pack_entries = reader.entries().len();
                     for pe in reader.entries() {
@@ -1190,9 +1099,8 @@ impl Irm {
                 }
                 Ok(None) => {}
                 Err(e) => {
-                    // Whole-archive corruption (bad footer, torn index):
-                    // every archived unit recompiles, legacy bins still
-                    // load below.
+                    // Whole-archive corruption (bad magic or footer, torn
+                    // index): every archived unit recompiles.
                     trace::counter(names::BIN_CORRUPT, 1);
                     trace::event("irm.bin_corrupt")
                         .field("path", pack_path.display())
@@ -1201,79 +1109,8 @@ impl Irm {
                 }
             }
         }
-        // Legacy per-unit bin files: still honored, override the
-        // archive, and migrate into it on the next save.
-        let mut legacy = 0usize;
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "bin") {
-                continue;
-            }
-            let stem = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let unit = Symbol::intern(&stem);
-            let fault = if faults::active() {
-                faults::check(points::BIN_LOAD, &stem)
-            } else {
-                None
-            };
-            let loaded = if matches!(fault, Some(FaultKind::Io)) {
-                Err(bin_io(
-                    unit,
-                    &path,
-                    faults::io_error(points::BIN_LOAD, &stem),
-                ))
-            } else {
-                std::fs::read(&path)
-                    .map_err(|e| bin_io(unit, &path, e))
-                    .and_then(|mut bytes| {
-                        if matches!(fault, Some(FaultKind::Torn)) {
-                            bytes.truncate(bytes.len() * 2 / 3);
-                        }
-                        trace::counter(names::BIN_BYTES_READ, bytes.len() as u64);
-                        BinFile::from_bytes(&bytes)
-                    })
-            };
-            match loaded {
-                Ok(bin) => {
-                    // What we just read *is* the on-disk state: clean.
-                    self.dirty.remove(&bin.unit.name);
-                    self.bins.insert(bin.unit.name, BinEntry::resident(bin));
-                    out.loaded += 1;
-                    legacy += 1;
-                }
-                Err(e) => {
-                    trace::counter(names::BIN_CORRUPT, 1);
-                    trace::event("irm.bin_corrupt")
-                        .field("path", path.display())
-                        .field("error", &e);
-                    // A corrupt legacy bin shadows any archived entry:
-                    // per-unit files are the newer write wherever both
-                    // exist, so the unit's cached state is unknown —
-                    // drop it and let the unit recompile.
-                    if self
-                        .bins
-                        .get(&unit)
-                        .is_some_and(|en| matches!(en.body, BinBody::Lazy { .. }))
-                    {
-                        self.bins.remove(&unit);
-                        out.loaded -= 1;
-                    }
-                    out.corrupt.push((path, e));
-                }
-            }
-        }
         self.pack_path = pack_ok.then(|| pack_path.clone());
-        self.pack_synced = pack_ok
-            && pack_current
-            && out.corrupt.is_empty()
-            && legacy == 0
-            && self.bins.len() == pack_entries;
+        self.pack_synced = pack_ok && out.corrupt.is_empty() && self.bins.len() == pack_entries;
         // The import-DAG sidecar rides along with the pack.  Missing or
         // corrupt reads as absent — the next build derives the graph
         // from analyses and rewrites it.
@@ -1447,12 +1284,14 @@ impl Irm {
                 std::thread::scope(|scope| {
                     for _ in 0..jobs.min(files.len()) {
                         let sink = trace::fork_current();
+                        let plan = faults::fork_current();
                         let next = &next;
                         let slots = &slots;
                         scope.spawn(move || {
                             if let Some(sink) = sink {
                                 trace::install(sink);
                             }
+                            let _faults = plan.map(faults::install_forked);
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 if i >= files.len() {
@@ -1520,263 +1359,30 @@ impl Irm {
     }
 
     /// Builds the project: recompiles what the strategy requires, reuses
-    /// the rest.  Single-threaded, fail-fast; [`Irm::build_with`] is the
-    /// general entry point (workers, failure policy).
+    /// the rest.  Single-threaded and fail-fast — exactly
+    /// [`Irm::build_with`]`(project, 1, FailurePolicy::FailFast)`.
     ///
     /// # Errors
     ///
     /// Any [`CoreError`] from analysis or compilation.
     pub fn build(&mut self, project: &Project) -> Result<BuildReport, CoreError> {
-        self.build_sequential(project, FailurePolicy::FailFast)
-    }
-
-    fn build_sequential(
-        &mut self,
-        project: &Project,
-        policy: FailurePolicy,
-    ) -> Result<BuildReport, CoreError> {
-        let strategy = self.strategy();
-        let analyses = self.analyze_all(project, 1)?;
-        let graph = self.dep_graph(project, &analyses)?;
-        let order = graph.order();
-        let _build_span = trace::span(names::SPAN_BUILD)
-            .field("strategy", strategy)
-            .field("units", order.len());
-        // Index files once; the loop below must not rescan the project
-        // per unit (that made large builds quadratic).
-        let file_index: HashMap<Symbol, &SourceFile> =
-            project.files().iter().map(|f| (f.name, f)).collect();
-        let in_cone = self.dirty_cone(&graph, &analyses, &file_index);
-
-        let mut report = BuildReport {
-            strategy,
-            order: order.to_vec(),
-            ..BuildReport::default()
-        };
-        // Environments materialized this build (fresh or rehydrated).
-        let mut envs: HashMap<Symbol, Arc<Bindings>> = HashMap::new();
-        let mut recompiled_set: HashMap<Symbol, bool> = HashMap::new();
-        // Units that failed or were skipped so far (keep-going).  A unit
-        // with any direct import in here is skipped — which, applied in
-        // topological order, makes this exactly the failed set plus its
-        // transitive dependent closure.
-        let mut failed_or_skipped: HashSet<Symbol> = HashSet::new();
-
-        for (i, name) in order.iter().enumerate() {
-            if !in_cone[i] {
-                // The pre-pass proved this unit's final decision is
-                // `Reused` (unchanged source, identical import pids,
-                // no import in the cone): record it without touching
-                // the store, the stamp machinery, or the panic guard.
-                synthesize_reused(&mut report, *name);
-                continue;
-            }
-            let file = file_index[name];
-            let sp = analyses[name].source_pid;
-            // Import units in deterministic (sorted-name) slot order.
-            let import_units = graph.import_units(i);
-
-            if !failed_or_skipped.is_empty() {
-                let blocked_on: Vec<Symbol> = import_units
-                    .iter()
-                    .copied()
-                    .filter(|u| failed_or_skipped.contains(u))
-                    .collect();
-                if !blocked_on.is_empty() {
-                    record_skip(&mut report, *name, blocked_on);
-                    failed_or_skipped.insert(*name);
-                    continue;
-                }
-            }
-
-            let decision = decide_unit(
-                strategy,
-                file,
-                sp,
-                import_units,
-                self.bins.get(name).map(|e| &e.meta),
-                &|u| {
-                    self.bins.get(&u).map(|e| ImportFacts {
-                        export_pid: e.meta.export_pid,
-                        mtime: e.meta.mtime,
-                        rebuilt: recompiled_set.get(&u).copied().unwrap_or(false),
-                    })
-                },
-            );
-            let needs = decision.requires_recompile();
-
-            // A recompile verdict first probes the shared artifact
-            // store: the cache key is the unit's exact compile inputs,
-            // so a verified object under it is the compile result.
-            let store_key = match (&self.store, needs) {
-                (Some(_), true) => self.store_key_for(sp, import_units),
-                _ => None,
-            };
-
-            // The fallible section — store probe, import environments,
-            // the compile itself — runs under a per-unit panic guard: a
-            // compiler bug fails this unit, not the whole build.
-            let step = isolate_unit(*name, || {
-                if let Some(key) = store_key {
-                    if let Some(bin) = self.try_store_fetch(key, *name, sp, import_units) {
-                        return Ok(SeqStep::FromStore { key, bin });
-                    }
-                }
-                if !needs {
-                    return Ok(SeqStep::Reused);
-                }
-                let sources: Vec<ImportSource> = import_units
-                    .iter()
-                    .map(|u| {
-                        let exports = self.force_env(*u, &graph, &mut envs, &mut report)?;
-                        let pid = self
-                            .bins
-                            .get(u)
-                            .map(|e| e.meta.export_pid)
-                            .ok_or(CoreError::UnknownUnit(*u))?;
-                        Ok(ImportSource {
-                            unit: *u,
-                            pid,
-                            exports,
-                        })
-                    })
-                    .collect::<Result<_, CoreError>>()?;
-                compile_unit_injected(*name, file.read_text()?, &sources).map(SeqStep::Compiled)
-            });
-
-            match step {
-                Ok(SeqStep::FromStore { key, bin }) => {
-                    let decision = RebuildDecision::StoreHit {
-                        key: key.to_string(),
-                        cause: Box::new(decision),
-                    };
-                    trace::event("irm.decision")
-                        .field("unit", name.as_str())
-                        .field("kind", decision.kind());
-                    report.decisions.push((*name, decision));
-                    self.dirty.insert(*name);
-                    self.bins.insert(*name, BinEntry::resident(bin));
-                    // For dependents a store hit is a rebuild: their
-                    // own verdicts compare pids exactly as they would
-                    // after a compile.
-                    recompiled_set.insert(*name, true);
-                    report.store_hits.push(*name);
-                    report.outcomes.push((*name, UnitOutcome::StoreHit));
-                }
-                Ok(SeqStep::Reused) => {
-                    trace::event("irm.decision")
-                        .field("unit", name.as_str())
-                        .field("kind", decision.kind());
-                    trace::counter(names::UNITS_REUSED, 1);
-                    if matches!(decision, RebuildDecision::CutOff { .. }) {
-                        trace::counter(names::CUTOFF_HITS, 1);
-                    }
-                    report.decisions.push((*name, decision));
-                    recompiled_set.insert(*name, false);
-                    report.reused.push(*name);
-                    report.outcomes.push((*name, UnitOutcome::Reused));
-                }
-                Ok(SeqStep::Compiled(out)) => {
-                    trace::event("irm.decision")
-                        .field("unit", name.as_str())
-                        .field("kind", decision.kind());
-                    trace::counter(names::UNITS_COMPILED, 1);
-                    report.decisions.push((*name, decision));
-                    report.timings.accumulate(&out.timings);
-                    report
-                        .warnings
-                        .extend(out.warnings.iter().map(|w| (*name, w.to_string())));
-                    // Publish in canonical (mtime-zero) form so identical
-                    // compiles publish bit-identical objects, then stamp.
-                    let bin = BinFile {
-                        unit: out.unit,
-                        mtime: 0,
-                    };
-                    if let (Some(store), Some(key)) = (&self.store, store_key) {
-                        publish_to_store(store, key, &bin);
-                    }
-                    self.dirty.insert(*name);
-                    self.bins.insert(
-                        *name,
-                        BinEntry::resident(BinFile {
-                            mtime: tick(),
-                            ..bin
-                        }),
-                    );
-                    envs.insert(*name, out.exports);
-                    recompiled_set.insert(*name, true);
-                    report.recompiled.push(*name);
-                    report.outcomes.push((*name, UnitOutcome::Compiled));
-                }
-                Err(e) => match policy {
-                    FailurePolicy::FailFast => return Err(e),
-                    FailurePolicy::KeepGoing => {
-                        record_failure(&mut report, *name, e);
-                        failed_or_skipped.insert(*name);
-                    }
-                },
-            }
-        }
-        Ok(report)
-    }
-
-    /// The artifact-store key for compiling a unit whose imports have
-    /// all settled in the bin store; `None` when any import bin is
-    /// missing (only possible mid-failure).
-    fn store_key_for(&self, sp: Pid, import_units: &[Symbol]) -> Option<Pid> {
-        let mut pids = Vec::with_capacity(import_units.len());
-        for u in import_units {
-            pids.push(self.bins.get(u)?.meta.export_pid);
-        }
-        Some(smlsc_store::cache_key(sp, &pids, BIN_FORMAT_VERSION))
-    }
-
-    /// Fetches and validates a store object for one unit.  Returns the
-    /// re-stamped bin on success; on a digest failure the store has
-    /// already quarantined the object, and on a semantic mismatch
-    /// (valid object, different unit) the fetch is simply rejected —
-    /// either way the caller compiles.
-    fn try_store_fetch(
-        &self,
-        key: Pid,
-        name: Symbol,
-        sp: Pid,
-        import_units: &[Symbol],
-    ) -> Option<BinFile> {
-        let store = self.store.as_deref()?;
-        let bytes = store.get(key)?;
-        match BinFile::from_bytes(&bytes) {
-            Ok(mut bin)
-                if store_bin_matches(&bin, name, sp, import_units, &|u| {
-                    self.bins.get(&u).map(|e| e.meta.export_pid)
-                }) =>
-            {
-                bin.mtime = tick();
-                Some(bin)
-            }
-            _ => {
-                trace::event(names::STORE_REJECT_EVENT).field("unit", name.as_str());
-                None
-            }
-        }
+        self.build_with(project, 1, FailurePolicy::FailFast)
     }
 
     /// Builds the project on up to `jobs` worker threads, dispatching a
     /// unit the moment all of its imports have settled (a *wavefront*
     /// over the analysis DAG).
     ///
-    /// Decisions, export pids and the report are identical to
-    /// [`Irm::build`] for any `jobs`: a unit's verdict depends only on
-    /// its own old bin and the final state of its imports, both of which
-    /// are fixed before the unit is dispatched.  `jobs <= 1` runs the
-    /// sequential loop itself.
+    /// Decisions, export pids and the report are identical for any
+    /// `jobs`: a unit's verdict depends only on its own old bin and the
+    /// final state of its imports, both of which are fixed before the
+    /// unit is dispatched.
     ///
     /// # Errors
     ///
     /// Any [`CoreError`] from analysis or compilation.  On error the bin
-    /// store is updated exactly as the sequential build would have left
-    /// it: every unit topologically before the first (lowest-index)
-    /// failing unit is merged, nothing at or after it is.
+    /// store holds every unit topologically before the first
+    /// (lowest-index) failing unit, and nothing at or after it.
     pub fn build_with_jobs(
         &mut self,
         project: &Project,
@@ -1787,8 +1393,8 @@ impl Irm {
 
     /// The general build entry point: up to `jobs` workers under
     /// `policy`.  For any `jobs`, the report (decisions, outcomes,
-    /// failed and skipped sets, export pids) is identical to the
-    /// sequential build under the same policy.
+    /// failed and skipped sets, export pids) is the same; `jobs <= 1`
+    /// runs every task inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -1811,12 +1417,7 @@ impl Irm {
         // dependents cut off.  Each retry removes at least one cached
         // entry, so the loop is bounded by the cache size.
         loop {
-            let result = if jobs <= 1 {
-                self.build_sequential(project, policy)
-            } else {
-                self.build_parallel(project, jobs, policy)
-            };
-            match result {
+            match self.build_wavefront(project, jobs.max(1), policy) {
                 Err(CoreError::BinBodyCorrupt { unit, .. }) => {
                     if !self.quarantine_bin(unit) {
                         return Err(CoreError::BinBodyCorrupt {
@@ -1849,7 +1450,7 @@ impl Irm {
         }
     }
 
-    fn build_parallel(
+    fn build_wavefront(
         &mut self,
         project: &Project,
         jobs: usize,
@@ -1925,137 +1526,81 @@ impl Irm {
                 envs: &envs,
                 outcomes: &outcomes,
             };
+            let mut wave = Wavefront::new(&graph, &in_cone, policy);
+            let mut released: Vec<usize> = wave.roots().collect();
 
-            // Scheduling state covers cone units only; an out-of-cone
-            // unit is never dispatched (its slot stays empty and the
-            // merge phase synthesizes its reuse).  The cone is
-            // dependent-closed, so a non-cone unit never has a cone
-            // import and needs no in-degree.
-            let mut indegree: Vec<usize> = (0..n)
-                .map(|i| {
-                    if !in_cone[i] {
-                        return usize::MAX; // never reaches zero
-                    }
-                    graph.import_idx(i).iter().filter(|&&d| in_cone[d]).count()
-                })
-                .collect();
-            let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for i in 0..n {
-                if !in_cone[i] {
-                    continue;
-                }
-                for &d in graph.import_idx(i) {
-                    if in_cone[d] {
-                        dependents[d].push(i);
+            if workers == 1 {
+                // Inline: the calling thread runs every task itself,
+                // lowest ready topological index first — the cone in
+                // plain topological order.  A fail-fast error stops
+                // dispatch on the spot: every remaining ready unit sits
+                // after the failure, so none of them would merge.
+                let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+                loop {
+                    ready.extend(released.drain(..).map(Reverse));
+                    let Some(Reverse(i)) = ready.pop() else { break };
+                    wave.complete(i, shared.run(i), &mut released);
+                    if wave.min_err.is_some() {
+                        break;
                     }
                 }
+            } else {
+                let (task_tx, task_rx) = mpsc::channel::<usize>();
+                let task_rx = Arc::new(Mutex::new(task_rx));
+                let (done_tx, done_rx) = mpsc::channel::<(usize, bool)>();
+
+                std::thread::scope(|scope| {
+                    for w in 0..workers {
+                        let task_rx = Arc::clone(&task_rx);
+                        let done_tx = done_tx.clone();
+                        let sink = trace::fork_current();
+                        let plan = faults::fork_current();
+                        let shared = &shared;
+                        scope.spawn(move || {
+                            if let Some(sink) = sink {
+                                trace::install(sink);
+                            }
+                            let _faults = plan.map(faults::install_forked);
+                            {
+                                let _worker_span =
+                                    trace::span(names::SPAN_WORKER).field("worker", w);
+                                loop {
+                                    let msg = {
+                                        let rx = task_rx.lock().unwrap_or_else(|e| e.into_inner());
+                                        rx.recv()
+                                    };
+                                    let Ok(i) = msg else { break };
+                                    if done_tx.send((i, shared.run(i))).is_err() {
+                                        break;
+                                    }
+                                }
+                            }
+                            trace::uninstall();
+                        });
+                    }
+                    drop(done_tx);
+
+                    // Coordinator: dispatch whatever the wavefront
+                    // releases, as completions arrive.
+                    let mut inflight = 0usize;
+                    loop {
+                        for d in released.drain(..) {
+                            if task_tx.send(d).is_ok() {
+                                inflight += 1;
+                            }
+                        }
+                        if inflight == 0 {
+                            break;
+                        }
+                        let Ok((i, ok)) = done_rx.recv() else {
+                            break; // a worker died; scope propagates its panic
+                        };
+                        inflight -= 1;
+                        wave.complete(i, ok, &mut released);
+                    }
+                    drop(task_tx); // hang up; workers drain and exit
+                });
             }
-
-            let (task_tx, task_rx) = mpsc::channel::<usize>();
-            let task_rx = Arc::new(Mutex::new(task_rx));
-            let (done_tx, done_rx) = mpsc::channel::<(usize, bool)>();
-
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let task_rx = Arc::clone(&task_rx);
-                    let done_tx = done_tx.clone();
-                    let sink = trace::fork_current();
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        if let Some(sink) = sink {
-                            trace::install(sink);
-                        }
-                        {
-                            let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
-                            loop {
-                                let msg = {
-                                    let rx = task_rx.lock().unwrap_or_else(|e| e.into_inner());
-                                    rx.recv()
-                                };
-                                let Ok(i) = msg else { break };
-                                // The per-unit panic guard: a panicking
-                                // compiler fails this unit, never the
-                                // worker (the pool survives and drains).
-                                let res =
-                                    isolate_unit(shared.graph.order()[i], || shared.run_task(i));
-                                let ok = res.is_ok();
-                                let _ = shared.outcomes[i].set(res);
-                                if done_tx.send((i, ok)).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                        trace::uninstall();
-                    });
-                }
-                drop(done_tx);
-
-                // Coordinator: dispatch the in-degree-0 wavefront, then
-                // release dependents as completions arrive.
-                //
-                // Fail-fast: after the first error, only units
-                // topologically *before* the lowest failing index are
-                // still dispatched — exactly the set the sequential
-                // loop would have processed.
-                //
-                // Keep-going: a failure *poisons* its dependents.
-                // Poisoned units are never dispatched; they complete
-                // synthetically right here (poisoning their own
-                // dependents in turn) so in-degrees keep draining and
-                // every independent unit still runs.  Their outcome
-                // slots stay empty — the merge phase reads an empty
-                // slot as "skipped".
-                let mut inflight = 0usize;
-                let mut min_err: Option<usize> = None;
-                let mut blocked = vec![false; n];
-                for (i, deg) in indegree.iter().enumerate() {
-                    if *deg == 0 && task_tx.send(i).is_ok() {
-                        inflight += 1;
-                    }
-                }
-                while inflight > 0 {
-                    let Ok((i, ok)) = done_rx.recv() else {
-                        break; // a worker died; scope propagates its panic
-                    };
-                    inflight -= 1;
-                    match policy {
-                        FailurePolicy::FailFast => {
-                            if !ok {
-                                min_err = Some(min_err.map_or(i, |k| k.min(i)));
-                                continue;
-                            }
-                            for &d in &dependents[i] {
-                                indegree[d] -= 1;
-                                if indegree[d] == 0
-                                    && min_err.is_none_or(|k| d < k)
-                                    && task_tx.send(d).is_ok()
-                                {
-                                    inflight += 1;
-                                }
-                            }
-                        }
-                        FailurePolicy::KeepGoing => {
-                            let mut worklist: Vec<(usize, bool)> = vec![(i, !ok)];
-                            while let Some((u, poison)) = worklist.pop() {
-                                for &d in &dependents[u] {
-                                    if poison {
-                                        blocked[d] = true;
-                                    }
-                                    indegree[d] -= 1;
-                                    if indegree[d] == 0 {
-                                        if blocked[d] {
-                                            worklist.push((d, true));
-                                        } else if task_tx.send(d).is_ok() {
-                                            inflight += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                drop(task_tx); // hang up; workers drain and exit
-            });
         }
 
         // Merge in topological order — the report is deterministic no
@@ -2068,17 +1613,14 @@ impl Irm {
         match policy {
             FailurePolicy::FailFast => {
                 let mut failure: Option<CoreError> = None;
-                // The lowest failing topo index; the sequential loop
-                // would have stopped there, so everything before it
-                // merges and it reports.
+                // The lowest failing topo index: everything before it
+                // merges, it reports, nothing after it counts.
                 let limit = outcomes
                     .iter()
                     .position(|slot| matches!(slot.get(), Some(Err(_))))
                     .unwrap_or(n);
                 for (i, slot) in outcomes.into_iter().enumerate() {
                     if !in_cone[i] {
-                        // The sequential loop would have recorded the
-                        // synthesized reuse up to its stopping point.
                         if i < limit {
                             synthesize_reused(&mut report, order[i]);
                         }
@@ -2111,8 +1653,7 @@ impl Irm {
                 // never dispatched and have *empty* slots.  Walking in
                 // topological order, a skipped unit's blockers (direct
                 // imports in the failed-or-skipped set) have always
-                // been classified already — the same closure the
-                // sequential loop computes.
+                // been classified already.
                 let mut failed_or_skipped: HashSet<Symbol> = HashSet::new();
                 for (i, slot) in outcomes.into_iter().enumerate() {
                     let name = order[i];
@@ -2182,43 +1723,6 @@ impl Irm {
         report.rehydrate += rehydrate;
     }
 
-    /// Materializes a unit's export environment: live if compiled this
-    /// build, otherwise rehydrated from its bin (once per build).
-    fn force_env(
-        &self,
-        unit: Symbol,
-        graph: &DepGraph,
-        envs: &mut HashMap<Symbol, Arc<Bindings>>,
-        report: &mut BuildReport,
-    ) -> Result<Arc<Bindings>, CoreError> {
-        if let Some(e) = envs.get(&unit) {
-            trace::counter(names::ENV_CACHE_HITS, 1);
-            return Ok(e.clone());
-        }
-        trace::counter(names::ENV_CACHE_MISSES, 1);
-        // Rehydrate against the unit's own imports, recursively.
-        let slot = graph.index_of(unit).ok_or(CoreError::UnknownUnit(unit))?;
-        let mut ctx_envs = Vec::new();
-        for &d in graph.import_idx(slot) {
-            ctx_envs.push(self.force_env(graph.order()[d], graph, envs, report)?);
-        }
-        let bin = self
-            .bins
-            .get(&unit)
-            .ok_or(CoreError::UnknownUnit(unit))?
-            .force()?;
-        let t0 = Instant::now();
-        let _span = trace::span(names::SPAN_REHYDRATE).field("unit", unit.as_str());
-        let ctx = RehydrateContext::with_pervasives(ctx_envs.iter().map(|e| e.as_ref()));
-        let (env, stats) = rehydrate(&bin.unit.env_pickle, &ctx)
-            .map_err(|e| CoreError::Pickle { unit, error: e })?;
-        trace::counter(names::REHYDRATE_NODES, stats.nodes as u64);
-        trace::counter(names::REHYDRATE_STUBS, stats.stubs as u64);
-        report.rehydrate += t0.elapsed();
-        envs.insert(unit, env.clone());
-        Ok(env)
-    }
-
     /// Builds and then links & executes the whole project in topological
     /// order, returning the populated dynamic environment.
     ///
@@ -2274,10 +1778,9 @@ impl Irm {
 
 /// What a strategy may consult about one import: the import's *current*
 /// bin state as of the dependent's decision point.  Imports settle
-/// before their dependents in both the sequential and the wavefront
-/// schedule, so these facts are final — which is exactly why cutoff
-/// decisions are order-independent and the parallel build is
-/// deterministic.
+/// before their dependents are dispatched, so these facts are final —
+/// which is exactly why cutoff decisions are order-independent and
+/// builds are deterministic at every width.
 #[derive(Debug, Clone, Copy)]
 struct ImportFacts {
     export_pid: Pid,
@@ -2291,9 +1794,8 @@ struct ImportFacts {
 /// names the *proximate* reason: own source before imports, import
 /// identity before import pids, pid change before cutoff.
 ///
-/// Shared by the sequential loop and the wavefront workers; the only
-/// inputs are the unit's old bin and the per-import facts closure, so
-/// both schedules decide identically by construction.
+/// The only inputs are the unit's old bin and the per-import facts
+/// closure, so any dispatch order decides identically by construction.
 fn decide_unit(
     strategy: Strategy,
     file: &SourceFile,
@@ -2425,14 +1927,98 @@ fn store_bin_matches(
             .all(|(edge, &u)| edge.unit == u && export_pid_of(u) == Some(edge.pid))
 }
 
-/// What the fallible section of one sequential unit resolved to.
-enum SeqStep {
-    /// No recompile needed; the existing bin stands.
-    Reused,
-    /// The recompile verdict was satisfied by the artifact store.
-    FromStore { key: Pid, bin: BinFile },
-    /// A fresh compile.
-    Compiled(crate::compile::CompileOutput),
+/// The scheduling state of one build: in-degrees over the dirty cone,
+/// released as tasks complete.  The coordinator drives it the same way
+/// at every width — inline at `jobs == 1`, from worker completions
+/// otherwise.
+///
+/// An out-of-cone unit is never released (its slot stays empty and
+/// the merge phase synthesizes its reuse).  The cone is
+/// dependent-closed, so a non-cone unit never has a cone import and
+/// needs no in-degree.
+struct Wavefront {
+    policy: FailurePolicy,
+    indegree: Vec<usize>,
+    dependents: Vec<Vec<usize>>,
+    /// Keep-going: units downstream of a failure.
+    blocked: Vec<bool>,
+    /// Fail-fast: the lowest failing topological index so far.
+    min_err: Option<usize>,
+}
+
+impl Wavefront {
+    fn new(graph: &DepGraph, in_cone: &[bool], policy: FailurePolicy) -> Self {
+        let n = in_cone.len();
+        let mut indegree = vec![usize::MAX; n]; // never reaches zero
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in (0..n).filter(|&i| in_cone[i]) {
+            indegree[i] = 0;
+            for &d in graph.import_idx(i).iter().filter(|&&d| in_cone[d]) {
+                indegree[i] += 1;
+                dependents[d].push(i);
+            }
+        }
+        Wavefront {
+            policy,
+            indegree,
+            dependents,
+            blocked: vec![false; n],
+            min_err: None,
+        }
+    }
+
+    /// The units ready before anything has run.
+    fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.indegree.len()).filter(|&i| self.indegree[i] == 0)
+    }
+
+    /// Records task `i` as finished (`ok` = it produced an outcome) and
+    /// pushes the units it makes ready onto `released`.
+    ///
+    /// Fail-fast: after the first error, only units topologically
+    /// *before* the lowest failing index are still released — the only
+    /// ones whose outcomes can merge.
+    ///
+    /// Keep-going: a failure *poisons* its dependents.  Poisoned units
+    /// are never released; they complete synthetically right here
+    /// (poisoning their own dependents in turn) so in-degrees keep
+    /// draining and every independent unit still runs.  Their outcome
+    /// slots stay empty — the merge phase reads an empty slot as
+    /// "skipped".
+    fn complete(&mut self, i: usize, ok: bool, released: &mut Vec<usize>) {
+        match self.policy {
+            FailurePolicy::FailFast => {
+                if !ok {
+                    self.min_err = Some(self.min_err.map_or(i, |k| k.min(i)));
+                    return;
+                }
+                for &d in &self.dependents[i] {
+                    self.indegree[d] -= 1;
+                    if self.indegree[d] == 0 && self.min_err.is_none_or(|k| d < k) {
+                        released.push(d);
+                    }
+                }
+            }
+            FailurePolicy::KeepGoing => {
+                let mut worklist: Vec<(usize, bool)> = vec![(i, !ok)];
+                while let Some((u, poison)) = worklist.pop() {
+                    for &d in &self.dependents[u] {
+                        if poison {
+                            self.blocked[d] = true;
+                        }
+                        self.indegree[d] -= 1;
+                        if self.indegree[d] == 0 {
+                            if self.blocked[d] {
+                                worklist.push((d, true));
+                            } else {
+                                released.push(d);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Runs one unit's fallible work under a panic guard: a panicking
@@ -2599,7 +2185,7 @@ struct ParallelShared<'a> {
     /// readable (a unit's *own* decision reads its pre-build bin).
     old_bins: &'a HashMap<Symbol, BinEntry>,
     /// The shared artifact store, probed before compiling and published
-    /// to after (same protocol as the sequential loop).
+    /// to after.
     store: Option<&'a Store>,
     envs: &'a [EnvSlot],
     outcomes: &'a [OnceLock<Result<TaskOutcome, CoreError>>],
@@ -2629,7 +2215,18 @@ impl ParallelShared<'_> {
         })
     }
 
-    /// Decide-then-maybe-compile for one unit, on a worker thread.
+    /// Runs task `i` under the per-unit panic guard and fills its
+    /// outcome slot; true when the task produced an outcome.  A
+    /// panicking compiler fails this unit, never the worker (the pool
+    /// survives and drains) nor, inline, the build.
+    fn run(&self, i: usize) -> bool {
+        let res = isolate_unit(self.graph.order()[i], || self.run_task(i));
+        let ok = res.is_ok();
+        let _ = self.outcomes[i].set(res);
+        ok
+    }
+
+    /// Decide-then-maybe-compile for one unit.
     fn run_task(&self, i: usize) -> Result<TaskOutcome, CoreError> {
         let name = self.graph.order()[i];
         let file = self.file_index[&name];

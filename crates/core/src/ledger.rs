@@ -98,8 +98,8 @@ pub struct LedgerRecord {
     pub deps_cache_misses: u64,
     /// Source files actually read from disk.
     pub source_reads: u64,
-    /// Longest import chain, in units (0 for sequential builds, which
-    /// do not compute it).
+    /// Longest scheduled import chain, in units (0 when nothing was
+    /// scheduled, e.g. a no-op build).
     pub critical_path: u64,
     /// The process exit code the build mapped to (0 ok, 1 compile,
     /// 3 internal, 4 store/IO).

@@ -38,9 +38,9 @@
 //! torn body therefore quarantines exactly one unit, exactly when it is
 //! actually needed.
 //!
-//! Version 1 packs (`SMLSPAK1`, JSON index) are still readable; a loader
-//! that sees one reports `version() < PACK_VERSION` so the caller can
-//! rewrite the archive in the current format on the next save.
+//! A file with any other magic or version byte — including the
+//! JSON-index version-1 packs of earlier releases — is rejected as
+//! corrupt: its units recompile and the next save overwrites it.
 //!
 //! Writers stage a temp file (pid- and sequence-unique, see
 //! [`crate::fsutil::unique_tmp`]), fsync, `rename(2)` into place, and
@@ -52,7 +52,6 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
 use smlsc_trace::{self as trace, names};
@@ -63,15 +62,11 @@ use crate::CoreError;
 /// The archive's file name inside a bin directory.
 pub const PACK_FILE: &str = "bins.pack";
 
-/// Current version byte after the leading magic.  Readers also accept
-/// [`LEGACY_PACK_VERSION`]; anything else rejects the pack (the units
-/// then just recompile, or load from legacy `*.bin` files).
+/// Version byte after the leading magic; anything else rejects the
+/// pack (the units then just recompile).
 pub const PACK_VERSION: u8 = 2;
-/// The JSON-index format this repo shipped first; still readable.
-pub const LEGACY_PACK_VERSION: u8 = 1;
 
 const PACK_MAGIC: &[u8; 8] = b"SMLSPAK2";
-const LEGACY_PACK_MAGIC: &[u8; 8] = b"SMLSPAK1";
 const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";
 /// index_offset (8) + index_len (8) + index_digest (16) + magic (8).
 const FOOTER_LEN: u64 = 40;
@@ -79,10 +74,9 @@ const FOOTER_LEN: u64 = 40;
 const HEADER_LEN: u64 = 9;
 
 /// One unit's slot in the footer index: the full decision metadata plus
-/// the location and digest of its serialized body.  The serde derives
-/// exist only for the version-1 JSON index; version 2 encodes entries
-/// with the fixed-width wire layout above.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the location and digest of its serialized body, encoded with the
+/// fixed-width wire layout above.
+#[derive(Debug, Clone)]
 pub struct PackEntry {
     /// The unit's name.
     pub name: Symbol,
@@ -115,7 +109,7 @@ impl PackEntry {
     }
 }
 
-/// Encodes the version-2 binary index: string table, flat edge table,
+/// Encodes the binary index: string table, flat edge table,
 /// fixed-width entry table.
 fn encode_index(entries: &[PackEntry]) -> Vec<u8> {
     let mut strings: Vec<Symbol> = Vec::new();
@@ -162,7 +156,7 @@ fn encode_index(entries: &[PackEntry]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the version-2 binary index.  Symbols intern straight from the
+/// Decodes the binary index.  Symbols intern straight from the
 /// buffer; nothing else allocates beyond the entry vector itself.
 fn decode_index(bytes: &[u8]) -> Result<Vec<PackEntry>, String> {
     let mut r = Reader::new(bytes);
@@ -261,7 +255,6 @@ pub struct PackReader {
     path: PathBuf,
     file: std::fs::File,
     map: Option<smlsc_mmap::Mapping>,
-    version: u8,
     entries: Vec<PackEntry>,
 }
 
@@ -301,16 +294,15 @@ impl PackReader {
             read_exact_at(&file, &mut footer, total - FOOTER_LEN)
                 .map_err(|e| corrupt(e.to_string()))?;
         }
-        let version = match (&header[..8], header[8]) {
-            (m, PACK_VERSION) if m == PACK_MAGIC => PACK_VERSION,
-            (m, LEGACY_PACK_VERSION) if m == LEGACY_PACK_MAGIC => LEGACY_PACK_VERSION,
-            (m, v) if m == PACK_MAGIC || m == LEGACY_PACK_MAGIC => {
-                return Err(corrupt(format!(
-                    "unsupported pack version {v} (expected {PACK_VERSION})"
-                )))
-            }
-            _ => return Err(corrupt("bad magic".into())),
-        };
+        if &header[..8] != PACK_MAGIC {
+            return Err(corrupt("bad magic".into()));
+        }
+        if header[8] != PACK_VERSION {
+            return Err(corrupt(format!(
+                "unsupported pack version {} (expected {PACK_VERSION})",
+                header[8]
+            )));
+        }
         // Footer fields: [0..8) offset, [8..16) len, [16..32) digest,
         // [32..40) magic.
         if &footer[32..40] != FOOTER_MAGIC {
@@ -347,11 +339,8 @@ impl PackReader {
         if Pid::of_bytes(index_bytes) != index_digest {
             return Err(corrupt("index digest mismatch".into()));
         }
-        let entries: Vec<PackEntry> = if version == PACK_VERSION {
-            decode_index(index_bytes).map_err(|e| corrupt(format!("index parse: {e}")))?
-        } else {
-            serde_json::from_slice(index_bytes).map_err(|e| corrupt(format!("index parse: {e}")))?
-        };
+        let entries =
+            decode_index(index_bytes).map_err(|e| corrupt(format!("index parse: {e}")))?;
         for e in &entries {
             if e.offset < HEADER_LEN
                 || e.offset
@@ -365,7 +354,6 @@ impl PackReader {
             path: path.to_path_buf(),
             file,
             map,
-            version,
             entries,
         }))
     }
@@ -373,13 +361,6 @@ impl PackReader {
     /// The pack's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The on-disk format version ([`PACK_VERSION`] or
-    /// [`LEGACY_PACK_VERSION`]).  A legacy pack still loads; callers use
-    /// this to schedule a rewrite in the current format on the next save.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The parsed index.
@@ -565,43 +546,6 @@ impl Drop for PackWriter {
     }
 }
 
-/// Writes a version-1 pack (`SMLSPAK1`, JSON index) for migration tests.
-/// Not used by any production path — the writer always emits the current
-/// format.
-#[doc(hidden)]
-pub fn write_legacy_v1_pack(dest: &Path, items: &[(BinMeta, Vec<u8>)]) -> Result<(), CoreError> {
-    let io_err = |e: std::io::Error| CoreError::Io(format!("{}: {e}", dest.display()));
-    let mut out: Vec<u8> = Vec::new();
-    out.extend_from_slice(LEGACY_PACK_MAGIC);
-    out.push(LEGACY_PACK_VERSION);
-    let mut entries = Vec::with_capacity(items.len());
-    for (meta, body) in items {
-        let offset = out.len() as u64;
-        out.extend_from_slice(body);
-        entries.push(PackEntry {
-            name: meta.name,
-            source_pid: meta.source_pid,
-            imports: meta.imports.clone(),
-            export_pid: meta.export_pid,
-            mtime: meta.mtime,
-            offset,
-            len: body.len() as u64,
-            digest: Pid::of_bytes(body),
-        });
-    }
-    let index = serde_json::to_vec(&entries).expect("pack entries serialize");
-    let index_offset = out.len() as u64;
-    out.extend_from_slice(&index);
-    out.extend_from_slice(&index_offset.to_le_bytes());
-    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    out.extend_from_slice(&Pid::of_bytes(&index).as_raw().to_le_bytes());
-    out.extend_from_slice(FOOTER_MAGIC);
-    let tmp = crate::fsutil::unique_tmp(dest);
-    std::fs::write(&tmp, &out).map_err(io_err)?;
-    std::fs::rename(&tmp, dest).map_err(io_err)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,7 +596,6 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let path = write_two(&dir);
         let r = PackReader::open(&path).unwrap().unwrap();
-        assert_eq!(r.version(), PACK_VERSION);
         assert_eq!(r.entries().len(), 2);
         for e in r.entries() {
             let body = r.read_body(e.offset, e.len, e.digest).unwrap();
@@ -673,25 +616,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_pack_still_loads() {
-        let dir = tmp_dir("legacyv1");
-        let path = dir.join(PACK_FILE);
-        let items: Vec<(BinMeta, Vec<u8>)> = [("a", 10), ("b", 20)]
-            .into_iter()
-            .map(|(name, mtime)| {
-                let b = bin(name, mtime);
-                (b.meta(), b.to_bytes())
-            })
-            .collect();
-        write_legacy_v1_pack(&path, &items).unwrap();
-        let r = PackReader::open(&path).unwrap().unwrap();
-        assert_eq!(r.version(), LEGACY_PACK_VERSION);
-        assert_eq!(r.entries().len(), 2);
-        for (e, (meta, body)) in r.entries().iter().zip(&items) {
-            assert_eq!(e.name, meta.name);
-            assert_eq!(e.imports, meta.imports);
-            assert_eq!(&r.read_body(e.offset, e.len, e.digest).unwrap(), body);
-        }
+    fn old_json_index_magic_is_rejected() {
+        let dir = tmp_dir("oldmagic");
+        let path = write_two(&dir);
+        // A version-1 header (magic ending in `1`: the JSON-index
+        // format of earlier releases) is no longer readable: the whole
+        // pack is corrupt, its units recompile, and the next save
+        // overwrites it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[7] = b'1';
+        bytes[8] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            PackReader::open(&path),
+            Err(CoreError::CorruptBin(m)) if m.contains("bad magic")
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

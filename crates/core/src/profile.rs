@@ -316,35 +316,57 @@ mod tests {
 
     #[test]
     fn profile_attributes_phases_and_critical_path() {
-        let p = chain_project();
-        let collector = trace::Collector::new();
-        collector.install();
-        let mut irm = Irm::new(Strategy::Cutoff);
-        let report = irm.build_with_jobs(&p, 4).unwrap();
-        trace::uninstall();
-        let graph = irm.import_graph(&p).unwrap();
-        let profile = BuildProfile::compute(&collector.spans(), &graph, &report, None);
+        // One scheduler at every width: inline (jobs 1) and threaded
+        // builds profile alike.
+        for jobs in [1, 4] {
+            let p = chain_project();
+            let collector = trace::Collector::new();
+            collector.install();
+            let mut irm = Irm::new(Strategy::Cutoff);
+            let report = irm.build_with_jobs(&p, jobs).unwrap();
+            trace::uninstall();
+            let graph = irm.import_graph(&p).unwrap();
+            let spans = collector.spans();
+            let profile = BuildProfile::compute(&spans, &graph, &report, None);
 
-        assert_eq!(profile.units.len(), 3);
-        assert_eq!(profile.critical_path, 3, "a -> b -> c");
-        assert_eq!(
-            profile.critical_path as u64,
-            collector.counter(names::CRITICAL_PATH),
-            "profile must agree with the scheduler's counter"
-        );
-        // Every compiled unit has attributed parse + elaborate time and
-        // a worker tag from its task span.
-        for u in &profile.units {
-            assert!(u.wall_us > 0, "{u:?}");
-            assert!(u.phases.parse_us > 0 || u.phases.elaborate_us > 0, "{u:?}");
-            assert!(u.worker.is_some(), "{u:?}");
-            assert_eq!(u.self_us, u.wall_us - u.phases.total_us());
+            assert_eq!(profile.units.len(), 3, "jobs {jobs}");
+            assert_eq!(profile.critical_path, 3, "jobs {jobs}: a -> b -> c");
+            assert_eq!(
+                profile.critical_path as u64,
+                collector.counter(names::CRITICAL_PATH),
+                "jobs {jobs}: profile must agree with the scheduler's counter"
+            );
+            // Every compiled unit has attributed parse + elaborate time
+            // and a worker tag from its task span.
+            for u in &profile.units {
+                assert!(u.wall_us > 0, "jobs {jobs}: {u:?}");
+                assert!(
+                    u.phases.parse_us > 0 || u.phases.elaborate_us > 0,
+                    "jobs {jobs}: {u:?}"
+                );
+                assert!(u.worker.is_some(), "jobs {jobs}: {u:?}");
+                assert_eq!(u.self_us, u.wall_us - u.phases.total_us());
+            }
+            assert_eq!(profile.critical_chain, vec!["a", "b", "c"], "jobs {jobs}");
+            let rendered = profile.render(10);
+            assert!(rendered.contains("critical path 3 unit(s)"), "{rendered}");
+            assert!(rendered.contains("critical chain"), "{rendered}");
+            if jobs == 1 {
+                // Inline: every task runs on the thread that opened the
+                // build span.
+                let caller = spans
+                    .iter()
+                    .find(|s| s.name == names::SPAN_BUILD)
+                    .expect("build span")
+                    .tid;
+                let tasks: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == names::SPAN_TASK)
+                    .collect();
+                assert_eq!(tasks.len(), 3);
+                assert!(tasks.iter().all(|s| s.tid == caller), "{tasks:?}");
+            }
         }
-        assert_eq!(profile.critical_chain.len(), 3);
-        assert_eq!(profile.critical_chain, vec!["a", "b", "c"]);
-        let rendered = profile.render(10);
-        assert!(rendered.contains("critical path 3 unit(s)"), "{rendered}");
-        assert!(rendered.contains("critical chain"), "{rendered}");
     }
 
     #[test]
@@ -365,24 +387,5 @@ mod tests {
         let none = BuildProfile::compute(&collector.spans(), &graph, &report, None);
         assert_eq!(none.saved_us, None);
         assert!(none.render(5).contains("no per-compile cost"), "render");
-    }
-
-    #[test]
-    fn sequential_builds_profile_without_task_spans() {
-        let p = chain_project();
-        let collector = trace::Collector::new();
-        collector.install();
-        let mut irm = Irm::new(Strategy::Cutoff);
-        let report = irm.build(&p).unwrap();
-        trace::uninstall();
-        let graph = irm.import_graph(&p).unwrap();
-        let profile = BuildProfile::compute(&collector.spans(), &graph, &report, None);
-        // No irm.task spans: wall falls back to the phase sum.
-        for u in &profile.units {
-            assert!(u.worker.is_none());
-            assert_eq!(u.wall_us, u.phases.total_us());
-            assert_eq!(u.self_us, 0);
-        }
-        assert_eq!(profile.critical_path, 3);
     }
 }

@@ -20,16 +20,15 @@
 //! written with the durable tmp + fsync + rename + fsync(parent)
 //! idiom ([`crate::fsutil::commit_atomic`], fault point `stamp.save`)
 //! so a crash mid-save can never tear it.  Warm analysis therefore does one bulk
-//! parse instead of serde over thousands of entries.  Version-1 JSON
-//! stamp files are still readable and are rewritten in the binary
-//! format by the next save.  A missing or corrupt stamp file is *not*
-//! an error — it degrades to "no hints", i.e. the cold path.
+//! parse instead of serde over thousands of entries.  A missing or
+//! corrupt stamp file — including the JSON stamp files of earlier
+//! releases — is *not* an error: it degrades to "no hints", i.e. the
+//! cold path, and the next save overwrites it.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
 use smlsc_trace::{self as trace, names};
@@ -38,9 +37,6 @@ use crate::CoreError;
 
 /// Version of the stamp-file format; a mismatch discards the file.
 const STAMP_VERSION: u32 = 2;
-/// The JSON format this repo shipped first; still readable, migrated on
-/// the next save.
-const LEGACY_STAMP_VERSION: u32 = 1;
 
 /// Leading magic of the binary stamp file; a `u32` version field
 /// follows it inside the digest-checked payload.
@@ -78,63 +74,6 @@ pub struct StampEntry {
     pub analysis: Arc<Analysis>,
 }
 
-/// The legacy version-1 JSON shape of a stamp entry (flat fields; the
-/// Arc-shared [`Analysis`] split postdates the JSON format).
-#[derive(Serialize, Deserialize)]
-struct LegacyStampEntry {
-    unit: Symbol,
-    mtime_ns: u64,
-    size: u64,
-    source_pid: Pid,
-    deps_pid: Pid,
-    imports: Vec<Symbol>,
-    exports: Vec<Symbol>,
-}
-
-impl From<LegacyStampEntry> for StampEntry {
-    fn from(e: LegacyStampEntry) -> StampEntry {
-        StampEntry {
-            unit: e.unit,
-            mtime_ns: e.mtime_ns,
-            size: e.size,
-            analysis: Arc::new(Analysis {
-                source_pid: e.source_pid,
-                deps_pid: e.deps_pid,
-                imports: e.imports,
-                exports: e.exports,
-            }),
-        }
-    }
-}
-
-impl From<&StampEntry> for LegacyStampEntry {
-    fn from(e: &StampEntry) -> LegacyStampEntry {
-        LegacyStampEntry {
-            unit: e.unit,
-            mtime_ns: e.mtime_ns,
-            size: e.size,
-            source_pid: e.analysis.source_pid,
-            deps_pid: e.analysis.deps_pid,
-            imports: e.analysis.imports.clone(),
-            exports: e.analysis.exports.clone(),
-        }
-    }
-}
-
-/// One `(path, entry)` pair in the on-disk file (the vendored serde has
-/// no map support, so the file is a vector of records).
-#[derive(Serialize, Deserialize)]
-struct StampRecord {
-    path: String,
-    entry: LegacyStampEntry,
-}
-
-#[derive(Serialize, Deserialize)]
-struct StampFile {
-    version: u32,
-    entries: Vec<StampRecord>,
-}
-
 /// The persistent stamp cache.  See the module docs.
 #[derive(Debug, Default)]
 pub struct StampCache {
@@ -151,9 +90,7 @@ impl StampCache {
     /// Loads a stamp file.  Missing, unreadable, corrupt, or
     /// version-mismatched files all yield an *empty* cache — stamps are
     /// hints, so degradation is silent and safe (every miss just reads
-    /// and digests the source the cold way).  A legacy JSON stamp file
-    /// loads fine but comes back *dirty*, so the next save rewrites it
-    /// in the binary format.
+    /// and digests the source the cold way).
     ///
     /// Entries whose recorded `mtime_ns` is at or after the stamp file's
     /// own mtime (the last save instant) are *racy* and dropped: a file
@@ -171,22 +108,10 @@ impl StampCache {
             .and_then(|m| m.modified().ok())
             .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
             .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        let mut cache = if let Some(payload) = bytes.strip_prefix(STAMP_MAGIC.as_slice()) {
-            Self::parse_binary(payload).unwrap_or_default()
-        } else {
-            // Legacy JSON: readable, but schedule a rewrite.
-            match serde_json::from_slice::<StampFile>(&bytes) {
-                Ok(f) if f.version == LEGACY_STAMP_VERSION => StampCache {
-                    entries: f
-                        .entries
-                        .into_iter()
-                        .map(|r| (r.path, r.entry.into()))
-                        .collect(),
-                    dirty: true,
-                },
-                _ => StampCache::default(),
-            }
-        };
+        let mut cache = bytes
+            .strip_prefix(STAMP_MAGIC.as_slice())
+            .and_then(Self::parse_binary)
+            .unwrap_or_default();
         if let Some(cutoff_ns) = saved_at_ns {
             cache.drop_racy_entries(cutoff_ns);
         }
@@ -195,8 +120,8 @@ impl StampCache {
 
     /// Classifies a stamp file on disk without loading it: `None` when
     /// the file is absent, `Some(Ok(n))` for a well-formed file with
-    /// `n` entries (binary or legacy JSON), `Some(Err(reason))` when
-    /// the bytes are corrupt.  [`Self::load`] silently degrades corrupt
+    /// `n` entries, `Some(Err(reason))` when the bytes are corrupt or in
+    /// a format this build does not read.  [`Self::load`] silently degrades corrupt
     /// files to an empty cache; `smlsc doctor` uses this to tell the
     /// difference and report what `load` would quietly discard.
     pub fn audit(path: &Path) -> Option<Result<usize, String>> {
@@ -205,16 +130,12 @@ impl StampCache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
             Err(e) => return Some(Err(format!("unreadable: {e}"))),
         };
-        if let Some(payload) = bytes.strip_prefix(STAMP_MAGIC.as_slice()) {
-            match Self::parse_binary(payload) {
-                Some(cache) => Some(Ok(cache.entries.len())),
-                None => Some(Err("binary stamp payload fails digest or decode".into())),
-            }
-        } else {
-            match serde_json::from_slice::<StampFile>(&bytes) {
-                Ok(f) if f.version == LEGACY_STAMP_VERSION => Some(Ok(f.entries.len())),
-                _ => Some(Err("neither binary magic nor legacy JSON".into())),
-            }
+        let Some(payload) = bytes.strip_prefix(STAMP_MAGIC.as_slice()) else {
+            return Some(Err("no binary stamp magic".into()));
+        };
+        match Self::parse_binary(payload) {
+            Some(cache) => Some(Ok(cache.entries.len())),
+            None => Some(Err("binary stamp payload fails digest or decode".into())),
         }
     }
 
@@ -362,35 +283,6 @@ impl StampCache {
         self.dirty = true;
     }
 
-    /// Writes the legacy version-1 JSON format.  Only for migration
-    /// tests; production saves always emit the binary format.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Io`] on filesystem failures.
-    #[doc(hidden)]
-    pub fn save_legacy_v1_json(&self, path: &Path) -> Result<(), CoreError> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        }
-        let mut records: Vec<StampRecord> = self
-            .entries
-            .iter()
-            .map(|(path, entry)| StampRecord {
-                path: path.clone(),
-                entry: entry.into(),
-            })
-            .collect();
-        records.sort_by(|a, b| a.path.cmp(&b.path));
-        let file = StampFile {
-            version: LEGACY_STAMP_VERSION,
-            entries: records,
-        };
-        let json = serde_json::to_vec(&file).expect("stamp entries serialize");
-        std::fs::write(path, &json).map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))
-    }
-
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -533,27 +425,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_loads_and_migrates_on_save() {
-        let dir = tmp_path("legacy");
+    fn old_json_stamps_read_as_empty_and_are_overwritten() {
+        let dir = tmp_path("oldjson");
         let path = dir.join("stamps.json");
-        let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 10, 20));
-        c.record("b.sml".into(), entry("b", 30, 40));
-        c.save_legacy_v1_json(&path).unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(b"{"));
-
-        // Loads with full fidelity...
+        std::fs::create_dir_all(&dir).unwrap();
+        // The JSON stamp format of earlier releases: no binary magic.
+        std::fs::write(
+            &path,
+            br#"{"version":1,"entries":[{"path":"a.sml","entry":{}}]}"#,
+        )
+        .unwrap();
         let mut back = StampCache::load(&path);
-        assert_eq!(back.len(), 2);
-        let e = back.lookup("a.sml", Symbol::intern("a"), 10, 20).unwrap();
-        assert_eq!(e, &entry("a", 10, 20));
-        // ...and comes back dirty, so the very next save (with nothing
-        // newly recorded) rewrites the file in the binary format.
+        assert!(back.is_empty(), "stamps are hints: an old file is none");
+        assert!(StampCache::audit(&path).is_some_and(|r| r.is_err()));
+        back.record("a.sml".into(), entry("a", 10, 20));
         back.save(&path).unwrap();
         assert!(std::fs::read(&path).unwrap().starts_with(STAMP_MAGIC));
-        let again = StampCache::load(&path);
-        assert_eq!(again.len(), 2);
-        assert!(again.lookup("b.sml", Symbol::intern("b"), 30, 40).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,6 @@
 //! environment, the serialized code object, the list of import pids, and
 //! the export pid.  [`BinFile`] is its on-disk form.
 
-use serde::{Deserialize, Serialize};
 use smlsc_dynamics::ir::Ir;
 use smlsc_ids::{Pid, Symbol};
 
@@ -14,7 +13,7 @@ use crate::CoreError;
 /// One import edge: the imported unit's name and the export pid it had
 /// when this unit was compiled.  The linker refuses to run against
 /// anything else (type-safe linkage, §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImportEdge {
     /// The imported unit.
     pub unit: Symbol,
@@ -23,7 +22,7 @@ pub struct ImportEdge {
 }
 
 /// A compiled compilation unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompiledUnit {
     /// The unit's name (source file stem).
     pub name: Symbol,
@@ -41,7 +40,7 @@ pub struct CompiledUnit {
 
 /// A bin file: a compiled unit plus bookkeeping for the recompilation
 /// strategies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinFile {
     /// The compiled unit.
     pub unit: CompiledUnit,
@@ -54,7 +53,7 @@ pub struct BinFile {
 /// cache key need, without the pickle body or code object.  This is what
 /// the `bins.pack` footer index carries per unit, so a warm build makes
 /// every rebuild decision without parsing a single pickle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinMeta {
     /// The unit's name.
     pub name: Symbol,
@@ -69,7 +68,6 @@ pub struct BinMeta {
 }
 
 const BIN_MAGIC: &[u8; 8] = b"SMLCBIN2";
-const LEGACY_BIN_MAGIC: &[u8; 8] = b"SMLCBIN1";
 
 /// Version of the bin-file container format (mirrored by the trailing
 /// digit of the magic).  Artifact-store cache keys fold this in, so
@@ -95,9 +93,9 @@ impl BinFile {
     /// end: metadata fields, the raw static-environment pickle bytes
     /// (already the custom byte format of `smlsc-pickle`), then the code
     /// object via [`crate::ircodec`], sealed by a 16-byte self-digest of
-    /// the payload (a bit flip anywhere is detected even for standalone
-    /// `*.bin` files that no archive index covers).  No JSON anywhere on
-    /// the warm path.
+    /// the payload (a bit flip anywhere is detected even for bytes that
+    /// no archive index covers, such as store objects).  No JSON
+    /// anywhere on the warm path.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.unit.env_pickle.len() + 256);
         out.extend_from_slice(BIN_MAGIC);
@@ -119,19 +117,13 @@ impl BinFile {
         out
     }
 
-    /// Deserializes a bin file.  The previous JSON container
-    /// (`SMLCBIN1`) is still readable, so bodies copied forward from a
-    /// version-1 archive parse fine until the archive is rewritten.
+    /// Deserializes a bin file.
     ///
     /// # Errors
     ///
     /// [`CoreError::CorruptBin`] when the magic, self-digest, or payload
     /// is malformed.
     pub fn from_bytes(bytes: &[u8]) -> Result<BinFile, CoreError> {
-        if let Some(payload) = bytes.strip_prefix(LEGACY_BIN_MAGIC.as_slice()) {
-            return serde_json::from_slice(payload)
-                .map_err(|e| CoreError::CorruptBin(e.to_string()));
-        }
         let sealed = bytes
             .strip_prefix(BIN_MAGIC.as_slice())
             .ok_or_else(|| CoreError::CorruptBin("bad magic".into()))?;
@@ -173,17 +165,6 @@ impl BinFile {
             mtime,
         })
     }
-
-    /// Serializes in the legacy `SMLCBIN1` JSON container.  Only for
-    /// migration tests; production saves always emit the current format.
-    #[doc(hidden)]
-    pub fn to_legacy_v1_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.unit.env_pickle.len() + 256);
-        out.extend_from_slice(LEGACY_BIN_MAGIC);
-        let json = serde_json::to_vec(self).expect("bin files serialize");
-        out.extend_from_slice(&json);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -213,13 +194,6 @@ mod tests {
         assert_eq!(back.unit.imports, bin.unit.imports);
         assert_eq!(back.unit.env_pickle, vec![1, 2, 3]);
         assert_eq!(back.unit.code, Ir::Int(7));
-
-        // The legacy JSON container still parses identically.
-        let legacy = bin.to_legacy_v1_bytes();
-        let back = BinFile::from_bytes(&legacy).unwrap();
-        assert_eq!(back.unit.name, Symbol::intern("a"));
-        assert_eq!(back.unit.env_pickle, vec![1, 2, 3]);
-        assert_eq!(back.unit.code, Ir::Int(7));
     }
 
     #[test]
@@ -227,6 +201,15 @@ mod tests {
         assert!(matches!(
             BinFile::from_bytes(b"NOTABIN!{}"),
             Err(CoreError::CorruptBin(_))
+        ));
+        // The JSON container of earlier releases (magic ending in `1`)
+        // is not read either.
+        let mut old = BIN_MAGIC.to_vec();
+        old[7] = b'1';
+        old.extend_from_slice(br#"{"unit":{},"mtime":0}"#);
+        assert!(matches!(
+            BinFile::from_bytes(&old),
+            Err(CoreError::CorruptBin(m)) if m == "bad magic"
         ));
     }
 }

@@ -8,8 +8,15 @@
 //! delays, and panics at those points.
 //!
 //! The hooks are compiled in unconditionally: with no plan installed
-//! (the default), [`check`] is a single relaxed atomic load, so chaos
-//! suites run against the same release binaries users get.
+//! (the default), [`check`] is one relaxed atomic load and one
+//! thread-local read, so chaos suites run against the same release
+//! binaries users get.
+//!
+//! A plan is either global ([`install_global`], for `--inject-faults`)
+//! or scoped to the installing thread ([`install_scoped`], for tests).
+//! Builds that fan out onto worker threads carry a scoped plan along
+//! with [`fork_current`]/[`install_forked`], the way `smlsc-trace`
+//! carries sinks.
 //!
 //! # Spec grammar
 //!
@@ -60,8 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use smlsc_trace as trace;
@@ -349,15 +358,15 @@ struct PlanState {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: RwLock<Option<Arc<PlanState>>> = RwLock::new(None);
-/// Serializes scoped installs so in-process tests cannot interleave
-/// plans; poisoning is expected (panic faults) and benign.
-static GATE: Mutex<()> = Mutex::new(());
 
-/// Installs `plan` process-wide, replacing any previous plan.  Intended
-/// for binaries (`--inject-faults` / `SMLSC_FAULTS`); tests should use
-/// [`install_scoped`], which also serializes concurrent installers.
-pub fn install_global(plan: FaultPlan) {
-    let state = PlanState {
+thread_local! {
+    /// The plan installed on this thread by [`install_scoped`] or
+    /// [`install_forked`]; it takes precedence over the global plan.
+    static LOCAL: RefCell<Option<Arc<PlanState>>> = const { RefCell::new(None) };
+}
+
+fn plan_state(plan: FaultPlan) -> Arc<PlanState> {
+    Arc::new(PlanState {
         seed: plan.seed,
         rules: plan
             .rules
@@ -368,57 +377,92 @@ pub fn install_global(plan: FaultPlan) {
                 fires: AtomicU64::new(0),
             })
             .collect(),
-    };
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(state));
+    })
+}
+
+/// Installs `plan` process-wide, replacing any previous global plan.
+/// Intended for binaries (`--inject-faults` / `SMLSC_FAULTS`); tests
+/// use [`install_scoped`], whose plan only the installing thread (and
+/// the workers it forks the plan onto) can see.
+pub fn install_global(plan: FaultPlan) {
+    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(plan_state(plan));
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
-/// Removes the installed plan, restoring the zero-cost no-op behaviour.
+/// Removes the global plan, restoring the zero-cost no-op behaviour.
 pub fn clear() {
     ACTIVE.store(false, Ordering::SeqCst);
     *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// A scoped plan installation; the plan is cleared when dropped, and a
-/// process-wide gate is held so concurrent scoped installs serialize.
+/// A plan installed on the current thread; the thread's previous plan
+/// (usually none) comes back when the guard drops.  Not `Send`: the
+/// guard must drop on the thread it was made on.
 #[derive(Debug)]
 pub struct ScopedFaults {
-    _gate: MutexGuard<'static, ()>,
+    prev: Option<Arc<PlanState>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
-/// Installs `plan` for the lifetime of the returned guard.  Concurrent
-/// callers block until the previous guard drops, so tests sharing the
-/// process cannot see each other's faults.
+fn install_local(state: Arc<PlanState>) -> ScopedFaults {
+    let prev = LOCAL.with(|l| l.borrow_mut().replace(state));
+    ScopedFaults {
+        prev,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// Installs `plan` on the calling thread for the lifetime of the
+/// returned guard.  Other threads never see it, so tests running side
+/// by side in one process cannot observe each other's faults; a build
+/// that fans out onto worker threads carries it along with
+/// [`fork_current`].
 pub fn install_scoped(plan: FaultPlan) -> ScopedFaults {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    install_global(plan);
-    ScopedFaults { _gate: gate }
+    install_local(plan_state(plan))
 }
 
 impl Drop for ScopedFaults {
     fn drop(&mut self) {
-        clear();
+        let prev = self.prev.take();
+        LOCAL.with(|l| *l.borrow_mut() = prev);
     }
 }
 
-/// True when a plan is installed.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+/// A `Send`-able handle to the calling thread's scoped plan, for
+/// [`install_forked`] on a worker thread.  Call and fire counters stay
+/// shared, so `@nth` and `*count` modifiers count across every thread
+/// the plan was forked onto.
+#[derive(Debug, Clone)]
+pub struct ForkedFaults(Arc<PlanState>);
+
+/// The calling thread's scoped plan, if any (a global plan needs no
+/// forking: every thread sees it).
+pub fn fork_current() -> Option<ForkedFaults> {
+    LOCAL.with(|l| l.borrow().clone()).map(ForkedFaults)
 }
 
-/// Checks a fault point.  With no plan installed this is a single
-/// relaxed atomic load.  `Delay` faults sleep here and return `None`;
+/// Installs a forked plan on the current thread until the guard drops.
+pub fn install_forked(plan: ForkedFaults) -> ScopedFaults {
+    install_local(plan.0)
+}
+
+/// True when a plan is visible to the calling thread.
+pub fn active() -> bool {
+    ACTIVE.load(Ordering::Relaxed) || LOCAL.with(|l| l.borrow().is_some())
+}
+
+/// Checks a fault point against the calling thread's plan, else the
+/// global one.  With no plan installed this is one relaxed atomic load
+/// and one thread-local read.  `Delay` faults sleep here and return `None`;
 /// `Panic` faults panic here (with a message naming the point); `Io`
 /// and `Torn` are returned for the caller to interpret.
 pub fn check(point: &'static str, detail: &str) -> Option<FaultKind> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    let state = PLAN
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .cloned()?;
+    let state = LOCAL.with(|l| l.borrow().clone()).or_else(|| {
+        if !ACTIVE.load(Ordering::Relaxed) {
+            return None;
+        }
+        PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()
+    })?;
     for rs in &state.rules {
         if rs.rule.point != point {
             continue;
@@ -632,5 +676,25 @@ mod tests {
         }
         assert!(!active());
         assert!(check(points::BIN_LOAD, "x").is_none());
+    }
+
+    #[test]
+    fn scoped_plan_is_thread_local_unless_forked() {
+        let _guard = install_scoped(
+            FaultPlan::default().with(FaultRule::new(points::BIN_SAVE, FaultKind::Io).times(1)),
+        );
+        let forked = fork_current().expect("a scoped plan forks");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!active(), "another thread never sees a scoped plan");
+                assert!(check(points::BIN_SAVE, "x").is_none());
+            });
+            s.spawn(move || {
+                let _g = install_forked(forked);
+                assert_eq!(check(points::BIN_SAVE, "x"), Some(FaultKind::Io));
+            });
+        });
+        // The fire count is shared with the forked copy: `*1` is spent.
+        assert!(check(points::BIN_SAVE, "x").is_none());
     }
 }

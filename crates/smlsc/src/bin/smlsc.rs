@@ -40,7 +40,8 @@
 //!   --strategy <s>     recompilation strategy: cutoff (default),
 //!                      timestamp, or classical
 //!   --jobs <n>         compile up to <n> units in parallel (default:
-//!                      available CPU parallelism; 1 = sequential)
+//!                      available CPU parallelism; 1 = inline on the
+//!                      calling thread)
 //!   --keep-going, -k   on a unit failure, keep compiling every unit
 //!                      that does not depend on it; dependents are
 //!                      reported as skipped

@@ -164,18 +164,39 @@ fn bin_dir_flag_relocates_the_bin_cache() {
 
 #[test]
 fn corrupt_bin_degrades_to_recompile_with_a_warning() {
-    // A stray legacy `<unit>.bin` that is garbage: warned about,
-    // skipped, and the unit recompiles while the archived one reuses.
+    // A torn body inside `bins.pack`: a `--paranoid` build verifies
+    // every body at load, warns, and recompiles just that unit while
+    // the other reuses.  A stray per-unit `util.bin` is not a cache
+    // format and is ignored.
     let proj = temp("degrade-proj");
     write_project(&proj);
     let out = smlsc().arg("build").arg(&proj).output().unwrap();
     assert!(out.status.success(), "{out:?}");
 
-    std::fs::write(proj.join(".smlsc-bins").join("util.bin"), b"garbage").unwrap();
-    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    let bins = proj.join(".smlsc-bins");
+    std::fs::write(bins.join("util.bin"), b"garbage").unwrap();
+    let pack = bins.join("bins.pack");
+    let util = smlsc_core::pack::PackReader::open(&pack)
+        .unwrap()
+        .unwrap()
+        .entries()
+        .iter()
+        .find(|e| e.name.as_str() == "util")
+        .cloned()
+        .unwrap();
+    let mut bytes = std::fs::read(&pack).unwrap();
+    bytes[(util.offset + util.len / 2) as usize] ^= 0xff;
+    std::fs::write(&pack, &bytes).unwrap();
+
+    let out = smlsc()
+        .args(["build", "--paranoid"])
+        .arg(&proj)
+        .output()
+        .unwrap();
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ignoring corrupt bin"), "{stderr}");
+    assert!(!stderr.contains("util.bin"), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 recompiled, 1 reused"), "{stdout}");
 

@@ -238,7 +238,9 @@ mod tests {
             std::thread::scope(|s| {
                 let released_a = released.clone();
                 let path_a = path.clone();
+                let plan_a = faults::fork_current().expect("plan installed");
                 s.spawn(move || {
+                    let _faults = faults::install_forked(plan_a);
                     // Holds the lock through the injected 40ms stall.
                     let g =
                         acquire(&path_a, Duration::from_secs(10), Duration::from_secs(5)).unwrap();

@@ -118,6 +118,12 @@ cargo test -q -p smlsc-store
 cargo test -q --test chaos
 cargo test -q --test keep_going
 
+echo "==> chaos: fault-plan isolation (warm_builds + crash_recovery, 20 runs)"
+for i in $(seq 1 20); do
+  cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
+  cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
+done
+
 echo "==> chaos: seeded storms (--jobs 4, three fixed seeds)"
 c=$(mktemp -d)
 trap 'rm -rf "$d" "$c"' EXIT

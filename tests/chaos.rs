@@ -157,11 +157,11 @@ fn unreachable_store_degrades_instead_of_failing_the_build() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Torn legacy bin writes are caught on reload: the corrupt bin is
-/// reported per-file, every healthy bin still loads, and the next build
-/// recompiles exactly the units whose bins were lost.  (Torn *archive*
-/// bodies are exercised in tests/warm_builds.rs — those are caught by
-/// lazy digest verification instead.)
+/// A torn body write inside `bins.pack` is caught on a paranoid reload
+/// (every body digest-verified at load): the torn unit is reported on
+/// its own, every healthy unit still loads, and the next build
+/// recompiles exactly the unit whose bin was lost.  (Lazy verification
+/// of torn bodies is exercised in tests/warm_builds.rs.)
 #[test]
 fn torn_bin_save_is_tolerated_per_file_on_reload() {
     let dir = temp_store("tornbin");
@@ -180,10 +180,11 @@ fn torn_bin_save_is_tolerated_per_file_on_reload() {
             FaultPlan::default()
                 .with(FaultRule::new(points::BIN_SAVE, FaultKind::Torn).filtered("chvictim")),
         );
-        irm.save_bins_files(&dir).unwrap();
+        irm.save_bins(&dir).unwrap();
     }
 
     let mut irm2 = Irm::new(Strategy::Cutoff);
+    irm2.set_paranoid(true);
     let outcome = irm2.load_bins(&dir).unwrap();
     assert_eq!(outcome.loaded, 2, "healthy bins load");
     assert_eq!(outcome.corrupt.len(), 1, "the torn bin is reported");
@@ -191,6 +192,10 @@ fn torn_bin_save_is_tolerated_per_file_on_reload() {
     let report = irm2.build(&p).unwrap();
     assert!(report.was_recompiled("chvictim"));
     assert!(!report.was_recompiled("chbase"));
+    assert!(
+        !report.was_recompiled("chtop"),
+        "cut off: interface unchanged"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,11 +1,12 @@
-//! Corruption recovery: malformed bin files are reported as
-//! `CoreError::CorruptBin`, and a build over a damaged bin cache
+//! Corruption recovery: malformed bin bytes are reported as
+//! `CoreError::CorruptBin`, and a build over a damaged `bins.pack`
 //! degrades to recompiling exactly the damaged units — never to a wrong
 //! answer.
 
 use std::path::{Path, PathBuf};
 
 use smlsc_core::irm::{Irm, Project, Strategy};
+use smlsc_core::pack::{PackReader, PackWriter, PACK_FILE};
 use smlsc_core::{BinFile, CoreError};
 use smlsc_ids::Pid;
 
@@ -33,18 +34,54 @@ fn export_pids(irm: &Irm) -> Vec<(String, Pid)> {
     pids
 }
 
-fn saved_bin(dir: &Path, unit: &str) -> Vec<u8> {
-    std::fs::read(dir.join(format!("{unit}.bin"))).unwrap()
+/// The serialized bin of one built unit: the body `save_bins` archives.
+fn bin_bytes(irm: &Irm, unit: &str) -> Vec<u8> {
+    irm.bin(unit).unwrap().to_bytes()
+}
+
+/// Rewrites `dir`'s archive with `unit`'s body replaced by `body`, kept
+/// under the body's *true* digest — a torn write the index cannot see.
+fn tear_archived_body(dir: &Path, unit: &str, body: &[u8]) {
+    let pack = dir.join(PACK_FILE);
+    let reader = PackReader::open(&pack).unwrap().unwrap();
+    let mut items = Vec::new();
+    for e in reader.entries() {
+        let good = reader.read_body(e.offset, e.len, e.digest).unwrap();
+        let bytes = if e.name.as_str() == unit {
+            body.to_vec()
+        } else {
+            good
+        };
+        items.push((e.meta(), bytes, e.digest));
+    }
+    drop(reader);
+    assert!(items.iter().any(|(m, _, _)| m.name.as_str() == unit));
+    let mut w = PackWriter::create(&pack).unwrap();
+    for (meta, bytes, digest) in &items {
+        w.add(meta, bytes, *digest).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+fn dir_entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+fn mtime(path: PathBuf) -> std::time::SystemTime {
+    std::fs::metadata(path).unwrap().modified().unwrap()
 }
 
 #[test]
 fn truncated_bin_is_corrupt() {
-    let dir = temp_dir("trunc");
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&project()).unwrap();
-    irm.save_bins_files(&dir).unwrap();
 
-    let bytes = saved_bin(&dir, "mid");
+    let bytes = bin_bytes(&irm, "mid");
     let truncated = &bytes[..bytes.len() / 2];
     assert!(matches!(
         BinFile::from_bytes(truncated),
@@ -55,17 +92,14 @@ fn truncated_bin_is_corrupt() {
         BinFile::from_bytes(&bytes[..4]),
         Err(CoreError::CorruptBin(_))
     ));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flipped_bin_is_corrupt() {
-    let dir = temp_dir("flip");
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&project()).unwrap();
-    irm.save_bins_files(&dir).unwrap();
 
-    let mut bytes = saved_bin(&dir, "base");
+    let mut bytes = bin_bytes(&irm, "base");
     // Flip a byte inside the payload; the container self-digest catches it.
     let k = bytes.len() - 2;
     bytes[k] = 0x00;
@@ -73,7 +107,6 @@ fn bit_flipped_bin_is_corrupt() {
         BinFile::from_bytes(&bytes),
         Err(CoreError::CorruptBin(_))
     ));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -94,13 +127,14 @@ fn build_over_a_corrupted_cache_recompiles_and_matches() {
     let p = project();
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&p).unwrap();
-    irm.save_bins_files(&dir).unwrap();
+    irm.save_bins(&dir).unwrap();
     let clean_pids = export_pids(&irm);
 
-    // Damage one bin three different ways across three fresh sessions;
-    // each session loads what it can, recompiles the rest, and lands on
-    // identical export pids.
-    let original = saved_bin(&dir, "mid");
+    // Damage one archived body three different ways across three fresh
+    // paranoid sessions (which verify every body at load); each session
+    // loads what it can, recompiles the rest, and lands on identical
+    // export pids.
+    let original = bin_bytes(&irm, "mid");
     let mut flipped = original.clone();
     let k = flipped.len() - 2;
     flipped[k] = 0x00;
@@ -110,13 +144,14 @@ fn build_over_a_corrupted_cache_recompiles_and_matches() {
         ("wrong-magic", b"NOTABIN!garbage".to_vec()),
     ];
     for (what, bytes) in damages {
-        std::fs::write(dir.join("mid.bin"), &bytes).unwrap();
+        tear_archived_body(&dir, "mid", &bytes);
         let mut session = Irm::new(Strategy::Cutoff);
+        session.set_paranoid(true);
         let outcome = session.load_bins(&dir).unwrap();
         assert_eq!(outcome.loaded, 2, "{what}: {:?}", outcome.corrupt);
         assert_eq!(outcome.corrupt.len(), 1, "{what}");
         assert!(
-            matches!(outcome.corrupt[0].1, CoreError::CorruptBin(_)),
+            matches!(&outcome.corrupt[0].1, CoreError::BinBodyCorrupt { unit, .. } if unit.as_str() == "mid"),
             "{what}: {:?}",
             outcome.corrupt[0]
         );
@@ -154,92 +189,45 @@ fn atomic_save_leaves_no_temp_files_and_skips_clean_bins() {
     let p = project();
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&p).unwrap();
-    irm.save_bins_files(&dir).unwrap();
-
-    let entries = || {
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
-    assert_eq!(entries(), ["base.bin", "mid.bin", "top.bin"]);
+    irm.save_bins(&dir).unwrap();
+    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack"]);
 
     // A second save with nothing dirty must rewrite nothing: mtimes of
-    // the on-disk files stay identical.
-    let stamp = |name: &str| {
-        std::fs::metadata(dir.join(name))
-            .unwrap()
-            .modified()
-            .unwrap()
-    };
-    let before: Vec<_> = ["base.bin", "mid.bin", "top.bin"]
-        .iter()
-        .map(|n| stamp(n))
-        .collect();
-    irm.save_bins_files(&dir).unwrap();
-    let after: Vec<_> = ["base.bin", "mid.bin", "top.bin"]
-        .iter()
-        .map(|n| stamp(n))
-        .collect();
-    assert_eq!(before, after, "no-op save must not rewrite bins");
-    assert_eq!(entries(), ["base.bin", "mid.bin", "top.bin"]);
+    // the on-disk files stay identical, and no staging file is left.
+    let before = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    irm.save_bins(&dir).unwrap();
+    let after = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    assert_eq!(before, after, "no-op save must not rewrite the archive");
+    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Per-unit `*.bin` files are not a cache format: a stray one next to
+/// the archive is neither loaded nor deleted, and a warm load + no-op
+/// save leaves the archive and its sidecar untouched.
 #[test]
 fn atomic_archive_save_migrates_and_skips_when_clean() {
     let dir = temp_dir("atomic-pack");
     let p = project();
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&p).unwrap();
-    irm.save_bins_files(&dir).unwrap();
+    irm.save_bins(&dir).unwrap();
+    std::fs::write(dir.join("mid.bin"), bin_bytes(&irm, "mid")).unwrap();
 
-    // A fresh session loads the legacy files and saves the archive:
-    // the per-unit bins migrate into `bins.pack` and are deleted.
-    let mut session = Irm::new(Strategy::Cutoff);
-    assert_eq!(session.load_bins(&dir).unwrap().loaded, 3);
-    session.save_bins(&dir).unwrap();
-    let entries = || {
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
-    assert_eq!(entries(), ["bins.pack"]);
-
-    // A load + no-op save must not rewrite the archive.  The first warm
-    // save publishes the import-DAG sidecar next to the archive; a second
-    // no-op save must leave both files untouched.
+    // A fresh session loads the archive only; the stray file is ignored.
     let mut warm = Irm::new(Strategy::Cutoff);
-    assert_eq!(warm.load_bins(&dir).unwrap().loaded, 3);
-    warm.build(&p).unwrap();
-    let before = std::fs::metadata(dir.join("bins.pack"))
-        .unwrap()
-        .modified()
-        .unwrap();
+    let outcome = warm.load_bins(&dir).unwrap();
+    assert_eq!(outcome.loaded, 3);
+    assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
+    let report = warm.build(&p).unwrap();
+    assert!(report.recompiled.is_empty(), "{:?}", report.decisions);
+
+    // A load + no-op save must not rewrite the archive or the sidecar.
+    let before = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
     warm.save_bins(&dir).unwrap();
-    let after = std::fs::metadata(dir.join("bins.pack"))
-        .unwrap()
-        .modified()
-        .unwrap();
+    warm.save_bins(&dir).unwrap();
+    let after = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
     assert_eq!(before, after, "no-op save must not rewrite the archive");
-    assert_eq!(entries(), ["bins.pack", "deps.pack"]);
-    let deps_before = std::fs::metadata(dir.join("deps.pack"))
-        .unwrap()
-        .modified()
-        .unwrap();
-    warm.save_bins(&dir).unwrap();
-    let deps_after = std::fs::metadata(dir.join("deps.pack"))
-        .unwrap()
-        .modified()
-        .unwrap();
-    assert_eq!(
-        deps_before, deps_after,
-        "no-op save must not rewrite the sidecar"
-    );
+    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack", "mid.bin"]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,9 @@
 //! lazy bin archive, and the guarantee that every fast path is
 //! *observationally identical* to the eager paranoid baseline.
 //!
-//! The central property: stamped and paranoid sessions, over pack and
-//! legacy per-file bins, produce bit-identical export pids and the
-//! same `RebuildDecision` sequence after any seeded edit history.
+//! The central property: stamped and paranoid sessions over the same
+//! archive produce bit-identical export pids and the same
+//! `RebuildDecision` sequence after any seeded edit history.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,123 +126,55 @@ fn corrupt_archive_index_degrades_to_full_recompile() {
     }
 }
 
-/// Transcribes a session's saved v2 archive into a `SMLSPAK1` archive
-/// with `SMLCBIN1` JSON bodies — the on-disk state a project last built
-/// before the binary-index format existed.  `mutate` may corrupt a
-/// body's bytes *before* the (matching) digest is computed, modelling a
-/// torn write under the true digest.
-fn transcribe_to_v1(v2_pack: &Path, v1_pack: &Path, mutate: impl Fn(&str, &mut Vec<u8>)) {
-    use smlsc_core::pack::PackReader;
-    let reader = PackReader::open(v2_pack).unwrap().expect("archive exists");
-    let items: Vec<(smlsc_core::BinMeta, Vec<u8>)> = reader
+/// `Irm::build` heals a torn *import* body the same way every other
+/// build entry point does: editing `mid` forces `base`'s archived body
+/// (to rehydrate `mid`'s import), the torn body is quarantined, `base`
+/// recompiles alone, and the result matches a clean build.
+#[test]
+fn build_quarantines_a_torn_import_body_and_retries() {
+    use smlsc_core::pack::{PackReader, PACK_FILE};
+    let dir = temp_dir("torn-import");
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&project()).unwrap();
+    irm.save_bins(&dir).unwrap();
+
+    // Flip one byte inside `base`'s body; the index stays intact.
+    let pack = dir.join(PACK_FILE);
+    let entry = PackReader::open(&pack)
+        .unwrap()
+        .unwrap()
         .entries()
         .iter()
-        .map(|e| {
-            let body = reader.read_body(e.offset, e.len, e.digest).unwrap();
-            let bin = smlsc_core::BinFile::from_bytes(&body).unwrap();
-            let mut legacy = bin.to_legacy_v1_bytes();
-            mutate(e.name.as_str(), &mut legacy);
-            (e.meta(), legacy)
-        })
-        .collect();
-    smlsc_core::pack::write_legacy_v1_pack(v1_pack, &items).unwrap();
-}
+        .find(|e| e.name.as_str() == "base")
+        .cloned()
+        .unwrap();
+    let mut bytes = std::fs::read(&pack).unwrap();
+    bytes[(entry.offset + entry.len / 2) as usize] ^= 0xff;
+    std::fs::write(&pack, &bytes).unwrap();
 
-/// A project last saved under the version-1 pack format (JSON index,
-/// JSON bodies) must load, build warm with zero recompiles, and have its
-/// archive rewritten in the current binary format by the next save —
-/// even a save with nothing newly compiled.
-#[test]
-fn legacy_v1_archive_loads_builds_warm_and_is_rewritten_as_v2() {
-    use smlsc_core::pack::PACK_FILE;
-    let base = temp_dir("v1-migrate");
-    let p = project();
-    let mut irm = Irm::new(Strategy::Cutoff);
-    irm.build(&p).unwrap();
-    let clean = export_pids(&irm);
-    let v2 = base.join("v2");
-    irm.save_bins(&v2).unwrap();
-
-    let v1 = base.join("v1");
-    std::fs::create_dir_all(&v1).unwrap();
-    transcribe_to_v1(&v2.join(PACK_FILE), &v1.join(PACK_FILE), |_, _| {});
-    let head = std::fs::read(v1.join(PACK_FILE)).unwrap();
-    assert_eq!(&head[..8], b"SMLSPAK1");
-
-    // A warm session over the v1 archive: everything loads, nothing
-    // recompiles, pids match the original build exactly.
-    let mut warm = Irm::new(Strategy::Cutoff);
-    let outcome = warm.load_bins(&v1).unwrap();
-    assert_eq!(outcome.loaded, 3, "{:?}", outcome.corrupt);
-    assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
-    let report = warm.build(&p).unwrap();
-    assert_eq!(report.recompiled.len(), 0, "{:?}", report.decisions);
-    assert_eq!(export_pids(&warm), clean);
-
-    // The clean no-op save must still rewrite: a legacy-format archive
-    // never counts as synced.
-    warm.save_bins(&v1).unwrap();
-    let head = std::fs::read(v1.join(PACK_FILE)).unwrap();
-    assert_eq!(&head[..8], b"SMLSPAK2", "archive upgraded on save");
-
-    // And the upgraded archive round-trips.
-    let mut again = Irm::new(Strategy::Cutoff);
-    let outcome = again.load_bins(&v1).unwrap();
-    assert_eq!(outcome.loaded, 3, "{:?}", outcome.corrupt);
-    let report = again.build(&p).unwrap();
-    assert_eq!(report.recompiled.len(), 0, "{:?}", report.decisions);
-    assert_eq!(export_pids(&again), clean);
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// Torn-body quarantine behaves identically across pack versions: a v1
-/// body corrupted under its true digest is caught on first force, the
-/// unit alone recompiles, and the save that follows writes a clean v2
-/// archive.
-#[test]
-fn torn_v1_body_quarantines_and_upgrade_save_heals() {
-    use smlsc_core::pack::PACK_FILE;
-    let base = temp_dir("v1-torn");
-    let p = project();
-    let mut irm = Irm::new(Strategy::Cutoff);
-    irm.build(&p).unwrap();
-    let clean = export_pids(&irm);
-    let v2 = base.join("v2");
-    irm.save_bins(&v2).unwrap();
-
-    let v1 = base.join("v1");
-    std::fs::create_dir_all(&v1).unwrap();
-    transcribe_to_v1(&v2.join(PACK_FILE), &v1.join(PACK_FILE), |name, body| {
-        if name == "mid" {
-            // Inside the JSON payload, past the SMLCBIN1 magic.
-            let k = body.len() / 2;
-            body[k] ^= 0xff;
-        }
-    });
+    let mut edited = Project::new();
+    edited.add("base", "structure Base = struct val n = 10 end");
+    edited.add("mid", "structure Mid = struct val v = Base.n + 2 end");
+    edited.add("top", "structure Top = struct val t = Mid.v * 2 end");
+    let clean = {
+        let mut fresh = Irm::new(Strategy::Cutoff);
+        fresh.build(&edited).unwrap();
+        export_pids(&fresh)
+    };
 
     let collector = trace::Collector::new();
     collector.install();
     let mut session = Irm::new(Strategy::Cutoff);
-    let outcome = session.load_bins(&v1).unwrap();
-    assert_eq!(outcome.loaded, 3, "index loads; bodies verify lazily");
-    // Linking forces every body; the corrupt v1 body is caught there.
-    let (report, env) = session.execute(&p).unwrap();
+    assert_eq!(session.load_bins(&dir).unwrap().loaded, 3);
+    let report = session.build(&edited);
     trace::uninstall();
-    assert_eq!(env.len(), 3);
+    let report = report.expect("a torn import body is healed, not fatal");
     assert_eq!(collector.counter(trace::names::BIN_BODY_QUARANTINED), 1);
+    assert!(report.was_recompiled("base"), "{:?}", report.decisions);
     assert!(report.was_recompiled("mid"), "{:?}", report.decisions);
-    assert_eq!(report.recompiled.len(), 1, "{:?}", report.decisions);
+    assert!(!report.was_recompiled("top"), "{:?}", report.decisions);
     assert_eq!(export_pids(&session), clean);
-
-    session.save_bins(&v1).unwrap();
-    let head = std::fs::read(v1.join(PACK_FILE)).unwrap();
-    assert_eq!(&head[..8], b"SMLSPAK2");
-    let mut again = Irm::new(Strategy::Cutoff);
-    let outcome = again.load_bins(&v1).unwrap();
-    assert_eq!(outcome.loaded, 3, "{:?}", outcome.corrupt);
-    let report = again.build(&p).unwrap();
-    assert_eq!(report.recompiled.len(), 0, "{:?}", report.decisions);
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The PR's acceptance property: a no-op warm build touches *no JSON
@@ -369,36 +301,13 @@ fn renamed_file_never_serves_stale_stamps_or_analysis() {
 }
 
 // ---------------------------------------------------------------------
-// The 4-configuration equivalence property.
+// The stamped-vs-paranoid equivalence property.
 // ---------------------------------------------------------------------
 
-/// One of the four warm-build configurations under test.
-#[derive(Clone, Copy)]
-struct Config {
-    /// Distrust stamps: re-read and re-digest every source.
-    paranoid: bool,
-    /// Persist bins as the indexed archive (vs legacy per-unit files).
-    pack: bool,
-}
-
-const CONFIGS: [Config; 4] = [
-    Config {
-        paranoid: false,
-        pack: true,
-    }, // the fast path
-    Config {
-        paranoid: false,
-        pack: false,
-    },
-    Config {
-        paranoid: true,
-        pack: true,
-    },
-    Config {
-        paranoid: true,
-        pack: false,
-    }, // the eager baseline
-];
+/// The two warm-build configurations under test, by `paranoid` flag:
+/// the fast path (stamps trusted, bodies lazy) and the eager baseline
+/// (every source re-digested, every body verified at load).
+const CONFIGS: [bool; 2] = [false, true];
 
 /// Mirrors the workload's current sources into `src` as real files.
 fn write_sources(src: &Path, w: &Workload) {
@@ -412,17 +321,17 @@ fn write_sources(src: &Path, w: &Workload) {
 /// Per-unit (name, source pid, export pid) observed after a build.
 type UnitPids = Vec<(String, Pid, Pid)>;
 
-/// Runs one cold-process build session for `cfg` against the sources in
+/// Runs one cold-process build session against the sources in
 /// `src`, persisting bins and stamps under `bin_dir`, and returns the
 /// decision sequence plus every unit's (source pid, export pid).
 fn session_step(
-    cfg: Config,
+    paranoid: bool,
     src: &Path,
     bin_dir: &Path,
     n: usize,
 ) -> (Vec<(String, RebuildDecision)>, UnitPids) {
     let mut irm = Irm::new(Strategy::Cutoff);
-    irm.set_paranoid(cfg.paranoid);
+    irm.set_paranoid(paranoid);
     let stamps = bin_dir.join("stamps.json");
     irm.load_stamps(&stamps);
     if bin_dir.is_dir() {
@@ -436,11 +345,7 @@ fn session_step(
         .iter()
         .map(|(s, d)| (s.to_string(), d.clone()))
         .collect();
-    if cfg.pack {
-        irm.save_bins(bin_dir).unwrap();
-    } else {
-        irm.save_bins_files(bin_dir).unwrap();
-    }
+    irm.save_bins(bin_dir).unwrap();
     irm.save_stamps(&stamps).unwrap();
     let pids = (0..n)
         .map(|i| {
@@ -466,8 +371,7 @@ fn arb_edit() -> impl PropStrategy<Value = EditKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Over any seeded edit history, all four configurations —
-    /// {stamped, paranoid} × {indexed archive, legacy per-file bins} —
+    /// Over any seeded edit history, stamped and paranoid sessions
     /// produce bit-identical source/export pids and the exact same
     /// `RebuildDecision` sequence at every step.
     #[test]
@@ -497,7 +401,7 @@ proptest! {
             let results: Vec<_> = CONFIGS
                 .iter()
                 .zip(&bin_dirs)
-                .map(|(cfg, dir)| session_step(*cfg, &src, dir, n))
+                .map(|(paranoid, dir)| session_step(*paranoid, &src, dir, n))
                 .collect();
             for (i, r) in results.iter().enumerate().skip(1) {
                 prop_assert_eq!(
@@ -514,8 +418,8 @@ proptest! {
         }
 
         // One final no-op step: every configuration reuses every unit.
-        for (cfg, dir) in CONFIGS.iter().zip(&bin_dirs) {
-            let (decisions, _) = session_step(*cfg, &src, dir, n);
+        for (paranoid, dir) in CONFIGS.iter().zip(&bin_dirs) {
+            let (decisions, _) = session_step(*paranoid, &src, dir, n);
             prop_assert!(
                 decisions.iter().all(|(_, d)| !d.requires_recompile()),
                 "no-op rebuild recompiled something: {:?}", decisions
