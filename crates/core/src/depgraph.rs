@@ -45,9 +45,9 @@ use std::path::Path;
 use smlsc_faults::points;
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
+use smlsc_store::fsutil;
 use smlsc_trace as trace;
 
-use crate::fsutil;
 use crate::CoreError;
 
 /// File name of the import-DAG sidecar, next to `bins.pack`.
@@ -158,7 +158,7 @@ impl DepGraph {
         let digest = Pid::of_bytes(&payload);
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&digest.as_raw().to_le_bytes());
-        fsutil::commit_atomic(path, &bytes, points::DEPS_SAVE)
+        fsutil::commit_atomic(path, &bytes, Some(points::DEPS_SAVE))
             .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))
     }
 

@@ -40,8 +40,8 @@ use serde::Serialize;
 use crate::ledger::Ledger;
 use crate::pack::{PackReader, PackWriter, PACK_FILE};
 use crate::stamps::StampCache;
-use crate::{fsutil, CoreError};
-use smlsc_store::Store;
+use crate::CoreError;
+use smlsc_store::{fsutil, Store};
 
 /// Mirror of the daemon crate's socket filename (`smlsc-daemon`
 /// depends on this crate, so the constant cannot be imported).
@@ -418,10 +418,8 @@ fn audit_store(root: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
 fn audit_daemon(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let lock = bin_dir.join(DAEMON_LOCK_FILE);
     let sock = bin_dir.join(DAEMON_SOCKET_FILE);
-    let owner: Option<u64> = std::fs::read_to_string(&lock)
-        .ok()
-        .and_then(|s| s.trim().parse().ok());
-    let owner_alive = owner.is_some_and(pid_alive);
+    let owner = fsutil::owner(&lock);
+    let owner_alive = owner.is_some_and(fsutil::pid_alive);
     if lock.exists() && !owner_alive {
         let issue = match owner {
             Some(pid) => format!("lockfile names dead pid {pid}"),
@@ -444,19 +442,6 @@ fn audit_daemon(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
             std::fs::remove_file(&sock).map_err(|e| e.to_string())
         }));
     }
-}
-
-/// Is the process alive?  Mirrors the daemon crate's liveness test: a
-/// zombie counts as dead — it will never serve its socket again.
-fn pid_alive(pid: u64) -> bool {
-    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
-        return false;
-    };
-    !matches!(
-        stat.rfind(')')
-            .and_then(|i| stat[i + 1..].trim_start().chars().next()),
-        Some('Z') | None
-    )
 }
 
 /// Staging files (`*.tmp-<pid>-<seq>`) in the bin directory are debris

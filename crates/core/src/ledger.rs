@@ -29,6 +29,7 @@ use std::time::SystemTime;
 
 use serde::{Deserialize, Serialize};
 use smlsc_faults as faults;
+use smlsc_store::fsutil;
 use smlsc_trace::{self as trace, names};
 
 use crate::irm::BuildReport;
@@ -273,10 +274,10 @@ impl Ledger {
         &self.path
     }
 
-    /// Appends one record as a single `O_APPEND` line write, healing a
-    /// torn tail (a previous crash's unterminated line) by terminating
-    /// it first so the skipped garbage never swallows this record.
-    /// Rotates afterwards if the file outgrew its cap.
+    /// Appends one record as a single `O_APPEND` line write that heals
+    /// a torn tail first ([`fsutil::append_line`]), so a previous
+    /// crash's garbage never swallows this record.  Rotates afterwards
+    /// if the file outgrew its cap.
     ///
     /// # Errors
     ///
@@ -284,73 +285,15 @@ impl Ledger {
     /// `ledger.append=io` fault).  Callers should treat this as a
     /// warning: the ledger never fails a build.
     pub fn append(&self, record: &LedgerRecord) -> Result<(), CoreError> {
-        use std::io::Write;
         let json = serde_json::to_string(record).expect("ledger record serializes");
-        let detail = self.path.to_string_lossy();
-        let fault = faults::check(faults::points::LEDGER_APPEND, &format!("begin {detail}"));
-        if matches!(fault, Some(faults::FaultKind::Io)) {
-            return Err(CoreError::Io(
-                faults::io_error(faults::points::LEDGER_APPEND, &detail).to_string(),
-            ));
-        }
         if let Some(dir) = self.path.parent() {
             std::fs::create_dir_all(dir)
                 .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
         }
-        let mut line = if self.tail_is_torn() {
-            String::from("\n")
-        } else {
-            String::new()
-        };
-        line.push_str(&json);
-        line.push('\n');
-        // A torn fault models a crash mid-append: only a prefix of the
-        // record reaches the disk and the build carries on, leaving
-        // exactly the state `read` must recover from.
-        if matches!(fault, Some(faults::FaultKind::Torn)) {
-            line.truncate(line.len() / 2);
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
+        fsutil::append_line(&self.path, &json, Some(faults::points::LEDGER_APPEND))
             .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
-        if faults::active() {
-            // Under an installed plan only, the append splits in two so
-            // a `ledger.append=crash(mid)` rule can kill the process
-            // with half a record on disk — the *real* torn tail the
-            // next append's heal must recover from.  Production appends
-            // stay a single `O_APPEND` write.
-            let split = line.len() / 2;
-            f.write_all(&line.as_bytes()[..split])
-                .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
-            faults::check(faults::points::LEDGER_APPEND, &format!("mid {detail}"));
-            f.write_all(&line.as_bytes()[split..])
-                .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
-        } else {
-            f.write_all(line.as_bytes())
-                .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
-        }
         trace::counter(names::LEDGER_APPENDS, 1);
-        drop(f);
         self.rotate_if_needed()
-    }
-
-    /// True when the file ends mid-line (no trailing newline): the
-    /// signature of a crash during a previous append.
-    fn tail_is_torn(&self) -> bool {
-        use std::io::{Read, Seek, SeekFrom};
-        let Ok(mut f) = std::fs::File::open(&self.path) else {
-            return false;
-        };
-        let Ok(len) = f.seek(SeekFrom::End(0)) else {
-            return false;
-        };
-        if len == 0 {
-            return false;
-        }
-        let mut last = [0u8; 1];
-        f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok() && last[0] != b'\n'
     }
 
     /// Lazily streams every parseable current-version record, oldest
@@ -384,7 +327,7 @@ impl Ledger {
 
     /// Compacts to the newest [`Self::keep_records`] records when the
     /// file exceeds its byte cap, atomically and durably
-    /// ([`crate::fsutil::commit_atomic`], fault point `ledger.rotate`)
+    /// ([`fsutil::commit_atomic`], fault point `ledger.rotate`)
     /// so readers never observe a half-rotated ledger.
     fn rotate_if_needed(&self) -> Result<(), CoreError> {
         if self.size_bytes() <= self.max_bytes {
@@ -392,15 +335,25 @@ impl Ledger {
         }
         let records = self.read();
         let keep = records.len().saturating_sub(self.keep_records);
+        self.rewrite(&records[keep..])?;
+        trace::counter(names::LEDGER_ROTATIONS, 1);
+        Ok(())
+    }
+
+    /// Replaces the file with exactly `records` through one atomic,
+    /// durable commit at the `ledger.rotate` fault point.
+    fn rewrite(&self, records: &[LedgerRecord]) -> Result<(), CoreError> {
         let mut out = String::new();
-        for r in &records[keep..] {
+        for r in records {
             out.push_str(&serde_json::to_string(r).expect("ledger record serializes"));
             out.push('\n');
         }
-        crate::fsutil::commit_atomic(&self.path, out.as_bytes(), faults::points::LEDGER_ROTATE)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
-        trace::counter(names::LEDGER_ROTATIONS, 1);
-        Ok(())
+        fsutil::commit_atomic(
+            &self.path,
+            out.as_bytes(),
+            Some(faults::points::LEDGER_ROTATE),
+        )
+        .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))
     }
 
     /// Audits the file for the doctor: raw line count, parseable
@@ -424,7 +377,7 @@ impl Ledger {
         LedgerAudit {
             lines,
             valid,
-            torn_tail: self.tail_is_torn(),
+            torn_tail: fsutil::tail_is_torn(&self.path),
         }
     }
 
@@ -441,13 +394,7 @@ impl Ledger {
         if dropped == 0 && !audit.torn_tail {
             return Ok(0);
         }
-        let mut out = String::new();
-        for r in self.stream() {
-            out.push_str(&serde_json::to_string(&r).expect("ledger record serializes"));
-            out.push('\n');
-        }
-        crate::fsutil::commit_atomic(&self.path, out.as_bytes(), faults::points::LEDGER_ROTATE)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", self.path.display())))?;
+        self.rewrite(&self.read())?;
         Ok(dropped.max(1))
     }
 }

@@ -51,7 +51,6 @@
 pub mod compile;
 pub mod depgraph;
 pub mod doctor;
-pub mod fsutil;
 pub mod groups;
 pub mod hash;
 pub mod ircodec;

@@ -42,18 +42,22 @@
 //! JSON-index version-1 packs of earlier releases — is rejected as
 //! corrupt: its units recompile and the next save overwrites it.
 //!
-//! Writers stage a temp file (pid- and sequence-unique, see
-//! [`crate::fsutil::unique_tmp`]), fsync, `rename(2)` into place, and
-//! fsync the parent directory, so a crash mid-save leaves the previous
-//! pack intact and a completed save survives power loss.  The seal is
-//! instrumented with the `pack.save` fault point (stages `begin`,
-//! `staged`, `renamed`) for the crash-recovery harness.
+//! Writers stream bodies into the shared [`AtomicFile`] (a pid- and
+//! sequence-unique staging file, fsync, `rename(2)` into place, fsync
+//! of the parent directory), so a crash mid-save leaves the previous
+//! pack intact and a completed save survives power loss.  The commit
+//! is instrumented with the `pack.save` fault point (stages `begin`,
+//! `staged`, `renamed`) for the crash-recovery harness; a `torn` fault
+//! commits the first half of the pack, which [`PackReader::open`]
+//! rejects as corrupt.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use smlsc_faults::points;
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
+use smlsc_store::fsutil::{self, AtomicFile};
 use smlsc_trace::{self as trace, names};
 
 use crate::unit::{BinMeta, ImportEdge};
@@ -246,10 +250,11 @@ fn read_exact_at(file: &std::fs::File, mut buf: &mut [u8], mut offset: u64) -> s
 /// When the platform supports it the whole file is memory-mapped
 /// read-only ([`smlsc_mmap::Mapping`]): the index decodes straight out
 /// of the page cache with no heap copy of the raw bytes, and body
-/// slices are borrowed from the map instead of `pread`.  Every byte is
-/// still digest-verified exactly as on the fallback path, so torn and
-/// corrupt packs quarantine identically either way (`SMLSC_NO_MMAP=1`
-/// forces the fallback to prove it).
+/// slices are borrowed from the map instead of `pread`.  When mapping
+/// fails the reader falls back to positioned reads; every byte is
+/// digest-verified exactly the same way on both paths, so torn and
+/// corrupt packs quarantine identically either way (the unit tests run
+/// the corruption cases against both readers).
 #[derive(Debug)]
 pub struct PackReader {
     path: PathBuf,
@@ -279,11 +284,23 @@ impl PackReader {
             .metadata()
             .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?
             .len();
+        let map = smlsc_mmap::Mapping::map(&file, total);
+        PackReader::with_map(path, file, total, map).map(Some)
+    }
+
+    /// Validates and indexes the open pack `file` (`total` bytes long),
+    /// reading through `map` when the file is mapped and with
+    /// positioned reads otherwise.
+    fn with_map(
+        path: &Path,
+        file: std::fs::File,
+        total: u64,
+        map: Option<smlsc_mmap::Mapping>,
+    ) -> Result<PackReader, CoreError> {
         let corrupt = |m: String| CoreError::CorruptBin(format!("{}: {m}", path.display()));
         if total < HEADER_LEN + FOOTER_LEN {
             return Err(corrupt(format!("truncated ({total} bytes)")));
         }
-        let map = smlsc_mmap::Mapping::map(&file, total);
         let mut header = [0u8; HEADER_LEN as usize];
         let mut footer = [0u8; FOOTER_LEN as usize];
         if let Some(m) = &map {
@@ -350,12 +367,12 @@ impl PackReader {
                 return Err(corrupt(format!("entry `{}` bounds out of range", e.name)));
             }
         }
-        Ok(Some(PackReader {
+        Ok(PackReader {
             path: path.to_path_buf(),
             file,
             map,
             entries,
-        }))
+        })
     }
 
     /// The pack's path.
@@ -403,36 +420,34 @@ impl PackReader {
     }
 }
 
-/// An in-progress pack write: bodies appended one at a time, then the
-/// index and footer sealed by [`PackWriter::finish`].  Dropping an
-/// unfinished writer removes its temp file.
+/// An in-progress pack write: bodies streamed one at a time into an
+/// [`AtomicFile`], then the index and footer sealed and committed by
+/// [`PackWriter::finish`].  Dropping an unfinished writer removes its
+/// staging file.
 #[derive(Debug)]
 pub struct PackWriter {
-    tmp: PathBuf,
     dest: PathBuf,
-    file: Option<std::fs::File>,
+    file: AtomicFile,
     cursor: u64,
     entries: Vec<PackEntry>,
 }
 
 impl PackWriter {
     /// Starts a pack write destined for `dest`, staging to a sibling
-    /// temp file.
+    /// temp file (the `begin` stage of the `pack.save` fault point).
     ///
     /// # Errors
     ///
     /// [`CoreError::Io`] on filesystem failures.
     pub fn create(dest: &Path) -> Result<PackWriter, CoreError> {
-        let tmp = crate::fsutil::unique_tmp(dest);
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", tmp.display())))?;
+        let mut file = AtomicFile::create(fsutil::unique_tmp(dest), dest, Some(points::PACK_SAVE))
+            .map_err(io_err(dest))?;
         file.write_all(PACK_MAGIC)
             .and_then(|()| file.write_all(&[PACK_VERSION]))
-            .map_err(|e| CoreError::Io(format!("{}: {e}", tmp.display())))?;
+            .map_err(io_err(dest))?;
         Ok(PackWriter {
-            tmp,
             dest: dest.to_path_buf(),
-            file: Some(file),
+            file,
             cursor: HEADER_LEN,
             entries: Vec::new(),
         })
@@ -448,9 +463,7 @@ impl PackWriter {
     ///
     /// [`CoreError::Io`] on filesystem failures.
     pub fn add(&mut self, meta: &BinMeta, body: &[u8], digest: Pid) -> Result<(), CoreError> {
-        let file = self.file.as_mut().expect("writer not finished");
-        file.write_all(body)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", self.tmp.display())))?;
+        self.file.write_all(body).map_err(io_err(&self.dest))?;
         self.entries.push(PackEntry {
             name: meta.name,
             source_pid: meta.source_pid,
@@ -465,37 +478,14 @@ impl PackWriter {
         Ok(())
     }
 
-    /// Seals the pack: writes the index and footer, fsyncs, and renames
-    /// into place.  Returns the total bytes written.
+    /// Seals the pack: writes the index and footer and commits the
+    /// staging file into place.  Returns the total bytes written.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Io`] on filesystem failures (the temp file is
+    /// [`CoreError::Io`] on filesystem failures (the staging file is
     /// removed; the previous pack, if any, is untouched).
     pub fn finish(mut self) -> Result<u64, CoreError> {
-        use smlsc_faults::{self as faults, points, FaultKind};
-        let name = self
-            .dest
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let fail = |msg: String, tmp: &mut PathBuf, file: Option<std::fs::File>| {
-            drop(file);
-            std::fs::remove_file(&*tmp).ok();
-            tmp.clear(); // Drop must not re-remove
-            CoreError::Io(msg)
-        };
-        // A crash here leaves a body-only tmp file: litter, never
-        // visible at the destination.
-        if let Some(FaultKind::Io) = faults::check(points::PACK_SAVE, &format!("begin {name}")) {
-            let file = self.file.take();
-            return Err(fail(
-                faults::io_error(points::PACK_SAVE, &name).to_string(),
-                &mut self.tmp,
-                file,
-            ));
-        }
-        let mut file = self.file.take().expect("writer not finished");
         let index = encode_index(&self.entries);
         let index_digest = Pid::of_bytes(&index);
         let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
@@ -504,46 +494,17 @@ impl PackWriter {
         footer.extend_from_slice(&index_digest.as_raw().to_le_bytes());
         footer.extend_from_slice(FOOTER_MAGIC);
         let total = self.cursor + index.len() as u64 + FOOTER_LEN;
-        let sealed = file
+        self.file
             .write_all(&index)
-            .and_then(|()| file.write_all(&footer))
-            .and_then(|()| file.sync_all());
-        if let Err(e) = sealed {
-            let msg = format!("{}: {e}", self.tmp.display());
-            return Err(fail(msg, &mut self.tmp, Some(file)));
-        }
-        drop(file);
-        // A crash here leaves a *complete* tmp pack, never renamed.
-        if let Some(FaultKind::Io) = faults::check(points::PACK_SAVE, &format!("staged {name}")) {
-            return Err(fail(
-                faults::io_error(points::PACK_SAVE, &name).to_string(),
-                &mut self.tmp,
-                None,
-            ));
-        }
-        if let Err(e) = std::fs::rename(&self.tmp, &self.dest) {
-            let msg = format!("{}: {e}", self.dest.display());
-            return Err(fail(msg, &mut self.tmp, None));
-        }
-        // A crash here dies after the rename but before the parent
-        // directory fsync makes it durable.
-        faults::check(points::PACK_SAVE, &format!("renamed {name}"));
-        if let Some(dir) = self.dest.parent() {
-            crate::fsutil::fsync_dir(dir)
-                .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        }
-        self.tmp.clear();
+            .and_then(|()| self.file.write_all(&footer))
+            .map_err(io_err(&self.dest))?;
+        self.file.commit().map_err(io_err(&self.dest))?;
         Ok(total)
     }
 }
 
-impl Drop for PackWriter {
-    fn drop(&mut self) {
-        if !self.tmp.as_os_str().is_empty() && self.file.is_some() {
-            self.file = None;
-            std::fs::remove_file(&self.tmp).ok();
-        }
-    }
+fn io_err(dest: &Path) -> impl Fn(std::io::Error) -> CoreError + '_ {
+    move |e| CoreError::Io(format!("{}: {e}", dest.display()))
 }
 
 #[cfg(test)]
@@ -589,6 +550,18 @@ mod tests {
         }
         w.finish().unwrap();
         path
+    }
+
+    /// Opens `path` through both read paths: the memory-mapped reader
+    /// and the `pread` fallback.
+    fn open_both(path: &Path) -> [Result<PackReader, CoreError>; 2] {
+        let open = |mapped: bool| {
+            let file = std::fs::File::open(path).unwrap();
+            let total = file.metadata().unwrap().len();
+            let map = mapped.then(|| smlsc_mmap::Mapping::map(&file, total).expect("mmap"));
+            PackReader::with_map(path, file, total, map)
+        };
+        [open(true), open(false)]
     }
 
     #[test]
@@ -746,9 +719,11 @@ mod tests {
         drop(r);
         bytes[e0.offset as usize + 4] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let r = PackReader::open(&path).unwrap().unwrap();
-        assert!(r.read_body(e0.offset, e0.len, e0.digest).is_err());
-        assert!(r.read_body(e1.offset, e1.len, e1.digest).is_ok());
+        for r in open_both(&path) {
+            let r = r.unwrap();
+            assert!(r.read_body(e0.offset, e0.len, e0.digest).is_err());
+            assert!(r.read_body(e1.offset, e1.len, e1.digest).is_ok());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -757,37 +732,23 @@ mod tests {
         let dir = tmp_dir("tornindex");
         let path = write_two(&dir);
         let good = std::fs::read(&path).unwrap();
-        // Truncate into the footer.
-        std::fs::write(&path, &good[..good.len() - 10]).unwrap();
-        assert!(matches!(
-            PackReader::open(&path),
-            Err(CoreError::CorruptBin(_))
-        ));
-        // Flip a byte inside the binary index.
-        let mut bytes = good.clone();
-        let idx = bytes.len() - FOOTER_LEN as usize - 5;
-        bytes[idx] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            PackReader::open(&path),
-            Err(CoreError::CorruptBin(_))
-        ));
-        // Wrong leading magic.
-        let mut bytes = good.clone();
-        bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            PackReader::open(&path),
-            Err(CoreError::CorruptBin(_))
-        ));
-        // Wrong version byte.
-        let mut bytes = good;
-        bytes[8] = PACK_VERSION + 1;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            PackReader::open(&path),
-            Err(CoreError::CorruptBin(_))
-        ));
+        let mangled = |at: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let index_byte = good.len() - FOOTER_LEN as usize - 5;
+        for bytes in [
+            good[..good.len() - 10].to_vec(), // truncated into the footer
+            mangled(index_byte, good[index_byte] ^ 0xff), // flipped index byte
+            mangled(0, b'X'),                 // wrong leading magic
+            mangled(8, PACK_VERSION + 1),     // wrong version byte
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            for r in open_both(&path) {
+                assert!(matches!(r, Err(CoreError::CorruptBin(_))));
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,7 +18,7 @@
 //! `stamps.json`, kept for compatibility; the content is the
 //! `pickle::wire` little-endian format with a digest-checked payload),
 //! written with the durable tmp + fsync + rename + fsync(parent)
-//! idiom ([`crate::fsutil::commit_atomic`], fault point `stamp.save`)
+//! idiom ([`smlsc_store::fsutil::commit_atomic`], fault point `stamp.save`)
 //! so a crash mid-save can never tear it.  Warm analysis therefore does one bulk
 //! parse instead of serde over thousands of entries.  A missing or
 //! corrupt stamp file — including the JSON stamp files of earlier
@@ -252,7 +252,7 @@ impl StampCache {
         out.extend_from_slice(STAMP_MAGIC);
         out.extend_from_slice(&body);
         out.extend_from_slice(&Pid::of_bytes(&body).as_raw().to_le_bytes());
-        crate::fsutil::commit_atomic(path, &out, smlsc_faults::points::STAMP_SAVE)
+        smlsc_store::fsutil::commit_atomic(path, &out, Some(smlsc_faults::points::STAMP_SAVE))
             .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
         self.dirty = false;
         Ok(())

@@ -12,12 +12,12 @@
 //!
 //! * [`protocol`] — versioned handshake plus length-prefixed JSON
 //!   frames ([`Hello`]/[`HelloAck`], [`Request`]/[`Response`]);
-//! * [`lock`] — one daemon per project: pid lockfile with stale-owner
-//!   takeover;
 //! * [`watcher`] — the debounced polling sweep and the daemon-lifetime
 //!   [`DaemonCounters`];
-//! * [`server`] — socket lifecycle and request dispatch ([`run`] for
-//!   the real daemon, [`ServerHandle`] for in-process tests/benches);
+//! * [`server`] — one daemon per project (the pid lockfile of
+//!   `smlsc_store::fsutil`, taken over from a dead owner), socket
+//!   lifecycle and request dispatch ([`run`] for the real daemon,
+//!   [`ServerHandle`] for in-process tests/benches);
 //! * [`client`] — connect/handshake/request; every failure is the
 //!   CLI's cue to fall back to an in-process build;
 //! * [`signal`] — SIGTERM/SIGINT flag for the graceful-shutdown path
@@ -31,14 +31,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod lock;
 pub mod protocol;
 pub mod server;
 pub mod signal;
 pub mod watcher;
 
 pub use client::{alive, connect, Client};
-pub use lock::LockGuard;
 pub use protocol::{
     lock_path, socket_path, Hello, HelloAck, Request, Response, MAGIC, PROTOCOL_VERSION,
 };

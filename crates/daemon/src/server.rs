@@ -22,12 +22,13 @@ use std::time::{Duration, Instant};
 
 use smlsc_core::irm::{FailurePolicy, Strategy};
 use smlsc_core::resident::Resident;
+use smlsc_core::store::fsutil::{self, LockGuard, Stale};
 use smlsc_faults::points;
 use smlsc_trace::names;
 
+use crate::client;
 use crate::protocol::{self, Hello, HelloAck, Request, Response, PROTOCOL_VERSION};
 use crate::watcher::{self, DaemonCounters};
-use crate::{client, lock};
 
 /// How to run a daemon over one project.
 #[derive(Debug, Clone)]
@@ -90,7 +91,7 @@ struct Server {
     config: ServerConfig,
     listener: UnixListener,
     socket: PathBuf,
-    lock: lock::LockGuard,
+    lock: LockGuard,
     resident: Arc<Resident>,
     counters: Arc<DaemonCounters>,
     shutdown: Arc<AtomicBool>,
@@ -98,7 +99,25 @@ struct Server {
 
 impl Server {
     fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let lock = lock::acquire(&config.bin_dir)?;
+        // One daemon per project: a live owner refuses us, a dead one
+        // is taken over.
+        let lock_path = protocol::lock_path(&config.bin_dir);
+        let lock = fsutil::acquire(
+            &lock_path,
+            Stale::OwnerDead,
+            Duration::ZERO,
+            points::DAEMON_LOCK,
+        )
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::TimedOut => std::io::Error::new(
+                std::io::ErrorKind::AddrInUse,
+                format!(
+                    "daemon already running (pid {})",
+                    fsutil::owner(&lock_path).map_or("?".into(), |p| p.to_string())
+                ),
+            ),
+            _ => e,
+        })?;
         let resident = Resident::open(&config.dir, &config.bin_dir, config.strategy, None)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         let socket = protocol::socket_path(&config.bin_dir);
@@ -116,7 +135,7 @@ impl Server {
         })
     }
 
-    fn serve(mut self) -> std::io::Result<()> {
+    fn serve(self) -> std::io::Result<()> {
         let watcher = watcher::spawn(
             Arc::clone(&self.resident),
             Arc::clone(&self.counters),
@@ -188,7 +207,7 @@ impl Server {
             std::thread::sleep(Duration::from_millis(10));
         }
         std::fs::remove_file(&self.socket).ok();
-        self.lock.release();
+        drop(self.lock);
         Ok(())
     }
 }

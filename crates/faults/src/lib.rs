@@ -78,12 +78,14 @@ use smlsc_trace as trace;
 /// Canonical fault-point names.  Keeping them here prevents drift
 /// between the code that checks a point and the specs that name it.
 pub mod points {
-    /// `Store::put`: staging, fsync, and rename of one object.
+    /// `Store::put`: the commit of one object; `begin` fires before the
+    /// key lock is taken.
     pub const STORE_PUBLISH: &str = "store.publish";
     /// `Store::get`: read + digest verification of one object.
     pub const STORE_FETCH: &str = "store.fetch";
-    /// Advisory lock acquisition (fires while holding the lock file,
-    /// so a `panic` here models an owner that dies mid-critical-section).
+    /// Store lock acquisition (`fsutil::acquire`: fires while holding
+    /// the lock file, so a `panic` models an owner that dies
+    /// mid-critical-section; `io` backs the lock out).
     pub const STORE_LOCK: &str = "store.lock";
     /// `Irm::save_bins`: persisting one unit's bin.
     pub const BIN_SAVE: &str = "bin.save";
@@ -106,8 +108,8 @@ pub mod points {
     /// `StampCache::save`: the tmp+fsync+rename publication of
     /// `stamps.json`.  Checked at stages `begin`, `staged`, `renamed`.
     pub const STAMP_SAVE: &str = "stamp.save";
-    /// `PackWriter::finish`: sealing and renaming `bins.pack` into
-    /// place.  Checked at stages `begin`, `staged`, `renamed`.
+    /// `PackWriter`: the streamed commit of `bins.pack`.  Checked at
+    /// stages `begin` (on create), `staged`, `renamed`.
     pub const PACK_SAVE: &str = "pack.save";
     /// `Ledger::rotate_if_needed`: the tmp+rename that truncates an
     /// over-long `builds.jsonl`.  Checked at stages `begin`, `staged`,
@@ -117,10 +119,9 @@ pub mod points {
     /// `deps.pack` import-DAG sidecar.  Checked at stages `begin`,
     /// `staged`, `renamed`.
     pub const DEPS_SAVE: &str = "deps.save";
-    /// Daemon lockfile acquisition (fires after the lockfile is
-    /// created, so a `crash` here models a daemon that dies holding
-    /// the lock — the stale state `doctor` and lock takeover must
-    /// clear).
+    /// Daemon lockfile acquisition (the same `fsutil::acquire`: a
+    /// `crash` models a daemon that dies holding the lock — the stale
+    /// state `doctor` and lock takeover must clear).
     pub const DAEMON_LOCK: &str = "daemon.lock";
     /// Every fault point, for specs that want blanket coverage.
     pub const ALL: &[&str] = &[

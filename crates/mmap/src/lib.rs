@@ -9,13 +9,11 @@
 //!
 //! Mapping is strictly an optimization with a mandatory fallback:
 //! [`Mapping::map`] returns `None` on unsupported platforms, for empty
-//! files, when the syscall fails, or when `SMLSC_NO_MMAP` is set (the
-//! escape hatch CI uses to prove the `pread` path stays equivalent).
-//! Callers must treat `None` as "read the file the ordinary way" —
-//! never as an error.
+//! files, or when the syscall fails.  Callers must treat `None` as
+//! "read the file the ordinary way" — never as an error.
 //!
 //! Safety argument for the `&[u8]` view: packs are published with
-//! tmp + fsync + `rename(2)` (see `smlsc-core`'s `fsutil`), never
+//! tmp + fsync + `rename(2)` (`smlsc_store::fsutil::AtomicFile`), never
 //! truncated or rewritten in place, so the mapped inode's length is
 //! stable for the mapping's lifetime; `MAP_PRIVATE` additionally keeps
 //! any concurrent replacement (a new inode renamed over the path) from
@@ -56,13 +54,13 @@ mod sys {
 impl Mapping {
     /// Maps the whole of `file` (which must be `len` bytes long)
     /// read-only.  `None` when mapping is unavailable or fails for any
-    /// reason — including zero-length files and the `SMLSC_NO_MMAP`
-    /// escape hatch — so callers always keep a read/`pread` fallback.
+    /// reason — including zero-length files — so callers always keep a
+    /// read/`pread` fallback.
     #[cfg(all(unix, target_pointer_width = "64"))]
     pub fn map(file: &std::fs::File, len: u64) -> Option<Mapping> {
         use std::os::unix::io::AsRawFd;
         let len = usize::try_from(len).ok()?;
-        if len == 0 || std::env::var_os("SMLSC_NO_MMAP").is_some() {
+        if len == 0 {
             return None;
         }
         let addr = unsafe {

@@ -88,6 +88,7 @@ use std::time::Duration;
 
 use smlsc::core::irm::{FailurePolicy, Irm, Project, Strategy, UnitOutcome};
 use smlsc::core::session::Session;
+use smlsc::core::store::fsutil;
 use smlsc::core::store::{GcConfig, Store};
 use smlsc::core::{trace, BuildReport, CoreError};
 
@@ -596,38 +597,59 @@ fn render_daemon_response(opts: &BuildOpts, response: &smlsc::daemon::Response) 
 /// retry, fall back in-process" — including when the owner is alive
 /// (a live daemon that refused a request is not ours to replace).
 fn restart_dead_daemon(opts: &BuildOpts, bin_dir: &Path, socket: &Path) -> bool {
-    let lockfile = smlsc::daemon::lock_path(bin_dir);
-    let owner = smlsc::daemon::lock::owner(&lockfile);
-    if owner.is_some_and(smlsc::daemon::lock::pid_alive) {
+    if fsutil::owner(&smlsc::daemon::lock_path(bin_dir)).is_some_and(fsutil::pid_alive) {
         return false;
     }
     let Some(dir) = &opts.dir else { return false };
-    let Ok(exe) = std::env::current_exe() else {
-        return false;
-    };
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("daemon")
+    spawn_daemon(
+        Path::new(dir),
+        bin_dir,
+        socket,
+        &[],
+        Duration::from_secs(10),
+    )
+    .is_ok()
+}
+
+/// Spawns a detached `smlsc daemon run <dir> --bin-dir <bin_dir>
+/// <extra>` and waits up to `wait` for it to own the lockfile and bind
+/// the socket, returning its pid.  Readiness is deliberately not a
+/// handshake probe — injected `daemon.accept` faults drop connections,
+/// and a readiness probe must not consume (or be confused by) them.
+fn spawn_daemon(
+    dir: &Path,
+    bin_dir: &Path,
+    socket: &Path,
+    extra: &[String],
+    wait: Duration,
+) -> Result<u32, String> {
+    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+    let mut child = std::process::Command::new(exe)
+        .arg("daemon")
         .arg("run")
         .arg(dir)
         .arg("--bin-dir")
         .arg(bin_dir)
+        .args(extra)
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
-    let Ok(mut child) = cmd.spawn() else {
-        return false;
-    };
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .map_err(|e| format!("could not spawn daemon: {e}"))?;
+    let lockfile = smlsc::daemon::lock_path(bin_dir);
+    let deadline = std::time::Instant::now() + wait;
     while std::time::Instant::now() < deadline {
-        if socket.exists() && smlsc::daemon::lock::owner(&lockfile) == Some(u64::from(child.id())) {
-            return true;
+        if socket.exists() && fsutil::owner(&lockfile) == Some(u64::from(child.id())) {
+            return Ok(child.id());
         }
-        if let Ok(Some(_)) = child.try_wait() {
-            return false;
+        // A child that already exited (project unreadable, lock
+        // contended) will never come up: fail fast.
+        if let Ok(Some(status)) = child.try_wait() {
+            return Err(format!("daemon exited during startup ({status})"));
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    false
+    Err(format!("daemon did not come up within {}s", wait.as_secs()))
 }
 
 /// `smlsc doctor [--fix] [--bin-dir <dir>] [--store <dir>] <dir>`:
@@ -796,63 +818,27 @@ fn daemon_start(opts: &BuildOpts, dir: &Path, bin_dir: &Path, socket: &Path) -> 
         println!("daemon already serving {}", dir.display());
         return EXIT_OK;
     }
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return EXIT_IO;
-        }
-    };
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("daemon")
-        .arg("run")
-        .arg(dir)
-        .arg("--bin-dir")
-        .arg(bin_dir)
-        .arg("--strategy")
-        .arg(opts.strategy.to_string())
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
+    let mut extra = vec!["--strategy".to_string(), opts.strategy.to_string()];
     if let Some(jobs) = opts.jobs {
-        cmd.arg("--jobs").arg(jobs.to_string());
+        extra.extend(["--jobs".to_string(), jobs.to_string()]);
     }
     if let Some(spec) = &opts.inject_faults {
-        cmd.arg("--inject-faults").arg(spec);
+        extra.extend(["--inject-faults".to_string(), spec.clone()]);
     }
-    let mut child = match cmd.spawn() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: could not spawn daemon: {e}");
-            return EXIT_IO;
-        }
-    };
-    // Readiness: the child owns the lockfile and has bound the
-    // socket.  Deliberately not a handshake probe — injected
-    // `daemon.accept` faults drop connections, and a readiness
-    // probe must not consume (or be confused by) them.
-    let lockfile = smlsc::daemon::lock_path(bin_dir);
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while std::time::Instant::now() < deadline {
-        if socket.exists() && smlsc::daemon::lock::owner(&lockfile) == Some(u64::from(child.id())) {
+    match spawn_daemon(dir, bin_dir, socket, &extra, Duration::from_secs(60)) {
+        Ok(pid) => {
             println!(
-                "daemon started (pid {}) serving {} on {}",
-                child.id(),
+                "daemon started (pid {pid}) serving {} on {}",
                 dir.display(),
                 socket.display()
             );
-            return EXIT_OK;
+            EXIT_OK
         }
-        // A child that already exited (project unreadable, lock
-        // contended) will never come up: fail fast.
-        if let Ok(Some(status)) = child.try_wait() {
-            eprintln!("error: daemon exited during startup ({status})");
-            return EXIT_IO;
+        Err(e) => {
+            eprintln!("error: {e}");
+            EXIT_IO
         }
-        std::thread::sleep(Duration::from_millis(25));
     }
-    eprintln!("error: daemon did not come up within 60s");
-    EXIT_IO
 }
 
 /// `daemon stop`: ask the resident to shut down and wait until the

@@ -135,7 +135,7 @@ impl Store {
     /// [`StoreError::Io`] or [`StoreError::LockTimeout`].
     pub fn gc(&self, config: &GcConfig) -> Result<GcReport, StoreError> {
         let _span = trace::span(names::SPAN_STORE_GC);
-        let _lock = self.gc_lock()?;
+        let _lock = self.lock("gc")?;
         let objects = self.scan_objects()?;
         let last_access = self.journal().last_access()?;
         let now = now_nanos();
@@ -264,7 +264,7 @@ impl Store {
     ///
     /// [`StoreError::Io`] or [`StoreError::LockTimeout`].
     pub fn clear(&self) -> Result<usize, StoreError> {
-        let _lock = self.gc_lock()?;
+        let _lock = self.lock("gc")?;
         let objects = self.scan_objects()?;
         for obj in &objects {
             std::fs::remove_file(&obj.path).map_err(|e| io_err(&obj.path, e))?;

@@ -9,17 +9,16 @@
 //! The journal is the store's *index*: it supplies last-access times
 //! that drive LRU eviction, without requiring mtime updates on reads
 //! (which many filesystems elide).  It is deliberately advisory — each
-//! append is a single `O_APPEND` write, a crash can tear at most the
-//! final line, and readers skip malformed lines.  GC treats the object
-//! scan as ground truth (an object missing from the journal falls back
-//! to its file mtime) and compacts the journal to one line per
-//! surviving object afterwards.
+//! append is one [`fsutil::append_line`], a crash can tear at most the
+//! final line (which the next append heals), and readers skip malformed
+//! lines.  GC treats the object scan as ground truth (an object missing
+//! from the journal falls back to its file mtime) and compacts the
+//! journal to one line per surviving object afterwards.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::{io_err, now_nanos, StoreError};
+use crate::{fsutil, io_err, now_nanos, StoreError};
 
 /// One journal operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,13 +88,8 @@ impl Journal {
     /// failed append degrades LRU precision (mtime fallback) rather
     /// than failing the build.
     pub fn append(&self, op: JournalOp, key: &str, size: u64) {
-        let line = format!("v1 {} {key} {size} {}\n", op.tag(), now_nanos());
-        let res = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        let _ = res;
+        let line = format!("v1 {} {key} {size} {}", op.tag(), now_nanos());
+        let _ = fsutil::append_line(&self.path, &line, None);
     }
 
     /// Replays the journal, skipping malformed (torn) lines.
@@ -136,7 +130,7 @@ impl Journal {
     }
 
     /// Rewrites the journal to exactly one PUT line per surviving
-    /// object, atomically (tmp + rename).  Call under the GC lock.
+    /// object, atomically and durably.  Call under the GC lock.
     ///
     /// # Errors
     ///
@@ -149,9 +143,7 @@ impl Journal {
             let (at, size) = survivors[key];
             out.push_str(&format!("v1 PUT {key} {size} {at}\n"));
         }
-        let tmp = self.path.with_extension("log.tmp");
-        std::fs::write(&tmp, out).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err(&self.path, e))
+        fsutil::commit_atomic(&self.path, out.as_bytes(), None).map_err(|e| io_err(&self.path, e))
     }
 
     /// The journal file's size in bytes (0 when absent).
@@ -212,21 +204,39 @@ mod tests {
         assert!(entries[1].at >= entries[0].at);
     }
 
-    #[test]
-    fn torn_tail_lines_are_skipped() {
-        let j = tmp_journal("torn");
-        j.append(JournalOp::Put, K1, 10);
-        // Simulate a crash mid-append: a truncated final line.
+    /// Simulates a crash mid-append: a truncated final line (no
+    /// timestamp, no newline).
+    fn tear(j: &Journal) {
         use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(j.path())
             .unwrap();
-        write!(f, "v1 PUT {K2} 12").unwrap(); // no timestamp, no newline
-        drop(f);
+        write!(f, "v1 PUT {K2} 12").unwrap();
+    }
+
+    #[test]
+    fn torn_tail_lines_are_skipped() {
+        let j = tmp_journal("torn");
+        j.append(JournalOp::Put, K1, 10);
+        tear(&j);
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1, "torn line must be skipped");
         assert_eq!(entries[0].key, K1);
+    }
+
+    /// A crash mid-append leaves an unterminated line; the next append
+    /// must start on a fresh line instead of being glued onto (and
+    /// dropped with) the torn one.
+    #[test]
+    fn append_after_torn_tail_is_kept() {
+        let j = tmp_journal("torn-next");
+        j.append(JournalOp::Put, K1, 10);
+        tear(&j);
+        j.append(JournalOp::Get, K1, 10);
+        let entries = j.replay().unwrap();
+        assert_eq!(entries.len(), 2, "the entry after a torn line survives");
+        assert_eq!(entries[1].op, JournalOp::Get);
     }
 
     #[test]

@@ -15,23 +15,26 @@
 //! * **Fanout layout**: objects live at `objects/<aa>/<rest>.obj` where
 //!   `aa` is the first two hex digits of the key — bounded directory
 //!   sizes at production object counts.
-//! * **Atomic publication**: writers stage into `tmp/`, fsync,
-//!   `rename(2)` into place, and fsync the fan directory, so readers
-//!   never observe a torn object, concurrent identical publishes are
-//!   idempotent, and a completed publish survives power loss.
-//! * **Advisory locking** ([`lock`]): per-key lock files serialize
-//!   publish/evict races across processes; stale locks (crashed owners)
-//!   are broken by age.
+//! * **Atomic publication**: writers stage into `tmp/` and commit with
+//!   the shared [`fsutil::AtomicFile`] (fsync, `rename(2)` into place,
+//!   fsync of the fan directory) under the per-key lock, so readers
+//!   never observe a half-written object, concurrent identical
+//!   publishes are idempotent, and a completed publish survives power
+//!   loss.
+//! * **Advisory locking** ([`fsutil::acquire`]): per-key lock files
+//!   serialize publish/evict races across processes; stale locks
+//!   (crashed owners) are broken by age.
 //! * **Digest verification on every read**: each object embeds a digest
-//!   of its payload; a mismatch (bit rot, torn write from a pre-atomic
-//!   writer) moves the object to `quarantine/` and reports a miss — the
+//!   of its payload; a mismatch (bit rot, an injected torn publish)
+//!   moves the object to `quarantine/` and reports a miss — the
 //!   caller recompiles transparently and the store never serves corrupt
 //!   bytes.
 //! * **Journal-driven LRU GC** ([`journal`], [`gc`]): an append-only
 //!   access journal records puts and hits; [`Store::gc`] evicts by age
 //!   and least-recent-access size pressure, then compacts the journal.
 //!   The journal is advisory — a torn tail line (crash mid-append) is
-//!   skipped and the object scan remains the ground truth.
+//!   skipped, the next append heals it ([`fsutil::append_line`]), and
+//!   the object scan remains the ground truth.
 //! * **Retry and graceful degradation**: transient publish failures are
 //!   retried with jittered exponential backoff under a [`RetryPolicy`]
 //!   deadline; after enough *consecutive* failures the store flips into
@@ -62,14 +65,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fsutil;
 pub mod gc;
 pub mod journal;
-pub mod lock;
 
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use smlsc_faults::{self as faults, points, FaultKind};
@@ -78,7 +81,8 @@ use smlsc_trace::{self as trace, names};
 
 pub use gc::{GcConfig, GcReport, StoreStats, VerifyReport};
 pub use journal::{Journal, JournalOp};
-pub use lock::LockGuard;
+
+use fsutil::{AtomicFile, LockGuard, Stale};
 
 /// Version of the key derivation itself; bumping it invalidates every
 /// key without touching on-disk objects.
@@ -325,27 +329,25 @@ impl Store {
             .join(format!("{}.obj", &hex[2..]))
     }
 
-    fn lock_path(&self, name: &str) -> PathBuf {
-        self.root.join("locks").join(format!("{name}.lock"))
-    }
-
-    /// Acquires the advisory lock guarding one key's publish/evict
-    /// critical section.
+    /// Acquires the advisory lock `locks/<name>.lock`: one key's hex
+    /// guards its publish/evict critical section, `gc` serializes GC and
+    /// clear sweeps.
     ///
     /// # Errors
     ///
     /// [`StoreError::LockTimeout`] if a (live) holder never releases.
-    pub fn key_lock(&self, key: Pid) -> Result<LockGuard, StoreError> {
-        lock::acquire(&self.lock_path(&key_hex(key)), LOCK_STALE, LOCK_TIMEOUT)
-    }
-
-    /// Acquires the store-wide lock serializing GC/clear sweeps.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::LockTimeout`] if a (live) holder never releases.
-    pub fn gc_lock(&self) -> Result<LockGuard, StoreError> {
-        lock::acquire(&self.lock_path("gc"), LOCK_STALE, LOCK_TIMEOUT)
+    pub(crate) fn lock(&self, name: &str) -> Result<LockGuard, StoreError> {
+        let path = self.root.join("locks").join(format!("{name}.lock"));
+        fsutil::acquire(
+            &path,
+            Stale::OlderThan(LOCK_STALE),
+            LOCK_TIMEOUT,
+            points::STORE_LOCK,
+        )
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::TimedOut => StoreError::LockTimeout(path),
+            _ => io_err(&path, e),
+        })
     }
 
     /// True when an object is present under `key` (no verification).
@@ -448,7 +450,7 @@ impl Store {
                         .field("key", &hex)
                         .field("attempt", attempt)
                         .field("error", &e);
-                    std::thread::sleep(backoff + lock::jitter());
+                    std::thread::sleep(backoff + fsutil::jitter());
                     backoff *= 2;
                     attempt += 1;
                 }
@@ -456,24 +458,23 @@ impl Store {
         }
     }
 
-    /// One publication attempt: stage, fsync, rename under the per-key
-    /// lock.  Split out of [`Store::put`] so the retry loop wraps the
-    /// whole critical section, lock acquisition included.
+    /// One publication attempt: stage the envelope in `tmp/`, then
+    /// commit it under the per-key lock.  Split out of [`Store::put`]
+    /// so the retry loop wraps the whole critical section, lock
+    /// acquisition included.  Staging (and with it the `begin` fault
+    /// check) comes first, so a `crash(begin)` never leaks a lock.
     fn publish_once(&self, key: Pid, hex: &str, payload: &[u8]) -> Result<bool, StoreError> {
         let final_path = self.object_path(key);
-        if faults::active() {
-            match faults::check(points::STORE_PUBLISH, &format!("begin {hex}")) {
-                Some(FaultKind::Io) => {
-                    return Err(io_err(
-                        &final_path,
-                        faults::io_error(points::STORE_PUBLISH, hex),
-                    ));
-                }
-                Some(FaultKind::Torn) => return self.publish_torn(key, hex, payload),
-                _ => {}
-            }
-        }
-        let _lock = self.key_lock(key)?;
+        let err = |e| io_err(&final_path, e);
+        let tmp = fsutil::unique_tmp(&self.root.join("tmp").join(hex));
+        let mut staged =
+            AtomicFile::create(tmp, &final_path, Some(points::STORE_PUBLISH)).map_err(err)?;
+        staged
+            .write_all(OBJ_MAGIC)
+            .and_then(|()| staged.write_all(&Pid::of_bytes(payload).as_raw().to_le_bytes()))
+            .and_then(|()| staged.write_all(payload))
+            .map_err(err)?;
+        let _lock = self.lock(hex)?;
         if final_path.is_file() {
             // An identical publish already landed (equal keys ⇒ equal
             // compile inputs); keep the incumbent.
@@ -483,69 +484,8 @@ impl Store {
             .parent()
             .ok_or_else(|| io_err(&final_path, "object path has no fan directory"))?;
         std::fs::create_dir_all(fan_dir).map_err(|e| io_err(fan_dir, e))?;
-        let tmp = self
-            .root
-            .join("tmp")
-            .join(format!("{hex}.{}.{}", std::process::id(), tmp_seq()));
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            f.write_all(OBJ_MAGIC).map_err(|e| io_err(&tmp, e))?;
-            f.write_all(&Pid::of_bytes(payload).as_raw().to_le_bytes())
-                .map_err(|e| io_err(&tmp, e))?;
-            f.write_all(payload).map_err(|e| io_err(&tmp, e))?;
-            f.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        // A `crash(staged)` rule kills the process here: a complete
-        // object sits in `tmp/`, invisible to readers — litter the
-        // doctor sweeps, never corruption.
-        if faults::active() {
-            if let Some(FaultKind::Io) =
-                faults::check(points::STORE_PUBLISH, &format!("staged {hex}"))
-            {
-                std::fs::remove_file(&tmp).ok();
-                return Err(io_err(
-                    &final_path,
-                    faults::io_error(points::STORE_PUBLISH, hex),
-                ));
-            }
-        }
-        if let Err(e) = std::fs::rename(&tmp, &final_path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(io_err(&final_path, e));
-        }
-        // A `crash(renamed)` rule dies between the rename and the fan
-        // directory fsync that makes it durable.
-        if faults::active() {
-            faults::check(points::STORE_PUBLISH, &format!("renamed {hex}"));
-        }
-        fsync_dir(fan_dir).map_err(|e| io_err(fan_dir, e))?;
+        staged.commit().map_err(err)?;
         trace::counter(names::STORE_BYTES_WRITTEN, payload.len() as u64);
-        self.journal
-            .append(JournalOp::Put, hex, payload.len() as u64);
-        Ok(true)
-    }
-
-    /// Models a non-atomic publisher dying mid-write: the *final* path
-    /// receives a truncated envelope and the publish reports success —
-    /// silent corruption.  Digest verification on the next read must
-    /// catch it and quarantine the object; nothing here helps it.
-    fn publish_torn(&self, key: Pid, hex: &str, payload: &[u8]) -> Result<bool, StoreError> {
-        let final_path = self.object_path(key);
-        let fan_dir = final_path
-            .parent()
-            .ok_or_else(|| io_err(&final_path, "object path has no fan directory"))?;
-        std::fs::create_dir_all(fan_dir).map_err(|e| io_err(fan_dir, e))?;
-        let mut envelope = Vec::with_capacity(OBJ_MAGIC.len() + 16 + payload.len());
-        envelope.extend_from_slice(OBJ_MAGIC);
-        envelope.extend_from_slice(&Pid::of_bytes(payload).as_raw().to_le_bytes());
-        envelope.extend_from_slice(payload);
-        let keep = if payload.is_empty() {
-            OBJ_MAGIC.len() / 2
-        } else {
-            OBJ_MAGIC.len() + 16 + payload.len() / 2
-        };
-        envelope.truncate(keep);
-        std::fs::write(&final_path, &envelope).map_err(|e| io_err(&final_path, e))?;
         self.journal
             .append(JournalOp::Put, hex, payload.len() as u64);
         Ok(true)
@@ -558,7 +498,7 @@ impl Store {
     pub fn quarantine(&self, key: Pid) {
         let hex = key_hex(key);
         let path = self.object_path(key);
-        let _lock = self.key_lock(key).ok();
+        let _lock = self.lock(&hex).ok();
         if !path.is_file() {
             return;
         }
@@ -577,20 +517,6 @@ impl Store {
 /// The 32-hex-digit form of a key.
 pub fn key_hex(key: Pid) -> String {
     format!("{:032x}", key.as_raw())
-}
-
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A process-unique staging suffix (pid alone is not enough: builder
-/// threads publish concurrently).
-fn tmp_seq() -> u64 {
-    TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Fsyncs a directory so a rename within it is durable across power
-/// loss — `rename(2)` alone only updates the in-memory dentry.
-pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Validates an object envelope, returning the payload iff the magic
@@ -622,11 +548,7 @@ mod tests {
     use super::*;
 
     fn tmp_root(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "smlsc-store-unit-{tag}-{}-{}",
-            std::process::id(),
-            tmp_seq()
-        ));
+        let d = fsutil::unique_tmp(&std::env::temp_dir().join(format!("smlsc-store-unit-{tag}")));
         std::fs::remove_dir_all(&d).ok();
         d
     }

@@ -64,8 +64,9 @@ pub const BIN_CORRUPT: &str = "irm.bin_corrupt";
 pub const STORE_DEGRADED: &str = "store.degraded";
 /// Transient store IO/lock failures that were retried.
 pub const STORE_RETRIES: &str = "store.retry";
-/// Stale (crashed-owner) lock files broken by a later acquirer.
-pub const STORE_LOCK_BROKEN: &str = "store.lock_broken";
+/// Stale lock files (crashed store writer, dead daemon) broken by a
+/// later acquirer.
+pub const LOCK_BROKEN: &str = "lock.broken";
 
 /// Nodes visited while dehydrating (pickling) export environments.
 pub const PICKLE_NODES: &str = "pickle.nodes";

@@ -115,13 +115,17 @@ echo "==> perf: monorepo scale smoke (N=100k, counters asserted)"
 echo "==> chaos: fault-injection test suites"
 cargo test -q -p smlsc-faults
 cargo test -q -p smlsc-store
+cargo test -q -p smlsc-daemon
 cargo test -q --test chaos
 cargo test -q --test keep_going
+cargo test -q --test daemon_concurrency
 
-echo "==> chaos: fault-plan isolation (warm_builds + crash_recovery, 20 runs)"
+echo "==> chaos: fault-plan and lock isolation (warm_builds, crash_recovery, smlsc-store, store_concurrency; 20 runs)"
 for i in $(seq 1 20); do
   cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
   cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
+  cargo test -q -p smlsc-store || { echo "error: smlsc-store failed on run $i" >&2; exit 1; }
+  cargo test -q --test store_concurrency || { echo "error: store_concurrency failed on run $i" >&2; exit 1; }
 done
 
 echo "==> chaos: seeded storms (--jobs 4, three fixed seeds)"

@@ -19,6 +19,7 @@ use smlsc::core::irm::{Irm, Strategy};
 use smlsc::core::ledger::{Ledger, LedgerRecord, LEDGER_FILE, LEDGER_VERSION};
 use smlsc::core::pack::PackReader;
 use smlsc::core::store::Store;
+use smlsc::core::CoreError;
 use smlsc::ids::Pid;
 use smlsc::workload::{Topology, Workload, WorkloadSpec};
 use smlsc_faults::{install_scoped, points, FaultKind, FaultPlan, FaultRule};
@@ -380,6 +381,58 @@ fn failed_pack_save_never_tears_the_previous_pack() {
             std::fs::remove_dir_all(&bin).ok();
         }
     }
+}
+
+/// `pack.save=torn` goes through the one shared torn rule: the commit
+/// publishes the first half of the pack under its final name.  The
+/// reader rejects it whole, the doctor reports it, and the next build
+/// and save recover to exactly a clean build's export pids.
+#[test]
+fn torn_pack_save_is_rejected_reported_and_recovered() {
+    let bin = temp("torn-pack");
+    let spec = Topology::Monorepo {
+        units: 30,
+        seed: 11,
+    };
+    let w = Workload::new(WorkloadSpec::with_topology(spec));
+    let export_pids = |irm: &Irm| -> Vec<Pid> {
+        let files = w.project().files();
+        files
+            .iter()
+            .map(|f| irm.bin(f.name.as_str()).unwrap().unit.export_pid)
+            .collect()
+    };
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(w.project()).unwrap();
+    let clean = export_pids(&irm);
+    let torn = FaultPlan::seeded(1).with(FaultRule::new(points::PACK_SAVE, FaultKind::Torn));
+    {
+        let _f = install_scoped(torn);
+        irm.save_bins(&bin).unwrap();
+    }
+    let pack = PackReader::open(&bin.join("bins.pack"));
+    assert!(
+        matches!(pack, Err(CoreError::CorruptBin(_))),
+        "rejected whole"
+    );
+    let report = doctor_on(&bin, None, false);
+    assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
+    assert!(report.findings.iter().any(|f| f.state == "pack"));
+
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.load_bins(&bin).unwrap();
+    assert!(irm.build(w.project()).unwrap().succeeded());
+    irm.save_bins(&bin).unwrap();
+    assert_eq!(export_pids(&irm), clean);
+    assert_eq!(doctor_on(&bin, None, true).exit_code(), 0);
+    let audit = doctor_on(&bin, None, false);
+    assert_eq!(
+        audit.verdict(),
+        DoctorVerdict::Healthy,
+        "{}",
+        audit.to_json()
+    );
+    std::fs::remove_dir_all(&bin).ok();
 }
 
 /// Stale daemon files from a killed daemon are findings; `--fix`
