@@ -13,7 +13,9 @@
 //! | state               | audit                                   | repair                         |
 //! |---------------------|-----------------------------------------|--------------------------------|
 //! | `stamps.json`       | magic + digest + decode                 | delete (stamps are hints)      |
-//! | `bins.pack`         | index decode, per-body digest           | rewrite keeping valid bodies   |
+//! | `bins.pack`         | segment walk, per-body digest           | rewrite keeping valid bodies   |
+//! | `bins.pack` tail    | bytes after the last valid segment      | truncate to the valid end      |
+//! | `bins.pack.lock`    | lockfile pid liveness                   | remove stale lock              |
 //! | `deps.pack`         | magic + digest + structural decode      | delete (re-derived next build) |
 //! | `builds.jsonl`      | [`Ledger::audit`]                       | [`Ledger::compact_valid`]      |
 //! | CAS store           | [`Store::verify`] + `tmp/` litter scan  | quarantine + sweep litter      |
@@ -38,7 +40,7 @@ use std::time::Duration;
 use serde::Serialize;
 
 use crate::ledger::Ledger;
-use crate::pack::{PackReader, PackWriter, PACK_FILE};
+use crate::pack::{self, PackReader, PackWriter, PACK_FILE};
 use crate::stamps::StampCache;
 use crate::CoreError;
 use smlsc_store::{fsutil, Store};
@@ -239,12 +241,21 @@ fn audit_stamps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     }
 }
 
-/// An unreadable pack index is quarantined aside (`.corrupt`); a pack
-/// whose index is fine but with bodies failing their digests is
-/// rewritten keeping only the valid entries, so the next build
-/// recompiles exactly the lost units.
+/// A pack lock whose owner is dead is removed.  An unreadable pack (no
+/// valid first segment) is quarantined aside (`.corrupt`); a torn tail
+/// left by an interrupted append is truncated away; a pack whose
+/// segments are fine but with bodies failing their digests is
+/// rewritten (under the pack lock) keeping only the valid entries, so
+/// the next build recompiles exactly the lost units.
 fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let path = bin_dir.join(PACK_FILE);
+    let lock = pack::lock_path(&path);
+    if let Some(issue) = stale_lock(&lock) {
+        let f = finding("pack", &lock, issue, "remove stale pack lock");
+        findings.push(apply_fix(f, fix, || {
+            std::fs::remove_file(&lock).map_err(|e| e.to_string())
+        }));
+    }
     match PackReader::open(&path) {
         Ok(None) => {}
         Err(e) => {
@@ -260,6 +271,23 @@ fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
             }));
         }
         Ok(Some(reader)) => {
+            if reader.torn_tail() > 0 {
+                let f = finding(
+                    "pack",
+                    &path,
+                    format!(
+                        "torn tail: {} bytes after the last valid segment (interrupted append)",
+                        reader.torn_tail()
+                    ),
+                    format!(
+                        "truncate to the valid end ({} bytes)",
+                        reader.tail().valid_end()
+                    ),
+                );
+                findings.push(apply_fix(f, fix, || {
+                    pack::truncate_torn_tail(&path).map_err(|e| e.to_string())
+                }));
+            }
             let mut bad = Vec::new();
             let mut good = Vec::new();
             for entry in reader.entries() {
@@ -314,6 +342,8 @@ fn audit_deps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     }
 }
 
+/// Rewrites the pack keeping only `good` bodies, under the pack lock
+/// like every other pack writer.
 fn rewrite_pack(path: &Path, good: &[(crate::pack::PackEntry, Vec<u8>)]) -> Result<(), CoreError> {
     let mut w = PackWriter::create(path)?;
     for (entry, body) in good {
@@ -418,13 +448,7 @@ fn audit_store(root: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
 fn audit_daemon(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let lock = bin_dir.join(DAEMON_LOCK_FILE);
     let sock = bin_dir.join(DAEMON_SOCKET_FILE);
-    let owner = fsutil::owner(&lock);
-    let owner_alive = owner.is_some_and(fsutil::pid_alive);
-    if lock.exists() && !owner_alive {
-        let issue = match owner {
-            Some(pid) => format!("lockfile names dead pid {pid}"),
-            None => "lockfile holds no parseable pid".to_string(),
-        };
+    if let Some(issue) = stale_lock(&lock) {
         let f = finding("daemon", &lock, issue, "remove stale lockfile and socket");
         findings.push(apply_fix(f, fix, || {
             std::fs::remove_file(&lock).map_err(|e| e.to_string())?;
@@ -441,6 +465,19 @@ fn audit_daemon(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
         findings.push(apply_fix(f, fix, || {
             std::fs::remove_file(&sock).map_err(|e| e.to_string())
         }));
+    }
+}
+
+/// Why the lockfile at `lock` is stale — it exists but names no live
+/// owner — or `None` when it is absent or held.
+fn stale_lock(lock: &Path) -> Option<String> {
+    if !lock.exists() {
+        return None;
+    }
+    match fsutil::owner(lock) {
+        Some(pid) if fsutil::pid_alive(pid) => None,
+        Some(pid) => Some(format!("lockfile names dead pid {pid}")),
+        None => Some("lockfile holds no parseable pid".to_string()),
     }
 }
 
@@ -515,12 +552,14 @@ mod tests {
         // Stale daemon lock + socket for a certainly-dead pid.
         std::fs::write(dir.join("daemon.lock"), format!("{}\n", u32::MAX)).unwrap();
         std::fs::write(dir.join("daemon.sock"), b"").unwrap();
+        // A pack lock left by a writer that died mid-save.
+        std::fs::write(dir.join("bins.pack.lock"), format!("{}\n", u32::MAX)).unwrap();
 
         let report = run(&opts(&dir, false));
         assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
         assert_eq!(report.exit_code(), 4);
         let states: Vec<&str> = report.findings.iter().map(|f| f.state.as_str()).collect();
-        for want in ["stamps", "deps", "ledger", "daemon", "litter"] {
+        for want in ["stamps", "pack", "deps", "ledger", "daemon", "litter"] {
             assert!(states.contains(&want), "missing finding for {want}");
         }
         // The report is valid JSON naming the verdict.
@@ -536,6 +575,7 @@ mod tests {
         assert_eq!(clean.verdict(), DoctorVerdict::Healthy);
         assert!(!dir.join("daemon.lock").exists());
         assert!(!dir.join("daemon.sock").exists());
+        assert!(!dir.join("bins.pack.lock").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -544,9 +584,18 @@ mod tests {
         let dir = temp("livelock");
         // Our own pid is alive.
         std::fs::write(dir.join("daemon.lock"), format!("{}\n", std::process::id())).unwrap();
+        std::fs::write(
+            dir.join("bins.pack.lock"),
+            format!("{}\n", std::process::id()),
+        )
+        .unwrap();
         let report = run(&opts(&dir, true));
         assert_eq!(report.verdict(), DoctorVerdict::Healthy);
         assert!(dir.join("daemon.lock").exists());
+        assert!(
+            dir.join("bins.pack.lock").exists(),
+            "a live writer's pack lock is kept"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

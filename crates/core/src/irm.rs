@@ -88,7 +88,7 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::{self, DepGraph};
 use crate::link::{link_and_execute, DynEnv};
-use crate::pack::{PackReader, PackWriter, PACK_FILE};
+use crate::pack::{self, PackReader, PackTail, PackWriter, PACK_FILE};
 use crate::stamps::{StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
@@ -672,10 +672,11 @@ pub struct Irm {
     /// Units whose in-memory bin differs (or may differ) from what
     /// `save_bins` last persisted; everything else skips its write.
     dirty: HashSet<Symbol>,
-    /// The pack file the current `bins` map was loaded from, if any.
-    pack_path: Option<PathBuf>,
-    /// True while `bins` is byte-equivalent to `pack_path`'s contents,
-    /// letting a no-op save skip rewriting the archive entirely.
+    /// The pack the current `bins` map was loaded from or last saved
+    /// to, and where in it the next append may go.
+    pack: Option<(PathBuf, PackTail)>,
+    /// True while that pack holds exactly the bins outside `dirty`, so
+    /// a save need only append the dirty ones — or, with none, skip.
     pack_synced: bool,
     /// The resolved import DAG from the previous build or the
     /// `deps.pack` sidecar.  Never trusted blindly: every build
@@ -850,7 +851,6 @@ impl Irm {
     pub fn inject_bin(&mut self, bin: BinFile) {
         self.dirty.insert(bin.unit.name);
         self.bins.insert(bin.unit.name, BinEntry::resident(bin));
-        self.pack_synced = false;
     }
 
     /// Enables or disables paranoid mode: when on, the stamp cache and
@@ -901,14 +901,19 @@ impl Irm {
         had
     }
 
-    /// Persists every bin under `dir` as one indexed archive,
+    /// Persists every bin under `dir` in the indexed archive,
     /// `bins.pack`.
     ///
-    /// The archive is staged to a temp file and `rename(2)`d into place,
-    /// so a crash mid-save can never tear it.  When nothing changed
-    /// since the pack was loaded, the save is a complete no-op.  Bodies
-    /// that are still lazy (never forced this session) are copied
-    /// byte-for-byte from the old archive without parsing.
+    /// When only new or changed bins need saving, the pack is the one
+    /// this manager loaded or last wrote, and they fit the pack's growth
+    /// bound, they are appended as one segment: the save writes just
+    /// their bodies.  Otherwise (cold build, a removed unit, another
+    /// writer's pack, a large change) the archive is rewritten in full,
+    /// staged to a temp file and `rename(2)`d into place; bodies that
+    /// are still lazy (never forced this session) are copied
+    /// byte-for-byte from the old archive, verified but not parsed.
+    /// Either way a crash mid-save never tears the archive, and when
+    /// nothing changed since the pack was loaded the save is a no-op.
     ///
     /// # Errors
     ///
@@ -916,11 +921,11 @@ impl Irm {
     pub fn save_bins(&mut self, dir: &Path) -> Result<(), CoreError> {
         let _span = trace::span("irm.save_bins").field("bins", self.bins.len());
         let pack_path = dir.join(PACK_FILE);
-        if self.dirty.is_empty()
-            && self.pack_synced
-            && self.pack_path.as_deref() == Some(&pack_path)
-            && pack_path.is_file()
-        {
+        let mut tail = match &self.pack {
+            Some((path, tail)) if self.pack_synced && *path == pack_path => Some(tail),
+            _ => None,
+        };
+        if self.dirty.is_empty() && tail.is_some() && pack_path.is_file() {
             // The archive stands; the import-DAG sidecar may still need
             // its first write (e.g. a warm build over a pre-sidecar
             // cache directory).
@@ -929,70 +934,79 @@ impl Irm {
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
-        names_sorted.sort_by_key(|n| n.as_str());
-        let mut writer = PackWriter::create(&pack_path)?;
-        let mut quarantined: Vec<Symbol> = Vec::new();
-        for name in &names_sorted {
-            let entry = &self.bins[name];
-            // Materialize the body bytes: resident/forced bins
-            // serialize; still-lazy bodies copy raw from the old pack.
-            let bytes = match (&entry.body, entry.forced()) {
-                (_, Some(bin)) => bin.to_bytes(),
-                (BinBody::Lazy { src, .. }, None) => {
-                    match src.pack.read_body(src.offset, src.len, src.digest) {
-                        Ok(b) => b,
-                        Err(detail) => {
-                            // The old archive's body is bad (torn,
-                            // digest mismatch, or a forced failure):
-                            // quarantine this unit, keep the rest.
-                            trace::event("irm.bin_body_quarantined")
-                                .field("unit", name.as_str())
-                                .field("error", detail);
-                            quarantined.push(*name);
-                            continue;
-                        }
-                    }
+        // Serialize the dirty bins while they still fit one appended
+        // segment; past the bound the save is a full rewrite.
+        let mut fresh: Vec<(&BinMeta, Vec<u8>)> = Vec::new();
+        if let Some(t) = tail {
+            let mut dirty: Vec<Symbol> = self.dirty.iter().copied().collect();
+            dirty.sort_by_key(|n| n.as_str());
+            let mut need = 0;
+            for name in dirty {
+                let Some(entry) = self.bins.get(&name) else {
+                    continue;
+                };
+                let Some(bin) = entry.forced() else {
+                    tail = None;
+                    break;
+                };
+                let bytes = bin.to_bytes();
+                need += pack::entry_len_bound(&entry.meta, bytes.len());
+                if !t.fits(need) {
+                    tail = None;
+                    break;
                 }
-                (BinBody::Resident(_), None) => unreachable!("resident bodies are always forced"),
-            };
-            if faults::active() {
-                match faults::check(points::BIN_SAVE, name.as_str()) {
-                    Some(FaultKind::Io) => {
-                        return Err(bin_io(
-                            *name,
-                            &pack_path,
-                            faults::io_error(points::BIN_SAVE, name.as_str()),
-                        ));
-                    }
-                    Some(FaultKind::Torn) => {
-                        // A torn body write: the archive keeps a prefix
-                        // of the real bytes (zero-padded to length)
-                        // under the *true* digest, so only lazy
-                        // verification of this one unit can catch it.
-                        let mut torn = bytes.clone();
-                        let keep = torn.len() / 2;
-                        for b in &mut torn[keep..] {
-                            *b = 0;
-                        }
-                        let digest = Pid::of_bytes(&bytes);
-                        writer.add(&entry.meta, &torn, digest)?;
-                        continue;
-                    }
-                    _ => {}
-                }
+                fresh.push((&entry.meta, bytes));
             }
-            trace::counter(names::BIN_BYTES_WRITTEN, bytes.len() as u64);
-            let digest = Pid::of_bytes(&bytes);
-            writer.add(&entry.meta, &bytes, digest)?;
         }
-        writer.finish()?;
+        let mut writer = PackWriter::open(&pack_path, tail)?;
+        let mut quarantined: Vec<Symbol> = Vec::new();
+        if writer.appends() {
+            for (meta, bytes) in &fresh {
+                put_body(&mut writer, meta, bytes, Pid::of_bytes(bytes), &pack_path)?;
+            }
+        } else {
+            let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
+            names_sorted.sort_by_cached_key(|n| n.as_str());
+            for name in &names_sorted {
+                let entry = &self.bins[name];
+                // Materialize the body bytes: resident/forced bins
+                // serialize; still-lazy bodies copy raw from the old
+                // pack under the digest `read_body` just verified.
+                let (bytes, digest) = match (&entry.body, entry.forced()) {
+                    (_, Some(bin)) => {
+                        let bytes = bin.to_bytes();
+                        let digest = Pid::of_bytes(&bytes);
+                        (bytes, digest)
+                    }
+                    (BinBody::Lazy { src, .. }, None) => {
+                        match src.pack.read_body(src.offset, src.len, src.digest) {
+                            Ok(b) => (b, src.digest),
+                            Err(detail) => {
+                                // The old archive's body is bad (torn,
+                                // digest mismatch, or a forced failure):
+                                // quarantine this unit, keep the rest.
+                                trace::event("irm.bin_body_quarantined")
+                                    .field("unit", name.as_str())
+                                    .field("error", detail);
+                                quarantined.push(*name);
+                                continue;
+                            }
+                        }
+                    }
+                    (BinBody::Resident(_), None) => {
+                        unreachable!("resident bodies are always forced")
+                    }
+                };
+                put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
+            }
+        }
+        let tail = writer.finish()?;
         for unit in quarantined {
             self.bins.remove(&unit);
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
         }
         self.dirty.clear();
-        self.pack_path = Some(pack_path);
+        self.pack = Some((pack_path, tail));
         self.pack_synced = true;
         self.save_deps(dir)?;
         Ok(())
@@ -1034,12 +1048,19 @@ impl Irm {
         let _span = trace::span(names::SPAN_LOAD_BINS);
         let mut out = BinLoadOutcome::default();
         let pack_path = dir.join(PACK_FILE);
-        let mut pack_ok = false;
+        let mut tail = None;
         let mut pack_entries = 0usize;
         if pack_path.is_file() {
             match PackReader::open(&pack_path) {
                 Ok(Some(reader)) => {
-                    pack_ok = true;
+                    if reader.torn_tail() > 0 {
+                        // An interrupted append: its valid prefix loads,
+                        // and the next append cuts the tail off.
+                        trace::event("irm.pack_torn_tail")
+                            .field("path", pack_path.display())
+                            .field("bytes", reader.torn_tail());
+                    }
+                    tail = Some(reader.tail().clone());
                     let reader = Arc::new(reader);
                     pack_entries = reader.entries().len();
                     for pe in reader.entries() {
@@ -1109,8 +1130,9 @@ impl Irm {
                 }
             }
         }
-        self.pack_path = pack_ok.then(|| pack_path.clone());
-        self.pack_synced = pack_ok && out.corrupt.is_empty() && self.bins.len() == pack_entries;
+        self.pack_synced =
+            tail.is_some() && out.corrupt.is_empty() && self.bins.len() == pack_entries;
+        self.pack = tail.map(|t| (pack_path, t));
         // The import-DAG sidecar rides along with the pack.  Missing or
         // corrupt reads as absent — the next build derives the graph
         // from analyses and rewrites it.
@@ -2141,6 +2163,41 @@ fn bin_io(unit: Symbol, path: &Path, e: impl std::fmt::Display) -> CoreError {
         path: path.to_path_buf(),
         error: e.to_string(),
     }
+}
+
+/// Adds one unit's body to the pack being saved, under the `bin.save`
+/// fault point.
+fn put_body(
+    writer: &mut PackWriter,
+    meta: &BinMeta,
+    bytes: &[u8],
+    digest: Pid,
+    pack_path: &Path,
+) -> Result<(), CoreError> {
+    if faults::active() {
+        match faults::check(points::BIN_SAVE, meta.name.as_str()) {
+            Some(FaultKind::Io) => {
+                return Err(bin_io(
+                    meta.name,
+                    pack_path,
+                    faults::io_error(points::BIN_SAVE, meta.name.as_str()),
+                ));
+            }
+            Some(FaultKind::Torn) => {
+                // A torn body write: the archive keeps a prefix of the
+                // real bytes (zero-padded to length) under the *true*
+                // digest, so only lazy verification of this one unit
+                // can catch it.
+                let mut torn = bytes.to_vec();
+                let keep = torn.len() / 2;
+                torn[keep..].fill(0);
+                return writer.add(meta, &torn, digest);
+            }
+            _ => {}
+        }
+    }
+    trace::counter(names::BIN_BYTES_WRITTEN, bytes.len() as u64);
+    writer.add(meta, bytes, digest)
 }
 
 /// Publishes a freshly compiled bin to the artifact store in canonical

@@ -1,22 +1,19 @@
-//! The indexed bin archive: one `bins.pack` instead of N `*.bin` reads.
+//! The indexed bin archive: one append-only `bins.pack` instead of N
+//! `*.bin` files.
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian; every offset is absolute):
 //!
 //! ```text
 //! +--------------------+  offset 0
-//! | magic  "SMLSPAK2"  |  8 bytes
+//! | magic  "SMLSPAK3"  |  8 bytes
 //! | version            |  1 byte  (PACK_VERSION)
-//! +--------------------+  offset 9
-//! | body 0             |  each body is one BinFile::to_bytes() blob
-//! | body 1             |
-//! | ...                |
-//! +--------------------+  index_offset
-//! | index (binary)     |  string table + flat import-edge table +
-//! |                    |  fixed-width entry table (see below)
-//! +--------------------+  index_offset + index_len
+//! +====================+  offset 9: segment 0 (the first segment)
+//! | segment length     |  u64, 0 until patched in just before the fsync
+//! | body, body, ...    |  each body is one BinFile::to_bytes() blob
+//! | index (binary)     |  this segment's units only (see below)
 //! | footer (40 bytes)  |  index_offset u64 | index_len u64 |
 //! |                    |  index_digest u128 | magic "SMLSPKI1"
-//! +--------------------+  EOF
+//! +====================+  segment 1, 2, ...: appended, same shape
 //! ```
 //!
 //! The index is the `pickle::wire` little-endian format, not JSON:
@@ -30,34 +27,64 @@
 //!         | u32 edges_start | u32 edges_count
 //! ```
 //!
-//! `load_bins` reads only the footer and index — two small positioned
-//! reads no matter how many units the project has — and every rebuild
-//! decision runs off index metadata alone; symbols are interned straight
-//! from the index buffer.  Bodies are `pread` out lock-free, digest
-//! verified, and parsed lazily on first use (rehydration, linking); a
-//! torn body therefore quarantines exactly one unit, exactly when it is
-//! actually needed.
+//! [`PackReader::open`] walks the segments from the head, reading only
+//! each one's length word, footer and index — never a body — and stops
+//! at the first segment that fails validation (a length running past
+//! the end of the file, a bad footer, an index digest mismatch).  It
+//! serves the valid prefix, later segments winning by unit name, as one
+//! name-sorted entry list, and reports the bytes after it as the torn
+//! tail.  A file with no valid first segment is corrupt as a whole.
+//! Every rebuild decision runs off index metadata alone; bodies are
+//! read lock-free, digest verified, and parsed lazily on first use
+//! (rehydration, linking), so a torn body quarantines exactly one unit,
+//! exactly when it is actually needed.
 //!
 //! A file with any other magic or version byte — including the
-//! JSON-index version-1 packs of earlier releases — is rejected as
-//! corrupt: its units recompile and the next save overwrites it.
+//! `SMLSPAK2` single-index packs and the JSON-index version-1 packs of
+//! earlier releases — is rejected as corrupt: its units recompile and
+//! the next save overwrites it.
 //!
-//! Writers stream bodies into the shared [`AtomicFile`] (a pid- and
-//! sequence-unique staging file, fsync, `rename(2)` into place, fsync
-//! of the parent directory), so a crash mid-save leaves the previous
-//! pack intact and a completed save survives power loss.  The commit
-//! is instrumented with the `pack.save` fault point (stages `begin`,
-//! `staged`, `renamed`) for the crash-recovery harness; a `torn` fault
-//! commits the first half of the pack, which [`PackReader::open`]
-//! rejects as corrupt.
+//! A save writes one segment, in one of two ways ([`PackWriter::open`]):
+//!
+//! * **Append** — when the save only adds or replaces bins, this
+//!   process loaded or last wrote the file ([`PackTail`]: its device,
+//!   inode, length and mtime are unchanged), and the appended segments,
+//!   this one included, stay within 1/32 of the first segment.  The
+//!   segment is assembled in memory, written at the valid end (cutting
+//!   off any torn tail first), its length patched in, and fsynced.  A
+//!   crash before the patch leaves a torn tail that the next open
+//!   ignores and the next append cuts off; no rename is needed.
+//! * **Full rewrite** — otherwise (cold build, a removed unit, someone
+//!   else's file, the growth bound reached): a fresh one-segment file
+//!   streamed through a bounded buffer into the shared [`AtomicFile`]
+//!   (a unique staging file, fsync, `rename(2)`, fsync of the parent
+//!   directory), so a crash mid-save leaves the previous pack intact.
+//!
+//! The 1/32 bound is a constant, so `bins.pack` is never more than
+//! about 3% larger than a fresh rewrite of the same bins, and a big
+//! change (a hub interface edit recompiling a thousand importers)
+//! compacts instead of appending.
+//!
+//! Every writer — append, rewrite, `doctor --fix` — holds
+//! `bins.pack.lock` ([`lock`]: the shared `fsutil::acquire`, broken
+//! when its owner is dead), so two builds on one project serialise
+//! their saves and the last writer wins whole.
+//!
+//! Saves check the `pack.save` fault point: a rewrite at stages
+//! `begin`, `staged`, `renamed`; an append at `begin`, `mid` (half the
+//! segment written), `staged` (segment fsynced).  A `torn` fault keeps
+//! half of the bytes: a torn rewrite is rejected whole, a torn append
+//! leaves a torn tail.
 
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
-use smlsc_faults::points;
+use smlsc_faults::{self as faults, points, FaultKind};
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
-use smlsc_store::fsutil::{self, AtomicFile};
+use smlsc_store::fsutil::{self, AtomicFile, LockGuard, Stale};
 use smlsc_trace::{self as trace, names};
 
 use crate::unit::{BinMeta, ImportEdge};
@@ -68,16 +95,27 @@ pub const PACK_FILE: &str = "bins.pack";
 
 /// Version byte after the leading magic; anything else rejects the
 /// pack (the units then just recompile).
-pub const PACK_VERSION: u8 = 2;
+pub const PACK_VERSION: u8 = 3;
 
-const PACK_MAGIC: &[u8; 8] = b"SMLSPAK2";
+const PACK_MAGIC: &[u8; 8] = b"SMLSPAK3";
 const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";
 /// index_offset (8) + index_len (8) + index_digest (16) + magic (8).
 const FOOTER_LEN: u64 = 40;
 /// magic (8) + version (1).
 const HEADER_LEN: u64 = 9;
+/// A segment's leading length word.
+const SEGMENT_HEADER_LEN: u64 = 8;
+/// Appended segments together stay within 1/`GROWTH_DIVISOR` of the
+/// first segment; past that a save rewrites the pack in full.
+const GROWTH_DIVISOR: u64 = 32;
+/// Write buffer of a full rewrite: a handful of `write(2)` calls for a
+/// 20k-unit pack, never the whole pack in memory.
+const WRITE_BUFFER: usize = 1 << 20;
+/// How long a writer waits for a live holder of `bins.pack.lock` (a
+/// concurrent build's save).
+const LOCK_WAIT: Duration = Duration::from_secs(60);
 
-/// One unit's slot in the footer index: the full decision metadata plus
+/// One unit's slot in a segment index: the full decision metadata plus
 /// the location and digest of its serialized body, encoded with the
 /// fixed-width wire layout above.
 #[derive(Debug, Clone)]
@@ -111,6 +149,16 @@ impl PackEntry {
             mtime: self.mtime,
         }
     }
+}
+
+/// An upper bound on the bytes one unit adds to a segment: its body,
+/// its index entry, and its name and import edges as if no string were
+/// shared.  Summed over a save's bins, it is what [`PackTail::fits`]
+/// is asked before an append.
+pub fn entry_len_bound(meta: &BinMeta, body_len: usize) -> u64 {
+    let string = |s: Symbol| 4 + s.as_str().len() as u64;
+    let edges: u64 = meta.imports.iter().map(|i| 20 + string(i.unit)).sum();
+    body_len as u64 + 84 + string(meta.name) + edges
 }
 
 /// Encodes the binary index: string table, flat edge table,
@@ -218,13 +266,13 @@ fn decode_index(bytes: &[u8]) -> Result<Vec<PackEntry>, String> {
 
 /// Positioned read without seeking — lock-free body slicing.
 #[cfg(unix)]
-fn read_exact_at(file: &std::fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
     file.read_exact_at(buf, offset)
 }
 
 #[cfg(windows)]
-fn read_exact_at(file: &std::fs::File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
     use std::os::windows::fs::FileExt;
     while !buf.is_empty() {
         match file.seek_read(buf, offset) {
@@ -245,72 +293,198 @@ fn read_exact_at(file: &std::fs::File, mut buf: &mut [u8], mut offset: u64) -> s
     Ok(())
 }
 
-/// An open pack: the parsed index plus a shared handle for body reads.
+/// Positioned write: segments land at the pack's valid end, and a
+/// segment's length word is patched in after its bytes.
+#[cfg(unix)]
+fn write_all_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.write_all_at(buf, offset)
+}
+
+#[cfg(windows)]
+fn write_all_at(file: &File, mut buf: &[u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_write(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf = &buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Which file a [`PackTail`] describes: another writer's rename changes
+/// the inode, its append the length and mtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileId {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: Option<SystemTime>,
+}
+
+impl FileId {
+    fn of(meta: &std::fs::Metadata) -> FileId {
+        #[cfg(unix)]
+        let (dev, ino) = {
+            use std::os::unix::fs::MetadataExt;
+            (meta.dev(), meta.ino())
+        };
+        #[cfg(not(unix))]
+        let (dev, ino) = (0, 0);
+        FileId {
+            dev,
+            ino,
+            len: meta.len(),
+            mtime: meta.modified().ok(),
+        }
+    }
+}
+
+/// Where the next append may go: the identity and valid extent of a
+/// pack this process opened or last wrote.  [`PackWriter::open`]
+/// appends only while the file on disk still is exactly this one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackTail {
+    file: FileId,
+    /// Length of the first segment (0 when the file holds no valid
+    /// segment to append after, e.g. after a torn rewrite).
+    first_len: u64,
+    /// End of the last valid segment: where an append writes.
+    valid_end: u64,
+}
+
+impl PackTail {
+    /// Whether appending a segment whose units add `entries_len` bytes
+    /// (the sum of their [`entry_len_bound`]s) keeps every appended
+    /// segment, this one included, within 1/32 of the first segment.
+    pub fn fits(&self, entries_len: u64) -> bool {
+        let appended = self.valid_end - HEADER_LEN - self.first_len;
+        let segment = SEGMENT_HEADER_LEN + 12 + entries_len + FOOTER_LEN;
+        appended + segment <= self.first_len / GROWTH_DIVISOR
+    }
+
+    /// End of the last valid segment.
+    pub fn valid_end(&self) -> u64 {
+        self.valid_end
+    }
+}
+
+/// The lock every writer of the pack at `dest` holds: `bins.pack.lock`
+/// beside it.
+pub fn lock_path(dest: &Path) -> PathBuf {
+    dest.with_extension("pack.lock")
+}
+
+/// Takes `bins.pack.lock` for `dest`, breaking it when its recorded
+/// owner is dead and waiting for a live one.
+///
+/// # Errors
+///
+/// [`CoreError::Io`] when a live holder outlasts the wait or the lock
+/// file cannot be created.
+pub fn lock(dest: &Path) -> Result<LockGuard, CoreError> {
+    fsutil::acquire(
+        &lock_path(dest),
+        Stale::OwnerDead,
+        LOCK_WAIT,
+        points::PACK_LOCK,
+    )
+    .map_err(io_err(dest))
+}
+
+/// Cuts a torn tail off the pack at `path`, under the pack lock (a
+/// no-op when the file ends on a valid segment or is absent).
+///
+/// # Errors
+///
+/// [`CoreError::CorruptBin`] when the pack has no valid segment at
+/// all; [`CoreError::Io`] on filesystem failures.
+pub fn truncate_torn_tail(path: &Path) -> Result<(), CoreError> {
+    let _lock = lock(path)?;
+    match PackReader::open(path)? {
+        Some(reader) if reader.torn_tail() > 0 => {
+            let file = OpenOptions::new()
+                .write(true)
+                .open(path)
+                .map_err(io_err(path))?;
+            file.set_len(reader.tail.valid_end)
+                .and_then(|()| file.sync_all())
+                .map_err(io_err(path))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// An open pack: the merged index of its valid segments plus a shared
+/// handle for body reads.
 ///
 /// When the platform supports it the whole file is memory-mapped
-/// read-only ([`smlsc_mmap::Mapping`]): the index decodes straight out
-/// of the page cache with no heap copy of the raw bytes, and body
-/// slices are borrowed from the map instead of `pread`.  When mapping
-/// fails the reader falls back to positioned reads; every byte is
+/// read-only ([`smlsc_mmap::Mapping`]): the first segment's index
+/// decodes straight out of the page cache with no heap copy, and body
+/// slices are borrowed from the map instead of `pread`.  Length words,
+/// footers and the (small) appended indexes are always `pread`: a
+/// concurrent writer may cut a torn tail off in place, and a read of
+/// those bytes must then fail, not fault.  When mapping fails the
+/// reader falls back to positioned reads; every byte is
 /// digest-verified exactly the same way on both paths, so torn and
 /// corrupt packs quarantine identically either way (the unit tests run
 /// the corruption cases against both readers).
 #[derive(Debug)]
 pub struct PackReader {
     path: PathBuf,
-    file: std::fs::File,
+    file: File,
     map: Option<smlsc_mmap::Mapping>,
     entries: Vec<PackEntry>,
+    tail: PackTail,
 }
 
 impl PackReader {
-    /// Opens `path`, reading and validating only the header, footer and
-    /// index (never a body).  Returns `Ok(None)` when the file does not
-    /// exist.
+    /// Opens `path`, reading and validating only the header and each
+    /// segment's length word, footer and index (never a body).
+    /// Returns `Ok(None)` when the file does not exist.
     ///
     /// # Errors
     ///
-    /// [`CoreError::CorruptBin`] when the header, footer, index digest,
-    /// or any entry's bounds are malformed — the whole pack is then
-    /// unusable (callers fall back to recompiling), but this is the only
-    /// failure mode that is not per-unit.
+    /// [`CoreError::CorruptBin`] when the header or the first segment
+    /// is malformed — the whole pack is then unusable (callers fall
+    /// back to recompiling), but this is the only failure mode that is
+    /// not per-unit.  A bad *later* segment is a torn tail instead
+    /// ([`PackReader::torn_tail`]).
     pub fn open(path: &Path) -> Result<Option<PackReader>, CoreError> {
-        let file = match std::fs::File::open(path) {
+        let file = match File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(CoreError::Io(format!("{}: {e}", path.display()))),
         };
-        let total = file
+        let meta = file
             .metadata()
-            .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?
-            .len();
-        let map = smlsc_mmap::Mapping::map(&file, total);
-        PackReader::with_map(path, file, total, map).map(Some)
+            .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
+        let map = smlsc_mmap::Mapping::map(&file, meta.len());
+        PackReader::with_map(path, file, &meta, map).map(Some)
     }
 
-    /// Validates and indexes the open pack `file` (`total` bytes long),
-    /// reading through `map` when the file is mapped and with
+    /// Validates and indexes the open pack `file` (described by
+    /// `meta`), reading through `map` when the file is mapped and with
     /// positioned reads otherwise.
     fn with_map(
         path: &Path,
-        file: std::fs::File,
-        total: u64,
+        file: File,
+        meta: &std::fs::Metadata,
         map: Option<smlsc_mmap::Mapping>,
     ) -> Result<PackReader, CoreError> {
         let corrupt = |m: String| CoreError::CorruptBin(format!("{}: {m}", path.display()));
-        if total < HEADER_LEN + FOOTER_LEN {
+        let total = meta.len();
+        if total < HEADER_LEN + SEGMENT_HEADER_LEN + FOOTER_LEN {
             return Err(corrupt(format!("truncated ({total} bytes)")));
         }
         let mut header = [0u8; HEADER_LEN as usize];
-        let mut footer = [0u8; FOOTER_LEN as usize];
-        if let Some(m) = &map {
-            header.copy_from_slice(&m.bytes()[..HEADER_LEN as usize]);
-            footer.copy_from_slice(&m.bytes()[(total - FOOTER_LEN) as usize..]);
-        } else {
-            read_exact_at(&file, &mut header, 0).map_err(|e| corrupt(e.to_string()))?;
-            read_exact_at(&file, &mut footer, total - FOOTER_LEN)
-                .map_err(|e| corrupt(e.to_string()))?;
-        }
+        read_exact_at(&file, &mut header, 0).map_err(|e| corrupt(e.to_string()))?;
         if &header[..8] != PACK_MAGIC {
             return Err(corrupt("bad magic".into()));
         }
@@ -320,51 +494,44 @@ impl PackReader {
                 header[8]
             )));
         }
-        // Footer fields: [0..8) offset, [8..16) len, [16..32) digest,
-        // [32..40) magic.
-        if &footer[32..40] != FOOTER_MAGIC {
-            return Err(corrupt("bad footer magic".into()));
+        let mut entries = Vec::new();
+        let mut later = Vec::new();
+        let mut first_len = 0;
+        let mut end = HEADER_LEN;
+        while end < total {
+            // Only the first segment's index is read through the map.
+            let map = if end == HEADER_LEN {
+                map.as_ref()
+            } else {
+                None
+            };
+            match read_segment(&file, map, end, total) {
+                Ok((seg_end, seg)) if end == HEADER_LEN => {
+                    first_len = seg_end - end;
+                    entries = seg;
+                    end = seg_end;
+                }
+                Ok((seg_end, seg)) => {
+                    later.extend(seg);
+                    end = seg_end;
+                }
+                Err(m) if end == HEADER_LEN => return Err(corrupt(m)),
+                Err(_) => break,
+            }
         }
-        let index_offset = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
-        let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
-        let index_digest = Pid::from_raw(u128::from_le_bytes(
-            footer[16..32].try_into().expect("16 bytes"),
-        ));
-        if index_offset < HEADER_LEN
-            || index_offset
-                .checked_add(index_len)
-                .is_none_or(|end| end != total - FOOTER_LEN)
-        {
-            return Err(corrupt("index bounds out of range".into()));
-        }
-        // Mapped: the index is decoded in place, page-cache-resident,
-        // with no heap copy of the raw bytes.  Fallback: one positioned
-        // read into a scratch vector.
-        let mut scratch;
-        let index_bytes: &[u8] = if let Some(m) = &map {
-            &m.bytes()[index_offset as usize..(index_offset + index_len) as usize]
-        } else {
-            scratch = vec![
-                0u8;
-                usize::try_from(index_len)
-                    .map_err(|_| { corrupt("index too large".into()) })?
-            ];
-            read_exact_at(&file, &mut scratch, index_offset).map_err(|e| corrupt(e.to_string()))?;
-            &scratch
-        };
-        trace::counter(names::BIN_BYTES_READ, HEADER_LEN + FOOTER_LEN + index_len);
-        if Pid::of_bytes(index_bytes) != index_digest {
-            return Err(corrupt("index digest mismatch".into()));
-        }
-        let entries =
-            decode_index(index_bytes).map_err(|e| corrupt(format!("index parse: {e}")))?;
-        for e in &entries {
-            if e.offset < HEADER_LEN
-                || e.offset
-                    .checked_add(e.len)
-                    .is_none_or(|end| end > index_offset)
-            {
-                return Err(corrupt(format!("entry `{}` bounds out of range", e.name)));
+        if !later.is_empty() {
+            // Later segments win by name, replacing in place; callers
+            // see one sorted list.
+            let mut newest: std::collections::HashMap<Symbol, PackEntry> =
+                later.into_iter().map(|e| (e.name, e)).collect();
+            for e in &mut entries {
+                if let Some(n) = newest.remove(&e.name) {
+                    *e = n;
+                }
+            }
+            if !newest.is_empty() {
+                entries.extend(newest.into_values());
+                entries.sort_by_cached_key(|e| e.name.as_str());
             }
         }
         Ok(PackReader {
@@ -372,6 +539,11 @@ impl PackReader {
             file,
             map,
             entries,
+            tail: PackTail {
+                file: FileId::of(meta),
+                first_len,
+                valid_end: end,
+            },
         })
     }
 
@@ -380,9 +552,20 @@ impl PackReader {
         &self.path
     }
 
-    /// The parsed index.
+    /// The merged index of every valid segment, sorted by name.
     pub fn entries(&self) -> &[PackEntry] {
         &self.entries
+    }
+
+    /// Where an append to this file would go (see [`PackWriter::open`]).
+    pub fn tail(&self) -> &PackTail {
+        &self.tail
+    }
+
+    /// Bytes after the last valid segment: the remains of an
+    /// interrupted append, ignored here and cut off by the next one.
+    pub fn torn_tail(&self) -> u64 {
+        self.tail.file.len - self.tail.valid_end
     }
 
     /// Reads and digest-verifies one body slice with a positioned read —
@@ -420,40 +603,181 @@ impl PackReader {
     }
 }
 
-/// An in-progress pack write: bodies streamed one at a time into an
-/// [`AtomicFile`], then the index and footer sealed and committed by
-/// [`PackWriter::finish`].  Dropping an unfinished writer removes its
-/// staging file.
+/// Validates the segment starting at `start` of a `total`-byte pack and
+/// decodes its index, reading the index through `map` when given.
+/// Returns the segment's end and entries, or why it is invalid.
+fn read_segment(
+    file: &File,
+    map: Option<&smlsc_mmap::Mapping>,
+    start: u64,
+    total: u64,
+) -> Result<(u64, Vec<PackEntry>), String> {
+    let at = |what: &str| format!("segment at {start}: {what}");
+    let mut word = [0u8; SEGMENT_HEADER_LEN as usize];
+    read_exact_at(file, &mut word, start).map_err(|e| at(&e.to_string()))?;
+    let len = u64::from_le_bytes(word);
+    let end = start
+        .checked_add(len)
+        .filter(|&end| len >= SEGMENT_HEADER_LEN + FOOTER_LEN && end <= total)
+        .ok_or_else(|| at(&format!("length {len} out of range ({total} bytes)")))?;
+    // Footer fields: [0..8) offset, [8..16) len, [16..32) digest,
+    // [32..40) magic.
+    let mut footer = [0u8; FOOTER_LEN as usize];
+    read_exact_at(file, &mut footer, end - FOOTER_LEN).map_err(|e| at(&e.to_string()))?;
+    if &footer[32..40] != FOOTER_MAGIC {
+        return Err(at("bad footer magic"));
+    }
+    let index_offset = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
+    let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
+    let index_digest = Pid::from_raw(u128::from_le_bytes(
+        footer[16..32].try_into().expect("16 bytes"),
+    ));
+    if index_offset < start + SEGMENT_HEADER_LEN
+        || index_offset
+            .checked_add(index_len)
+            .is_none_or(|index_end| index_end != end - FOOTER_LEN)
+    {
+        return Err(at("index bounds out of range"));
+    }
+    // Mapped: the index is decoded in place, page-cache-resident, with
+    // no heap copy of the raw bytes.  Otherwise: one positioned read
+    // into a scratch vector.
+    let scratch;
+    let index_bytes: &[u8] = if let Some(m) = map {
+        &m.bytes()[index_offset as usize..(index_offset + index_len) as usize]
+    } else {
+        let mut buf = vec![0u8; usize::try_from(index_len).map_err(|_| at("index too large"))?];
+        read_exact_at(file, &mut buf, index_offset).map_err(|e| at(&e.to_string()))?;
+        scratch = buf;
+        &scratch
+    };
+    trace::counter(
+        names::BIN_BYTES_READ,
+        SEGMENT_HEADER_LEN + FOOTER_LEN + index_len,
+    );
+    if Pid::of_bytes(index_bytes) != index_digest {
+        return Err(at("index digest mismatch"));
+    }
+    let entries = decode_index(index_bytes).map_err(|e| at(&format!("index parse: {e}")))?;
+    for e in &entries {
+        if e.offset < start + SEGMENT_HEADER_LEN
+            || e.offset
+                .checked_add(e.len)
+                .is_none_or(|body_end| body_end > index_offset)
+        {
+            return Err(at(&format!("entry `{}` bounds out of range", e.name)));
+        }
+    }
+    Ok((end, entries))
+}
+
+/// Where a [`PackWriter`]'s segment goes.
+#[derive(Debug)]
+enum Sink {
+    /// A full rewrite: a fresh one-segment file streamed, through a
+    /// bounded buffer, into a staging file.
+    Rewrite(BufWriter<AtomicFile>),
+    /// An append: the segment is assembled in memory (the growth bound
+    /// keeps it small) and written at the valid end by `finish`.
+    Append {
+        file: File,
+        segment: Vec<u8>,
+        torn: bool,
+    },
+}
+
+/// An in-progress save of one segment, holding `bins.pack.lock` until
+/// it is finished or dropped: bodies added one at a time, then the
+/// index and footer sealed and made durable by [`PackWriter::finish`].
+/// Dropping an unfinished writer leaves the previous pack untouched.
 #[derive(Debug)]
 pub struct PackWriter {
     dest: PathBuf,
-    file: AtomicFile,
+    sink: Sink,
+    /// Offset of this segment's length word.
+    start: u64,
+    /// Offset of the next body.
     cursor: u64,
+    /// The first segment's length, when appending after it.
+    first_len: u64,
     entries: Vec<PackEntry>,
+    _lock: LockGuard,
 }
 
 impl PackWriter {
-    /// Starts a pack write destined for `dest`, staging to a sibling
-    /// temp file (the `begin` stage of the `pack.save` fault point).
+    /// Starts a full rewrite of `dest`; see [`PackWriter::open`].
     ///
     /// # Errors
     ///
     /// [`CoreError::Io`] on filesystem failures.
     pub fn create(dest: &Path) -> Result<PackWriter, CoreError> {
-        let mut file = AtomicFile::create(fsutil::unique_tmp(dest), dest, Some(points::PACK_SAVE))
+        PackWriter::open(dest, None)
+    }
+
+    /// Takes the pack lock and starts a save of `dest`: an appended
+    /// segment when `tail` is given and `dest` still is the file it
+    /// describes, a full rewrite into a staging file otherwise.  Either
+    /// way this is the `begin` stage of the `pack.save` fault point.
+    /// Callers must append only when the units they add fit
+    /// ([`PackTail::fits`]) and no unit left the pack.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Io`] on filesystem failures.
+    pub fn open(dest: &Path, tail: Option<&PackTail>) -> Result<PackWriter, CoreError> {
+        let lock = lock(dest)?;
+        if let Some(tail) = tail.filter(|t| t.first_len > 0) {
+            // A pack that is gone or cannot be reopened is rewritten;
+            // the rewrite reports its own errors.
+            if let Ok(file) = OpenOptions::new().read(true).write(true).open(dest) {
+                let meta = file.metadata().map_err(io_err(dest))?;
+                if FileId::of(&meta) == tail.file {
+                    let name = dest.file_name().unwrap_or_default().to_string_lossy();
+                    let fault = fsutil::check_stage(Some(points::PACK_SAVE), "begin", &name);
+                    if fault == Some(FaultKind::Io) {
+                        return Err(io_err(dest)(faults::io_error(points::PACK_SAVE, &name)));
+                    }
+                    return Ok(PackWriter {
+                        dest: dest.to_path_buf(),
+                        sink: Sink::Append {
+                            file,
+                            segment: 0u64.to_le_bytes().to_vec(),
+                            torn: fault == Some(FaultKind::Torn),
+                        },
+                        start: tail.valid_end,
+                        cursor: tail.valid_end + SEGMENT_HEADER_LEN,
+                        first_len: tail.first_len,
+                        entries: Vec::new(),
+                        _lock: lock,
+                    });
+                }
+            }
+        }
+        let file = AtomicFile::create(fsutil::unique_tmp(dest), dest, Some(points::PACK_SAVE))
             .map_err(io_err(dest))?;
-        file.write_all(PACK_MAGIC)
-            .and_then(|()| file.write_all(&[PACK_VERSION]))
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, file);
+        out.write_all(PACK_MAGIC)
+            .and_then(|()| out.write_all(&[PACK_VERSION]))
+            .and_then(|()| out.write_all(&0u64.to_le_bytes()))
             .map_err(io_err(dest))?;
         Ok(PackWriter {
             dest: dest.to_path_buf(),
-            file,
-            cursor: HEADER_LEN,
+            sink: Sink::Rewrite(out),
+            start: HEADER_LEN,
+            cursor: HEADER_LEN + SEGMENT_HEADER_LEN,
+            first_len: 0,
             entries: Vec::new(),
+            _lock: lock,
         })
     }
 
-    /// Appends one unit's body and records its index entry.  `digest`
+    /// True when this save appends a segment (only the changed bins
+    /// go in); false for a full rewrite (every bin goes in).
+    pub fn appends(&self) -> bool {
+        matches!(self.sink, Sink::Append { .. })
+    }
+
+    /// Adds one unit's body and records its index entry.  `digest`
     /// must be the digest of the *intended* bytes — fault-injection
     /// callers deliberately pass mangled `body` bytes with the true
     /// digest, simulating a torn non-atomic write that the lazy
@@ -463,7 +787,10 @@ impl PackWriter {
     ///
     /// [`CoreError::Io`] on filesystem failures.
     pub fn add(&mut self, meta: &BinMeta, body: &[u8], digest: Pid) -> Result<(), CoreError> {
-        self.file.write_all(body).map_err(io_err(&self.dest))?;
+        match &mut self.sink {
+            Sink::Rewrite(out) => out.write_all(body).map_err(io_err(&self.dest))?,
+            Sink::Append { segment, .. } => segment.extend_from_slice(body),
+        }
         self.entries.push(PackEntry {
             name: meta.name,
             source_pid: meta.source_pid,
@@ -478,28 +805,87 @@ impl PackWriter {
         Ok(())
     }
 
-    /// Seals the pack: writes the index and footer and commits the
-    /// staging file into place.  Returns the total bytes written.
+    /// Seals the segment — index, footer, then its length word — and
+    /// makes it durable: a rewrite commits its staging file into
+    /// place; an append cuts off any torn tail, writes the segment at
+    /// the valid end and fsyncs.  Returns where the next append may go.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Io`] on filesystem failures (the staging file is
-    /// removed; the previous pack, if any, is untouched).
-    pub fn finish(mut self) -> Result<u64, CoreError> {
-        let index = encode_index(&self.entries);
-        let index_digest = Pid::of_bytes(&index);
-        let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
-        footer.extend_from_slice(&self.cursor.to_le_bytes());
-        footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&index_digest.as_raw().to_le_bytes());
-        footer.extend_from_slice(FOOTER_MAGIC);
-        let total = self.cursor + index.len() as u64 + FOOTER_LEN;
-        self.file
-            .write_all(&index)
-            .and_then(|()| self.file.write_all(&footer))
-            .map_err(io_err(&self.dest))?;
-        self.file.commit().map_err(io_err(&self.dest))?;
-        Ok(total)
+    /// [`CoreError::Io`] on filesystem failures or an injected `io`
+    /// fault; the previous pack is then intact (a staging file is
+    /// removed, a partial append truncated away).
+    pub fn finish(self) -> Result<PackTail, CoreError> {
+        let PackWriter {
+            dest,
+            sink,
+            start,
+            cursor,
+            first_len,
+            entries,
+            _lock,
+        } = self;
+        let io = io_err(&dest);
+        let index = encode_index(&entries);
+        let mut sealed = index.clone();
+        sealed.extend_from_slice(&cursor.to_le_bytes());
+        sealed.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        sealed.extend_from_slice(&Pid::of_bytes(&index).as_raw().to_le_bytes());
+        sealed.extend_from_slice(FOOTER_MAGIC);
+        let len = cursor + sealed.len() as u64 - start;
+        match sink {
+            Sink::Rewrite(mut out) => {
+                out.write_all(&sealed).map_err(&io)?;
+                let file = out.into_inner().map_err(|e| io(e.into_error()))?;
+                write_all_at(file.as_file(), &len.to_le_bytes(), start).map_err(&io)?;
+                file.commit().map_err(&io)?;
+                let meta = std::fs::metadata(&dest).map_err(&io)?;
+                // A torn commit (fault injection) leaves no segment to
+                // append after.
+                let whole = meta.len() == start + len;
+                Ok(PackTail {
+                    file: FileId::of(&meta),
+                    first_len: if whole { len } else { 0 },
+                    valid_end: if whole { start + len } else { HEADER_LEN },
+                })
+            }
+            Sink::Append {
+                file,
+                mut segment,
+                torn,
+            } => {
+                segment.extend_from_slice(&sealed);
+                let name = dest.file_name().unwrap_or_default().to_string_lossy();
+                let stage = |stage| match fsutil::check_stage(Some(points::PACK_SAVE), stage, &name)
+                {
+                    Some(FaultKind::Io) => Err(faults::io_error(points::PACK_SAVE, &name)),
+                    _ => Ok(()),
+                };
+                let write = || -> std::io::Result<()> {
+                    file.set_len(start)?;
+                    let (head, rest) = segment.split_at(segment.len() / 2);
+                    write_all_at(&file, head, start)?;
+                    stage("mid")?;
+                    write_all_at(&file, rest, start + head.len() as u64)?;
+                    write_all_at(&file, &len.to_le_bytes(), start)?;
+                    if torn {
+                        file.set_len(start + len / 2)?;
+                    }
+                    file.sync_all()?;
+                    stage("staged")
+                };
+                if let Err(e) = write() {
+                    file.set_len(start).and_then(|()| file.sync_all()).ok();
+                    return Err(io(e));
+                }
+                let meta = file.metadata().map_err(&io)?;
+                Ok(PackTail {
+                    file: FileId::of(&meta),
+                    first_len,
+                    valid_end: if torn { start } else { start + len },
+                })
+            }
+        }
     }
 }
 
@@ -556,12 +942,240 @@ mod tests {
     /// and the `pread` fallback.
     fn open_both(path: &Path) -> [Result<PackReader, CoreError>; 2] {
         let open = |mapped: bool| {
-            let file = std::fs::File::open(path).unwrap();
-            let total = file.metadata().unwrap().len();
-            let map = mapped.then(|| smlsc_mmap::Mapping::map(&file, total).expect("mmap"));
-            PackReader::with_map(path, file, total, map)
+            let file = File::open(path).unwrap();
+            let meta = file.metadata().unwrap();
+            let map = mapped.then(|| smlsc_mmap::Mapping::map(&file, meta.len()).expect("mmap"));
+            PackReader::with_map(path, file, &meta, map)
         };
         [open(true), open(false)]
+    }
+
+    /// A bin for `name` whose mtime, body length and body bytes all
+    /// vary with `version`.
+    fn versioned(name: &str, version: u64) -> BinFile {
+        let mut b = bin(name, version);
+        b.unit.env_pickle = vec![version as u8; 16 + (version % 97) as usize];
+        b
+    }
+
+    /// Writes `bins` as one segment: appended after the tail the
+    /// pack's reader reports when `append` is set, a full rewrite
+    /// otherwise.
+    fn save<'a>(
+        path: &Path,
+        append: bool,
+        bins: impl IntoIterator<Item = &'a BinFile>,
+    ) -> PackTail {
+        let tail = append.then(|| PackReader::open(path).unwrap().unwrap().tail().clone());
+        let mut w = PackWriter::open(path, tail.as_ref()).unwrap();
+        assert_eq!(w.appends(), append);
+        for b in bins {
+            let bytes = b.to_bytes();
+            w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// What a reader serves: per unit (in entry order) its metadata,
+    /// body digest and verified body bytes.
+    fn contents(r: &PackReader) -> Vec<(String, Pid, Vec<u8>)> {
+        r.entries()
+            .iter()
+            .map(|e| {
+                let body = r.read_body(e.offset, e.len, e.digest).unwrap();
+                (format!("{:?}", e.meta()), e.digest, body)
+            })
+            .collect()
+    }
+
+    /// A small seeded generator (xorshift64) for the append tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn units(n: usize) -> std::collections::BTreeMap<String, BinFile> {
+        (0..n)
+            .map(|i| {
+                let name = format!("u{i:03}");
+                let b = versioned(&name, 0);
+                (name, b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeded_appends_read_back_like_a_full_rewrite() {
+        for seed in [1u64, 7, 1994] {
+            let dir = tmp_dir(&format!("appends-{seed}"));
+            let path = dir.join(PACK_FILE);
+            let mut rng = Rng(seed);
+            let mut model = units(20);
+            save(&path, false, model.values());
+            for round in 1..=12 {
+                // Replace a few units, sometimes one twice, and now and
+                // then add a new one (u020..u023).
+                let mut segment = Vec::new();
+                for _ in 0..=rng.below(3) {
+                    let name = format!("u{:03}", rng.below(24));
+                    let b = versioned(&name, round * 10 + rng.below(10));
+                    model.insert(name, b.clone());
+                    segment.push(b);
+                }
+                save(&path, true, &segment);
+            }
+            let fresh = dir.join("fresh.pack");
+            save(&fresh, false, model.values());
+            let want = contents(&PackReader::open(&fresh).unwrap().unwrap());
+            assert_eq!(want.len(), model.len());
+            for r in open_both(&path) {
+                let r = r.unwrap();
+                assert_eq!(r.torn_tail(), 0);
+                assert_eq!(contents(&r), want, "seed {seed}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn torn_last_segment_is_ignored_and_cut_off_by_the_next_append() {
+        let dir = tmp_dir("torntail");
+        let path = dir.join(PACK_FILE);
+        // Two tears: the segment cut in half (a torn write), and the
+        // whole segment with its length word never patched in (a crash
+        // just before the patch).
+        for tear in ["half", "unpatched"] {
+            save(&path, false, &[versioned("a", 1), versioned("b", 1)]);
+            let clean = PackReader::open(&path).unwrap().unwrap();
+            let (want, valid_end) = (contents(&clean), clean.tail().valid_end());
+            drop(clean);
+            // Three units torn, so the one-unit append after it is
+            // shorter than the tail it must cut off.
+            save(
+                &path,
+                true,
+                &[versioned("a", 2), versioned("b", 2), versioned("c", 2)],
+            );
+            let len = std::fs::metadata(&path).unwrap().len();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            if tear == "half" {
+                f.set_len(valid_end + (len - valid_end) / 2).unwrap();
+            } else {
+                write_all_at(&f, &0u64.to_le_bytes(), valid_end).unwrap();
+            }
+            drop(f);
+            let torn = std::fs::metadata(&path).unwrap().len() - valid_end;
+            for r in open_both(&path) {
+                let r = r.unwrap();
+                assert_eq!(contents(&r), want, "{tear}: the valid prefix is served");
+                assert_eq!(r.torn_tail(), torn, "{tear}");
+                assert_eq!(r.tail().valid_end(), valid_end, "{tear}");
+            }
+            let tail = save(&path, true, &[versioned("b", 3)]);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                tail.valid_end(),
+                "{tear}: the append cut the torn tail off"
+            );
+            for r in open_both(&path) {
+                let r = r.unwrap();
+                assert_eq!(r.torn_tail(), 0, "{tear}");
+                let mtimes: Vec<u64> = r.entries().iter().map(|e| e.mtime).collect();
+                assert_eq!(mtimes, [1, 3], "{tear}: a from the prefix, b appended");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_stay_within_a_thirty_second_of_the_first_segment() {
+        let dir = tmp_dir("growth");
+        let path = dir.join(PACK_FILE);
+        let mut model = units(256);
+        save(&path, false, model.values());
+        let mut rng = Rng(32);
+        let (mut appends, mut rewrites) = (0, 0);
+        for round in 1..=200 {
+            let name = format!("u{:03}", rng.below(256));
+            let b = versioned(&name, round);
+            model.insert(name, b.clone());
+            let tail = PackReader::open(&path).unwrap().unwrap().tail().clone();
+            if tail.fits(entry_len_bound(&b.meta(), b.to_bytes().len())) {
+                save(&path, true, [&b]);
+                appends += 1;
+            } else {
+                save(&path, false, model.values());
+                rewrites += 1;
+            }
+            for r in open_both(&path) {
+                let first = r.unwrap().tail().first_len;
+                let len = std::fs::metadata(&path).unwrap().len();
+                assert!(
+                    len - HEADER_LEN <= first + first / GROWTH_DIVISOR,
+                    "round {round}"
+                );
+            }
+        }
+        assert!(
+            appends > rewrites && rewrites > 1,
+            "{appends} appends, {rewrites} rewrites"
+        );
+        let fresh = dir.join("fresh.pack");
+        save(&fresh, false, model.values());
+        let want = contents(&PackReader::open(&fresh).unwrap().unwrap());
+        for r in open_both(&path) {
+            assert_eq!(contents(&r.unwrap()), want);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_append_leaves_the_pack_as_it_was() {
+        use smlsc_faults::{install_scoped, FaultPlan, FaultRule};
+        let dir = tmp_dir("failedappend");
+        let path = write_two(&dir);
+        let want = contents(&PackReader::open(&path).unwrap().unwrap());
+        let len = std::fs::metadata(&path).unwrap().len();
+        for stage in ["begin", "mid", "staged"] {
+            let _f = install_scoped(
+                FaultPlan::default()
+                    .with(FaultRule::new(points::PACK_SAVE, FaultKind::Io).filtered(stage)),
+            );
+            let tail = PackReader::open(&path).unwrap().unwrap().tail().clone();
+            let result = PackWriter::open(&path, Some(&tail)).and_then(|mut w| {
+                let b = versioned("a", 9);
+                let bytes = b.to_bytes();
+                w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes))?;
+                w.finish()
+            });
+            assert!(result.is_err(), "{stage}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "{stage}");
+            for r in open_both(&path) {
+                assert_eq!(contents(&r.unwrap()), want, "{stage}");
+            }
+        }
+        assert!(!lock_path(&path).exists(), "the lock is released");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn smlspak2_packs_are_rejected() {
+        let dir = tmp_dir("v2");
+        let path = write_two(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"SMLSPAK2");
+        bytes[8] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        for r in open_both(&path) {
+            assert!(matches!(r, Err(CoreError::CorruptBin(m)) if m.contains("bad magic")));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -756,8 +1370,9 @@ mod tests {
     fn no_temp_files_survive() {
         let dir = tmp_dir("tmpfiles");
         write_two(&dir);
-        // An aborted writer cleans up too.
+        // An aborted writer cleans up too, its lock included.
         let w = PackWriter::create(&dir.join("other.pack")).unwrap();
+        assert!(lock_path(&dir.join("other.pack")).exists());
         drop(w);
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()

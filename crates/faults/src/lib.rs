@@ -30,7 +30,7 @@
 //! point   := 'store.publish' | 'store.fetch' | 'store.lock'
 //!          | 'bin.save' | 'bin.load' | 'compile.unit'
 //!          | 'ledger.append' | 'ledger.rotate' | 'stamp.save'
-//!          | 'pack.save' | 'deps.save' | 'daemon.accept'
+//!          | 'pack.save' | 'pack.lock' | 'deps.save' | 'daemon.accept'
 //!          | 'daemon.watch' | 'daemon.lock'
 //! action  := kind [ '(' filter ')' ] [ '@' nth ] [ '%' percent ] [ '*' count ]
 //! kind    := 'io' | 'torn' | 'delay:' millis | 'panic' | 'crash'
@@ -61,8 +61,9 @@
 //!
 //! Durable-write points check several times per operation with a
 //! *stage* detail string (`begin`, `staged`, `renamed`, and for ledger
-//! appends `mid`), so a `crash(<stage>)` filter selects exactly which
-//! half-finished state the process dies in.
+//! appends and appended pack segments `mid`), so a `crash(<stage>)`
+//! filter selects exactly which half-finished state the process dies
+//! in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -108,9 +109,16 @@ pub mod points {
     /// `StampCache::save`: the tmp+fsync+rename publication of
     /// `stamps.json`.  Checked at stages `begin`, `staged`, `renamed`.
     pub const STAMP_SAVE: &str = "stamp.save";
-    /// `PackWriter`: the streamed commit of `bins.pack`.  Checked at
-    /// stages `begin` (on create), `staged`, `renamed`.
+    /// `PackWriter`: one save of `bins.pack`.  A full rewrite checks
+    /// stages `begin` (on create), `staged`, `renamed`; an appended
+    /// segment checks `begin`, `mid` (half the segment written) and
+    /// `staged` (segment fsynced).  `torn` keeps half of the bytes on
+    /// either path.
     pub const PACK_SAVE: &str = "pack.save";
+    /// `bins.pack.lock` acquisition (the same `fsutil::acquire`, held
+    /// by every pack writer: a `crash` leaves the stale lock that the
+    /// next writer breaks and `doctor` reports).
+    pub const PACK_LOCK: &str = "pack.lock";
     /// `Ledger::rotate_if_needed`: the tmp+rename that truncates an
     /// over-long `builds.jsonl`.  Checked at stages `begin`, `staged`,
     /// `renamed`.
@@ -135,6 +143,7 @@ pub mod points {
         LEDGER_ROTATE,
         STAMP_SAVE,
         PACK_SAVE,
+        PACK_LOCK,
         DEPS_SAVE,
         DAEMON_ACCEPT,
         DAEMON_WATCH,

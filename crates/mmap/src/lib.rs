@@ -13,11 +13,14 @@
 //! "read the file the ordinary way" — never as an error.
 //!
 //! Safety argument for the `&[u8]` view: packs are published with
-//! tmp + fsync + `rename(2)` (`smlsc_store::fsutil::AtomicFile`), never
-//! truncated or rewritten in place, so the mapped inode's length is
-//! stable for the mapping's lifetime; `MAP_PRIVATE` additionally keeps
-//! any concurrent replacement (a new inode renamed over the path) from
-//! changing the bytes this process already mapped.
+//! tmp + fsync + `rename(2)` (`smlsc_store::fsutil::AtomicFile`), and
+//! `MAP_PRIVATE` keeps any concurrent replacement (a new inode renamed
+//! over the path) from changing the bytes this process already mapped.
+//! `bins.pack` additionally grows by appended segments and is
+//! truncated in place, but only past its last valid segment (a torn
+//! tail); its reader touches those bytes with `pread`, never through
+//! the map, so every byte read through a mapping stays backed by the
+//! file.
 
 #![warn(missing_docs)]
 
@@ -90,8 +93,9 @@ impl Mapping {
         #[cfg(all(unix, target_pointer_width = "64"))]
         // SAFETY: `addr` is a live PROT_READ, MAP_PRIVATE mapping of
         // `len` bytes (checked against MAP_FAILED at creation), unmapped
-        // only by Drop; the file behind it is rename-published and never
-        // truncated in place, so every byte stays readable.
+        // only by Drop.  The files mapped are rename-published; `bins.pack`
+        // is also truncated in place, but only past its last valid
+        // segment, whose bytes readers reach by `pread`, never the map.
         unsafe {
             core::slice::from_raw_parts(self.addr as *const u8, self.len)
         }

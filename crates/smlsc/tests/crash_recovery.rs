@@ -24,7 +24,7 @@ use std::process::Command;
 
 use smlsc::core::pack::PackReader;
 use smlsc::core::BinFile;
-use smlsc::workload::{Topology, Workload, WorkloadSpec};
+use smlsc::workload::{EditKind, Topology, Workload, WorkloadSpec};
 
 fn smlsc() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smlsc"));
@@ -258,6 +258,182 @@ fn crash_recovery_holds_at_monorepo_scale_n200() {
         true,
         &store_fp,
     );
+}
+
+/// Writes the seeded `units`-unit project to `dir` with each unit in
+/// `edited` given one body edit (all of them leaves: nothing imports
+/// them).
+fn seed_edited(dir: &Path, units: usize, edited: &[usize]) {
+    let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units,
+        seed: 7,
+    }));
+    for &i in edited {
+        assert!(w.transitive_dependents(i).is_empty(), "M{i} is a leaf");
+        w.edit(i, EditKind::BodyOnly);
+    }
+    for f in w.project().files() {
+        std::fs::write(dir.join(format!("{}.sml", f.name)), f.read_text().unwrap()).unwrap();
+    }
+}
+
+#[cfg(unix)]
+fn inode(path: &Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).unwrap().ino()
+}
+
+/// The warm path: after a cold build, a one-leaf edit's save appends a
+/// segment to `bins.pack` instead of rewriting it.  A crash at every
+/// stage of that append (`begin`: nothing written; `mid`: half a
+/// segment, a torn tail; `staged`: the segment fsynced, nothing after)
+/// recovers like every other crash point — the next build lands on a
+/// clean build's artifacts by appending to the same file, and the
+/// doctor leaves the tree healthy.
+#[cfg(unix)]
+#[test]
+fn crash_at_every_pack_append_stage_recovers_n200() {
+    const N: usize = 200;
+    let leaf = N - 1;
+    let reference_fp = {
+        let dir = temp("ref-append");
+        seed_edited(&dir, N, &[leaf]);
+        assert!(build(&dir, None, None).status.success());
+        let fp = fingerprint(&dir.join(".smlsc-bins"));
+        std::fs::remove_dir_all(&dir).ok();
+        fp
+    };
+    for stage in ["begin", "mid", "staged"] {
+        let rule = format!("pack.save=crash({stage})");
+        let proj = temp(&format!("append-{stage}"));
+        seed_project(&proj, N);
+        assert!(
+            build(&proj, None, None).status.success(),
+            "{rule}: cold build"
+        );
+        let pack = proj.join(".smlsc-bins/bins.pack");
+        let cold_inode = inode(&pack);
+        seed_edited(&proj, N, &[leaf]);
+
+        let out = build(&proj, None, Some(&rule));
+        assert!(
+            out.status.code().is_none(),
+            "{rule}: expected an abort in the append, got {:?}\nstderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("injected fault: crash at"),
+            "{rule}: abort must come from the injected crash point"
+        );
+
+        let out = build(&proj, None, None);
+        assert!(
+            out.status.success(),
+            "{rule}: recovery build failed: {out:?}"
+        );
+        assert_eq!(
+            fingerprint(&proj.join(".smlsc-bins")),
+            reference_fp,
+            "{rule}: recovered artifacts differ from a clean build"
+        );
+        let reader = PackReader::open(&pack).unwrap().unwrap();
+        assert_eq!(reader.torn_tail(), 0, "{rule}: torn tail left behind");
+        assert_eq!(inode(&pack), cold_inode, "{rule}: recovered by appending");
+
+        let out = doctor(&proj, None, true);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{rule}: doctor --fix failed: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let out = doctor(&proj, None, false);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{rule}: post-fix audit not healthy: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        std::fs::remove_dir_all(&proj).ok();
+    }
+}
+
+/// Two `--no-daemon` builds of different leaf edits racing on one
+/// project both succeed.  The test holds `bins.pack.lock` until both
+/// builds have compiled (their summary line prints before the save),
+/// so both saves start from the same loaded pack and contend for the
+/// lock: the first appends, the second finds the file changed and
+/// rewrites it in full instead of appending to a file it did not load.
+/// The next build then lands on a clean build's artifacts.
+#[cfg(unix)]
+#[test]
+fn concurrent_builds_of_different_leaf_edits_agree_with_a_clean_build() {
+    use std::io::{BufRead, BufReader, Read};
+    const N: usize = 200;
+    let proj = temp("concurrent");
+    seed_project(&proj, N);
+    assert!(build(&proj, None, None).status.success(), "cold build");
+    let pack = proj.join(".smlsc-bins/bins.pack");
+    let mut edited = Vec::new();
+    for round in 0..2 {
+        let before = inode(&pack);
+        let lock = smlsc::core::pack::lock(&pack).unwrap();
+        let mut builds = Vec::new();
+        for leaf in [N - 1 - 2 * round, N - 2 - 2 * round] {
+            edited.push(leaf);
+            seed_edited(&proj, N, &edited);
+            let mut child = smlsc()
+                .args(["build", "--no-daemon"])
+                .arg(&proj)
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .unwrap();
+            // Wait until this build has compiled and reached its save.
+            let mut stdout = BufReader::new(child.stdout.take().unwrap());
+            let mut line = String::new();
+            while !line.starts_with("built ") {
+                line.clear();
+                assert!(
+                    stdout.read_line(&mut line).unwrap() > 0,
+                    "round {round}: no summary"
+                );
+            }
+            builds.push((child, stdout));
+        }
+        drop(lock);
+        for (child, mut stdout) in builds {
+            stdout.read_to_string(&mut String::new()).unwrap();
+            let out = child.wait_with_output().unwrap();
+            assert!(out.status.success(), "round {round}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("warning"), "round {round}: {stderr}");
+        }
+        assert_ne!(
+            inode(&pack),
+            before,
+            "round {round}: the second save rewrote"
+        );
+    }
+    assert!(build(&proj, None, None).status.success(), "settling build");
+    let clean = temp("concurrent-ref");
+    seed_edited(&clean, N, &edited);
+    assert!(build(&clean, None, None).status.success(), "clean build");
+    assert_eq!(
+        fingerprint(&proj.join(".smlsc-bins")),
+        fingerprint(&clean.join(".smlsc-bins")),
+        "racing builds diverged from a clean build"
+    );
+    let out = doctor(&proj, None, false);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_dir_all(&proj).ok();
+    std::fs::remove_dir_all(&clean).ok();
 }
 
 /// A daemon killed while writing its lockfile leaves exactly the

@@ -1,7 +1,8 @@
 //! Durable filesystem writes: the one module that commits a file,
 //! takes a lockfile, or appends a log line, for every writer in the
 //! workspace (store objects and journal, `bins.pack`, `stamps.json`,
-//! `deps.pack`, the build ledger, store key locks, the daemon lock).
+//! `deps.pack`, the build ledger, store key locks, the daemon and pack
+//! locks).
 //!
 //! * **Commit** — [`AtomicFile`]: stream into a [`unique_tmp`] staging
 //!   file, then fsync → `rename(2)` → fsync of the destination's parent
@@ -16,7 +17,10 @@
 //! `begin`, `staged`, `renamed`; appends `begin` and `mid`.  `io` at
 //! `begin`/`staged` fails the operation, `torn` at `begin` keeps only the
 //! first half of the bytes, and `crash` dies in exactly that
-//! half-finished state for the crash-recovery harness.
+//! half-finished state for the crash-recovery harness.  [`check_stage`]
+//! is public for the one durable write that is none of the three, an
+//! appended `bins.pack` segment (`smlsc-core`'s `pack` module), so its
+//! stages read the same way.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -62,7 +66,7 @@ fn file_name(path: &Path) -> String {
 
 /// Checks `point` (if any) at `stage` with a `"<stage> <detail>"`
 /// detail string, skipping the formatting when no plan is installed.
-fn check_stage(point: Option<&'static str>, stage: &str, detail: &str) -> Option<FaultKind> {
+pub fn check_stage(point: Option<&'static str>, stage: &str, detail: &str) -> Option<FaultKind> {
     let point = point?;
     if !faults::active() {
         return None;
@@ -106,6 +110,12 @@ impl AtomicFile {
             torn: fault == Some(FaultKind::Torn),
             committed: false,
         })
+    }
+
+    /// The staging file, for positioned writes (patching a header)
+    /// before the commit.
+    pub fn as_file(&self) -> &File {
+        &self.file
     }
 
     /// Publishes the staged bytes at the destination: fsync, `staged`
@@ -195,6 +205,9 @@ impl Stale {
             },
             Stale::OwnerDead => match std::fs::read_to_string(path) {
                 Err(e) if gone(&e) => None,
+                // Created but no pid written yet: a live owner between
+                // its create and its write, unless it stays empty.
+                Ok(text) if text.is_empty() => Stale::OlderThan(PID_WRITE_GRACE).holds(path),
                 text => {
                     let pid = text.ok().and_then(|t| t.trim().parse().ok());
                     Some(!pid.is_some_and(pid_alive))
@@ -203,6 +216,10 @@ impl Stale {
         }
     }
 }
+
+/// How long an empty `OwnerDead` lock file counts as an owner still
+/// writing its pid rather than one that died before writing it.
+const PID_WRITE_GRACE: Duration = Duration::from_secs(1);
 
 /// An acquired lockfile; released (the file unlinked) on drop.
 #[derive(Debug)]
@@ -629,6 +646,24 @@ mod tests {
     fn garbage_lockfile_is_treated_as_stale() {
         let path = tmp_lock("garbage");
         std::fs::write(&path, b"not a pid").unwrap();
+        daemon_lock(&path).unwrap();
+    }
+
+    #[test]
+    fn fresh_empty_lockfile_is_an_owner_mid_acquire() {
+        let path = tmp_lock("empty");
+        // An owner between its `O_EXCL` create and its pid write.
+        std::fs::write(&path, b"").unwrap();
+        let err = daemon_lock(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // One that never wrote its pid is abandoned after the grace.
+        let old = SystemTime::now() - PID_WRITE_GRACE * 2;
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
         daemon_lock(&path).unwrap();
     }
 }

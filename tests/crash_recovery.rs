@@ -435,6 +435,129 @@ fn torn_pack_save_is_rejected_reported_and_recovered() {
     std::fs::remove_dir_all(&bin).ok();
 }
 
+/// `pack.save=torn` on the append path (a one-leaf edit's save) keeps
+/// half of the new segment: a torn tail.  The next open serves the
+/// valid prefix and ignores the tail, the doctor reports it, and the
+/// next save cuts it off before appending; `doctor --fix` cuts it off
+/// too.  Either way the builds land on a clean build's export pids.
+#[test]
+fn torn_pack_append_leaves_a_tail_the_next_save_cuts_off() {
+    let bin = temp("torn-append");
+    let pack_path = bin.join("bins.pack");
+    let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units: 200,
+        seed: 11,
+    }));
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(w.project()).unwrap();
+    irm.save_bins(&bin).unwrap();
+    let export_pids = |irm: &Irm, w: &Workload| -> Vec<Pid> {
+        w.project()
+            .files()
+            .iter()
+            .map(|f| irm.bin(f.name.as_str()).unwrap().unit.export_pid)
+            .collect()
+    };
+    let source_pid = |pack: &PackReader, leaf: usize| {
+        let name = format!("M{leaf}");
+        let entry = pack.entries().iter().find(|e| e.name.as_str() == name);
+        entry.unwrap().source_pid
+    };
+    let torn = FaultPlan::seeded(1).with(FaultRule::new(points::PACK_SAVE, FaultKind::Torn));
+    for (round, leaf) in [199, 198].into_iter().enumerate() {
+        let before = PackReader::open(&pack_path).unwrap().unwrap();
+        let (valid_end, old_source) = (before.tail().valid_end(), source_pid(&before, leaf));
+        drop(before);
+
+        w.edit(leaf, smlsc::workload::EditKind::BodyOnly);
+        let mut irm = Irm::new(Strategy::Cutoff);
+        irm.load_bins(&bin).unwrap();
+        assert_eq!(irm.build(w.project()).unwrap().recompiled.len(), 1);
+        {
+            let _f = install_scoped(torn.clone());
+            irm.save_bins(&bin).unwrap();
+        }
+        let pack = PackReader::open(&pack_path).unwrap().unwrap();
+        assert!(
+            pack.torn_tail() > 0,
+            "round {round}: the append left a torn tail"
+        );
+        assert_eq!(pack.tail().valid_end(), valid_end, "round {round}");
+        assert_eq!(
+            source_pid(&pack, leaf),
+            old_source,
+            "round {round}: the torn segment is ignored"
+        );
+        drop(pack);
+        let report = doctor_on(&bin, None, false);
+        assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.state == "pack" && f.issue.contains("torn tail")),
+            "{}",
+            report.to_json()
+        );
+
+        if round == 0 {
+            // The next save (a fresh session that recompiles the leaf)
+            // truncates the tail and appends in its place.
+            let mut irm = Irm::new(Strategy::Cutoff);
+            irm.load_bins(&bin).unwrap();
+            assert_eq!(irm.build(w.project()).unwrap().recompiled.len(), 1);
+            irm.save_bins(&bin).unwrap();
+        } else {
+            // `doctor --fix` truncates it; the next session recompiles.
+            let report = doctor_on(&bin, None, true);
+            assert_eq!(
+                report.verdict(),
+                DoctorVerdict::Repaired,
+                "{}",
+                report.to_json()
+            );
+            let pack = PackReader::open(&pack_path).unwrap().unwrap();
+            assert_eq!(pack.torn_tail(), 0);
+            assert_eq!(std::fs::metadata(&pack_path).unwrap().len(), valid_end);
+            drop(pack);
+            let mut irm = Irm::new(Strategy::Cutoff);
+            irm.load_bins(&bin).unwrap();
+            assert_eq!(irm.build(w.project()).unwrap().recompiled.len(), 1);
+            irm.save_bins(&bin).unwrap();
+        }
+        let pack = PackReader::open(&pack_path).unwrap().unwrap();
+        assert_eq!(pack.torn_tail(), 0, "round {round}: tail cut off");
+        assert_eq!(
+            std::fs::metadata(&pack_path).unwrap().len(),
+            pack.tail().valid_end()
+        );
+        assert!(
+            pack.tail().valid_end() > valid_end,
+            "round {round}: appended"
+        );
+        drop(pack);
+
+        let mut fresh = Irm::new(Strategy::Cutoff);
+        fresh.load_bins(&bin).unwrap();
+        assert!(fresh.build(w.project()).unwrap().recompiled.is_empty());
+        let mut clean = Irm::new(Strategy::Cutoff);
+        clean.build(w.project()).unwrap();
+        assert_eq!(
+            export_pids(&fresh, &w),
+            export_pids(&clean, &w),
+            "round {round}"
+        );
+        let audit = doctor_on(&bin, None, false);
+        assert_eq!(
+            audit.verdict(),
+            DoctorVerdict::Healthy,
+            "{}",
+            audit.to_json()
+        );
+    }
+    std::fs::remove_dir_all(&bin).ok();
+}
+
 /// Stale daemon files from a killed daemon are findings; `--fix`
 /// clears both lock and socket; a live owner's files are untouched.
 #[test]

@@ -216,7 +216,7 @@ fn noop_warm_build_is_binary_end_to_end_and_allocation_free() {
     let stamps = std::fs::read(bins.join("stamps.json")).unwrap();
     assert_eq!(&stamps[..8], b"SMLSSTM2", "stamp cache is binary");
     let pack = std::fs::read(bins.join(PACK_FILE)).unwrap();
-    assert_eq!(&pack[..8], b"SMLSPAK2", "pack index is binary");
+    assert_eq!(&pack[..8], b"SMLSPAK3", "pack index is binary");
 
     let collector = trace::Collector::new();
     collector.install();
