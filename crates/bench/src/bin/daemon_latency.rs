@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
+use smlsc_core::{BuildSession, STAMPS_FILE};
 use smlsc_daemon::{client, Request, Response, ServerConfig, ServerHandle};
 use smlsc_workload::{module_name, Topology, Workload};
 
@@ -47,10 +48,9 @@ fn write_sources(src: &Path, w: &Workload) {
 /// recompile count.
 fn coldproc_pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize) {
     let t0 = Instant::now();
-    let mut irm = Irm::new(Strategy::Cutoff);
-    irm.load_stamps(&bin_dir.join("stamps.json"));
-    let outcome = irm.load_bins(bin_dir).expect("bench bins load");
-    assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
+    let session = BuildSession::open(bin_dir, Strategy::Cutoff, false, None);
+    assert!(session.notes.is_empty(), "{:?}", session.notes);
+    let mut irm = session.irm;
     let project = Project::from_dir(src).expect("bench sources scan");
     let report = irm.build_with_jobs(&project, 4).expect("bench build");
     (t0.elapsed(), report.recompiled.len())
@@ -115,7 +115,7 @@ fn main() {
             let report = irm.build_with_jobs(&project, 4).expect("cold build");
             assert_eq!(report.recompiled.len(), n);
             irm.save_bins(&bin_dir).expect("save archive");
-            irm.save_stamps(&bin_dir.join("stamps.json"))
+            irm.save_stamps(&bin_dir.join(STAMPS_FILE))
                 .expect("save stamps");
         }
 

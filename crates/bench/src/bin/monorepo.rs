@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
 use smlsc_core::trace::{self, names};
+use smlsc_core::{BuildSession, STAMPS_FILE};
 use smlsc_workload::{module_name, EditKind, Topology, Workload};
 
 const RUNS: usize = 3;
@@ -48,12 +49,9 @@ fn write_sources(src: &Path, w: &Workload) {
 /// binary stamp cache and the indexed archive, scan sources, build.
 fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
     let t0 = Instant::now();
-    let mut irm = Irm::new(Strategy::Cutoff);
-    irm.load_stamps(&bin_dir.join("stamps.json"));
-    if bin_dir.is_dir() {
-        let outcome = irm.load_bins(bin_dir).expect("bench bins load");
-        assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
-    }
+    let session = BuildSession::open(bin_dir, Strategy::Cutoff, false, None);
+    assert!(session.notes.is_empty(), "{:?}", session.notes);
+    let mut irm = session.irm;
     let project = Project::from_dir(src).expect("bench sources scan");
     let report = irm.build_with_jobs(&project, JOBS).expect("bench build");
     (t0.elapsed(), report.recompiled.len(), irm)
@@ -61,7 +59,7 @@ fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
 
 fn persist(irm: &mut Irm, bin_dir: &Path) {
     irm.save_bins(bin_dir).expect("save archive");
-    irm.save_stamps(&bin_dir.join("stamps.json"))
+    irm.save_stamps(&bin_dir.join(STAMPS_FILE))
         .expect("save stamps");
 }
 

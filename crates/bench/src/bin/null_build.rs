@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
+use smlsc_core::STAMPS_FILE;
 use smlsc_workload::{module_name, EditKind, Topology, Workload};
 
 const RUNS: usize = 3;
@@ -62,7 +63,7 @@ fn pipeline(mode: Mode, src: &Path, bin_dir: &Path, jobs: usize) -> (Duration, u
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.set_paranoid(mode == Mode::Paranoid);
     if mode == Mode::Stamped {
-        irm.load_stamps(&bin_dir.join("stamps.json"));
+        irm.load_stamps(&bin_dir.join(STAMPS_FILE));
     }
     if bin_dir.is_dir() {
         let outcome = irm.load_bins(bin_dir).expect("bench bins load");
@@ -79,7 +80,7 @@ fn pipeline(mode: Mode, src: &Path, bin_dir: &Path, jobs: usize) -> (Duration, u
 fn persist(mode: Mode, irm: &mut Irm, bin_dir: &Path) {
     irm.save_bins(bin_dir).expect("save archive");
     if mode == Mode::Stamped {
-        irm.save_stamps(&bin_dir.join("stamps.json"))
+        irm.save_stamps(&bin_dir.join(STAMPS_FILE))
             .expect("save stamps");
     }
 }

@@ -41,7 +41,7 @@ use serde::Serialize;
 
 use crate::ledger::Ledger;
 use crate::pack::{self, PackReader, PackWriter, PACK_FILE};
-use crate::stamps::StampCache;
+use crate::stamps::{StampCache, STAMPS_FILE};
 use crate::CoreError;
 use smlsc_store::{fsutil, Store};
 
@@ -232,7 +232,7 @@ fn apply_fix(
 /// Stamps are pure hints: a corrupt file is simply deleted and the
 /// next build re-digests every source the cold way.
 fn audit_stamps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
-    let path = bin_dir.join("stamps.json");
+    let path = bin_dir.join(STAMPS_FILE);
     if let Some(Err(reason)) = StampCache::audit(&path) {
         let f = finding("stamps", &path, reason, "delete corrupt stamp file");
         findings.push(apply_fix(f, fix, || {

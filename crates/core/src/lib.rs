@@ -15,6 +15,8 @@
 //! * [`irm`] — the Incremental Recompilation Manager with **cutoff**
 //!   recompilation, plus `make`-timestamp and classical baselines
 //!   (§1, §6, §8);
+//! * [`build_session`] — the one build session every client runs: open
+//!   the bin dir, build, render, persist, exit code and ledger record;
 //! * [`session`] — the Visible Compiler's interactive
 //!   compile-and-execute loop as a client of the same primitives (§7);
 //! * [`resident`] — the long-lived build session behind the `smlsc`
@@ -48,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod build_session;
 pub mod compile;
 pub mod depgraph;
 pub mod doctor;
@@ -69,6 +72,7 @@ use std::fmt;
 
 use smlsc_ids::Symbol;
 
+pub use build_session::BuildSession;
 pub use compile::{compile_unit, CompileOutput, CompileTimings, ImportSource};
 pub use depgraph::{DepGraph, DEPS_FILE};
 pub use doctor::{DoctorReport, DoctorVerdict};
@@ -83,7 +87,7 @@ pub use session::Session;
 pub use smlsc_store as store;
 pub use smlsc_trace as trace;
 pub use smlsc_trace::RebuildDecision;
-pub use stamps::StampCache;
+pub use stamps::{StampCache, STAMPS_FILE};
 pub use stdlib::{add_stdlib, stdlib_units};
 pub use unit::{BinFile, BinMeta, CompiledUnit, ImportEdge, BIN_FORMAT_VERSION};
 

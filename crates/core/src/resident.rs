@@ -22,6 +22,9 @@
 //!   immutable [`BuildSnapshot`]; readers ([`Resident::last`], overlapped
 //!   stats requests) get a complete snapshot or none, never a report
 //!   mid-mutation.
+//! * **One build session.**  Builds run the [`BuildSession`] steps the
+//!   in-process CLI runs, so they print what an in-process build would;
+//!   the open's corrupt-bin notes ride on the first report.
 //! * **No-change short-circuit.**  When no delta has been applied since
 //!   the last successful build, [`Resident::build`] returns the cached
 //!   snapshot without running the analysis ladder at all — the
@@ -33,11 +36,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use smlsc_ids::Symbol;
 use smlsc_store::Store;
-use smlsc_trace::{self as trace, names};
+use smlsc_trace::{self as trace, names, RebuildDecision};
 
-use crate::irm::{FailurePolicy, Irm, Project, Strategy, UnitOutcome};
-use crate::ledger::{Ledger, LedgerRecord};
+use crate::build_session::BuildSession;
+use crate::irm::{FailurePolicy, Project, Strategy};
 use crate::CoreError;
 
 /// One filesystem change to feed into the resident session.
@@ -76,10 +80,6 @@ pub struct BuildSnapshot {
     pub recompiled: usize,
     /// Units reused untouched.
     pub reused: usize,
-    /// Units whose compile failed.
-    pub failed: usize,
-    /// Units skipped behind a failed import.
-    pub skipped: usize,
     /// The exit code class of the build (0 ok, 1 compile, 3 internal,
     /// 4 store/IO).
     pub exit_code: i32,
@@ -87,12 +87,11 @@ pub struct BuildSnapshot {
     pub summary: String,
     /// Diagnostics for stderr: warnings, failures, skip explanations.
     pub notes: Vec<String>,
-    /// Per-unit rebuild decisions (`--explain` lines).
-    pub explain: Vec<String>,
+    /// Per-unit rebuild decisions, rendered for `--explain` only when a
+    /// request asks ([`explain_lines`](crate::build_session::explain_lines)).
+    pub decisions: Vec<(Symbol, RebuildDecision)>,
     /// The build's full telemetry (`Collector::stats_json`).
     pub stats_json: String,
-    /// Wall clock of the build, microseconds.
-    pub wall_us: u64,
     /// The delta generation this snapshot reflects (see
     /// [`Resident::build`]'s no-change short-circuit).
     gen: u64,
@@ -107,12 +106,9 @@ impl BuildSnapshot {
 }
 
 struct State {
-    irm: Irm,
+    session: BuildSession,
     project: Project,
     dir: PathBuf,
-    bin_dir: PathBuf,
-    stamps_path: PathBuf,
-    has_store: bool,
     /// Bumped once per applied [`FileEvent`]; a build snapshot taken at
     /// generation G is current for as long as the generation stays G.
     gen: u64,
@@ -132,9 +128,8 @@ pub struct Resident {
 }
 
 impl Resident {
-    /// Opens a resident session: loads stamps and the indexed bin
-    /// archive from `bin_dir`, scans `dir` (stat-only) into a lazy
-    /// project, and wires up the optional shared artifact store.
+    /// Opens a resident session: `bin_dir` as a [`BuildSession`], and
+    /// `dir` scanned (stat-only) into a lazy project.
     ///
     /// # Errors
     ///
@@ -147,29 +142,16 @@ impl Resident {
         strategy: Strategy,
         store: Option<Arc<Store>>,
     ) -> Result<Resident, CoreError> {
-        let mut irm = Irm::new(strategy);
-        let stamps_path = bin_dir.join("stamps.json");
-        irm.load_stamps(&stamps_path);
-        let has_store = store.is_some();
-        if let Some(store) = store {
-            irm.set_store(store);
-        }
-        if bin_dir.is_dir() {
-            // A corrupt bin only downgrades that unit to a recompile.
-            irm.load_bins(bin_dir).ok();
-        }
+        let session = BuildSession::open(bin_dir, strategy, false, store);
         let project = Project::from_dir(dir)?;
         if project.files().is_empty() {
             return Err(CoreError::Io(format!("no .sml files in {}", dir.display())));
         }
         Ok(Resident {
             state: Mutex::new(State {
-                irm,
+                session,
                 project,
                 dir: dir.to_path_buf(),
-                bin_dir: bin_dir.to_path_buf(),
-                stamps_path,
-                has_store,
                 gen: 0,
                 seq: 0,
             }),
@@ -216,7 +198,7 @@ impl Resident {
     ///
     /// # Errors
     ///
-    /// Any [`CoreError`] a normal [`Irm::build_with`] can produce.
+    /// Any [`CoreError`] of [`BuildSession::build`].
     pub fn build(
         &self,
         jobs: usize,
@@ -224,18 +206,43 @@ impl Resident {
         sync: bool,
     ) -> Result<(Arc<BuildSnapshot>, bool), CoreError> {
         let mut st = self.state.lock().expect("resident state lock");
+        let st = &mut *st;
         if sync {
             let fresh = Project::from_dir(&st.dir)?;
             let events = diff_projects(&st.project, &fresh);
-            apply_to(&mut st, &events);
+            apply_to(st, &events);
         }
         if let Some(last) = self.last.read().expect("snapshot lock").as_ref() {
             if last.gen == st.gen && last.exit_code == 0 {
                 return Ok((Arc::clone(last), true));
             }
         }
-        let snapshot = self.run_build(&mut st, jobs, policy)?;
-        let snapshot = Arc::new(snapshot);
+        let started = std::time::Instant::now();
+        let collector = trace::Collector::new();
+        collector.install();
+        let n = self.building.fetch_add(1, Ordering::SeqCst) + 1;
+        self.building_high_water.fetch_max(n, Ordering::SeqCst);
+        let result = st.session.build(&st.project, jobs, policy);
+        self.building.fetch_sub(1, Ordering::SeqCst);
+        let mut built = result.inspect_err(|_| trace::uninstall())?;
+        let (_, warnings) = st.session.finish(&built, &collector, jobs, started, true);
+        built.notes.extend(warnings);
+        let stats_json = collector.stats_json();
+        trace::uninstall();
+        st.seq += 1;
+        let report = built.report;
+        let snapshot = Arc::new(BuildSnapshot {
+            seq: st.seq,
+            units: report.order.len(),
+            recompiled: report.recompiled.len(),
+            reused: report.reused.len(),
+            exit_code: built.exit_code,
+            summary: built.summary,
+            notes: built.notes,
+            decisions: report.decisions,
+            stats_json,
+            gen: st.gen,
+        });
         *self.last.write().expect("snapshot lock") = Some(Arc::clone(&snapshot));
         Ok((snapshot, false))
     }
@@ -266,119 +273,6 @@ impl Resident {
     /// structurally 1 while the single-writer lock holds.
     pub fn building_high_water(&self) -> usize {
         self.building_high_water.load(Ordering::SeqCst)
-    }
-
-    /// One serialized build run: the caller holds the state lock.
-    fn run_build(
-        &self,
-        st: &mut State,
-        jobs: usize,
-        policy: FailurePolicy,
-    ) -> Result<BuildSnapshot, CoreError> {
-        let started = std::time::Instant::now();
-        let collector = trace::Collector::new();
-        collector.install();
-        let n = self.building.fetch_add(1, Ordering::SeqCst) + 1;
-        self.building_high_water.fetch_max(n, Ordering::SeqCst);
-        let result = st.irm.build_with(&st.project, jobs, policy);
-        self.building.fetch_sub(1, Ordering::SeqCst);
-        let report = match result {
-            Ok(r) => r,
-            Err(e) => {
-                trace::uninstall();
-                return Err(e);
-            }
-        };
-        let mut notes: Vec<String> = Vec::new();
-        for (unit, w) in &report.warnings {
-            notes.push(format!("{unit}: {w}"));
-        }
-        for (_, e) in &report.failed {
-            notes.push(format!("error: {e}"));
-        }
-        for (unit, outcome) in &report.outcomes {
-            if let UnitOutcome::Skipped { blocked_on } = outcome {
-                let imports: Vec<String> = blocked_on.iter().map(|u| format!("`{u}`")).collect();
-                notes.push(format!(
-                    "skipped `{unit}`: blocked on failed import(s) {}",
-                    imports.join(", ")
-                ));
-            }
-        }
-        if let Err(e) = st.irm.save_bins(&st.bin_dir) {
-            notes.push(format!("warning: could not persist bins: {e}"));
-        }
-        if let Err(e) = st.irm.save_stamps(&st.stamps_path) {
-            notes.push(format!("warning: could not persist stamps: {e}"));
-        }
-        let store_suffix = if st.has_store {
-            format!(", {} from store", report.store_hits.len())
-        } else {
-            String::new()
-        };
-        let failure_suffix = if report.succeeded() {
-            String::new()
-        } else {
-            format!(
-                ", {} failed, {} skipped",
-                report.failed.len(),
-                report.skipped.len()
-            )
-        };
-        let summary = format!(
-            "built {} unit(s) [{}]: {} recompiled, {} reused{}{}",
-            report.order.len(),
-            report.strategy,
-            report.recompiled.len(),
-            report.reused.len(),
-            store_suffix,
-            failure_suffix
-        );
-        let explain: Vec<String> = report
-            .decisions
-            .iter()
-            .map(|(unit, decision)| format!("  {unit}: {decision}"))
-            .collect();
-        let exit_code = exit_code_for_report(&report);
-        let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        // Daemon-tagged flight-recorder line; never fails the build.
-        let record =
-            LedgerRecord::from_build(&report, &collector, jobs, wall_us, exit_code).tagged_daemon();
-        if let Err(e) = Ledger::for_bin_dir(&st.bin_dir).append(&record) {
-            notes.push(format!("warning: could not append to build ledger: {e}"));
-        }
-        let stats_json = collector.stats_json();
-        trace::uninstall();
-        st.seq += 1;
-        Ok(BuildSnapshot {
-            seq: st.seq,
-            units: report.order.len(),
-            recompiled: report.recompiled.len(),
-            reused: report.reused.len(),
-            failed: report.failed.len(),
-            skipped: report.skipped.len(),
-            exit_code,
-            summary,
-            notes,
-            explain,
-            stats_json,
-            wall_us,
-            gen: st.gen,
-        })
-    }
-}
-
-/// Mirrors the CLI's exit-code mapping for a finished keep-going build:
-/// internal errors dominate, then IO, then plain compile failures.
-fn exit_code_for_report(report: &crate::irm::BuildReport) -> i32 {
-    if report.succeeded() {
-        0
-    } else if report.any_internal_failure() {
-        3
-    } else if report.failed.iter().any(|(_, e)| e.is_io()) {
-        4
-    } else {
-        1
     }
 }
 

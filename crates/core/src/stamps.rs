@@ -35,6 +35,10 @@ use smlsc_trace::{self as trace, names};
 
 use crate::CoreError;
 
+/// The stamp cache's file name inside a bin directory, next to
+/// `bins.pack`.
+pub const STAMPS_FILE: &str = "stamps.json";
+
 /// Version of the stamp-file format; a mismatch discards the file.
 const STAMP_VERSION: u32 = 2;
 

@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use smlsc_core::build_session::{exit_code, explain_lines, EXIT_IO};
 use smlsc_core::irm::{FailurePolicy, Strategy};
 use smlsc_core::resident::Resident;
 use smlsc_core::store::fsutil::{self, LockGuard, Stale};
@@ -359,7 +360,7 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
                 deadline.as_millis()
             ));
             r.timed_out = true;
-            r.exit_code = 4;
+            r.exit_code = EXIT_IO;
             return r;
         }
     };
@@ -372,20 +373,14 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
             r.summary = snap.summary.clone();
             r.notes = snap.notes.clone();
             if request.explain {
-                r.explain = snap.explain.clone();
+                r.explain = explain_lines(&snap.decisions);
             }
             r.stats_json = snap.stats_json.clone();
             r
         }
         Err(e) => {
             let mut r = Response::refuse(e.to_string());
-            r.exit_code = if e.is_io() {
-                4
-            } else if e.is_internal() {
-                3
-            } else {
-                1
-            };
+            r.exit_code = exit_code(Err(&e));
             r
         }
     }

@@ -86,45 +86,24 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smlsc::core::irm::{FailurePolicy, Irm, Project, Strategy, UnitOutcome};
+use smlsc::core::build_session::{
+    exit_code, explain_lines, BuildSession, EXIT_COMPILE, EXIT_IO, EXIT_OK,
+};
+use smlsc::core::irm::{FailurePolicy, Project, Strategy};
 use smlsc::core::session::Session;
 use smlsc::core::store::fsutil;
 use smlsc::core::store::{GcConfig, Store};
-use smlsc::core::{trace, BuildReport, CoreError};
+use smlsc::core::trace;
 
 const USAGE: &str = "usage: smlsc build [options] <dir> | smlsc run [options] <dir> | smlsc profile [options] <dir> | smlsc history [options] <dir> | smlsc repl | smlsc cache <stats|gc|verify|clear> [options] | smlsc doctor [--fix] [options] <dir> | smlsc daemon <start|stop|restart|status|run> [options] <dir>\noptions: --strategy <cutoff|timestamp|classical>  --jobs <n>  --keep-going|-k  --bin-dir <dir>  --store <dir>  --inject-faults <spec>  --paranoid  --no-daemon  --explain  --stats  --trace-out <file>  --report-json <file>  --top <n>\ncache options: --store <dir>  --max-bytes <n>  --max-age-secs <n>\nexit codes: 0 ok, 1 compile failure, 2 usage, 3 internal error, 4 store/io error";
 
-/// Exit codes (documented in the README): distinguishing "your source
-/// is wrong" from "the compiler broke" from "the disk/store broke".
-const EXIT_OK: i32 = 0;
-const EXIT_COMPILE: i32 = 1;
+/// Usage errors; the build exit codes are `smlsc_core::build_session`'s.
 const EXIT_USAGE: i32 = 2;
-const EXIT_INTERNAL: i32 = 3;
-const EXIT_IO: i32 = 4;
 
-/// Maps a build error to its exit code class.
-fn exit_code_for(e: &CoreError) -> i32 {
-    if e.is_internal() {
-        EXIT_INTERNAL
-    } else if e.is_io() {
-        EXIT_IO
-    } else {
-        EXIT_COMPILE
-    }
-}
-
-/// The exit code for a finished keep-going build: internal errors
-/// dominate, then IO, then plain compile failures.
-fn exit_code_for_report(report: &BuildReport) -> i32 {
-    if report.succeeded() {
-        EXIT_OK
-    } else if report.any_internal_failure() {
-        EXIT_INTERNAL
-    } else if report.failed.iter().any(|(_, e)| e.is_io()) {
-        EXIT_IO
-    } else {
-        EXIT_COMPILE
-    }
+/// Where the bins of the project in `dir` live: `--bin-dir`, else
+/// `<dir>/.smlsc-bins`.
+fn bin_dir_for(dir: &Path, flag: &Option<PathBuf>) -> PathBuf {
+    flag.clone().unwrap_or_else(|| dir.join(".smlsc-bins"))
 }
 
 /// Resolves the store directory: an explicit `--store` wins, else the
@@ -284,20 +263,6 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Scans the project directory without reading any source file: each
-/// `*.sml` is stat'ed into a lazy [`SourceFile`], so a warm build whose
-/// stamps all match never opens a source at all.  Real mtimes are
-/// threaded into the project (nanoseconds since the epoch) so
-/// `--strategy timestamp` compares sources against cached bins the way
-/// `make` would.
-fn load_project(dir: &Path) -> Result<Project, String> {
-    let p = Project::from_dir(dir).map_err(|e| e.to_string())?;
-    if p.files().is_empty() {
-        return Err(format!("no .sml files in {}", dir.display()));
-    }
-    Ok(p)
-}
-
 /// What `build()` does after the build finishes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -327,10 +292,7 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
         return EXIT_USAGE;
     }
     let dir = PathBuf::from(dir);
-    let bin_dir = opts
-        .bin_dir
-        .clone()
-        .unwrap_or_else(|| dir.join(".smlsc-bins"));
+    let bin_dir = bin_dir_for(&dir, &opts.bin_dir);
     // Transparent daemon dispatch: a plain build against a project with
     // a live daemon is served over the socket from the in-memory
     // analysis.  Any client-side failure — no daemon, stale socket, a
@@ -349,22 +311,23 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     // noise against a compile.
     let collector = trace::Collector::new();
     collector.install();
-    let project = match load_project(&dir) {
-        Ok(p) => p,
+    // A stat-only scan: a warm build whose stamps all match never opens
+    // a source.
+    let project = match Project::from_dir(&dir) {
+        Ok(p) if !p.files().is_empty() => p,
+        Ok(_) => {
+            eprintln!("error: no .sml files in {}", dir.display());
+            return EXIT_COMPILE;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return EXIT_COMPILE;
         }
     };
-    let mut irm = Irm::new(opts.strategy);
-    irm.set_paranoid(opts.paranoid);
-    // Stamps are a pure accelerator: a missing or corrupt cache only
-    // costs re-digesting, so load failures are silently an empty cache.
-    let stamps_path = bin_dir.join("stamps.json");
-    irm.load_stamps(&stamps_path);
-    if let Some(store_dir) = resolve_store(&opts.store) {
-        match Store::open(&store_dir) {
-            Ok(store) => irm.set_store(Arc::new(store)),
+    let store = match resolve_store(&opts.store) {
+        None => None,
+        Some(store_dir) => match Store::open(&store_dir) {
+            Ok(store) => Some(Arc::new(store)),
             Err(e) => {
                 // A requested-but-unusable store is a hard error: the
                 // user asked for shared caching and silently building
@@ -372,22 +335,11 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
                 eprintln!("error: cannot open store {}: {e}", store_dir.display());
                 return EXIT_IO;
             }
-        }
-    }
-    if bin_dir.is_dir() {
-        match irm.load_bins(&bin_dir) {
-            Ok(outcome) => {
-                // A corrupt bin downgrades that unit to a recompile;
-                // the build continues with whatever loaded cleanly.
-                for (path, e) in &outcome.corrupt {
-                    eprintln!("warning: ignoring corrupt bin {}: {e}", path.display());
-                }
-                if outcome.loaded > 0 {
-                    println!("loaded {} cached bin(s)", outcome.loaded);
-                }
-            }
-            Err(e) => eprintln!("warning: ignoring bin cache: {e}"),
-        }
+        },
+    };
+    let mut session = BuildSession::open(&bin_dir, opts.strategy, opts.paranoid, store);
+    if session.irm.bin_count() > 0 {
+        println!("loaded {} cached bin(s)", session.irm.bin_count());
     }
     let jobs = opts.effective_jobs();
     let policy = if opts.keep_going {
@@ -395,73 +347,26 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     } else {
         FailurePolicy::FailFast
     };
-    let report = match irm.build_with(&project, jobs, policy) {
-        Ok(r) => r,
+    let built = match session.build(&project, jobs, policy) {
+        Ok(built) => built,
         Err(e) => {
-            eprintln!("error: {e}");
-            return exit_code_for(&e);
+            print_build(&session.notes, Err(&e.to_string()), &[]);
+            return exit_code(Err(&e));
         }
     };
-    for (unit, w) in &report.warnings {
-        eprintln!("{unit}: {w}");
-    }
-    // `CoreError`'s Display already names the unit.
-    for (_, e) in &report.failed {
-        eprintln!("error: {e}");
-    }
-    for (unit, outcome) in &report.outcomes {
-        if let UnitOutcome::Skipped { blocked_on } = outcome {
-            let imports: Vec<String> = blocked_on.iter().map(|u| format!("`{u}`")).collect();
-            eprintln!(
-                "skipped `{unit}`: blocked on failed import(s) {}",
-                imports.join(", ")
-            );
-        }
-    }
-    let store_suffix = if irm.store().is_some() {
-        format!(", {} from store", report.store_hits.len())
-    } else {
-        String::new()
-    };
-    let failure_suffix = if report.succeeded() {
-        String::new()
-    } else {
-        format!(
-            ", {} failed, {} skipped",
-            report.failed.len(),
-            report.skipped.len()
-        )
-    };
-    println!(
-        "built {} unit(s) [{}]: {} recompiled, {} reused{}{}",
-        report.order.len(),
-        report.strategy,
-        report.recompiled.len(),
-        report.reused.len(),
-        store_suffix,
-        failure_suffix
+    let explain = opts.explain.then(|| explain_lines(&built.report.decisions));
+    // Printed before the persist, which may wait on another writer's
+    // pack lock.
+    print_build(
+        &built.notes,
+        Ok(&built.summary),
+        &explain.unwrap_or_default(),
     );
-    if opts.explain {
-        for (unit, decision) in &report.decisions {
-            println!("  {unit}: {decision}");
-        }
+    let (record, warnings) = session.finish(&built, &collector, jobs, started, false);
+    for warning in &warnings {
+        eprintln!("{warning}");
     }
-    if let Err(e) = irm.save_bins(&bin_dir) {
-        eprintln!("warning: could not persist bins: {e}");
-    } else if let Err(e) = irm.save_stamps(&stamps_path) {
-        eprintln!("warning: could not persist stamps: {e}");
-    }
-    // Every finished build appends one flight-recorder line to the
-    // ledger.  The ledger never fails a build: append errors (including
-    // injected `ledger.append=io` faults) are warnings.
-    let exit_code = exit_code_for_report(&report);
-    let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let ledger = smlsc::core::Ledger::for_bin_dir(&bin_dir);
-    let record =
-        smlsc::core::LedgerRecord::from_build(&report, &collector, jobs, wall_us, exit_code);
-    if let Err(e) = ledger.append(&record) {
-        eprintln!("warning: could not append to build ledger: {e}");
-    }
+    let report = built.report;
     if let Some(path) = &opts.report_json {
         let json = smlsc::core::build_report_json(&record, &report, &collector);
         match std::fs::write(path, json) {
@@ -473,11 +378,12 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
         }
     }
     if mode == Mode::Profile {
-        match irm.import_graph(&project) {
+        match session.irm.import_graph(&project) {
             Ok(graph) => {
                 // A warm build compiles nothing, so it cannot measure a
                 // per-compile cost; history supplies one.
-                let hint = mean_compile_us_from_history(&ledger);
+                let hint =
+                    mean_compile_us_from_history(&smlsc::core::Ledger::for_bin_dir(&bin_dir));
                 let profile =
                     smlsc::core::BuildProfile::compute(&collector.spans(), &graph, &report, hint);
                 print!("{}", profile.render(opts.top.unwrap_or(10)));
@@ -486,11 +392,11 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
         }
     }
     if run && report.succeeded() {
-        let (_, env) = match irm.execute_with_jobs(&project, jobs) {
+        let (_, env) = match session.irm.execute_with_jobs(&project, jobs) {
             Ok(x) => x,
             Err(e) => {
                 eprintln!("error: {e}");
-                return exit_code_for(&e);
+                return exit_code(Err(&e));
             }
         };
         for unit in &report.order {
@@ -513,7 +419,7 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     if opts.stats {
         println!("{}", collector.stats_json());
     }
-    exit_code
+    built.exit_code
 }
 
 /// Whether this build may be dispatched to a daemon.  Only "plain"
@@ -553,43 +459,42 @@ fn daemon_dispatch(opts: &BuildOpts, bin_dir: &Path) -> Option<i32> {
     request.jobs = opts.jobs.unwrap_or(0) as u64;
     request.keep_going = opts.keep_going;
     request.explain = opts.explain;
-    match smlsc::daemon::client::request(&socket, &request) {
-        Ok(response) => Some(render_daemon_response(opts, &response)),
+    let response = match smlsc::daemon::client::request(&socket, &request) {
+        Ok(response) => response,
         Err(_) => {
             if !restart_dead_daemon(opts, bin_dir, &socket) {
                 return None;
             }
-            let response = smlsc::daemon::client::request(&socket, &request).ok()?;
-            Some(render_daemon_response(opts, &response))
+            smlsc::daemon::client::request(&socket, &request).ok()?
         }
-    }
-}
-
-/// Prints a daemon build response exactly as the in-process CLI would
-/// and returns its exit code.
-fn render_daemon_response(opts: &BuildOpts, response: &smlsc::daemon::Response) -> i32 {
+    };
     if !response.ok {
-        // The daemon answered but the build failed before producing a
-        // report (fail-fast) — or timed out: same stderr shape and exit
-        // code class as in-process.
-        eprintln!("error: {}", response.error);
-        return if response.exit_code == 0 {
-            EXIT_COMPILE
-        } else {
-            response.exit_code
-        };
+        // The build failed before producing a report (fail-fast) or
+        // timed out: never a success.
+        print_build(&response.notes, Err(&response.error), &[]);
+        return Some(response.exit_code.max(EXIT_COMPILE));
     }
-    for note in &response.notes {
-        eprintln!("{note}");
-    }
-    println!("{}", response.summary);
-    for line in &response.explain {
-        println!("{line}");
-    }
+    print_build(&response.notes, Ok(&response.summary), &response.explain);
     if opts.stats {
         println!("{}", response.stats_json);
     }
-    response.exit_code
+    Some(response.exit_code)
+}
+
+/// Prints a build result the same way whichever path built it: the
+/// notes to stderr, then the error that stopped the build, or the
+/// summary and explain lines to stdout.
+fn print_build(notes: &[String], summary: Result<&str, &str>, explain: &[String]) {
+    for note in notes {
+        eprintln!("{note}");
+    }
+    match summary {
+        Ok(summary) => println!("{summary}"),
+        Err(error) => eprintln!("error: {error}"),
+    }
+    for line in explain {
+        println!("{line}");
+    }
 }
 
 /// Restarts a daemon whose socket is present but whose lockfile owner
@@ -700,7 +605,7 @@ fn doctor_cmd(args: &[String]) -> i32 {
     };
     let dir = PathBuf::from(dir);
     let opts = smlsc::core::doctor::DoctorOptions {
-        bin_dir: bin_dir.unwrap_or_else(|| dir.join(".smlsc-bins")),
+        bin_dir: bin_dir_for(&dir, &bin_dir),
         store: resolve_store(&store_flag),
         fix,
     };
@@ -731,10 +636,7 @@ fn daemon_cmd(args: &[String]) -> i32 {
         return EXIT_USAGE;
     };
     let dir = PathBuf::from(dir);
-    let bin_dir = opts
-        .bin_dir
-        .clone()
-        .unwrap_or_else(|| dir.join(".smlsc-bins"));
+    let bin_dir = bin_dir_for(&dir, &opts.bin_dir);
     let socket = smlsc::daemon::socket_path(&bin_dir);
     match verb {
         // The foreground server; `start` re-invokes the binary with
@@ -884,11 +786,7 @@ fn history(opts: &BuildOpts) -> i32 {
         eprintln!("usage: smlsc history [--bin-dir <dir>] <dir>");
         return EXIT_USAGE;
     };
-    let dir = PathBuf::from(dir);
-    let bin_dir = opts
-        .bin_dir
-        .clone()
-        .unwrap_or_else(|| dir.join(".smlsc-bins"));
+    let bin_dir = bin_dir_for(Path::new(dir), &opts.bin_dir);
     let ledger = smlsc::core::Ledger::for_bin_dir(&bin_dir);
     // One streaming pass: full records are never collected.  Only the
     // newest record survives the pass whole; everything else folds into

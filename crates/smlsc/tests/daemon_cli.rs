@@ -377,3 +377,98 @@ fn no_daemon_flag_builds_in_process_despite_a_live_daemon() {
         "--no-daemon stays in-process: {stdout}"
     );
 }
+
+#[test]
+fn daemon_build_reports_the_corrupt_bins_it_opened() {
+    let proj = temp("corrupt-pack");
+    write_project(&proj);
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    // A pack with the current magic and nothing valid behind it.
+    std::fs::write(
+        proj.join(".smlsc-bins/bins.pack"),
+        b"SMLSPAK3 then garbage bytes",
+    )
+    .unwrap();
+
+    let _daemon = DaemonGuard::start(&proj, &[]);
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("warning: ignoring corrupt bin") && stderr.contains("bins.pack"),
+        "the daemon's first build carries the notes of its open: {stderr}"
+    );
+    assert!(
+        stdout.contains("built 2 unit(s) [cutoff]: 2 recompiled, 0 reused"),
+        "{stdout}"
+    );
+    let ledger = std::fs::read_to_string(proj.join(".smlsc-bins/builds.jsonl")).unwrap();
+    assert_eq!(
+        ledger
+            .lines()
+            .filter(|l| l.contains(r#""daemon":1"#))
+            .count(),
+        1,
+        "served by the daemon, not in-process: {ledger}"
+    );
+}
+
+#[test]
+fn keep_going_build_prints_the_same_in_process_and_over_the_socket() {
+    let proj = temp("parity");
+    // One unit that fails to elaborate, one dependent that is skipped,
+    // and one unit that compiles with a warning.
+    std::fs::write(
+        proj.join("a.sml"),
+        r#"structure A = struct val x = 1 + "s" end"#,
+    )
+    .unwrap();
+    std::fs::write(proj.join("b.sml"), "structure B = struct val y = A.x end").unwrap();
+    std::fs::write(
+        proj.join("c.sml"),
+        "structure C = struct fun hd (x :: _) = x end",
+    )
+    .unwrap();
+    let build = |extra: &[&str]| {
+        let out = smlsc()
+            .args(["build", "-k", "--explain"])
+            .args(extra)
+            .arg(&proj)
+            .output()
+            .unwrap();
+        let stdout: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("loaded "))
+            .map(str::to_string)
+            .collect();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        (out.status.code(), stdout, stderr)
+    };
+
+    let in_process = build(&["--no-daemon"]);
+    // The daemon starts from the same (empty) bin dir.
+    std::fs::remove_dir_all(proj.join(".smlsc-bins")).unwrap();
+    let _daemon = DaemonGuard::start(&proj, &[]);
+    let served = build(&[]);
+    assert_eq!(in_process, served);
+
+    let (code, stdout, stderr) = served;
+    assert_eq!(code, Some(1));
+    assert!(
+        stdout[0].contains("1 recompiled, 0 reused, 1 failed, 1 skipped"),
+        "{stdout:?}"
+    );
+    assert!(
+        stdout
+            .iter()
+            .any(|l| l.contains("b: skipped: blocked on failed import(s) `a`")),
+        "{stdout:?}"
+    );
+    for needle in ["c: warning", "error: unit `a`", "skipped `b`"] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+    let ledger = std::fs::read_to_string(proj.join(".smlsc-bins/builds.jsonl")).unwrap();
+    assert!(ledger.contains(r#""daemon":1"#), "{ledger}");
+}

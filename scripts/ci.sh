@@ -255,6 +255,29 @@ echo "$stats" | grep -q '"source.reads":1' \
 [ ! -e "$g/.smlsc-bins/daemon.lock" ] \
   || { echo "error: daemon stop left the lockfile behind" >&2; exit 1; }
 
+echo "==> daemon: keep-going parity, in-process vs daemon"
+# One unit fails to elaborate, its dependent is skipped, and one unit
+# warns.  The daemon must print what the in-process build printed and
+# exit with the same code; only the in-process `loaded` banner differs.
+s=$(mktemp -d)
+trap './target/release/smlsc daemon stop "$g" >/dev/null 2>&1 || true; ./target/release/smlsc daemon stop "$s" >/dev/null 2>&1 || true; rm -rf "$d" "$c" "$k" "$x" "$g" "$s"' EXIT
+printf 'structure A = struct val x = 1 + "s" end\n' > "$s/a.sml"
+printf 'structure B = struct val y = A.x end\n' > "$s/b.sml"
+printf 'structure C = struct fun hd (x :: _) = x end\n' > "$s/c.sml"
+{ ./target/release/smlsc build -k --explain --no-daemon "$s" 2>&1 && echo "exit 0" || echo "exit $?"; } \
+  | grep -v '^loaded ' > "$g/parity-in-process.txt"
+rm -rf "$s/.smlsc-bins"
+SMLSC_DAEMON_POLL_MS=20 ./target/release/smlsc daemon start "$s"
+{ ./target/release/smlsc build -k --explain "$s" 2>&1 && echo "exit 0" || echo "exit $?"; } \
+  | grep -v '^loaded ' > "$g/parity-daemon.txt"
+./target/release/smlsc daemon stop "$s"
+diff "$g/parity-in-process.txt" "$g/parity-daemon.txt" \
+  || { echo "error: the daemon's keep-going output differs from the in-process build" >&2; exit 1; }
+grep -q '^exit 1$' "$g/parity-daemon.txt" \
+  || { echo "error: keep-going build did not exit 1:" >&2; cat "$g/parity-daemon.txt" >&2; exit 1; }
+grep -q '"daemon":1' "$s/.smlsc-bins/builds.jsonl" \
+  || { echo "error: the parity build was not served by the daemon" >&2; exit 1; }
+
 echo "==> daemon-latency benchmark (smoke)"
 ./target/release/daemon_latency --smoke --out "$g/BENCH_daemon.json"
 cat "$g/BENCH_daemon.json"; echo
