@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
-use smlsc_core::{BuildSession, STAMPS_FILE};
+use smlsc_core::BuildSession;
 use smlsc_daemon::{client, Request, Response, ServerConfig, ServerHandle};
 use smlsc_workload::{module_name, Topology, Workload};
 
@@ -115,8 +115,6 @@ fn main() {
             let report = irm.build_with_jobs(&project, 4).expect("cold build");
             assert_eq!(report.recompiled.len(), n);
             irm.save_bins(&bin_dir).expect("save archive");
-            irm.save_stamps(&bin_dir.join(STAMPS_FILE))
-                .expect("save stamps");
         }
 
         // Baseline: the cold-process pipeline, warm caches on disk.

@@ -1,5 +1,5 @@
 //! Monorepo-scale warm-build latency: the binary pack index, the
-//! allocation-free rehydration path, the persisted import-DAG sidecar,
+//! allocation-free rehydration path, the persisted import DAG,
 //! and dirty-set scheduling under module graphs up to 100,000 units.
 //!
 //! ```text
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
 use smlsc_core::trace::{self, names};
-use smlsc_core::{BuildSession, STAMPS_FILE};
+use smlsc_core::BuildSession;
 use smlsc_workload::{module_name, EditKind, Topology, Workload};
 
 const RUNS: usize = 3;
@@ -46,7 +46,8 @@ fn write_sources(src: &Path, w: &Workload) {
 }
 
 /// One cold-process warm build over the stamped fast path: load the
-/// binary stamp cache and the indexed archive, scan sources, build.
+/// indexed archive with its stamp and graph sections, scan sources,
+/// build.
 fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
     let t0 = Instant::now();
     let session = BuildSession::open(bin_dir, Strategy::Cutoff, false, None);
@@ -57,17 +58,11 @@ fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
     (t0.elapsed(), report.recompiled.len(), irm)
 }
 
-fn persist(irm: &mut Irm, bin_dir: &Path) {
-    irm.save_bins(bin_dir).expect("save archive");
-    irm.save_stamps(&bin_dir.join(STAMPS_FILE))
-        .expect("save stamps");
-}
-
 /// CI scale smoke: one 100,000-unit round trip — cold build, no-op,
 /// one-leaf edit — gated on hard *counter* assertions rather than wall
 /// clock (CI hosts are too noisy for a timing gate at this size): the
 /// no-op reads zero source files and schedules an empty dirty set, the
-/// import DAG rehydrates from its sidecar, and the leaf edit's dirty
+/// import DAG rehydrates from the pack, and the leaf edit's dirty
 /// seed and cone are both exactly the one edited unit.
 fn scale_smoke() {
     const N: usize = 100_000;
@@ -89,7 +84,7 @@ fn scale_smoke() {
 
     let (cold, compiled, mut irm) = pipeline(&src, &bin_dir);
     assert_eq!(compiled, N, "cold build compiles everything");
-    persist(&mut irm, &bin_dir);
+    irm.save_bins(&bin_dir).expect("save archive");
 
     let collector = trace::Collector::new();
     collector.install();
@@ -114,7 +109,7 @@ fn scale_smoke() {
     assert_eq!(
         collector.counter(names::DEPS_PACK_HITS),
         1,
-        "the import DAG must rehydrate from the deps.pack sidecar"
+        "the import DAG must rehydrate from the pack's graph section"
     );
 
     // The last module is a fan leaf: no dependents, so its dirty cone
@@ -139,7 +134,7 @@ fn scale_smoke() {
         1,
         "fan-leaf dirty cone must equal the dirty seed"
     );
-    persist(&mut irm, &bin_dir);
+    irm.save_bins(&bin_dir).expect("save archive");
 
     println!(
         "  N={N} jobs={JOBS}: cold {} ms | no-op {} ms | one-leaf-edit {} ms",
@@ -206,7 +201,7 @@ fn main() {
 
         let (cold, compiled, mut irm) = pipeline(&src, &bin_dir);
         assert_eq!(compiled, n, "cold build compiles everything");
-        persist(&mut irm, &bin_dir);
+        irm.save_bins(&bin_dir).expect("save archive");
 
         let mut noop = Duration::MAX;
         for _ in 0..RUNS {
@@ -228,7 +223,7 @@ fn main() {
             // for persisting the recompiled bin too.
             let t0 = Instant::now();
             let (_, recompiled, mut irm) = pipeline(&src, &bin_dir);
-            persist(&mut irm, &bin_dir);
+            irm.save_bins(&bin_dir).expect("save archive");
             let dt = t0.elapsed();
             assert_eq!(recompiled, 1, "leaf body edit must recompile one unit");
             leaf = leaf.min(dt);

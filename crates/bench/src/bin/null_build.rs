@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
 use smlsc_core::irm::{Irm, Project, Strategy};
-use smlsc_core::STAMPS_FILE;
 use smlsc_workload::{module_name, EditKind, Topology, Workload};
 
 const RUNS: usize = 3;
@@ -62,9 +61,6 @@ fn pipeline(mode: Mode, src: &Path, bin_dir: &Path, jobs: usize) -> (Duration, u
     let t0 = Instant::now();
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.set_paranoid(mode == Mode::Paranoid);
-    if mode == Mode::Stamped {
-        irm.load_stamps(&bin_dir.join(STAMPS_FILE));
-    }
     if bin_dir.is_dir() {
         let outcome = irm.load_bins(bin_dir).expect("bench bins load");
         assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
@@ -73,16 +69,6 @@ fn pipeline(mode: Mode, src: &Path, bin_dir: &Path, jobs: usize) -> (Duration, u
     let report = irm.build_with_jobs(&project, jobs).expect("bench build");
     let elapsed = t0.elapsed();
     (elapsed, report.recompiled.len(), irm)
-}
-
-/// Persists `irm`'s caches for `mode`: the archive always, the stamp
-/// cache only where it is trusted.
-fn persist(mode: Mode, irm: &mut Irm, bin_dir: &Path) {
-    irm.save_bins(bin_dir).expect("save archive");
-    if mode == Mode::Stamped {
-        irm.save_stamps(&bin_dir.join(STAMPS_FILE))
-            .expect("save stamps");
-    }
 }
 
 fn main() {
@@ -125,8 +111,8 @@ fn main() {
         let dirs = [base.join("stamped"), base.join("paranoid")];
         let (_, compiled, mut cold) = pipeline(Mode::Paranoid, &src, &dirs[1], 4);
         assert_eq!(compiled, n);
-        persist(Mode::Stamped, &mut cold, &dirs[0]);
-        persist(Mode::Paranoid, &mut cold, &dirs[1]);
+        cold.save_bins(&dirs[0]).expect("save archive");
+        cold.save_bins(&dirs[1]).expect("save archive");
 
         // The edited unit: a library module with dependents, so the
         // cutoff doing its job (1 recompile, not a cascade) is part of
@@ -139,7 +125,7 @@ fn main() {
                 // Re-sync this layout's caches to the current sources
                 // (edits from earlier measurements), untimed.
                 let (_, _, mut irm) = pipeline(mode, &src, bin_dir, 4);
-                persist(mode, &mut irm, bin_dir);
+                irm.save_bins(bin_dir).expect("save archive");
 
                 let mut noop = Duration::MAX;
                 for _ in 0..RUNS {
@@ -158,7 +144,7 @@ fn main() {
                     let (dt, recompiled, mut irm) = pipeline(mode, &src, bin_dir, jobs);
                     assert_eq!(recompiled, 1, "body-only leaf edit must recompile one unit");
                     leaf = leaf.min(dt);
-                    persist(mode, &mut irm, bin_dir);
+                    irm.save_bins(bin_dir).expect("save archive");
                 }
 
                 println!(

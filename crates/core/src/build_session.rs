@@ -18,7 +18,6 @@ use smlsc_trace::{Collector, RebuildDecision};
 
 use crate::irm::{BuildReport, FailurePolicy, Irm, Project, Strategy, UnitOutcome};
 use crate::ledger::{Ledger, LedgerRecord};
-use crate::stamps::STAMPS_FILE;
 use crate::CoreError;
 
 /// Exit code: the build succeeded.
@@ -80,9 +79,9 @@ pub struct Built {
 }
 
 impl BuildSession {
-    /// Opens `bin_dir`: the stamp cache, `store`, and the pack with its
-    /// deps sidecar.  `paranoid` is set first, so the load verifies
-    /// every body.  A missing or corrupt cache only costs recompiles.
+    /// Opens `bin_dir`: `store`, and the pack with its stamp and graph
+    /// sections.  `paranoid` is set first, so the load verifies every
+    /// body.  A missing or corrupt cache only costs recompiles.
     pub fn open(
         bin_dir: &Path,
         strategy: Strategy,
@@ -91,7 +90,6 @@ impl BuildSession {
     ) -> BuildSession {
         let mut irm = Irm::new(strategy);
         irm.set_paranoid(paranoid);
-        irm.load_stamps(&bin_dir.join(STAMPS_FILE));
         if let Some(store) = store {
             irm.set_store(store);
         }
@@ -162,10 +160,10 @@ impl BuildSession {
         })
     }
 
-    /// Persists `built`, bins first and the stamps only once the bins are
-    /// saved, then appends its ledger record (tagged when the daemon
-    /// built it), timed from `started` to the end of the persist.
-    /// Neither step fails the build: errors come back as warnings.
+    /// Persists `built` — bins, stamps and graph in one pack save — then
+    /// appends its ledger record (tagged when the daemon built it),
+    /// timed from `started` to the end of the persist.  Neither step
+    /// fails the build: errors come back as warnings.
     pub fn finish(
         &mut self,
         built: &Built,
@@ -177,8 +175,6 @@ impl BuildSession {
         let mut warnings = Vec::new();
         if let Err(e) = self.irm.save_bins(&self.bin_dir) {
             warnings.push(format!("warning: could not persist bins: {e}"));
-        } else if let Err(e) = self.irm.save_stamps(&self.bin_dir.join(STAMPS_FILE)) {
-            warnings.push(format!("warning: could not persist stamps: {e}"));
         }
         let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let mut record =

@@ -12,11 +12,10 @@
 //!
 //! | state               | audit                                   | repair                         |
 //! |---------------------|-----------------------------------------|--------------------------------|
-//! | `stamps.json`       | magic + digest + decode                 | delete (stamps are hints)      |
-//! | `bins.pack`         | segment walk, per-body digest           | rewrite keeping valid bodies   |
+//! | `bins.pack`         | segment walk (index, stamp and graph    | rewrite keeping valid bodies,  |
+//! |                     | sections), per-body digest              | stamps and graph               |
 //! | `bins.pack` tail    | bytes after the last valid segment      | truncate to the valid end      |
 //! | `bins.pack.lock`    | lockfile pid liveness                   | remove stale lock              |
-//! | `deps.pack`         | magic + digest + structural decode      | delete (re-derived next build) |
 //! | `builds.jsonl`      | [`Ledger::audit`]                       | [`Ledger::compact_valid`]      |
 //! | CAS store           | [`Store::verify`] + `tmp/` litter scan  | quarantine + sweep litter      |
 //! | daemon sock + lock  | lockfile pid liveness                   | remove stale sock + lock       |
@@ -41,7 +40,6 @@ use serde::Serialize;
 
 use crate::ledger::Ledger;
 use crate::pack::{self, PackReader, PackWriter, PACK_FILE};
-use crate::stamps::{StampCache, STAMPS_FILE};
 use crate::CoreError;
 use smlsc_store::{fsutil, Store};
 
@@ -54,7 +52,7 @@ const DAEMON_LOCK_FILE: &str = "daemon.lock";
 /// What `smlsc doctor` should look at and whether it may write.
 #[derive(Debug, Clone)]
 pub struct DoctorOptions {
-    /// The project's bin directory (stamps, pack, ledger, daemon files).
+    /// The project's bin directory (pack, ledger, daemon files).
     pub bin_dir: PathBuf,
     /// The CAS store root, when the project uses one.
     pub store: Option<PathBuf>,
@@ -65,8 +63,8 @@ pub struct DoctorOptions {
 /// One problem the audit found, and what happened to it.
 #[derive(Debug, Clone, Serialize)]
 pub struct DoctorFinding {
-    /// Which state kind: `stamps`, `pack`, `ledger`, `store`,
-    /// `daemon`, or `litter`.
+    /// Which state kind: `pack`, `ledger`, `store`, `daemon`, or
+    /// `litter`.
     pub state: String,
     /// The file or object involved.
     pub path: String,
@@ -154,12 +152,8 @@ pub fn run(opts: &DoctorOptions) -> DoctorReport {
     let mut findings = Vec::new();
     let mut checked = Vec::new();
 
-    checked.push("stamps".to_string());
-    audit_stamps(&opts.bin_dir, opts.fix, &mut findings);
     checked.push("pack".to_string());
     audit_pack(&opts.bin_dir, opts.fix, &mut findings);
-    checked.push("deps".to_string());
-    audit_deps(&opts.bin_dir, opts.fix, &mut findings);
     checked.push("ledger".to_string());
     audit_ledger(&opts.bin_dir, opts.fix, &mut findings);
     if let Some(root) = &opts.store {
@@ -229,24 +223,16 @@ fn apply_fix(
     f
 }
 
-/// Stamps are pure hints: a corrupt file is simply deleted and the
-/// next build re-digests every source the cold way.
-fn audit_stamps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
-    let path = bin_dir.join(STAMPS_FILE);
-    if let Some(Err(reason)) = StampCache::audit(&path) {
-        let f = finding("stamps", &path, reason, "delete corrupt stamp file");
-        findings.push(apply_fix(f, fix, || {
-            std::fs::remove_file(&path).map_err(|e| e.to_string())
-        }));
-    }
-}
-
 /// A pack lock whose owner is dead is removed.  An unreadable pack (no
 /// valid first segment) is quarantined aside (`.corrupt`); a torn tail
-/// left by an interrupted append is truncated away; a pack whose
-/// segments are fine but with bodies failing their digests is
-/// rewritten (under the pack lock) keeping only the valid entries, so
-/// the next build recompiles exactly the lost units.
+/// left by an interrupted append — or a later segment whose index,
+/// stamp or graph section fails its digest or decode — is truncated
+/// away (stamps are hints and the graph is derived state: the next
+/// build re-digests or re-derives what the cut segments held); a pack
+/// whose segments are fine but with bodies failing their digests is
+/// rewritten (under the pack lock) keeping only the valid entries, its
+/// stamps and its graph, so the next build recompiles exactly the lost
+/// units.
 fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
     let path = bin_dir.join(PACK_FILE);
     let lock = pack::lock_path(&path);
@@ -315,41 +301,26 @@ fn audit_pack(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
                 format!("rewrite pack keeping {} valid bodies", good.len()),
             );
             findings.push(apply_fix(f, fix, || {
-                rewrite_pack(&path, &good).map_err(|e| e.to_string())
+                rewrite_pack(&path, &reader, &good).map_err(|e| e.to_string())
             }));
         }
     }
 }
 
-/// The import-DAG sidecar is pure derived state: a corrupt `deps.pack`
-/// is simply deleted and the next build re-derives the graph from the
-/// per-unit analyses (then republishes the sidecar).
-fn audit_deps(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
-    let path = bin_dir.join(crate::depgraph::DEPS_FILE);
-    if !path.is_file() {
-        return;
-    }
-    if let Err(reason) = crate::depgraph::DepGraph::audit(&path) {
-        let f = finding(
-            "deps",
-            &path,
-            format!("corrupt import-DAG sidecar: {reason}"),
-            "delete (next build re-derives the graph from analyses)",
-        );
-        findings.push(apply_fix(f, fix, || {
-            std::fs::remove_file(&path).map_err(|e| e.to_string())
-        }));
-    }
-}
-
-/// Rewrites the pack keeping only `good` bodies, under the pack lock
-/// like every other pack writer.
-fn rewrite_pack(path: &Path, good: &[(crate::pack::PackEntry, Vec<u8>)]) -> Result<(), CoreError> {
+/// Rewrites the pack keeping only `good` bodies and `reader`'s stamps
+/// and graph, under the pack lock like every other pack writer.
+fn rewrite_pack(
+    path: &Path,
+    reader: &PackReader,
+    good: &[(crate::pack::PackEntry, Vec<u8>)],
+) -> Result<(), CoreError> {
     let mut w = PackWriter::create(path)?;
     for (entry, body) in good {
         w.add(&entry.meta(), body, entry.digest)?;
     }
-    w.finish()?;
+    let stamps = reader.stamps().encode_section(true, w.saved_at());
+    let graph = reader.graph().map(|g| g.encode());
+    w.finish_with(stamps.as_deref(), graph.as_deref())?;
     Ok(())
 }
 
@@ -541,14 +512,10 @@ mod tests {
     #[test]
     fn corrupt_state_is_reported_then_repaired() {
         let dir = temp("repair");
-        // Corrupt stamps: right magic, garbage payload.
-        std::fs::write(dir.join("stamps.json"), b"SMLSSTM2garbage").unwrap();
-        // Corrupt import-DAG sidecar: right magic, garbage payload.
-        std::fs::write(dir.join("deps.pack"), b"SMLSDEP1garbage").unwrap();
         // Torn ledger tail.
         std::fs::write(dir.join("builds.jsonl"), b"{\"v\":9,\"truncated").unwrap();
         // Commit litter.
-        std::fs::write(dir.join("stamps.tmp-1-1"), b"half").unwrap();
+        std::fs::write(dir.join("bins.tmp-1-1"), b"half").unwrap();
         // Stale daemon lock + socket for a certainly-dead pid.
         std::fs::write(dir.join("daemon.lock"), format!("{}\n", u32::MAX)).unwrap();
         std::fs::write(dir.join("daemon.sock"), b"").unwrap();
@@ -559,7 +526,7 @@ mod tests {
         assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
         assert_eq!(report.exit_code(), 4);
         let states: Vec<&str> = report.findings.iter().map(|f| f.state.as_str()).collect();
-        for want in ["stamps", "pack", "deps", "ledger", "daemon", "litter"] {
+        for want in ["pack", "ledger", "daemon", "litter"] {
             assert!(states.contains(&want), "missing finding for {want}");
         }
         // The report is valid JSON naming the verdict.

@@ -86,10 +86,10 @@ use smlsc_store::Store;
 use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
-use crate::depgraph::{self, DepGraph};
+use crate::depgraph::DepGraph;
 use crate::link::{link_and_execute, DynEnv};
 use crate::pack::{self, PackReader, PackTail, PackWriter, PACK_FILE};
-use crate::stamps::{StampCache, StampEntry};
+use crate::stamps::{stamp_key, StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
 
@@ -662,7 +662,8 @@ pub struct Irm {
     /// digest (or failing that, the token digest) matches.  `Arc` so a
     /// cache hit shares the analysis instead of cloning its vectors.
     deps_cache: HashMap<Symbol, Arc<CachedAnalysis>>,
-    /// The persistent `(path, mtime_ns, size) → analysis` stamp cache.
+    /// The persistent `(path, mtime_ns, size) → analysis` stamp cache,
+    /// loaded from and saved to the pack's stamp sections.
     stamps: StampCache,
     /// When set, every stamp- and token-level shortcut is bypassed:
     /// all sources are read and fully re-digested.
@@ -678,14 +679,13 @@ pub struct Irm {
     /// True while that pack holds exactly the bins outside `dirty`, so
     /// a save need only append the dirty ones — or, with none, skip.
     pack_synced: bool,
-    /// The resolved import DAG from the previous build or the
-    /// `deps.pack` sidecar.  Never trusted blindly: every build
-    /// revalidates it against fresh analyses (per-unit `deps_pid`)
-    /// before reuse, so a stale or torn sidecar costs a re-derivation,
-    /// never a wrong schedule.
+    /// The resolved import DAG from the previous build or the pack's
+    /// graph section.  Never trusted blindly: every build revalidates
+    /// it against the analyses (per-unit `names_pid`) before reuse, so
+    /// a stale graph costs a re-derivation, never a wrong schedule.
     graph: Option<Arc<DepGraph>>,
-    /// True while `graph` matches what `deps.pack` on disk holds,
-    /// letting a no-op save skip rewriting the sidecar.
+    /// True while the pack holds `graph`, so a save need not write a
+    /// graph section.
     graph_synced: bool,
 }
 
@@ -730,8 +730,7 @@ fn analyze_one(
     // size) stamp matches reuse the recorded analysis without a read.
     if !paranoid {
         if let Some(path) = f.path() {
-            let key = path.to_string_lossy();
-            if let Some(e) = stamps.lookup(&key, f.name, f.mtime, f.size()) {
+            if let Some(e) = stamps.lookup(&stamp_key(path), f.name, f.mtime, f.size()) {
                 // The stamp cache shares its analysis by Arc: a hit is
                 // a refcount bump, never a clone of the vectors.
                 return Ok(FileAnalysis {
@@ -759,9 +758,7 @@ fn analyze_one(
                     return Ok(FileAnalysis {
                         analysis: Arc::new(CachedAnalysis {
                             source_pid: sp,
-                            deps_pid: dp,
-                            imports: c.imports.clone(),
-                            exports: c.exports.clone(),
+                            ..CachedAnalysis::clone(c)
                         }),
                         hit: AnalysisHit::TokenPid,
                     });
@@ -769,17 +766,13 @@ fn analyze_one(
             }
         }
     }
-    // Rung 4: a real parse.
+    // Rung 4: a real parse, and the one place the names pid (the
+    // import graph's key) is computed.
     let _span = trace::span(names::SPAN_ANALYZE).field("unit", f.name.as_str());
     let a = analyze_source(f.name, text)?;
     let dp = smlsc_syntax::deps::token_pid(text).unwrap_or(sp);
     Ok(FileAnalysis {
-        analysis: Arc::new(CachedAnalysis {
-            source_pid: sp,
-            deps_pid: dp,
-            imports: a.imports,
-            exports: a.exports,
-        }),
+        analysis: Arc::new(CachedAnalysis::new(sp, dp, a.imports, a.exports)),
         hit: AnalysisHit::Fresh,
     })
 }
@@ -838,14 +831,6 @@ impl Irm {
         self.bins.len()
     }
 
-    /// Drops every cached bin (forces a full rebuild).
-    pub fn clear_bins(&mut self) {
-        self.bins.clear();
-        self.deps_cache.clear();
-        self.dirty.clear();
-        self.pack_synced = false;
-    }
-
     /// Overwrites a cached bin — used by tests and the linkage experiment
     /// to simulate stale or corrupted bin stores.
     pub fn inject_bin(&mut self, bin: BinFile) {
@@ -866,25 +851,20 @@ impl Irm {
         self.paranoid
     }
 
-    /// Loads the persistent stamp cache from `path` (missing or corrupt
-    /// files degrade silently to an empty cache).
-    pub fn load_stamps(&mut self, path: &Path) {
-        let _span = trace::span(names::SPAN_LOAD_STAMPS);
-        self.stamps = StampCache::load(path);
-    }
+    /// Does nothing: the stamp cache loads with the pack
+    /// ([`Irm::load_bins`]).  Kept as an entry point for the benchmark
+    /// harness, which times it as a layer of its own.
+    pub fn load_stamps(&mut self, _path: &Path) {}
 
-    /// Persists the stamp cache to `path` (atomic; no-op when clean).
+    /// Does nothing and never writes `path`: the stamp cache saves with
+    /// the pack ([`Irm::save_bins`]).  Kept as an entry point for the
+    /// benchmark harness, which times it as a layer of its own.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Io`] on filesystem failures.
-    pub fn save_stamps(&mut self, path: &Path) -> Result<(), CoreError> {
-        self.stamps.save(path)
-    }
-
-    /// Number of entries in the stamp cache.
-    pub fn stamp_count(&self) -> usize {
-        self.stamps.len()
+    /// Never.
+    pub fn save_stamps(&mut self, _path: &Path) -> Result<(), CoreError> {
+        Ok(())
     }
 
     /// Drops a unit whose archived body turned out to be corrupt, so
@@ -901,19 +881,22 @@ impl Irm {
         had
     }
 
-    /// Persists every bin under `dir` in the indexed archive,
-    /// `bins.pack`.
+    /// Persists the build state under `dir` in the indexed archive,
+    /// `bins.pack`: every bin, the stamp cache and the import graph.
     ///
-    /// When only new or changed bins need saving, the pack is the one
-    /// this manager loaded or last wrote, and they fit the pack's growth
-    /// bound, they are appended as one segment: the save writes just
-    /// their bodies.  Otherwise (cold build, a removed unit, another
-    /// writer's pack, a large change) the archive is rewritten in full,
-    /// staged to a temp file and `rename(2)`d into place; bodies that
-    /// are still lazy (never forced this session) are copied
-    /// byte-for-byte from the old archive, verified but not parsed.
-    /// Either way a crash mid-save never tears the archive, and when
-    /// nothing changed since the pack was loaded the save is a no-op.
+    /// When only new or changed bins, stamps or graph need saving, the
+    /// pack is the one this manager loaded or last wrote, and they fit
+    /// the pack's growth bound, they are appended as one segment: the
+    /// save writes just their bodies, the stamp records recorded since
+    /// the last save and, if it was re-derived, the graph.  Otherwise
+    /// (cold build, a removed unit, another writer's pack, a large
+    /// change) the archive is rewritten in full, staged to a temp file
+    /// and `rename(2)`d into place; bodies that are still lazy (never
+    /// forced this session) are copied byte-for-byte from the old
+    /// archive, verified but not parsed.  Either way one lock and one
+    /// atomic write cover bins, stamps and graph, a crash mid-save never
+    /// tears the archive, and when nothing changed since the pack was
+    /// loaded the save is a no-op.
     ///
     /// # Errors
     ///
@@ -925,23 +908,40 @@ impl Irm {
             Some((path, tail)) if self.pack_synced && *path == pack_path => Some(tail),
             _ => None,
         };
-        if self.dirty.is_empty() && tail.is_some() && pack_path.is_file() {
-            // The archive stands; the import-DAG sidecar may still need
-            // its first write (e.g. a warm build over a pre-sidecar
-            // cache directory).
-            self.save_deps(dir)?;
+        if self.stamps.is_saved() {
+            trace::counter(names::STAMP_SAVES_SKIPPED, 1);
+        }
+        let changed_graph = match &self.graph {
+            Some(g) if !self.graph_synced => Some(g.encode()),
+            _ => None,
+        };
+        if self.dirty.is_empty()
+            && self.stamps.is_saved()
+            && changed_graph.is_none()
+            && tail.is_some()
+            && pack_path.is_file()
+        {
             return Ok(());
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        // Serialize the dirty bins while they still fit one appended
-        // segment; past the bound the save is a full rewrite.
+        // Serialize the dirty bins while they, the changed stamps and
+        // the changed graph still fit one appended segment; past the
+        // bound the save is a full rewrite.
         let mut fresh: Vec<(&BinMeta, Vec<u8>)> = Vec::new();
         if let Some(t) = tail {
             let mut dirty: Vec<Symbol> = self.dirty.iter().copied().collect();
             dirty.sort_by_key(|n| n.as_str());
-            let mut need = 0;
-            for name in dirty {
+            let stamps = self.stamps.encode_section(false, 0);
+            let mut need: u64 = [&stamps, &changed_graph]
+                .into_iter()
+                .flatten()
+                .map(|b| pack::section_len(b.len()))
+                .sum();
+            if !t.fits(need) {
+                tail = None;
+            }
+            for name in dirty.into_iter().take_while(|_| tail.is_some()) {
                 let Some(entry) = self.bins.get(&name) else {
                     continue;
                 };
@@ -959,8 +959,15 @@ impl Irm {
             }
         }
         let mut writer = PackWriter::open(&pack_path, tail)?;
+        let appends = writer.appends();
+        // An append carries what changed; a rewrite carries everything.
+        let stamps = self.stamps.encode_section(!appends, writer.saved_at());
+        let graph = match changed_graph {
+            None if !appends => self.graph.as_ref().map(|g| g.encode()),
+            changed => changed,
+        };
         let mut quarantined: Vec<Symbol> = Vec::new();
-        if writer.appends() {
+        if appends {
             for (meta, bytes) in &fresh {
                 put_body(&mut writer, meta, bytes, Pid::of_bytes(bytes), &pack_path)?;
             }
@@ -1000,38 +1007,24 @@ impl Irm {
                 put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
             }
         }
-        let tail = writer.finish()?;
+        let tail = writer.finish_with(stamps.as_deref(), graph.as_deref())?;
         for unit in quarantined {
             self.bins.remove(&unit);
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
         }
         self.dirty.clear();
+        self.stamps.mark_saved();
+        self.graph_synced = self.graph.is_some();
         self.pack = Some((pack_path, tail));
         self.pack_synced = true;
-        self.save_deps(dir)?;
-        Ok(())
-    }
-
-    /// Persists the import-DAG sidecar next to the pack when the graph
-    /// changed (was derived fresh this session); a no-op when the
-    /// on-disk sidecar already matches or no build has produced a graph.
-    fn save_deps(&mut self, dir: &Path) -> Result<(), CoreError> {
-        let Some(g) = &self.graph else {
-            return Ok(());
-        };
-        if self.graph_synced {
-            return Ok(());
-        }
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        depgraph::save_sidecar(g, dir)?;
-        self.graph_synced = true;
         Ok(())
     }
 
     /// Loads the bin cache under `dir`: the indexed `bins.pack` archive
-    /// if present, reading *only* its footer index — bodies stay on
-    /// disk until first use.
+    /// if present, reading *only* its footer index and sections — bodies
+    /// stay on disk until first use.  The stamp cache and the import
+    /// graph are replaced by the pack's sections; a missing or wholly
+    /// corrupt pack leaves them as they were (empty in a new manager).
     ///
     /// A corrupt individual entry — or a corrupt archive, including one
     /// in a format this build does not write — does not poison the
@@ -1052,7 +1045,7 @@ impl Irm {
         let mut pack_entries = 0usize;
         if pack_path.is_file() {
             match PackReader::open(&pack_path) {
-                Ok(Some(reader)) => {
+                Ok(Some(mut reader)) => {
                     if reader.torn_tail() > 0 {
                         // An interrupted append: its valid prefix loads,
                         // and the next append cuts the tail off.
@@ -1061,6 +1054,10 @@ impl Irm {
                             .field("bytes", reader.torn_tail());
                     }
                     tail = Some(reader.tail().clone());
+                    let (stamps, graph) = reader.take_state();
+                    self.stamps = stamps;
+                    self.graph_synced = graph.is_some();
+                    self.graph = graph.map(Arc::new);
                     let reader = Arc::new(reader);
                     pack_entries = reader.entries().len();
                     for pe in reader.entries() {
@@ -1133,13 +1130,6 @@ impl Irm {
         self.pack_synced =
             tail.is_some() && out.corrupt.is_empty() && self.bins.len() == pack_entries;
         self.pack = tail.map(|t| (pack_path, t));
-        // The import-DAG sidecar rides along with the pack.  Missing or
-        // corrupt reads as absent — the next build derives the graph
-        // from analyses and rewrites it.
-        if let Some(g) = depgraph::load_sidecar(dir) {
-            self.graph = Some(Arc::new(g));
-            self.graph_synced = true;
-        }
         Ok(out)
     }
 
@@ -1176,12 +1166,14 @@ impl Irm {
     }
 
     /// The resolved import DAG for this build.  Reused from the
-    /// previous build or the `deps.pack` sidecar whenever every unit's
-    /// `deps_pid` still matches its fresh analysis — imports and
-    /// exports are functions of the token stream, so equal pids imply
-    /// the identical graph *and* the identical topological order.
-    /// Anything else (first build, edited interface, added or removed
-    /// unit, stale or torn sidecar) re-derives from the analyses.
+    /// previous build or the pack's graph section whenever the unit set
+    /// is the same and every unit's `names_pid` still matches its
+    /// analysis — the graph reads nothing but the import and export
+    /// names, so equal digests imply the identical graph *and* the
+    /// identical topological order.  A body edit therefore hits;
+    /// anything else (first build, a changed import or export name, an
+    /// added, removed or renamed unit, no graph section) re-derives from
+    /// the analyses.
     fn dep_graph(
         &mut self,
         project: &Project,
@@ -1199,11 +1191,11 @@ impl Irm {
         let order = topo_order(project, analyses, &exporters)?;
         let index_of: HashMap<Symbol, usize> =
             order.iter().enumerate().map(|(i, s)| (*s, i)).collect();
-        let mut deps_pids = Vec::with_capacity(order.len());
+        let mut names_pids = Vec::with_capacity(order.len());
         let mut import_idx = Vec::with_capacity(order.len());
         for name in &order {
             let a = &analyses[name];
-            deps_pids.push(a.deps_pid);
+            names_pids.push(a.names_pid);
             let units: Vec<Symbol> = a
                 .imports
                 .iter()
@@ -1212,7 +1204,7 @@ impl Irm {
                 .dedup_stable();
             import_idx.push(units.iter().map(|u| index_of[u]).collect());
         }
-        let g = Arc::new(DepGraph::new(order, deps_pids, import_idx));
+        let g = Arc::new(DepGraph::new(order, names_pids, import_idx));
         self.graph = Some(Arc::clone(&g));
         self.graph_synced = false;
         Ok(g)
@@ -1364,7 +1356,7 @@ impl Irm {
             if fa.hit != AnalysisHit::Stamp {
                 if let Some(path) = f.path() {
                     self.stamps.record(
-                        path.to_string_lossy().into_owned(),
+                        stamp_key(path).into_owned(),
                         StampEntry {
                             unit: f.name,
                             mtime_ns: f.mtime,
@@ -2111,16 +2103,19 @@ fn synthesize_reused(report: &mut BuildReport, name: Symbol) {
 }
 
 /// True when `g` still describes exactly this set of analyses: same
-/// unit set, and every unit's token digest unchanged.  Imports and
-/// exports are functions of the token stream, so equal `deps_pid`s
-/// imply the same export map, the same resolved imports, and (the
-/// derivation being deterministic) the same topological order.
+/// unit set, and every unit's import/export name digest unchanged.  The
+/// graph is a function of those names alone, so equal `names_pid`s imply
+/// the same export map, the same resolved imports, and (the derivation
+/// being deterministic) the same topological order.  A body edit keeps
+/// its names, so it keeps the graph.  The digests are stored, never
+/// recomputed here: this is one `u128` compare per unit.
 fn graph_is_current(g: &DepGraph, analyses: &HashMap<Symbol, Arc<CachedAnalysis>>) -> bool {
     g.len() == analyses.len()
-        && g.order()
-            .iter()
-            .enumerate()
-            .all(|(i, u)| analyses.get(u).is_some_and(|a| a.deps_pid == g.deps_pid(i)))
+        && g.order().iter().enumerate().all(|(i, u)| {
+            analyses
+                .get(u)
+                .is_some_and(|a| a.names_pid == g.names_pid(i))
+        })
 }
 
 /// Records one failed unit (keep-going): counter, event, report entry.

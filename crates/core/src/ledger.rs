@@ -38,7 +38,7 @@ use crate::CoreError;
 /// Version of the ledger record format; readers skip other versions.
 pub const LEDGER_VERSION: u32 = 1;
 
-/// The ledger file name, next to `bins.pack` and `stamps.json`.
+/// The ledger file name, next to `bins.pack`.
 pub const LEDGER_FILE: &str = "builds.jsonl";
 
 /// Default byte cap before rotation compacts the file.

@@ -74,7 +74,7 @@ use smlsc_ids::Symbol;
 
 pub use build_session::BuildSession;
 pub use compile::{compile_unit, CompileOutput, CompileTimings, ImportSource};
-pub use depgraph::{DepGraph, DEPS_FILE};
+pub use depgraph::DepGraph;
 pub use doctor::{DoctorReport, DoctorVerdict};
 pub use groups::{Group, GroupedProject};
 pub use hash::{hash_exports, HashError, HashResult};
@@ -87,7 +87,7 @@ pub use session::Session;
 pub use smlsc_store as store;
 pub use smlsc_trace as trace;
 pub use smlsc_trace::RebuildDecision;
-pub use stamps::{StampCache, STAMPS_FILE};
+pub use stamps::StampCache;
 pub use stdlib::{add_stdlib, stdlib_units};
 pub use unit::{BinFile, BinMeta, CompiledUnit, ImportEdge, BIN_FORMAT_VERSION};
 

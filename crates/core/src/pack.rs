@@ -1,5 +1,5 @@
-//! The indexed bin archive: one append-only `bins.pack` instead of N
-//! `*.bin` files.
+//! The indexed bin archive: one append-only `bins.pack` holding every
+//! bin, the stamp cache and the import graph.
 //!
 //! Layout (all integers little-endian; every offset is absolute):
 //!
@@ -10,7 +10,7 @@
 //! +====================+  offset 9: segment 0 (the first segment)
 //! | segment length     |  u64, 0 until patched in just before the fsync
 //! | body, body, ...    |  each body is one BinFile::to_bytes() blob
-//! | index (binary)     |  this segment's units only (see below)
+//! | index (binary)     |  this segment's units, then its sections
 //! | footer (40 bytes)  |  index_offset u64 | index_len u64 |
 //! |                    |  index_digest u128 | magic "SMLSPKI1"
 //! +====================+  segment 1, 2, ...: appended, same shape
@@ -25,15 +25,27 @@
 //!   entry = u32 name_ix | u128 source_pid | u128 export_pid | u64 mtime
 //!         | u64 offset | u64 len | u128 digest
 //!         | u32 edges_start | u32 edges_count
+//! then, to the end of the index, at most one section of each kind:
+//!   u8 kind | u32 len | len bytes
+//!   kind 1 = stamps ([`crate::stamps`]: the entries recorded since the
+//!            previous segment, with this save's instant)
+//!   kind 2 = graph  ([`crate::depgraph`]: the whole import DAG, only
+//!            when it changed)
 //! ```
+//!
+//! Sections sit under the index digest, so a flipped byte in one fails
+//! its segment like a flipped index byte.  An index that ends after its
+//! entries (a pack written before sections existed) has no sections:
+//! its stamps miss once and its graph is derived once.
 //!
 //! [`PackReader::open`] walks the segments from the head, reading only
 //! each one's length word, footer and index — never a body — and stops
 //! at the first segment that fails validation (a length running past
-//! the end of the file, a bad footer, an index digest mismatch).  It
-//! serves the valid prefix, later segments winning by unit name, as one
-//! name-sorted entry list, and reports the bytes after it as the torn
-//! tail.  A file with no valid first segment is corrupt as a whole.
+//! the end of the file, a bad footer, an index digest mismatch, a
+//! malformed section).  It serves the valid prefix, later segments
+//! winning by unit name (bins), by path (stamps) or whole (the graph),
+//! and reports the bytes after it as the torn tail.  A file with no
+//! valid first segment is corrupt as a whole.
 //! Every rebuild decision runs off index metadata alone; bodies are
 //! read lock-free, digest verified, and parsed lazily on first use
 //! (rehydration, linking), so a torn body quarantines exactly one unit,
@@ -49,26 +61,30 @@
 //! * **Append** — when the save only adds or replaces bins, this
 //!   process loaded or last wrote the file ([`PackTail`]: its device,
 //!   inode, length and mtime are unchanged), and the appended segments,
-//!   this one included, stay within 1/32 of the first segment.  The
-//!   segment is assembled in memory, written at the valid end (cutting
-//!   off any torn tail first), its length patched in, and fsynced.  A
-//!   crash before the patch leaves a torn tail that the next open
-//!   ignores and the next append cuts off; no rename is needed.
+//!   this one included and its sections counted, stay within 1/32 of
+//!   the first segment.  The segment is assembled in memory, written at
+//!   the valid end (cutting off any torn tail first), its length
+//!   patched in, and fsynced.  A crash before the patch leaves a torn
+//!   tail that the next open ignores and the next append cuts off; no
+//!   rename is needed.
 //! * **Full rewrite** — otherwise (cold build, a removed unit, someone
-//!   else's file, the growth bound reached): a fresh one-segment file
-//!   streamed through a bounded buffer into the shared [`AtomicFile`]
-//!   (a unique staging file, fsync, `rename(2)`, fsync of the parent
-//!   directory), so a crash mid-save leaves the previous pack intact.
+//!   else's file, the growth bound reached): a fresh one-segment file,
+//!   carrying every bin, every stamp and the graph, streamed through a
+//!   bounded buffer into the shared [`AtomicFile`] (a unique staging
+//!   file, fsync, `rename(2)`, fsync of the parent directory), so a
+//!   crash mid-save leaves the previous pack intact.  It also deletes
+//!   the `stamps.json` and `deps.pack` files of earlier releases.
 //!
 //! The 1/32 bound is a constant, so `bins.pack` is never more than
-//! about 3% larger than a fresh rewrite of the same bins, and a big
+//! about 3% larger than a fresh rewrite of the same state, and a big
 //! change (a hub interface edit recompiling a thousand importers)
 //! compacts instead of appending.
 //!
 //! Every writer — append, rewrite, `doctor --fix` — holds
 //! `bins.pack.lock` ([`lock`]: the shared `fsutil::acquire`, broken
 //! when its owner is dead), so two builds on one project serialise
-//! their saves and the last writer wins whole.
+//! their saves and the last writer wins whole.  The lock file's mtime
+//! is the save instant a stamp section records ([`PackWriter::saved_at`]).
 //!
 //! Saves check the `pack.save` fault point: a rewrite at stages
 //! `begin`, `staged`, `renamed`; an append at `begin`, `mid` (half the
@@ -82,11 +98,13 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use smlsc_faults::{self as faults, points, FaultKind};
-use smlsc_ids::{Pid, Symbol};
+use smlsc_ids::{Digest128, Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
 use smlsc_store::fsutil::{self, AtomicFile, LockGuard, Stale};
 use smlsc_trace::{self as trace, names};
 
+use crate::depgraph::DepGraph;
+use crate::stamps::{self, StampCache, StampSection};
 use crate::unit::{BinMeta, ImportEdge};
 use crate::CoreError;
 
@@ -114,6 +132,15 @@ const WRITE_BUFFER: usize = 1 << 20;
 /// How long a writer waits for a live holder of `bins.pack.lock` (a
 /// concurrent build's save).
 const LOCK_WAIT: Duration = Duration::from_secs(60);
+/// A section's kind byte and length word.
+const SECTION_HEADER_LEN: u64 = 5;
+/// Section kind: the stamp records of this save.
+const SECTION_STAMPS: u8 = 1;
+/// Section kind: the import graph.
+const SECTION_GRAPH: u8 = 2;
+/// The separate stamp and graph files of earlier releases, deleted by a
+/// full rewrite.
+const LEGACY_FILES: [&str; 2] = ["stamps.json", "deps.pack"];
 
 /// One unit's slot in a segment index: the full decision metadata plus
 /// the location and digest of its serialized body, encoded with the
@@ -153,12 +180,18 @@ impl PackEntry {
 
 /// An upper bound on the bytes one unit adds to a segment: its body,
 /// its index entry, and its name and import edges as if no string were
-/// shared.  Summed over a save's bins, it is what [`PackTail::fits`]
-/// is asked before an append.
+/// shared.  Summed over a save's bins, plus its [`section_len`]s, it is
+/// what [`PackTail::fits`] is asked before an append.
 pub fn entry_len_bound(meta: &BinMeta, body_len: usize) -> u64 {
     let string = |s: Symbol| 4 + s.as_str().len() as u64;
     let edges: u64 = meta.imports.iter().map(|i| 20 + string(i.unit)).sum();
     body_len as u64 + 84 + string(meta.name) + edges
+}
+
+/// The bytes a section of `len` payload bytes adds to a segment; summed
+/// with the [`entry_len_bound`]s for [`PackTail::fits`].
+pub fn section_len(len: usize) -> u64 {
+    SECTION_HEADER_LEN + len as u64
 }
 
 /// Encodes the binary index: string table, flat edge table,
@@ -208,9 +241,17 @@ fn encode_index(entries: &[PackEntry]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the binary index.  Symbols intern straight from the
-/// buffer; nothing else allocates beyond the entry vector itself.
-fn decode_index(bytes: &[u8]) -> Result<Vec<PackEntry>, String> {
+/// The stamp and graph sections of one segment, decoded.
+#[derive(Debug, Default)]
+struct Sections {
+    stamps: Option<StampSection>,
+    graph: Option<DepGraph>,
+}
+
+/// Decodes the binary index and the sections after it.  Symbols intern
+/// straight from the buffer; nothing else allocates beyond the decoded
+/// entries and sections themselves.
+fn decode_index(bytes: &[u8]) -> Result<(Vec<PackEntry>, Sections), String> {
     let mut r = Reader::new(bytes);
     let err = |e: smlsc_pickle::PickleError| e.to_string();
     let nstrings = r.u32().map_err(err)? as usize;
@@ -258,10 +299,21 @@ fn decode_index(bytes: &[u8]) -> Result<Vec<PackEntry>, String> {
             digest,
         });
     }
-    if !r.at_end() {
-        return Err("trailing bytes after entry table".into());
+    let mut sections = Sections::default();
+    while !r.at_end() {
+        let kind = r.u8().map_err(err)?;
+        let body = r.bytes_ref().map_err(err)?;
+        match kind {
+            SECTION_STAMPS if sections.stamps.is_none() => {
+                sections.stamps = Some(stamps::decode_section(body)?);
+            }
+            SECTION_GRAPH if sections.graph.is_none() => {
+                sections.graph = Some(DepGraph::decode(body)?);
+            }
+            _ => return Err(format!("unexpected section kind {kind}")),
+        }
     }
-    Ok(entries)
+    Ok((entries, sections))
 }
 
 /// Positioned read without seeking — lock-free body slicing.
@@ -360,9 +412,10 @@ pub struct PackTail {
 }
 
 impl PackTail {
-    /// Whether appending a segment whose units add `entries_len` bytes
-    /// (the sum of their [`entry_len_bound`]s) keeps every appended
-    /// segment, this one included, within 1/32 of the first segment.
+    /// Whether appending a segment whose units and sections add
+    /// `entries_len` bytes (the sum of their [`entry_len_bound`]s and
+    /// [`section_len`]s) keeps every appended segment, this one
+    /// included, within 1/32 of the first segment.
     pub fn fits(&self, entries_len: u64) -> bool {
         let appended = self.valid_end - HEADER_LEN - self.first_len;
         let segment = SEGMENT_HEADER_LEN + 12 + entries_len + FOOTER_LEN;
@@ -441,6 +494,8 @@ pub struct PackReader {
     file: File,
     map: Option<smlsc_mmap::Mapping>,
     entries: Vec<PackEntry>,
+    stamps: StampCache,
+    graph: Option<DepGraph>,
     tail: PackTail,
 }
 
@@ -496,6 +551,8 @@ impl PackReader {
         }
         let mut entries = Vec::new();
         let mut later = Vec::new();
+        let mut stamps = StampCache::new();
+        let mut graph = None;
         let mut first_len = 0;
         let mut end = HEADER_LEN;
         while end < total {
@@ -505,19 +562,24 @@ impl PackReader {
             } else {
                 None
             };
-            match read_segment(&file, map, end, total) {
-                Ok((seg_end, seg)) if end == HEADER_LEN => {
-                    first_len = seg_end - end;
-                    entries = seg;
-                    end = seg_end;
-                }
-                Ok((seg_end, seg)) => {
-                    later.extend(seg);
-                    end = seg_end;
-                }
+            let (seg_end, seg, sections) = match read_segment(&file, map, end, total) {
+                Ok(seg) => seg,
                 Err(m) if end == HEADER_LEN => return Err(corrupt(m)),
                 Err(_) => break,
+            };
+            if end == HEADER_LEN {
+                first_len = seg_end - end;
+                entries = seg;
+            } else {
+                later.extend(seg);
             }
+            if let Some(section) = sections.stamps {
+                stamps.merge_section(section);
+            }
+            if sections.graph.is_some() {
+                graph = sections.graph;
+            }
+            end = seg_end;
         }
         if !later.is_empty() {
             // Later segments win by name, replacing in place; callers
@@ -539,6 +601,8 @@ impl PackReader {
             file,
             map,
             entries,
+            stamps,
+            graph,
             tail: PackTail {
                 file: FileId::of(meta),
                 first_len,
@@ -555,6 +619,21 @@ impl PackReader {
     /// The merged index of every valid segment, sorted by name.
     pub fn entries(&self) -> &[PackEntry] {
         &self.entries
+    }
+
+    /// The stamp cache merged from every valid segment's stamp section.
+    pub fn stamps(&self) -> &StampCache {
+        &self.stamps
+    }
+
+    /// The import graph of the last valid segment that carries one.
+    pub fn graph(&self) -> Option<&DepGraph> {
+        self.graph.as_ref()
+    }
+
+    /// Moves the stamp cache and the graph out of the reader.
+    pub fn take_state(&mut self) -> (StampCache, Option<DepGraph>) {
+        (std::mem::take(&mut self.stamps), self.graph.take())
     }
 
     /// Where an append to this file would go (see [`PackWriter::open`]).
@@ -604,14 +683,15 @@ impl PackReader {
 }
 
 /// Validates the segment starting at `start` of a `total`-byte pack and
-/// decodes its index, reading the index through `map` when given.
-/// Returns the segment's end and entries, or why it is invalid.
+/// decodes its index and sections, reading the index through `map` when
+/// given.  Returns the segment's end, entries and sections, or why it is
+/// invalid.
 fn read_segment(
     file: &File,
     map: Option<&smlsc_mmap::Mapping>,
     start: u64,
     total: u64,
-) -> Result<(u64, Vec<PackEntry>), String> {
+) -> Result<(u64, Vec<PackEntry>, Sections), String> {
     let at = |what: &str| format!("segment at {start}: {what}");
     let mut word = [0u8; SEGMENT_HEADER_LEN as usize];
     read_exact_at(file, &mut word, start).map_err(|e| at(&e.to_string()))?;
@@ -658,7 +738,8 @@ fn read_segment(
     if Pid::of_bytes(index_bytes) != index_digest {
         return Err(at("index digest mismatch"));
     }
-    let entries = decode_index(index_bytes).map_err(|e| at(&format!("index parse: {e}")))?;
+    let (entries, sections) =
+        decode_index(index_bytes).map_err(|e| at(&format!("index parse: {e}")))?;
     for e in &entries {
         if e.offset < start + SEGMENT_HEADER_LEN
             || e.offset
@@ -668,7 +749,7 @@ fn read_segment(
             return Err(at(&format!("entry `{}` bounds out of range", e.name)));
         }
     }
-    Ok((end, entries))
+    Ok((end, entries, sections))
 }
 
 /// Where a [`PackWriter`]'s segment goes.
@@ -688,8 +769,9 @@ enum Sink {
 
 /// An in-progress save of one segment, holding `bins.pack.lock` until
 /// it is finished or dropped: bodies added one at a time, then the
-/// index and footer sealed and made durable by [`PackWriter::finish`].
-/// Dropping an unfinished writer leaves the previous pack untouched.
+/// index, sections and footer sealed and made durable by
+/// [`PackWriter::finish_with`].  Dropping an unfinished writer leaves
+/// the previous pack untouched.
 #[derive(Debug)]
 pub struct PackWriter {
     dest: PathBuf,
@@ -701,6 +783,7 @@ pub struct PackWriter {
     /// The first segment's length, when appending after it.
     first_len: u64,
     entries: Vec<PackEntry>,
+    saved_at: u64,
     _lock: LockGuard,
 }
 
@@ -726,6 +809,15 @@ impl PackWriter {
     /// [`CoreError::Io`] on filesystem failures.
     pub fn open(dest: &Path, tail: Option<&PackTail>) -> Result<PackWriter, CoreError> {
         let lock = lock(dest)?;
+        // The lock file was just created: its mtime is this save's
+        // instant on the filesystem's own clock, the one source mtimes
+        // come from.
+        let saved_at = std::fs::metadata(lock_path(dest))
+            .and_then(|m| m.modified())
+            .unwrap_or_else(|_| SystemTime::now());
+        let saved_at = saved_at
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         if let Some(tail) = tail.filter(|t| t.first_len > 0) {
             // A pack that is gone or cannot be reopened is rewritten;
             // the rewrite reports its own errors.
@@ -748,6 +840,7 @@ impl PackWriter {
                         cursor: tail.valid_end + SEGMENT_HEADER_LEN,
                         first_len: tail.first_len,
                         entries: Vec::new(),
+                        saved_at,
                         _lock: lock,
                     });
                 }
@@ -767,6 +860,7 @@ impl PackWriter {
             cursor: HEADER_LEN + SEGMENT_HEADER_LEN,
             first_len: 0,
             entries: Vec::new(),
+            saved_at,
             _lock: lock,
         })
     }
@@ -775,6 +869,13 @@ impl PackWriter {
     /// go in); false for a full rewrite (every bin goes in).
     pub fn appends(&self) -> bool {
         matches!(self.sink, Sink::Append { .. })
+    }
+
+    /// This save's instant, in nanoseconds since the epoch: the mtime of
+    /// the lock file it holds.  A stamp section records it, and entries
+    /// stamped at or after it are racy on load.
+    pub fn saved_at(&self) -> u64 {
+        self.saved_at
     }
 
     /// Adds one unit's body and records its index entry.  `digest`
@@ -805,17 +906,23 @@ impl PackWriter {
         Ok(())
     }
 
-    /// Seals the segment — index, footer, then its length word — and
-    /// makes it durable: a rewrite commits its staging file into
-    /// place; an append cuts off any torn tail, writes the segment at
-    /// the valid end and fsyncs.  Returns where the next append may go.
+    /// Seals the segment — index, the given stamp and graph sections,
+    /// footer, then its length word — and makes it durable: a rewrite
+    /// commits its staging file into place and deletes the separate
+    /// stamp and graph files of earlier releases; an append cuts off any
+    /// torn tail, writes the segment at the valid end and fsyncs.
+    /// Returns where the next append may go.
     ///
     /// # Errors
     ///
     /// [`CoreError::Io`] on filesystem failures or an injected `io`
     /// fault; the previous pack is then intact (a staging file is
     /// removed, a partial append truncated away).
-    pub fn finish(self) -> Result<PackTail, CoreError> {
+    pub fn finish_with(
+        self,
+        stamps: Option<&[u8]>,
+        graph: Option<&[u8]>,
+    ) -> Result<PackTail, CoreError> {
         let PackWriter {
             dest,
             sink,
@@ -824,21 +931,53 @@ impl PackWriter {
             first_len,
             entries,
             _lock,
+            ..
         } = self;
         let io = io_err(&dest);
+        // The index, its sections and the footer go out piece by piece
+        // under one streamed digest: at a full rewrite the stamp section
+        // alone is megabytes, and is never copied.
         let index = encode_index(&entries);
-        let mut sealed = index.clone();
-        sealed.extend_from_slice(&cursor.to_le_bytes());
-        sealed.extend_from_slice(&(index.len() as u64).to_le_bytes());
-        sealed.extend_from_slice(&Pid::of_bytes(&index).as_raw().to_le_bytes());
-        sealed.extend_from_slice(FOOTER_MAGIC);
-        let len = cursor + sealed.len() as u64 - start;
+        let sections: Vec<(u8, &[u8])> = [(SECTION_STAMPS, stamps), (SECTION_GRAPH, graph)]
+            .into_iter()
+            .filter_map(|(kind, section)| Some((kind, section?)))
+            .collect();
+        let headers: Vec<[u8; SECTION_HEADER_LEN as usize]> = sections
+            .iter()
+            .map(|&(kind, bytes)| {
+                let mut h = [kind; SECTION_HEADER_LEN as usize];
+                h[1..].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+                h
+            })
+            .collect();
+        let mut pieces: Vec<&[u8]> = vec![&index];
+        for (h, &(_, bytes)) in headers.iter().zip(&sections) {
+            pieces.extend([h.as_slice(), bytes]);
+        }
+        let index_len: usize = pieces.iter().map(|p| p.len()).sum();
+        trace::counter(names::BIN_BYTES_WRITTEN, (index_len - index.len()) as u64);
+        let mut digest = Digest128::new();
+        for p in &pieces {
+            digest.write_bytes(p);
+        }
+        let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
+        footer.extend_from_slice(&cursor.to_le_bytes());
+        footer.extend_from_slice(&(index_len as u64).to_le_bytes());
+        footer.extend_from_slice(&digest.finish().to_le_bytes());
+        footer.extend_from_slice(FOOTER_MAGIC);
+        pieces.push(&footer);
+        let len = cursor + (index_len as u64 + FOOTER_LEN) - start;
         match sink {
             Sink::Rewrite(mut out) => {
-                out.write_all(&sealed).map_err(&io)?;
+                for p in &pieces {
+                    out.write_all(p).map_err(&io)?;
+                }
                 let file = out.into_inner().map_err(|e| io(e.into_error()))?;
                 write_all_at(file.as_file(), &len.to_le_bytes(), start).map_err(&io)?;
                 file.commit().map_err(&io)?;
+                for old in LEGACY_FILES {
+                    std::fs::remove_file(dest.with_file_name(old)).ok();
+                }
                 let meta = std::fs::metadata(&dest).map_err(&io)?;
                 // A torn commit (fault injection) leaves no segment to
                 // append after.
@@ -854,7 +993,9 @@ impl PackWriter {
                 mut segment,
                 torn,
             } => {
-                segment.extend_from_slice(&sealed);
+                for p in &pieces {
+                    segment.extend_from_slice(p);
+                }
                 let name = dest.file_name().unwrap_or_default().to_string_lossy();
                 let stage = |stage| match fsutil::check_stage(Some(points::PACK_SAVE), stage, &name)
                 {
@@ -934,7 +1075,7 @@ mod tests {
             let bytes = b.to_bytes();
             w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
         }
-        w.finish().unwrap();
+        w.finish_with(None, None).unwrap();
         path
     }
 
@@ -973,7 +1114,7 @@ mod tests {
             let bytes = b.to_bytes();
             w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
         }
-        w.finish().unwrap()
+        w.finish_with(None, None).unwrap()
     }
 
     /// What a reader serves: per unit (in entry order) its metadata,
@@ -1135,6 +1276,138 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A one-byte stamp for `path` (unit `unit`) at `mtime`.
+    fn stamp(path: &str, unit: &str, mtime: u64) -> stamps::StampEntry {
+        stamps::StampEntry {
+            unit: Symbol::intern(unit),
+            mtime_ns: mtime,
+            size: 1,
+            analysis: std::sync::Arc::new(stamps::Analysis::new(
+                Pid::of_bytes(path.as_bytes()),
+                Pid::of_bytes(path.as_bytes()),
+                vec![],
+                vec![Symbol::intern(unit)],
+            )),
+        }
+    }
+
+    /// Saves one segment carrying `bins`, `stamps` (unsaved entries on
+    /// an append, every entry on a rewrite) and `graph`.
+    fn save_state(
+        path: &Path,
+        append: bool,
+        bins: &[BinFile],
+        stamps: &StampCache,
+        graph: Option<&DepGraph>,
+    ) {
+        let tail = append.then(|| PackReader::open(path).unwrap().unwrap().tail().clone());
+        let mut w = PackWriter::open(path, tail.as_ref()).unwrap();
+        assert_eq!(w.appends(), append);
+        for b in bins {
+            let bytes = b.to_bytes();
+            w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
+        }
+        let stamps = stamps.encode_section(!append, w.saved_at());
+        let graph = graph.map(DepGraph::encode);
+        w.finish_with(stamps.as_deref(), graph.as_deref()).unwrap();
+    }
+
+    fn graph_of(names: &[&str]) -> DepGraph {
+        let order: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        let pids = names.iter().map(|n| Pid::of_bytes(n.as_bytes())).collect();
+        let imports = (0..names.len()).map(|i| (0..i).collect()).collect();
+        DepGraph::new(order, pids, imports)
+    }
+
+    fn stamp_mtimes(r: &PackReader, paths: &[(&str, &str)]) -> Vec<Option<u64>> {
+        paths
+            .iter()
+            .map(|&(path, unit)| {
+                (1..=3).find(|&m| {
+                    r.stamps()
+                        .lookup(path, Symbol::intern(unit), m, 1)
+                        .is_some()
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamp_and_graph_sections_merge_across_segments() {
+        let dir = tmp_dir("sections");
+        let path = dir.join(PACK_FILE);
+        let old = graph_of(&["a", "b"]);
+        let new = graph_of(&["a", "b", "c"]);
+        let mut cache = StampCache::new();
+        cache.record("a.sml".into(), stamp("a.sml", "a", 1));
+        cache.record("b.sml".into(), stamp("b.sml", "b", 1));
+        save_state(&path, false, &[versioned("a", 1)], &cache, Some(&old));
+        cache.mark_saved();
+        // A stamp-only segment (a `touch`): one record, no bins, no graph.
+        cache.record("b.sml".into(), stamp("b.sml", "b", 2));
+        save_state(&path, true, &[], &cache, None);
+        cache.mark_saved();
+        // A graph-only segment.
+        save_state(&path, true, &[], &cache, Some(&new));
+        let paths = [("a.sml", "a"), ("b.sml", "b")];
+        for r in open_both(&path) {
+            let r = r.unwrap();
+            assert_eq!(r.torn_tail(), 0);
+            assert_eq!(
+                stamp_mtimes(&r, &paths),
+                [Some(1), Some(2)],
+                "later stamps win"
+            );
+            assert_eq!(
+                r.graph().unwrap().order(),
+                new.order(),
+                "the last graph wins"
+            );
+            assert_eq!(r.entries().len(), 1);
+        }
+
+        // A flipped byte in the last segment's graph section fails that
+        // segment alone: its bytes become a torn tail, and the reader
+        // serves the earlier graph and every earlier stamp.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(len - FOOTER_LEN - 3) as usize] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        for r in open_both(&path) {
+            let r = r.unwrap();
+            assert!(r.torn_tail() > 0);
+            assert_eq!(r.graph().unwrap().order(), old.order());
+            assert_eq!(stamp_mtimes(&r, &paths), [Some(1), Some(2)]);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pack_without_sections_reads_as_no_stamps_and_no_graph() {
+        let dir = tmp_dir("nosections");
+        let path = write_two(&dir);
+        for r in open_both(&path) {
+            let r = r.unwrap();
+            assert!(r.stamps().is_empty());
+            assert!(r.graph().is_none());
+            assert_eq!(r.entries().len(), 2);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_full_rewrite_deletes_the_files_of_earlier_releases() {
+        let dir = tmp_dir("legacy");
+        for old in LEGACY_FILES {
+            std::fs::write(dir.join(old), b"old").unwrap();
+        }
+        write_two(&dir);
+        for old in LEGACY_FILES {
+            assert!(!dir.join(old).exists(), "{old}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn failed_append_leaves_the_pack_as_it_was() {
         use smlsc_faults::{install_scoped, FaultPlan, FaultRule};
@@ -1152,7 +1425,7 @@ mod tests {
                 let b = versioned("a", 9);
                 let bytes = b.to_bytes();
                 w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes))?;
-                w.finish()
+                w.finish_with(None, None)
             });
             assert!(result.is_err(), "{stage}");
             assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "{stage}");
@@ -1249,7 +1522,7 @@ mod tests {
             },
         ];
         let bytes = encode_index(&entries);
-        let back = decode_index(&bytes).unwrap();
+        let (back, _) = decode_index(&bytes).unwrap();
         assert_eq!(back.len(), 2);
         for (e, b) in entries.iter().zip(&back) {
             assert_eq!(e.name, b.name);

@@ -14,54 +14,71 @@
 //! property test asserts stamped and paranoid runs produce identical
 //! pids and identical rebuild decisions.
 //!
-//! The cache persists as one binary file (historically named
-//! `stamps.json`, kept for compatibility; the content is the
-//! `pickle::wire` little-endian format with a digest-checked payload),
-//! written with the durable tmp + fsync + rename + fsync(parent)
-//! idiom ([`smlsc_store::fsutil::commit_atomic`], fault point `stamp.save`)
-//! so a crash mid-save can never tear it.  Warm analysis therefore does one bulk
-//! parse instead of serde over thousands of entries.  A missing or
-//! corrupt stamp file — including the JSON stamp files of earlier
-//! releases — is *not* an error: it degrades to "no hints", i.e. the
-//! cold path, and the next save overwrites it.
+//! Paths are keyed relative to the project directory (see
+//! [`stamp_key`]), so a moved checkout keeps every hit and no persisted
+//! byte depends on where the checkout lives.
+//!
+//! The cache persists as the stamp section of `bins.pack` segments
+//! ([`crate::pack`]): a save appends the entries recorded since the last
+//! save ([`StampCache::encode_section`] with `all == false`), a full
+//! rewrite carries every entry, and on load later segments win by path.
+//! Each section records its own save instant; an entry stamped at or
+//! after it is *racy* and dropped ([`StampCache::merge_section`]).  A
+//! pack with no stamp section — or none at all — degrades to "no
+//! hints", i.e. the cold path.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
-use smlsc_trace::{self as trace, names};
-
-use crate::CoreError;
-
-/// The stamp cache's file name inside a bin directory, next to
-/// `bins.pack`.
-pub const STAMPS_FILE: &str = "stamps.json";
-
-/// Version of the stamp-file format; a mismatch discards the file.
-const STAMP_VERSION: u32 = 2;
-
-/// Leading magic of the binary stamp file; a `u32` version field
-/// follows it inside the digest-checked payload.
-const STAMP_MAGIC: &[u8; 8] = b"SMLSSTM2";
 
 /// The dependency analysis recorded for one source: its content and
-/// token digests plus the import/export lists.  Shared by [`Arc`]
-/// between the stamp cache and the manager's in-memory deps cache, so
-/// a warm stamp hit costs a refcount bump — never a clone of the
-/// vectors (at monorepo scale those per-unit clones dominated the
-/// no-op analyze phase).
+/// token digests, the import/export lists, and a digest of those lists.
+/// Shared by [`Arc`] between the stamp cache and the manager's
+/// in-memory deps cache, so a warm stamp hit costs a refcount bump —
+/// never a clone of the vectors (at monorepo scale those per-unit
+/// clones dominated the no-op analyze phase).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Analysis {
     /// Digest of the file contents at stamp time.
     pub source_pid: Pid,
     /// Digest of the token stream (comment/whitespace-insensitive).
     pub deps_pid: Pid,
+    /// Digest of `imports` and `exports`: everything the import graph
+    /// reads of this unit ([`crate::depgraph::DepGraph`] is keyed on it).
+    pub names_pid: Pid,
     /// Imported module names, sorted.
     pub imports: Vec<Symbol>,
     /// Exported module names.
     pub exports: Vec<Symbol>,
+}
+
+impl Analysis {
+    /// An analysis of these lists, computing `names_pid` from them.
+    /// Only a fresh parse calls this; every cache keeps the digest.
+    pub fn new(
+        source_pid: Pid,
+        deps_pid: Pid,
+        imports: Vec<Symbol>,
+        exports: Vec<Symbol>,
+    ) -> Analysis {
+        let mut w = Writer::new();
+        for list in [&imports, &exports] {
+            w.u32(list.len() as u32);
+            for s in list {
+                w.str(s.as_str());
+            }
+        }
+        Analysis {
+            source_pid,
+            deps_pid,
+            names_pid: Pid::of_bytes(&w.into_bytes()),
+            imports,
+            exports,
+        }
+    }
 }
 
 /// One recorded analysis for a source path.
@@ -78,11 +95,24 @@ pub struct StampEntry {
     pub analysis: Arc<Analysis>,
 }
 
+/// The stamp key of a source path: its path relative to the project
+/// directory.  [`crate::irm::Project::from_dir`] scans one flat
+/// directory, so that is the file name.  Two files of one name in
+/// different directories would share a key; the unit check in
+/// [`StampCache::lookup`] keeps that a miss, never a wrong hit.
+pub fn stamp_key(path: &Path) -> std::borrow::Cow<'_, str> {
+    path.file_name()
+        .unwrap_or(path.as_os_str())
+        .to_string_lossy()
+}
+
 /// The persistent stamp cache.  See the module docs.
 #[derive(Debug, Default)]
 pub struct StampCache {
     entries: HashMap<String, StampEntry>,
-    dirty: bool,
+    /// Paths recorded since the last save: what the next appended
+    /// section carries.
+    unsaved: HashSet<String>,
 }
 
 impl StampCache {
@@ -91,175 +121,78 @@ impl StampCache {
         StampCache::default()
     }
 
-    /// Loads a stamp file.  Missing, unreadable, corrupt, or
-    /// version-mismatched files all yield an *empty* cache — stamps are
-    /// hints, so degradation is silent and safe (every miss just reads
-    /// and digests the source the cold way).
+    /// Merges one segment's stamp section, decoded by
+    /// [`decode_section`], over the entries of earlier segments.
     ///
-    /// Entries whose recorded `mtime_ns` is at or after the stamp file's
-    /// own mtime (the last save instant) are *racy* and dropped: a file
-    /// edited within the same mtime tick and to the same byte size as
-    /// its stamp would otherwise be served as a hit with stale analysis.
-    /// Dropping the entry forces one re-digest, whose `record` marks the
-    /// cache dirty so the following save moves the trust boundary past
-    /// the file's mtime and restores hits.
-    pub fn load(path: &Path) -> StampCache {
-        let Ok(bytes) = std::fs::read(path) else {
-            return StampCache::default();
-        };
-        let saved_at_ns = std::fs::metadata(path)
-            .ok()
-            .and_then(|m| m.modified().ok())
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        let mut cache = bytes
-            .strip_prefix(STAMP_MAGIC.as_slice())
-            .and_then(Self::parse_binary)
-            .unwrap_or_default();
-        if let Some(cutoff_ns) = saved_at_ns {
-            cache.drop_racy_entries(cutoff_ns);
-        }
-        cache
-    }
-
-    /// Classifies a stamp file on disk without loading it: `None` when
-    /// the file is absent, `Some(Ok(n))` for a well-formed file with
-    /// `n` entries, `Some(Err(reason))` when the bytes are corrupt or in
-    /// a format this build does not read.  [`Self::load`] silently degrades corrupt
-    /// files to an empty cache; `smlsc doctor` uses this to tell the
-    /// difference and report what `load` would quietly discard.
-    pub fn audit(path: &Path) -> Option<Result<usize, String>> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => return Some(Err(format!("unreadable: {e}"))),
-        };
-        let Some(payload) = bytes.strip_prefix(STAMP_MAGIC.as_slice()) else {
-            return Some(Err("no binary stamp magic".into()));
-        };
-        match Self::parse_binary(payload) {
-            Some(cache) => Some(Ok(cache.entries.len())),
-            None => Some(Err("binary stamp payload fails digest or decode".into())),
-        }
-    }
-
-    /// Drops entries stamped at or after `cutoff_ns` (see [`Self::load`]);
-    /// dropping any marks the cache dirty so re-digested replacements are
-    /// persisted even when their analysis comes out byte-identical.
-    fn drop_racy_entries(&mut self, cutoff_ns: u64) {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.mtime_ns < cutoff_ns);
-        if self.entries.len() != before {
-            self.dirty = true;
-        }
-    }
-
-    /// Parses the digest-checked binary payload (everything after the
-    /// magic).  `None` on any corruption.
-    fn parse_binary(payload: &[u8]) -> Option<StampCache> {
-        if payload.len() < 16 {
-            return None;
-        }
-        let (body, tail) = payload.split_at(payload.len() - 16);
-        let digest = Pid::from_raw(u128::from_le_bytes(tail.try_into().ok()?));
-        if Pid::of_bytes(body) != digest {
-            return None;
-        }
-        let mut r = Reader::new(body);
-        if r.u32().ok()? != STAMP_VERSION {
-            return None;
-        }
-        let count = r.u32().ok()? as usize;
-        let mut entries = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let path = r.str().ok()?;
-            let unit = Symbol::intern(r.str_ref().ok()?);
-            let mtime_ns = r.u64().ok()?;
-            let size = r.u64().ok()?;
-            let source_pid = Pid::from_raw(r.u128().ok()?);
-            let deps_pid = Pid::from_raw(r.u128().ok()?);
-            let nimports = r.u32().ok()? as usize;
-            let mut imports = Vec::with_capacity(nimports);
-            for _ in 0..nimports {
-                imports.push(Symbol::intern(r.str_ref().ok()?));
+    /// Entries whose recorded `mtime_ns` is at or after the section's
+    /// save instant are *racy* and dropped, together with any earlier
+    /// entry for the path: a file edited within the same mtime tick and
+    /// to the same byte size as its stamp would otherwise be served as a
+    /// hit with stale analysis.  The dropped path then misses once, and
+    /// its re-digested entry goes into the next save, whose later
+    /// instant trusts it.
+    pub fn merge_section(&mut self, section: StampSection) {
+        let StampSection { saved_at, records } = section;
+        self.entries.reserve(records.len());
+        for (path, entry) in records {
+            if entry.mtime_ns < saved_at {
+                self.entries.insert(path, entry);
+            } else {
+                self.entries.remove(&path);
             }
-            let nexports = r.u32().ok()? as usize;
-            let mut exports = Vec::with_capacity(nexports);
-            for _ in 0..nexports {
-                exports.push(Symbol::intern(r.str_ref().ok()?));
-            }
-            entries.insert(
-                path,
-                StampEntry {
-                    unit,
-                    mtime_ns,
-                    size,
-                    analysis: Arc::new(Analysis {
-                        source_pid,
-                        deps_pid,
-                        imports,
-                        exports,
-                    }),
-                },
-            );
         }
-        if !r.at_end() {
-            return None;
-        }
-        Some(StampCache {
-            entries,
-            dirty: false,
-        })
     }
 
-    /// Persists the cache atomically (tmp + fsync + rename).  A clean
-    /// cache (nothing recorded since load) writes nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Io`] on filesystem failures.
-    pub fn save(&mut self, path: &Path) -> Result<(), CoreError> {
-        if !self.dirty && path.is_file() {
-            trace::counter(names::STAMP_SAVES_SKIPPED, 1);
-            return Ok(());
+    /// Encodes a stamp section saved at `saved_at` (nanoseconds since
+    /// the epoch): every entry when `all`, else only those recorded
+    /// since the last save.  Records are sorted by path, so saving the
+    /// same cache twice is byte-identical.  `None` when there is
+    /// nothing to write.
+    pub fn encode_section(&self, all: bool, saved_at: u64) -> Option<Vec<u8>> {
+        let mut paths: Vec<&String> = if all {
+            self.entries.keys().collect()
+        } else {
+            self.unsaved
+                .iter()
+                .filter(|p| self.entries.contains_key(*p))
+                .collect()
+        };
+        if paths.is_empty() {
+            return None;
         }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        }
-        // Sort records so repeated saves of the same cache are
-        // byte-identical (diff-friendly, deterministic tests).
-        let mut paths: Vec<&String> = self.entries.keys().collect();
         paths.sort();
         let mut w = Writer::new();
-        w.u32(STAMP_VERSION);
+        w.u64(saved_at);
         w.u32(paths.len() as u32);
         for p in paths {
             let e = &self.entries[p];
+            let a = &e.analysis;
             w.str(p);
             w.str(e.unit.as_str());
             w.u64(e.mtime_ns);
             w.u64(e.size);
-            w.u128(e.analysis.source_pid.as_raw());
-            w.u128(e.analysis.deps_pid.as_raw());
-            w.u32(e.analysis.imports.len() as u32);
-            for i in &e.analysis.imports {
-                w.str(i.as_str());
-            }
-            w.u32(e.analysis.exports.len() as u32);
-            for x in &e.analysis.exports {
-                w.str(x.as_str());
+            w.u128(a.source_pid.as_raw());
+            w.u128(a.deps_pid.as_raw());
+            w.u128(a.names_pid.as_raw());
+            for list in [&a.imports, &a.exports] {
+                w.u32(list.len() as u32);
+                for s in list {
+                    w.str(s.as_str());
+                }
             }
         }
-        let body = w.into_bytes();
-        let mut out = Vec::with_capacity(STAMP_MAGIC.len() + body.len() + 16);
-        out.extend_from_slice(STAMP_MAGIC);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&Pid::of_bytes(&body).as_raw().to_le_bytes());
-        smlsc_store::fsutil::commit_atomic(path, &out, Some(smlsc_faults::points::STAMP_SAVE))
-            .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
-        self.dirty = false;
-        Ok(())
+        Some(w.into_bytes())
+    }
+
+    /// True when every entry is in the pack: a save need write no
+    /// stamp section.
+    pub fn is_saved(&self) -> bool {
+        self.unsaved.is_empty()
+    }
+
+    /// Marks every entry as written (a save committed its section).
+    pub fn mark_saved(&mut self) {
+        self.unsaved.clear();
     }
 
     /// The recorded entry for `path`, but only if the stamp still
@@ -277,14 +210,14 @@ impl StampCache {
     }
 
     /// Records (or refreshes) the entry for `path`.  Recording an
-    /// identical entry does not mark the cache dirty, so a fully warm
-    /// build saves nothing.
+    /// identical entry changes nothing, so a fully warm build saves no
+    /// stamps.
     pub fn record(&mut self, path: String, entry: StampEntry) {
         if self.entries.get(&path) == Some(&entry) {
             return;
         }
+        self.unsaved.insert(path.clone());
         self.entries.insert(path, entry);
-        self.dirty = true;
     }
 
     /// Number of recorded entries.
@@ -298,6 +231,71 @@ impl StampCache {
     }
 }
 
+/// One decoded stamp section: its save instant and its records.
+#[derive(Debug)]
+pub struct StampSection {
+    saved_at: u64,
+    records: Vec<(String, StampEntry)>,
+}
+
+/// Decodes a stamp section.
+///
+/// # Errors
+///
+/// A description of the first malformed field.
+pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
+    let mut r = Reader::new(bytes);
+    let err = |e: smlsc_pickle::PickleError| format!("stamp section: {e}");
+    let saved_at = r.u64().map_err(err)?;
+    let count = r.u32().map_err(err)? as usize;
+    // The segment digest vouches for the bytes; this bound guards the
+    // allocation against a well-digested section from a buggy writer.
+    if count > bytes.len() {
+        return Err(format!("stamp section: implausible record count {count}"));
+    }
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        let path = r.str().map_err(err)?;
+        let unit = Symbol::intern(r.str_ref().map_err(err)?);
+        let mtime_ns = r.u64().map_err(err)?;
+        let size = r.u64().map_err(err)?;
+        let source_pid = Pid::from_raw(r.u128().map_err(err)?);
+        let deps_pid = Pid::from_raw(r.u128().map_err(err)?);
+        let names_pid = Pid::from_raw(r.u128().map_err(err)?);
+        let mut lists = [Vec::new(), Vec::new()];
+        for list in &mut lists {
+            let n = r.u32().map_err(err)? as usize;
+            if n > bytes.len() {
+                return Err(format!("stamp section: implausible name count {n}"));
+            }
+            list.reserve_exact(n);
+            for _ in 0..n {
+                list.push(Symbol::intern(r.str_ref().map_err(err)?));
+            }
+        }
+        let [imports, exports] = lists;
+        records.push((
+            path,
+            StampEntry {
+                unit,
+                mtime_ns,
+                size,
+                analysis: Arc::new(Analysis {
+                    source_pid,
+                    deps_pid,
+                    names_pid,
+                    imports,
+                    exports,
+                }),
+            },
+        ));
+    }
+    if !r.at_end() {
+        return Err("stamp section: trailing bytes after the last record".into());
+    }
+    Ok(StampSection { saved_at, records })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,33 +305,50 @@ mod tests {
             unit: Symbol::intern(unit),
             mtime_ns: mtime,
             size,
-            analysis: Arc::new(Analysis {
-                source_pid: Pid::of_bytes(b"src"),
-                deps_pid: Pid::of_bytes(b"toks"),
-                imports: vec![Symbol::intern("A")],
-                exports: vec![Symbol::intern("B")],
-            }),
+            analysis: Arc::new(Analysis::new(
+                Pid::of_bytes(b"src"),
+                Pid::of_bytes(b"toks"),
+                vec![Symbol::intern("A")],
+                vec![Symbol::intern("B")],
+            )),
         }
     }
 
-    fn tmp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "smlsc-stamps-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ))
+    /// Round-trips `cache`'s section (all entries or the unsaved ones)
+    /// through the codec into `into`.
+    fn reload(into: &mut StampCache, cache: &StampCache, all: bool, saved_at: u64) {
+        if let Some(bytes) = cache.encode_section(all, saved_at) {
+            into.merge_section(decode_section(&bytes).unwrap());
+        }
     }
 
     #[test]
     fn round_trip() {
-        let path = tmp_path("roundtrip").join("stamps.json");
         let mut c = StampCache::new();
         c.record("a.sml".into(), entry("a", 10, 20));
-        c.save(&path).unwrap();
-        let back = StampCache::load(&path);
+        let mut back = StampCache::new();
+        reload(&mut back, &c, true, 100);
         assert_eq!(back.len(), 1);
-        assert!(back.lookup("a.sml", Symbol::intern("a"), 10, 20).is_some());
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let hit = back.lookup("a.sml", Symbol::intern("a"), 10, 20).unwrap();
+        assert_eq!(hit, &entry("a", 10, 20));
+        assert_eq!(hit.analysis.names_pid, entry("a", 0, 0).analysis.names_pid);
+    }
+
+    #[test]
+    fn names_pid_follows_the_name_lists_only() {
+        let (a, b) = (Symbol::intern("A"), Symbol::intern("B"));
+        let p = |src: &[u8], imports: Vec<Symbol>, exports: Vec<Symbol>| {
+            Analysis::new(Pid::of_bytes(src), Pid::of_bytes(src), imports, exports).names_pid
+        };
+        assert_eq!(p(b"x", vec![a], vec![b]), p(b"y", vec![a], vec![b]));
+        assert_ne!(p(b"x", vec![a], vec![b]), p(b"x", vec![], vec![a, b]));
+        assert_ne!(p(b"x", vec![a], vec![b]), p(b"x", vec![b], vec![a]));
+    }
+
+    #[test]
+    fn stamp_keys_are_project_relative() {
+        assert_eq!(stamp_key(Path::new("/one/checkout/a.sml")), "a.sml");
+        assert_eq!(stamp_key(Path::new("/moved/elsewhere/a.sml")), "a.sml");
     }
 
     #[test]
@@ -350,131 +365,91 @@ mod tests {
         assert!(c.lookup("b.sml", a, 10, 20).is_none(), "other path");
     }
 
+    /// The racy rule applies per section: each entry is judged against
+    /// the save instant of the section that carries it, not the latest
+    /// one, and a racy record also drops the path's earlier record.
     #[test]
-    fn racy_entries_are_dropped_on_load_and_heal_on_save() {
-        let dir = tmp_path("racy");
-        let path = dir.join("stamps.json");
-        let now_ns = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos() as u64;
-        let mut c = StampCache::new();
-        c.record("old.sml".into(), entry("old", 10, 20));
-        // A stamp at (or after) the save instant is indistinguishable
-        // from a same-tick, same-size edit that landed just after the
-        // digest: it must not be served as a hit.
-        c.record(
-            "racy.sml".into(),
-            entry("racy", now_ns + 1_000_000_000_000, 20),
-        );
-        c.save(&path).unwrap();
-
-        let mut back = StampCache::load(&path);
-        assert_eq!(back.len(), 1, "racy entry dropped, settled entry kept");
+    fn racy_entries_are_judged_against_their_own_section() {
+        let a = Symbol::intern("a");
+        let mut first = StampCache::new();
+        first.record("old.sml".into(), entry("old", 10, 20));
+        first.record("racy.sml".into(), entry("racy", 100, 20));
+        first.record("a.sml".into(), entry("a", 50, 20));
+        let mut back = StampCache::new();
+        // Section 1, saved at 100: `racy` (stamped at 100) is dropped.
+        reload(&mut back, &first, true, 100);
+        assert_eq!(back.len(), 2);
         assert!(back
-            .lookup(
-                "racy.sml",
-                Symbol::intern("racy"),
-                now_ns + 1_000_000_000_000,
-                20
-            )
+            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
+            .is_none());
+
+        // Section 2, saved at 200, re-stamps `a` at 200: racy again, so
+        // `a`'s settled record from section 1 goes too.
+        let mut second = StampCache::new();
+        second.record("a.sml".into(), entry("a", 200, 20));
+        second.record("new.sml".into(), entry("new", 150, 20));
+        reload(&mut back, &second, false, 200);
+        assert!(back.lookup("a.sml", a, 50, 20).is_none());
+        assert!(back.lookup("a.sml", a, 200, 20).is_none());
+        assert!(back
+            .lookup("new.sml", Symbol::intern("new"), 150, 20)
+            .is_some());
+        // `racy`'s mtime (100) is before section 2's instant, but it was
+        // saved in section 1: still dropped.
+        assert!(back
+            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
             .is_none());
         assert!(back
             .lookup("old.sml", Symbol::intern("old"), 10, 20)
             .is_some());
 
-        // Re-digesting yields the same analysis; recording it must still
-        // dirty the cache so the save advances the trust boundary.
-        back.record("racy.sml".into(), entry("racy", 30, 20));
-        back.save(&path).unwrap();
-        let healed = StampCache::load(&path);
-        assert_eq!(healed.len(), 2, "healed file trusts the re-digested entry");
+        // Re-digesting a dropped path records it as unsaved even when
+        // the analysis comes out identical, so the next section trusts it.
+        assert!(back.is_saved());
+        back.record("racy.sml".into(), entry("racy", 100, 20));
+        assert!(!back.is_saved());
+        let mut healed = StampCache::new();
+        reload(&mut healed, &back, true, 300);
         assert!(healed
-            .lookup("racy.sml", Symbol::intern("racy"), 30, 20)
+            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
             .is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn missing_and_corrupt_files_degrade_to_empty() {
-        assert!(StampCache::load(Path::new("/nonexistent/stamps.json")).is_empty());
-        let path = tmp_path("corrupt");
-        std::fs::create_dir_all(&path).unwrap();
-        let f = path.join("stamps.json");
-        std::fs::write(&f, b"{ not json").unwrap();
-        assert!(StampCache::load(&f).is_empty());
-        // A torn binary file (flipped payload byte) fails the digest
-        // check and degrades the same way.
-        let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 10, 20));
-        c.save(&f).unwrap();
-        let mut bytes = std::fs::read(&f).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&f, &bytes).unwrap();
-        assert!(StampCache::load(&f).is_empty());
-        std::fs::remove_dir_all(&path).ok();
-    }
-
-    #[test]
-    fn saved_file_is_binary_not_json() {
-        let dir = tmp_path("binfmt");
-        let path = dir.join("stamps.json");
-        let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 10, 20));
-        c.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(STAMP_MAGIC));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn old_json_stamps_read_as_empty_and_are_overwritten() {
-        let dir = tmp_path("oldjson");
-        let path = dir.join("stamps.json");
-        std::fs::create_dir_all(&dir).unwrap();
-        // The JSON stamp format of earlier releases: no binary magic.
-        std::fs::write(
-            &path,
-            br#"{"version":1,"entries":[{"path":"a.sml","entry":{}}]}"#,
-        )
-        .unwrap();
-        let mut back = StampCache::load(&path);
-        assert!(back.is_empty(), "stamps are hints: an old file is none");
-        assert!(StampCache::audit(&path).is_some_and(|r| r.is_err()));
-        back.record("a.sml".into(), entry("a", 10, 20));
-        back.save(&path).unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(STAMP_MAGIC));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn clean_save_is_a_no_op() {
-        let dir = tmp_path("clean");
-        let path = dir.join("stamps.json");
+    fn appended_sections_carry_only_unsaved_entries() {
         let mut c = StampCache::new();
         c.record("a.sml".into(), entry("a", 1, 2));
-        c.save(&path).unwrap();
-        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
-        // Re-recording the identical entry keeps the cache clean.
+        c.record("b.sml".into(), entry("b", 1, 2));
+        c.mark_saved();
+        assert!(c.is_saved());
+        assert_eq!(c.encode_section(false, 10), None, "nothing to append");
+        // Re-recording the identical entry keeps the cache saved.
         c.record("a.sml".into(), entry("a", 1, 2));
-        c.save(&path).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), mtime);
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(c.is_saved());
+        c.record("b.sml".into(), entry("b", 3, 2));
+        let bytes = c.encode_section(false, 10).unwrap();
+        let section = decode_section(&bytes).unwrap();
+        let paths: Vec<&str> = section.records.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["b.sml"]);
+        assert_eq!(
+            c.encode_section(true, 10).map(|b| b.len() > bytes.len()),
+            Some(true)
+        );
     }
 
     #[test]
-    fn no_temp_files_survive_a_save() {
-        let dir = tmp_path("tmpfiles");
-        let path = dir.join("stamps.json");
+    fn malformed_sections_are_errors() {
         let mut c = StampCache::new();
         c.record("a.sml".into(), entry("a", 1, 2));
-        c.save(&path).unwrap();
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["stamps.json"]);
-        std::fs::remove_dir_all(&dir).ok();
+        let bytes = c.encode_section(true, 10).unwrap();
+        for cut in [0, 8, 12, bytes.len() - 1] {
+            assert!(decode_section(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_section(&long).is_err(), "trailing byte");
+        let mut inflated = bytes;
+        inflated[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_section(&inflated).is_err(), "inflated count");
     }
 }

@@ -29,9 +29,9 @@
 //!          | point '=' action
 //! point   := 'store.publish' | 'store.fetch' | 'store.lock'
 //!          | 'bin.save' | 'bin.load' | 'compile.unit'
-//!          | 'ledger.append' | 'ledger.rotate' | 'stamp.save'
-//!          | 'pack.save' | 'pack.lock' | 'deps.save' | 'daemon.accept'
-//!          | 'daemon.watch' | 'daemon.lock'
+//!          | 'ledger.append' | 'ledger.rotate' | 'pack.save'
+//!          | 'pack.lock' | 'daemon.accept' | 'daemon.watch'
+//!          | 'daemon.lock'
 //! action  := kind [ '(' filter ')' ] [ '@' nth ] [ '%' percent ] [ '*' count ]
 //! kind    := 'io' | 'torn' | 'delay:' millis | 'panic' | 'crash'
 //! ```
@@ -46,8 +46,8 @@
 //! Examples: `compile.unit=panic(M3)@1*1` panics the first compile of
 //! unit `M3`; `seed=42;store.publish=torn%30;store.fetch=io%25` tears
 //! 30% of store writes and fails 25% of store reads, reproducibly;
-//! `stamp.save=crash(staged)@1` aborts the process the first time a
-//! stamp save has staged its tmp file but not yet renamed it.
+//! `pack.save=crash(staged)@1` aborts the process the first time a
+//! pack save has made its segment durable but not yet published it.
 //!
 //! # Semantics at the point
 //!
@@ -106,10 +106,8 @@ pub mod points {
     /// sweep; invalidation is deferred, never lost, because the next
     /// sweep re-diffs against the same snapshot).
     pub const DAEMON_WATCH: &str = "daemon.watch";
-    /// `StampCache::save`: the tmp+fsync+rename publication of
-    /// `stamps.json`.  Checked at stages `begin`, `staged`, `renamed`.
-    pub const STAMP_SAVE: &str = "stamp.save";
-    /// `PackWriter`: one save of `bins.pack`.  A full rewrite checks
+    /// `PackWriter`: one save of `bins.pack` (bins, stamps and the
+    /// import graph together).  A full rewrite checks
     /// stages `begin` (on create), `staged`, `renamed`; an appended
     /// segment checks `begin`, `mid` (half the segment written) and
     /// `staged` (segment fsynced).  `torn` keeps half of the bytes on
@@ -123,10 +121,6 @@ pub mod points {
     /// over-long `builds.jsonl`.  Checked at stages `begin`, `staged`,
     /// `renamed`.
     pub const LEDGER_ROTATE: &str = "ledger.rotate";
-    /// `DepGraph::save`: the tmp+fsync+rename publication of the
-    /// `deps.pack` import-DAG sidecar.  Checked at stages `begin`,
-    /// `staged`, `renamed`.
-    pub const DEPS_SAVE: &str = "deps.save";
     /// Daemon lockfile acquisition (the same `fsutil::acquire`: a
     /// `crash` models a daemon that dies holding the lock — the stale
     /// state `doctor` and lock takeover must clear).
@@ -141,10 +135,8 @@ pub mod points {
         COMPILE_UNIT,
         LEDGER_APPEND,
         LEDGER_ROTATE,
-        STAMP_SAVE,
         PACK_SAVE,
         PACK_LOCK,
-        DEPS_SAVE,
         DAEMON_ACCEPT,
         DAEMON_WATCH,
         DAEMON_LOCK,
@@ -594,13 +586,13 @@ mod tests {
     #[test]
     fn parse_crash_rules_at_every_durable_write_point() {
         let plan = FaultPlan::parse(
-            "stamp.save=crash(staged)@1; pack.save=crash(renamed); ledger.rotate=crash; \
+            "pack.save=crash(staged)@1; pack.save=crash(renamed); ledger.rotate=crash; \
              ledger.append=crash(mid)@2*1; store.publish=crash(begin); daemon.lock=crash",
         )
         .unwrap();
         assert_eq!(plan.rules.len(), 6);
         assert!(plan.rules.iter().all(|r| r.kind == FaultKind::Crash));
-        assert_eq!(plan.rules[0].point, points::STAMP_SAVE);
+        assert_eq!(plan.rules[0].point, points::PACK_SAVE);
         assert_eq!(plan.rules[0].filter.as_deref(), Some("staged"));
         assert_eq!(plan.rules[1].point, points::PACK_SAVE);
         assert_eq!(plan.rules[2].point, points::LEDGER_ROTATE);

@@ -403,6 +403,7 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
             let linked = env.get(*unit).expect("linked in order");
             println!("{unit}: export pid {}", linked.export_pid);
         }
+        std::mem::forget(env);
     } else if run {
         eprintln!("error: not running: the build did not complete");
     }
@@ -419,6 +420,11 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     if opts.stats {
         println!("{}", collector.stats_json());
     }
+    // Everything durable is written and every lock guard and writer is
+    // dropped; the process exits next.  Freeing the manager's 20k-unit
+    // maps, the project and the collector would only delay the exit.
+    std::io::stdout().flush().ok();
+    std::mem::forget((session, project, collector, report));
     built.exit_code
 }
 

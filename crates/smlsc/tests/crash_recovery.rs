@@ -200,15 +200,9 @@ fn reference(tag: &str, units: usize, with_store: bool) -> Fingerprint {
 fn crash_at_every_local_durable_write_stage_recovers_n50() {
     let reference_fp = reference("ref-local-50", 50, false);
     for (i, rule) in [
-        "stamp.save=crash(begin)",
-        "stamp.save=crash(staged)",
-        "stamp.save=crash(renamed)",
         "pack.save=crash(begin)",
         "pack.save=crash(staged)",
         "pack.save=crash(renamed)",
-        "deps.save=crash(begin)",
-        "deps.save=crash(staged)",
-        "deps.save=crash(renamed)",
         "ledger.append=crash(begin)",
         "ledger.append=crash(mid)",
     ]
@@ -240,9 +234,8 @@ fn crash_at_every_store_publish_stage_recovers_n50() {
 fn crash_recovery_holds_at_monorepo_scale_n200() {
     let reference_fp = reference("ref-local-200", 200, false);
     for (i, rule) in [
-        "stamp.save=crash(staged)",
+        "pack.save=crash(staged)",
         "pack.save=crash(renamed)",
-        "deps.save=crash(staged)",
         "ledger.append=crash(mid)",
     ]
     .iter()
@@ -262,7 +255,8 @@ fn crash_recovery_holds_at_monorepo_scale_n200() {
 
 /// Writes the seeded `units`-unit project to `dir` with each unit in
 /// `edited` given one body edit (all of them leaves: nothing imports
-/// them).
+/// them).  Files whose text is already on disk are left alone, so their
+/// stamps stay hits.
 fn seed_edited(dir: &Path, units: usize, edited: &[usize]) {
     let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
         units,
@@ -273,7 +267,48 @@ fn seed_edited(dir: &Path, units: usize, edited: &[usize]) {
         w.edit(i, EditKind::BodyOnly);
     }
     for f in w.project().files() {
-        std::fs::write(dir.join(format!("{}.sml", f.name)), f.read_text().unwrap()).unwrap();
+        let path = dir.join(format!("{}.sml", f.name));
+        let text = f.read_text().unwrap();
+        if std::fs::read_to_string(&path).ok().as_deref() != Some(text) {
+            std::fs::write(path, text).unwrap();
+        }
+    }
+}
+
+/// The saves of the append script, in order, each a segment of its
+/// own: a leaf body edit (bins and stamps), a `touch` alone (a
+/// stamp-only segment), and a new import of a new unit (bins, stamps and
+/// a graph section).
+const APPEND_SAVES: [&str; 3] = ["body", "touch", "import"];
+
+/// Brings the N = 200 project in `dir` to where `save` of
+/// [`APPEND_SAVES`] leaves it.
+fn apply_append_save(dir: &Path, save: &str) {
+    const N: usize = 200;
+    let leaf = dir.join(format!("M{}.sml", N - 1));
+    match save {
+        "body" => seed_edited(dir, N, &[N - 1]),
+        "touch" => {
+            // An older mtime, so the new stamp is not racy.
+            let old = std::time::SystemTime::now() - std::time::Duration::from_secs(60);
+            std::fs::File::options()
+                .write(true)
+                .open(dir.join("M0.sml"))
+                .unwrap()
+                .set_modified(old)
+                .unwrap();
+        }
+        _ => {
+            std::fs::write(
+                dir.join("Extra.sml"),
+                "structure Extra = struct val e = 1 end",
+            )
+            .unwrap();
+            let text = std::fs::read_to_string(&leaf).unwrap();
+            let edited = text.replacen("  fun get x = x\n", "  fun get x = x + 0 * Extra.e\n", 1);
+            assert_ne!(edited, text, "the leaf gains an import");
+            std::fs::write(&leaf, edited).unwrap();
+        }
     }
 }
 
@@ -283,78 +318,90 @@ fn inode(path: &Path) -> u64 {
     std::fs::metadata(path).unwrap().ino()
 }
 
-/// The warm path: after a cold build, a one-leaf edit's save appends a
-/// segment to `bins.pack` instead of rewriting it.  A crash at every
-/// stage of that append (`begin`: nothing written; `mid`: half a
-/// segment, a torn tail; `staged`: the segment fsynced, nothing after)
-/// recovers like every other crash point — the next build lands on a
-/// clean build's artifacts by appending to the same file, and the
-/// doctor leaves the tree healthy.
+/// The warm path: after a cold build, each save of a small change
+/// appends a segment to `bins.pack` instead of rewriting it — a leaf
+/// body edit (bins and stamps), a `touch` (stamps alone) and a new
+/// import (a graph section too).  A crash at every stage of each append
+/// (`begin`: nothing written; `mid`: half a segment, a torn tail;
+/// `staged`: the segment fsynced, nothing after) recovers like every
+/// other crash point — the next build lands on a clean build's artifacts
+/// by appending to the same file, and the doctor leaves the tree
+/// healthy.
 #[cfg(unix)]
 #[test]
 fn crash_at_every_pack_append_stage_recovers_n200() {
     const N: usize = 200;
-    let leaf = N - 1;
-    let reference_fp = {
-        let dir = temp("ref-append");
-        seed_edited(&dir, N, &[leaf]);
-        assert!(build(&dir, None, None).status.success());
-        let fp = fingerprint(&dir.join(".smlsc-bins"));
-        std::fs::remove_dir_all(&dir).ok();
-        fp
-    };
+    // The clean reference after each save (a touch changes no bin).
+    let references: Vec<Fingerprint> = APPEND_SAVES
+        .iter()
+        .enumerate()
+        .map(|(i, save)| {
+            let dir = temp(&format!("ref-append-{save}"));
+            seed_project(&dir, N);
+            for done in &APPEND_SAVES[..=i] {
+                apply_append_save(&dir, done);
+            }
+            assert!(build(&dir, None, None).status.success());
+            let fp = fingerprint(&dir.join(".smlsc-bins"));
+            std::fs::remove_dir_all(&dir).ok();
+            fp
+        })
+        .collect();
     for stage in ["begin", "mid", "staged"] {
-        let rule = format!("pack.save=crash({stage})");
         let proj = temp(&format!("append-{stage}"));
         seed_project(&proj, N);
-        assert!(
-            build(&proj, None, None).status.success(),
-            "{rule}: cold build"
-        );
+        assert!(build(&proj, None, None).status.success(), "{stage}: cold");
         let pack = proj.join(".smlsc-bins/bins.pack");
         let cold_inode = inode(&pack);
-        seed_edited(&proj, N, &[leaf]);
+        for (save, reference_fp) in APPEND_SAVES.iter().zip(&references) {
+            let rule = format!("pack.save=crash({stage}) on the {save} save");
+            apply_append_save(&proj, save);
+            let out = build(&proj, None, Some(&format!("pack.save=crash({stage})")));
+            assert!(
+                out.status.code().is_none(),
+                "{rule}: expected an abort in the append, got {:?}\nstderr: {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("injected fault: crash at"),
+                "{rule}: abort must come from the injected crash point"
+            );
 
-        let out = build(&proj, None, Some(&rule));
-        assert!(
-            out.status.code().is_none(),
-            "{rule}: expected an abort in the append, got {:?}\nstderr: {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("injected fault: crash at"),
-            "{rule}: abort must come from the injected crash point"
-        );
+            let out = build(&proj, None, None);
+            assert!(
+                out.status.success(),
+                "{rule}: recovery build failed: {out:?}"
+            );
+            assert_eq!(
+                &fingerprint(&proj.join(".smlsc-bins")),
+                reference_fp,
+                "{rule}: recovered artifacts differ from a clean build"
+            );
+            let reader = PackReader::open(&pack).unwrap().unwrap();
+            assert_eq!(reader.torn_tail(), 0, "{rule}: torn tail left behind");
+            assert_eq!(
+                reader.graph().map(|g| g.len()),
+                Some(reference_fp.len()),
+                "{rule}: the pack's graph covers every unit"
+            );
+            assert_eq!(inode(&pack), cold_inode, "{rule}: recovered by appending");
 
-        let out = build(&proj, None, None);
-        assert!(
-            out.status.success(),
-            "{rule}: recovery build failed: {out:?}"
-        );
-        assert_eq!(
-            fingerprint(&proj.join(".smlsc-bins")),
-            reference_fp,
-            "{rule}: recovered artifacts differ from a clean build"
-        );
-        let reader = PackReader::open(&pack).unwrap().unwrap();
-        assert_eq!(reader.torn_tail(), 0, "{rule}: torn tail left behind");
-        assert_eq!(inode(&pack), cold_inode, "{rule}: recovered by appending");
-
-        let out = doctor(&proj, None, true);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{rule}: doctor --fix failed: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-        let out = doctor(&proj, None, false);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{rule}: post-fix audit not healthy: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+            let out = doctor(&proj, None, true);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{rule}: doctor --fix failed: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+            let out = doctor(&proj, None, false);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{rule}: post-fix audit not healthy: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
         std::fs::remove_dir_all(&proj).ok();
     }
 }

@@ -1,8 +1,7 @@
 //! Durable filesystem writes: the one module that commits a file,
 //! takes a lockfile, or appends a log line, for every writer in the
-//! workspace (store objects and journal, `bins.pack`, `stamps.json`,
-//! `deps.pack`, the build ledger, store key locks, the daemon and pack
-//! locks).
+//! workspace (store objects and journal, `bins.pack`, the build
+//! ledger, store key locks, the daemon and pack locks).
 //!
 //! * **Commit** — [`AtomicFile`]: stream into a [`unique_tmp`] staging
 //!   file, then fsync → `rename(2)` → fsync of the destination's parent
@@ -415,17 +414,18 @@ mod tests {
         names
     }
 
-    const STAMP: Option<&str> = Some(points::STAMP_SAVE);
+    /// A commit point with the full `begin`/`staged`/`renamed` stages.
+    const POINT: Option<&str> = Some(points::LEDGER_ROTATE);
 
     #[test]
     fn tmp_names_are_unique_per_call() {
-        let dest = Path::new("/x/stamps.json");
+        let dest = Path::new("/x/builds.jsonl");
         let a = unique_tmp(dest);
         let b = unique_tmp(dest);
         assert_ne!(a, b);
         assert!(a.to_string_lossy().contains("tmp-"));
         assert!(is_tmp_litter(&a.file_name().unwrap().to_string_lossy()));
-        assert!(!is_tmp_litter("stamps.json"));
+        assert!(!is_tmp_litter("builds.jsonl"));
         assert!(!is_tmp_litter("bins.pack"));
     }
 
@@ -433,8 +433,8 @@ mod tests {
     fn commit_replaces_the_destination_and_leaves_no_litter() {
         let dir = temp("commit");
         let path = dir.join("state.bin");
-        commit_atomic(&path, b"first", STAMP).unwrap();
-        commit_atomic(&path, b"second", STAMP).unwrap();
+        commit_atomic(&path, b"first", POINT).unwrap();
+        commit_atomic(&path, b"second", POINT).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         assert_eq!(names_in(&dir), vec!["state.bin"]);
         std::fs::remove_dir_all(&dir).ok();
@@ -444,13 +444,13 @@ mod tests {
     fn injected_io_fails_the_commit_and_keeps_the_old_file() {
         let dir = temp("io");
         let path = dir.join("state.bin");
-        commit_atomic(&path, b"good", STAMP).unwrap();
+        commit_atomic(&path, b"good", POINT).unwrap();
         for stage in ["begin", "staged"] {
             let _g = install_scoped(
                 FaultPlan::default()
-                    .with(FaultRule::new(points::STAMP_SAVE, FaultKind::Io).filtered(stage)),
+                    .with(FaultRule::new(points::LEDGER_ROTATE, FaultKind::Io).filtered(stage)),
             );
-            assert!(commit_atomic(&path, b"bad", STAMP).is_err());
+            assert!(commit_atomic(&path, b"bad", POINT).is_err());
             assert_eq!(std::fs::read(&path).unwrap(), b"good", "stage {stage}");
         }
         // No staging litter survives either failure.
@@ -463,9 +463,9 @@ mod tests {
         let dir = temp("torn");
         let path = dir.join("state.bin");
         let _g = install_scoped(
-            FaultPlan::default().with(FaultRule::new(points::STAMP_SAVE, FaultKind::Torn)),
+            FaultPlan::default().with(FaultRule::new(points::LEDGER_ROTATE, FaultKind::Torn)),
         );
-        commit_atomic(&path, b"12345678", STAMP).unwrap();
+        commit_atomic(&path, b"12345678", POINT).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"1234");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -90,9 +90,9 @@ pub const PICKLE_BYTES: &str = "pickle.bytes";
 /// neither read nor re-digested (timestamps are a hint; the recorded
 /// digest is the truth and `--paranoid` re-verifies it).
 pub const STAMP_HITS: &str = "stamp.hits";
-/// Stamp-cache saves skipped because no entry changed since load: a
-/// fully warm build rewrites nothing, no matter how many entries the
-/// cache holds.
+/// Pack saves that wrote no stamp section because no entry changed
+/// since the last save: a fully warm build writes no stamps, no matter
+/// how many entries the cache holds.
 pub const STAMP_SAVES_SKIPPED: &str = "stamp.saves_skipped";
 /// Stamp-cache misses: a new, touched, or resized file that had to be
 /// read and digested (also counted when running `--paranoid`).
@@ -123,11 +123,13 @@ pub const SCHED_DIRTY_SEED: &str = "sched.dirty_seed";
 /// dispatched, so scheduler work is O(cone), not O(project).
 pub const SCHED_DIRTY_CONE: &str = "sched.dirty_cone";
 
-/// Import DAGs rehydrated from the `deps.pack` sidecar (no per-unit
-/// import re-resolution, no full topological re-sort).
+/// Import DAGs reused from the previous build or the pack's graph
+/// section, because no unit's import or export names changed (no
+/// per-unit import re-resolution, no full topological re-sort).
 pub const DEPS_PACK_HITS: &str = "deps.pack_hits";
-/// Import DAGs re-derived from per-unit analyses because the sidecar
-/// was absent, stale, or corrupt (the safe fallback, never an error).
+/// Import DAGs re-derived from per-unit analyses because no graph was
+/// saved or a unit's names, or the unit set, changed (the safe
+/// fallback, never an error).
 pub const DEPS_PACK_MISSES: &str = "deps.pack_misses";
 
 /// Requests served by the resident build daemon (handshake excluded):
@@ -154,14 +156,12 @@ pub const BUILD_PARALLELISM: &str = "build.parallelism";
 pub const SPAN_BUILD: &str = "irm.build";
 /// Span: loading the pack archive's index (`Irm::load_bins`).
 pub const SPAN_LOAD_BINS: &str = "irm.load_bins";
-/// Span: loading the stamp cache (`Irm::load_stamps`).
-pub const SPAN_LOAD_STAMPS: &str = "irm.load_stamps";
 /// Span: scanning a source directory (`Project::from_dir`).
 pub const SPAN_SCAN: &str = "irm.scan";
 /// Span: the analyze-everything phase (stamp ladder over all files).
 pub const SPAN_ANALYZE_ALL: &str = "irm.analyze_all";
-/// Span: dependency-graph construction (sidecar rehydrate or re-derive:
-/// export map, import resolution, topological order).
+/// Span: dependency-graph construction (reuse of the saved graph, or a
+/// re-derive: export map, import resolution, topological order).
 pub const SPAN_GRAPH: &str = "irm.graph";
 /// Span: dirty-set computation (per-unit rebuild decisions + cone).
 pub const SPAN_DIRTY: &str = "irm.dirty";

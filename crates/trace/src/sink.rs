@@ -191,15 +191,6 @@ impl Collector {
         self.lock().histograms.get(name).cloned()
     }
 
-    /// Names of all histograms, sorted.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.lock()
-            .histograms
-            .keys()
-            .map(|k| k.to_string())
-            .collect()
-    }
-
     /// All retained spans, in completion order.
     pub fn spans(&self) -> Vec<CollectedSpan> {
         self.lock().spans.clone()

@@ -108,7 +108,7 @@ scripts/check_bench
 echo "==> perf: monorepo scale smoke (N=100k, counters asserted)"
 # Cold + no-op + one-leaf edit at 100,000 units, gated on counters:
 # the no-op reads zero sources and schedules an empty dirty set, the
-# import DAG rehydrates from its deps.pack sidecar, and the leaf
+# import DAG rehydrates from the pack's graph section, and the leaf
 # edit's dirty seed and cone are both exactly the one edited unit.
 ./target/release/monorepo --scale-smoke
 
@@ -178,6 +178,11 @@ x=$(mktemp -d)
 trap 'rm -rf "$d" "$c" "$k" "$x"' EXIT
 printf 'structure Util = struct fun inc x = x + 1 end\n' > "$x/util.sml"
 printf 'structure Main = struct val v = Util.inc 41 end\n' > "$x/main.sml"
+# Enough units that a one-stamp segment fits the pack's 1/32 growth
+# bound, so a `touch` below appends one.
+for i in $(seq 1 40); do
+  printf 'structure M%s = struct val v = Util.inc %s end\n' "$i" "$i" > "$x/m$i.sml"
+done
 # The injected crash aborts the build mid-pack-rename (SIGABRT = 134).
 set +e
 ./target/release/smlsc build --no-daemon --inject-faults 'pack.save=crash(staged)' "$x" 2>/dev/null
@@ -186,10 +191,19 @@ set -e
 [ "$code" -eq 134 ] || { echo "error: expected SIGABRT exit 134, got $code" >&2; exit 1; }
 # The next plain build recovers without any manual cleanup.
 ./target/release/smlsc build --no-daemon "$x"
-# Mangle every state kind the doctor audits, then assert its exit
+# Stamps and the import graph live in bins.pack: no other cache file.
+for f in stamps.json deps.pack; do
+  [ ! -e "$x/.smlsc-bins/$f" ] || { echo "error: a build left $f behind" >&2; exit 1; }
+done
+# A `touch` (dated back, so its new stamp is not racy) appends a
+# stamp-only segment; flip a byte of its stamp section, just before the
+# segment's 40-byte footer, so the doctor must report a torn tail.
+touch -d '1 minute ago' "$x/m1.sml"
+./target/release/smlsc build --no-daemon "$x"
+pack="$x/.smlsc-bins/bins.pack"
+printf '\377' | dd of="$pack" bs=1 seek=$(( $(stat -c %s "$pack") - 43 )) conv=notrunc status=none
+# Mangle every other state kind the doctor audits, then assert its exit
 # codes: 4 on detection, 0 after --fix, 0 (healthy) on re-audit.
-printf 'SMLSSTM2 then garbage' > "$x/.smlsc-bins/stamps.json"
-printf 'SMLSDEP1garbage' > "$x/.smlsc-bins/deps.pack"
 printf '{"v":1,"torn' >> "$x/.smlsc-bins/builds.jsonl"
 printf 'half-staged' > "$x/.smlsc-bins/bins.tmp-99-0"
 printf '4294967295\n' > "$x/.smlsc-bins/daemon.lock"
@@ -199,6 +213,8 @@ set -e
 [ "$code" -eq 4 ] || { echo "error: doctor on mangled state: expected 4, got $code" >&2; cat "$x/doctor.json" >&2; exit 1; }
 grep -q '"verdict":"issues-found"' "$x/doctor.json" \
   || { echo "error: doctor verdict not issues-found:" >&2; cat "$x/doctor.json" >&2; exit 1; }
+grep -q 'torn tail' "$x/doctor.json" \
+  || { echo "error: doctor missed the torn stamp segment:" >&2; cat "$x/doctor.json" >&2; exit 1; }
 ./target/release/smlsc doctor --fix "$x" > "$x/doctor-fix.json" \
   || { echo "error: doctor --fix failed" >&2; cat "$x/doctor-fix.json" >&2; exit 1; }
 grep -q '"verdict":"repaired"' "$x/doctor-fix.json" \

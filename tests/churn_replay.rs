@@ -53,7 +53,6 @@ fn cold_step(
     let collector = trace::Collector::new();
     collector.install();
     let mut irm = Irm::new(Strategy::Cutoff);
-    irm.load_stamps(&bin.join("stamps.json"));
     if bin.is_dir() {
         let outcome = irm.load_bins(bin).unwrap();
         assert!(outcome.corrupt.is_empty(), "{:?}", outcome.corrupt);
@@ -63,7 +62,6 @@ fn cold_step(
         .build_with(&project, jobs, FailurePolicy::FailFast)
         .unwrap();
     irm.save_bins(bin).unwrap();
-    irm.save_stamps(&bin.join("stamps.json")).unwrap();
     trace::uninstall();
     let decisions = report
         .decisions

@@ -60,7 +60,7 @@ fn tear_archived_body(dir: &Path, unit: &str, body: &[u8]) {
     for (meta, bytes, digest) in &items {
         w.add(meta, bytes, *digest).unwrap();
     }
-    w.finish().unwrap();
+    w.finish_with(None, None).unwrap();
 }
 
 fn dir_entries(dir: &Path) -> Vec<String> {
@@ -74,6 +74,10 @@ fn dir_entries(dir: &Path) -> Vec<String> {
 
 fn mtime(path: PathBuf) -> std::time::SystemTime {
     std::fs::metadata(path).unwrap().modified().unwrap()
+}
+
+fn len(path: PathBuf) -> u64 {
+    std::fs::metadata(path).unwrap().len()
 }
 
 #[test]
@@ -190,21 +194,23 @@ fn atomic_save_leaves_no_temp_files_and_skips_clean_bins() {
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(&p).unwrap();
     irm.save_bins(&dir).unwrap();
-    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack"]);
+    // Bins, stamps and the import graph share the one pack.
+    assert_eq!(dir_entries(&dir), ["bins.pack"]);
 
-    // A second save with nothing dirty must rewrite nothing: mtimes of
-    // the on-disk files stay identical, and no staging file is left.
-    let before = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    // A second save with nothing dirty must rewrite nothing: the pack's
+    // mtime and length stay identical, and no staging file is left.
+    let before = (mtime(dir.join("bins.pack")), len(dir.join("bins.pack")));
     irm.save_bins(&dir).unwrap();
-    let after = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    let after = (mtime(dir.join("bins.pack")), len(dir.join("bins.pack")));
     assert_eq!(before, after, "no-op save must not rewrite the archive");
-    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack"]);
+    assert_eq!(dir_entries(&dir), ["bins.pack"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Per-unit `*.bin` files are not a cache format: a stray one next to
 /// the archive is neither loaded nor deleted, and a warm load + no-op
-/// save leaves the archive and its sidecar untouched.
+/// save leaves the archive — its stamp and graph sections included —
+/// untouched.
 #[test]
 fn atomic_archive_save_migrates_and_skips_when_clean() {
     let dir = temp_dir("atomic-pack");
@@ -222,12 +228,13 @@ fn atomic_archive_save_migrates_and_skips_when_clean() {
     let report = warm.build(&p).unwrap();
     assert!(report.recompiled.is_empty(), "{:?}", report.decisions);
 
-    // A load + no-op save must not rewrite the archive or the sidecar.
-    let before = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    // A load + no-op save must not rewrite or append to the archive:
+    // the graph section loaded with it is current.
+    let before = (mtime(dir.join("bins.pack")), len(dir.join("bins.pack")));
     warm.save_bins(&dir).unwrap();
     warm.save_bins(&dir).unwrap();
-    let after = [mtime(dir.join("bins.pack")), mtime(dir.join("deps.pack"))];
+    let after = (mtime(dir.join("bins.pack")), len(dir.join("bins.pack")));
     assert_eq!(before, after, "no-op save must not rewrite the archive");
-    assert_eq!(dir_entries(&dir), ["bins.pack", "deps.pack", "mid.bin"]);
+    assert_eq!(dir_entries(&dir), ["bins.pack", "mid.bin"]);
     std::fs::remove_dir_all(&dir).ok();
 }

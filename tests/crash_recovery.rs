@@ -15,10 +15,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use smlsc::core::doctor::{self, DoctorOptions, DoctorVerdict};
-use smlsc::core::irm::{Irm, Strategy};
+use smlsc::core::irm::{Irm, Project, Strategy};
 use smlsc::core::ledger::{Ledger, LedgerRecord, LEDGER_FILE, LEDGER_VERSION};
 use smlsc::core::pack::PackReader;
 use smlsc::core::store::Store;
+use smlsc::core::trace::names;
 use smlsc::core::CoreError;
 use smlsc::ids::Pid;
 use smlsc::workload::{Topology, Workload, WorkloadSpec};
@@ -163,7 +164,7 @@ fn torn_ledger_tail_heals_and_compacts() {
     std::fs::remove_dir_all(&bin).ok();
 }
 
-/// Seeds a workload, builds it, and persists bins + stamps to `bin`.
+/// Seeds a workload, builds it, and persists it to `bin`.
 fn built_workload(bin: &Path, units: usize) -> Irm {
     let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
         units,
@@ -172,7 +173,6 @@ fn built_workload(bin: &Path, units: usize) -> Irm {
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(w.project()).unwrap();
     irm.save_bins(bin).unwrap();
-    irm.save_stamps(&bin.join("stamps.json")).unwrap();
     irm
 }
 
@@ -584,115 +584,212 @@ fn stale_daemon_files_are_cleared_live_ones_kept() {
     std::fs::remove_dir_all(&bin).ok();
 }
 
-/// Corrupt stamps (crash mid-write caught by the payload digest) are
-/// deleted by `--fix`; the stamp cache is a pure accelerator, so the
-/// next build just runs cold.
+/// A corrupt stamp section fails its segment's index digest, so only
+/// that segment is lost: the doctor reports it as a torn tail and
+/// `--fix` cuts it off.  Stamps are a pure accelerator, so the next
+/// build re-digests the one file whose stamp the cut segment held and
+/// reuses every unit.
 #[test]
-fn corrupt_stamps_are_deleted_by_fix() {
-    let bin = temp("stamps");
-    std::fs::write(bin.join("stamps.json"), b"SMLSSTM2 then garbage bytes").unwrap();
+fn corrupt_stamp_section_is_cut_off_by_fix() {
+    let base = temp("stamps");
+    let (src, bin) = (base.join("src"), base.join("bins"));
+    std::fs::create_dir_all(&src).unwrap();
+    // Big enough that a one-stamp segment fits the 1/32 growth bound.
+    let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+        units: 30,
+        seed: 11,
+    }));
+    // Dated a minute back: stamps of files written in the save's own
+    // filesystem tick are racy, and this test counts stamp hits.
+    let settled = std::time::SystemTime::now() - Duration::from_secs(60);
+    for f in w.project().files() {
+        let path = src.join(format!("{}.sml", f.name));
+        std::fs::write(&path, f.read_text().unwrap()).unwrap();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(settled).unwrap();
+    }
+    let build = |touched: bool| {
+        let collector = smlsc::core::trace::Collector::new();
+        collector.install();
+        let mut irm = Irm::new(Strategy::Cutoff);
+        irm.load_bins(&bin).unwrap();
+        let report = irm.build(&Project::from_dir(&src).unwrap()).unwrap();
+        irm.save_bins(&bin).unwrap();
+        smlsc::core::trace::uninstall();
+        assert!(
+            report.recompiled.is_empty() || !touched,
+            "{:?}",
+            report.decisions
+        );
+        collector
+    };
+    build(false);
+    // A `touch` (to another settled mtime) appends a stamp-only segment.
+    let pack_path = bin.join("bins.pack");
+    let before = std::fs::metadata(&pack_path).unwrap().len();
+    let old = settled - Duration::from_secs(60);
+    std::fs::File::options()
+        .write(true)
+        .open(src.join("M29.sml"))
+        .unwrap()
+        .set_modified(old)
+        .unwrap();
+    build(true);
+    let len = std::fs::metadata(&pack_path).unwrap().len();
+    assert!(len > before, "the touch appended a segment");
+
+    // Flip a byte of that segment's stamp section, the last bytes
+    // before its 40-byte footer.
+    let mut bytes = std::fs::read(&pack_path).unwrap();
+    bytes[len as usize - 40 - 3] ^= 0xff;
+    std::fs::write(&pack_path, &bytes).unwrap();
+    let reader = PackReader::open(&pack_path).unwrap().unwrap();
+    assert_eq!(
+        reader.torn_tail(),
+        len - before,
+        "only the last segment is lost"
+    );
+    drop(reader);
+
     let report = doctor_on(&bin, None, false);
     assert_eq!(report.verdict(), DoctorVerdict::IssuesFound);
-    assert!(report.findings.iter().any(|f| f.state == "stamps"));
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.state == "pack" && f.issue.contains("torn tail")));
     let report = doctor_on(&bin, None, true);
-    assert_eq!(report.verdict(), DoctorVerdict::Repaired);
-    assert!(!bin.join("stamps.json").exists());
-    std::fs::remove_dir_all(&bin).ok();
+    assert_eq!(
+        report.verdict(),
+        DoctorVerdict::Repaired,
+        "{}",
+        report.to_json()
+    );
+    assert_eq!(
+        doctor_on(&bin, None, false).verdict(),
+        DoctorVerdict::Healthy
+    );
+    assert_eq!(std::fs::metadata(&pack_path).unwrap().len(), before);
+
+    // The touched file's stamp went with the segment: one re-digest,
+    // nothing recompiled.
+    let collector = build(true);
+    assert_eq!(collector.counter(names::STAMP_MISSES), 1);
+    assert_eq!(collector.counter(names::SOURCE_READS), 1);
+    assert_eq!(collector.counter(names::STAMP_HITS), 29);
+    std::fs::remove_dir_all(&base).ok();
 }
 
-/// A torn `deps.pack` sidecar (crash mid-commit caught by the payload
-/// digest) reads as absent: the next build silently re-derives the
-/// import DAG from the per-unit analyses and rebuilds exactly the
-/// edited cone — never a wrong build.  The doctor reports the torn
-/// sidecar and `--fix` deletes it.
+/// The seeded 40-unit workload plus one new unit: a change of the unit
+/// set, so the build re-derives the import graph and its save carries a
+/// graph section.
+fn with_new_unit(w: &Workload) -> Project {
+    let mut p = w.project().clone();
+    p.add("Extra", "structure Extra = struct val x = 1 end");
+    p
+}
+
+/// A torn append carrying a new graph section (a crash mid-append)
+/// leaves a torn tail: the next session loads the valid prefix with the
+/// previous graph, re-derives the graph from the analyses, and rebuilds
+/// exactly the unit whose bin the torn segment held — never a wrong
+/// build.  The doctor reports the torn tail and `--fix` cuts it off; a
+/// clean save then appends a graph section covering every unit.
 #[test]
-fn torn_deps_sidecar_is_rederived_and_repaired() {
-    let bin = temp("depstorn");
-    let mut w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
+fn torn_graph_section_is_rederived_and_repaired() {
+    let bin = temp("graphtorn");
+    let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
         units: 40,
         seed: 11,
     }));
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(w.project()).unwrap();
+    irm.save_bins(&bin).unwrap();
+    let pack_path = bin.join("bins.pack");
+    let clean_len = std::fs::metadata(&pack_path).unwrap().len();
+    let p = with_new_unit(&w);
+    irm.build(&p).unwrap();
     {
         let _f = install_scoped(
-            FaultPlan::seeded(1).with(FaultRule::new(points::DEPS_SAVE, FaultKind::Torn)),
+            FaultPlan::seeded(1).with(FaultRule::new(points::PACK_SAVE, FaultKind::Torn)),
         );
         irm.save_bins(&bin).unwrap();
     }
-    let deps_path = bin.join("deps.pack");
-    assert!(deps_path.exists(), "torn commit still publishes a file");
-    assert!(
-        smlsc::core::depgraph::DepGraph::audit(&deps_path).is_err(),
-        "half-written sidecar fails its digest"
-    );
+    let reader = PackReader::open(&pack_path).unwrap().unwrap();
+    assert!(reader.torn_tail() > 0, "the torn append left a tail");
+    assert_eq!(reader.graph().map(|g| g.len()), Some(40), "the old graph");
+    drop(reader);
 
-    // A fresh session tolerates the torn sidecar: the warm no-op build
-    // re-derives the graph from analyses and reuses every unit.
+    // A fresh session tolerates the torn tail: it re-derives the graph
+    // and rebuilds only the unit the torn segment lost.
+    let collector = smlsc::core::trace::Collector::new();
+    collector.install();
     let mut warm = Irm::new(Strategy::Cutoff);
     warm.load_bins(&bin).unwrap();
-    let report = warm.build(w.project()).unwrap();
+    let report = warm.build(&p).unwrap();
+    smlsc::core::trace::uninstall();
     assert!(report.succeeded());
-    assert_eq!(report.reused.len(), 40, "no-op over torn sidecar");
+    assert_eq!(report.recompiled, [smlsc::ids::Symbol::intern("Extra")]);
+    assert_eq!(report.reused.len(), 40);
+    assert_eq!(collector.counter(names::DEPS_PACK_MISSES), 1);
 
-    // And a leaf edit over the torn sidecar recompiles exactly its cone.
-    w.edit(39, smlsc::workload::EditKind::BodyOnly);
-    let mut warm = Irm::new(Strategy::Cutoff);
-    warm.load_bins(&bin).unwrap();
-    let report = warm.build(w.project()).unwrap();
-    assert!(report.succeeded());
-    assert_eq!(
-        report.recompiled.len(),
-        1,
-        "exactly the edited leaf rebuilt"
-    );
-
-    // Doctor: reported without --fix, deleted with it.
+    // Doctor: reported without --fix, cut off with it.
     let dr = doctor_on(&bin, None, false);
     assert_eq!(dr.verdict(), DoctorVerdict::IssuesFound);
-    assert!(dr.findings.iter().any(|f| f.state == "deps"));
+    assert!(dr.findings.iter().any(|f| f.state == "pack"));
     let dr = doctor_on(&bin, None, true);
     assert_eq!(dr.verdict(), DoctorVerdict::Repaired, "{}", dr.to_json());
-    assert!(!deps_path.exists(), "corrupt sidecar deleted");
+    assert_eq!(std::fs::metadata(&pack_path).unwrap().len(), clean_len);
 
-    // A clean save republishes a valid sidecar.
+    // A clean save appends a graph section covering every unit, and the
+    // next session's graph is a hit.
     warm.save_bins(&bin).unwrap();
-    let n = smlsc::core::depgraph::DepGraph::audit(&deps_path).unwrap();
-    assert_eq!(n, 40, "republished sidecar covers every unit");
+    let reader = PackReader::open(&pack_path).unwrap().unwrap();
+    assert_eq!(reader.graph().map(|g| g.len()), Some(41));
+    drop(reader);
+    let collector = smlsc::core::trace::Collector::new();
+    collector.install();
+    let mut next = Irm::new(Strategy::Cutoff);
+    next.load_bins(&bin).unwrap();
+    assert!(next.build(&p).unwrap().recompiled.is_empty());
+    smlsc::core::trace::uninstall();
+    assert_eq!(collector.counter(names::DEPS_PACK_HITS), 1);
     std::fs::remove_dir_all(&bin).ok();
 }
 
-/// An IO failure while publishing the sidecar fails the save without
-/// touching the already-committed pack; retrying with the fault gone
-/// completes the publication.
+/// An IO failure while appending a segment that carries a new graph
+/// section fails the save without touching the committed pack; retrying
+/// with the fault gone completes it.
 #[test]
-fn failed_deps_save_keeps_pack_intact() {
-    let bin = temp("depsio");
+fn failed_graph_save_keeps_pack_intact() {
+    let bin = temp("graphio");
     let w = Workload::new(WorkloadSpec::with_topology(Topology::Monorepo {
         units: 30,
         seed: 11,
     }));
     let mut irm = Irm::new(Strategy::Cutoff);
     irm.build(w.project()).unwrap();
-    {
-        let _f = install_scoped(
-            FaultPlan::seeded(1)
-                .with(FaultRule::new(points::DEPS_SAVE, FaultKind::Io).filtered("begin")),
-        );
-        irm.save_bins(&bin).unwrap_err();
+    irm.save_bins(&bin).unwrap();
+    let pack_path = bin.join("bins.pack");
+    let len = std::fs::metadata(&pack_path).unwrap().len();
+    irm.build(&with_new_unit(&w)).unwrap();
+    for stage in ["begin", "mid", "staged"] {
+        {
+            let _f = install_scoped(
+                FaultPlan::seeded(1)
+                    .with(FaultRule::new(points::PACK_SAVE, FaultKind::Io).filtered(stage)),
+            );
+            irm.save_bins(&bin).unwrap_err();
+        }
+        assert_eq!(std::fs::metadata(&pack_path).unwrap().len(), len, "{stage}");
+        let pack = PackReader::open(&pack_path).unwrap().unwrap();
+        assert_eq!(pack.entries().len(), 30, "{stage}");
+        assert_eq!(pack.graph().map(|g| g.len()), Some(30), "{stage}");
     }
-    let pack = PackReader::open(&bin.join("bins.pack")).unwrap().unwrap();
-    assert_eq!(
-        pack.entries().len(),
-        30,
-        "pack committed before the sidecar"
-    );
-    drop(pack);
-    assert!(!bin.join("deps.pack").exists());
 
     irm.save_bins(&bin).unwrap();
-    let n = smlsc::core::depgraph::DepGraph::audit(&bin.join("deps.pack")).unwrap();
-    assert_eq!(n, 30);
+    let pack = PackReader::open(&pack_path).unwrap().unwrap();
+    assert_eq!(pack.entries().len(), 31);
+    assert_eq!(pack.graph().map(|g| g.len()), Some(31));
     std::fs::remove_dir_all(&bin).ok();
 }
 
