@@ -11,15 +11,15 @@
 //! * `coldproc` — a full cold-process warm-build pipeline (the
 //!   `null_build` fast path: load stamps, open the `bins.pack` index,
 //!   scan sources, cutoff build);
-//! * `daemon_stat` — a socket round-trip with `fresh: true`: the
-//!   resident session stat-rescans the source directory, applies the
-//!   (empty) delta, and answers from its caches;
-//! * `daemon_trusted` — a socket round-trip with `fresh: false`: the
-//!   watcher is trusted, nothing changed since the last build, so the
-//!   request is answered from the retained snapshot — pure protocol
-//!   cost, no filesystem access at all.
+//! * `daemon_event` — a socket round-trip after one source was
+//!   rewritten with the same bytes: the build drains the file event,
+//!   re-reads that one file and runs the analysis ladder over every
+//!   unit from its caches, recompiling nothing;
+//! * `daemon_noop` — a socket round-trip with nothing changed: the
+//!   drain finds the watch queue empty and the request is answered from
+//!   the retained snapshot — protocol cost plus one empty `read(2)`.
 //!
-//! The headline ratio is `coldproc / daemon_trusted`: process start-up,
+//! The headline ratio is `coldproc / daemon_noop`: process start-up,
 //! stamp-file parse, and pack-index open all disappear from the warm
 //! no-op once a daemon holds them resident.  Results land in
 //! `BENCH_daemon.json`.
@@ -125,11 +125,7 @@ fn main() {
             coldproc = coldproc.min(dt);
         }
 
-        // The daemon, with the watcher parked (nothing edits the
-        // project mid-measurement, and trusted no-ops must not race a
-        // sweep).
         let mut config = ServerConfig::new(&src, &bin_dir);
-        config.watch_interval = Duration::from_secs(3600);
         config.jobs = 4;
         let server = ServerHandle::spawn(config).expect("daemon spawns");
         let socket = server.socket_path().to_path_buf();
@@ -137,31 +133,35 @@ fn main() {
         let (_, primed) = timed_noop(&socket, &Request::build(true));
         assert!(!primed.cached, "the primer is a real build");
 
-        let mut daemon_stat = Duration::MAX;
+        let touched = src.join(format!("{}.sml", module_name(0)));
+        let bytes = std::fs::read(&touched).unwrap();
+        let mut daemon_event = Duration::MAX;
         for _ in 0..RUNS {
-            let (dt, _) = timed_noop(&socket, &Request::build(true));
-            daemon_stat = daemon_stat.min(dt);
+            std::fs::write(&touched, &bytes).unwrap();
+            let (dt, response) = timed_noop(&socket, &Request::build(true));
+            assert!(!response.cached, "an event runs the ladder");
+            daemon_event = daemon_event.min(dt);
         }
-        let mut daemon_trusted = Duration::MAX;
+        let mut daemon_noop = Duration::MAX;
         for _ in 0..RUNS {
-            let (dt, response) = timed_noop(&socket, &Request::build(false));
-            assert!(response.cached, "trusted no-op is snapshot-served");
-            daemon_trusted = daemon_trusted.min(dt);
+            let (dt, response) = timed_noop(&socket, &Request::build(true));
+            assert!(response.cached, "an empty drain is snapshot-served");
+            daemon_noop = daemon_noop.min(dt);
         }
         server.stop().expect("daemon stops");
 
-        let speedup = coldproc.as_secs_f64() / daemon_trusted.as_secs_f64().max(1e-9);
+        let speedup = coldproc.as_secs_f64() / daemon_noop.as_secs_f64().max(1e-9);
         println!(
-            "  N={n}: coldproc {} ms | daemon stat-rescan {} ms | daemon trusted {} ms | {speedup:.0}x",
+            "  N={n}: coldproc {} ms | daemon one event {} ms | daemon no-op {} ms | {speedup:.0}x",
             ms(coldproc),
-            ms(daemon_stat),
-            ms(daemon_trusted)
+            ms(daemon_event),
+            ms(daemon_noop)
         );
         rows.push(format!(
-            r#"{{"units":{n},"coldproc_noop_ms":{},"daemon_stat_noop_ms":{},"daemon_trusted_noop_ms":{},"daemon_speedup":{speedup:.1}}}"#,
+            r#"{{"units":{n},"coldproc_noop_ms":{},"daemon_event_noop_ms":{},"daemon_noop_ms":{},"daemon_speedup":{speedup:.1}}}"#,
             ms(coldproc),
-            ms(daemon_stat),
-            ms(daemon_trusted)
+            ms(daemon_event),
+            ms(daemon_noop)
         ));
         std::fs::remove_dir_all(&base).ok();
     }

@@ -55,6 +55,23 @@ pub fn explain_lines(decisions: &[(Symbol, RebuildDecision)]) -> Vec<String> {
         .collect()
 }
 
+/// `built N unit(s) [strategy]: R recompiled, U reused`, plus the store
+/// hits when a store is attached.
+fn summary_line(
+    units: usize,
+    strategy: Strategy,
+    recompiled: usize,
+    reused: usize,
+    store_hits: Option<usize>,
+) -> String {
+    let mut line =
+        format!("built {units} unit(s) [{strategy}]: {recompiled} recompiled, {reused} reused");
+    if let Some(hits) = store_hits {
+        line += &format!(", {hits} from store");
+    }
+    line
+}
+
 /// A manager opened over one bin directory.
 pub struct BuildSession {
     /// The manager, with the bin directory's stamps and bins loaded.
@@ -138,16 +155,13 @@ impl BuildSession {
                 ));
             }
         }
-        let mut summary = format!(
-            "built {} unit(s) [{}]: {} recompiled, {} reused",
+        let mut summary = summary_line(
             report.order.len(),
             report.strategy,
             report.recompiled.len(),
-            report.reused.len()
+            report.reused.len(),
+            self.irm.store().map(|_| report.store_hits.len()),
         );
-        if self.irm.store().is_some() {
-            summary += &format!(", {} from store", report.store_hits.len());
-        }
         if !report.succeeded() {
             let (failed, skipped) = (report.failed.len(), report.skipped.len());
             summary += &format!(", {failed} failed, {skipped} skipped");
@@ -158,6 +172,18 @@ impl BuildSession {
             notes,
             summary,
         })
+    }
+
+    /// The summary line of a successful rebuild of `units` units with
+    /// nothing changed: what a daemon's cached reply prints.
+    pub(crate) fn noop_summary(&self, units: usize) -> String {
+        summary_line(
+            units,
+            self.irm.strategy(),
+            0,
+            units,
+            self.irm.store().map(|_| 0),
+        )
     }
 
     /// Persists `built` — bins, stamps and graph in one pack save — then

@@ -88,7 +88,7 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, ImportSource};
 use crate::depgraph::DepGraph;
 use crate::link::{link_and_execute, DynEnv};
-use crate::pack::{self, PackReader, PackTail, PackWriter, PACK_FILE};
+use crate::pack::{self, PackBodies, PackEntry, PackReader, PackTail, PackWriter, PACK_FILE};
 use crate::stamps::{stamp_key, StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
@@ -185,6 +185,15 @@ impl SourceFile {
             SourceText::Lazy { path, .. } => Some(path),
         }
     }
+}
+
+/// A file's modification time in nanoseconds since the epoch (0 when
+/// the platform has none).
+pub(crate) fn mtime_ns(meta: &std::fs::Metadata) -> u64 {
+    meta.modified()
+        .ok()
+        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+        .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
 }
 
 static CLOCK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -325,13 +334,7 @@ impl Project {
             };
             let meta = std::fs::metadata(&path)
                 .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
-            let mtime_ns = meta
-                .modified()
-                .ok()
-                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            files.push((stem.to_string(), path, mtime_ns, meta.len()));
+            files.push((stem.to_string(), path, mtime_ns(&meta), meta.len()));
         }
         files.sort_by(|a, b| a.0.cmp(&b.0));
         let mut p = Project::new();
@@ -605,7 +608,7 @@ enum BinBody {
 
 #[derive(Debug, Clone)]
 struct LazyBody {
-    pack: Arc<PackReader>,
+    pack: Arc<PackBodies>,
     offset: u64,
     len: u64,
     digest: Pid,
@@ -687,6 +690,9 @@ pub struct Irm {
     /// True while the pack holds `graph`, so a save need not write a
     /// graph section.
     graph_synced: bool,
+    /// The segment the last save wrote and a read handle on its file:
+    /// what [`Irm::release_bodies`] points the saved bodies at.
+    saved: Option<(Arc<PackBodies>, Vec<PackEntry>)>,
 }
 
 /// The per-file analysis record — digests plus import/export lists.
@@ -867,6 +873,14 @@ impl Irm {
         Ok(())
     }
 
+    /// Forgets the stamp recorded for the file at `path`: the next
+    /// build reads and digests it (rung 2 or lower of the analysis
+    /// ladder) even when its mtime and size match the stamp, as after a
+    /// same-size rewrite within one mtime tick.
+    pub(crate) fn forget_stamp(&mut self, path: &Path) {
+        self.stamps.forget(&stamp_key(path));
+    }
+
     /// Drops a unit whose archived body turned out to be corrupt, so
     /// the next build recompiles it (alone).  Returns true if the unit
     /// was cached.
@@ -1007,7 +1021,7 @@ impl Irm {
                 put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
             }
         }
-        let tail = writer.finish_with(stamps.as_deref(), graph.as_deref())?;
+        let sealed = writer.finish_with(stamps.as_deref(), graph.as_deref())?;
         for unit in quarantined {
             self.bins.remove(&unit);
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
@@ -1015,9 +1029,59 @@ impl Irm {
         self.dirty.clear();
         self.stamps.mark_saved();
         self.graph_synced = self.graph.is_some();
-        self.pack = Some((pack_path, tail));
+        self.pack = Some((pack_path, sealed.tail));
         self.pack_synced = true;
+        self.saved = Some((sealed.bodies, sealed.entries));
         Ok(())
+    }
+
+    /// Frees every decoded bin body: each body the last save wrote is
+    /// pointed at its bytes in the pack (forced again, digest-verified,
+    /// on next use), and every forced lazy body is emptied.  Costs the
+    /// bodies that save wrote plus one pass over the bins; the index is
+    /// not reopened.  A long-lived session calls this after each save so
+    /// its heap stays flat however many builds it serves; a one-shot
+    /// build has no reason to.  Returns the released bodies, for the
+    /// caller to free when it suits (a build's worth takes
+    /// milliseconds).
+    pub fn release_bodies(&mut self) -> Vec<BinFile> {
+        let mut released = Vec::new();
+        if let Some((bodies, entries)) = self.saved.take() {
+            for e in entries {
+                // A bin rebuilt since that save is not what it wrote.
+                if self.dirty.contains(&e.name) {
+                    continue;
+                }
+                if let Some(entry) = self.bins.get_mut(&e.name) {
+                    let lazy = BinBody::Lazy {
+                        src: LazyBody {
+                            pack: Arc::clone(&bodies),
+                            offset: e.offset,
+                            len: e.len,
+                            digest: e.digest,
+                        },
+                        cell: OnceLock::new(),
+                    };
+                    if let BinBody::Resident(bin) = std::mem::replace(&mut entry.body, lazy) {
+                        released.push(bin);
+                    }
+                }
+            }
+        }
+        for entry in self.bins.values_mut() {
+            if let BinBody::Lazy { cell, .. } = &mut entry.body {
+                if let Some(Ok(bin)) = cell.take() {
+                    released.push(bin);
+                }
+            }
+        }
+        released
+    }
+
+    /// Bin bodies held decoded in memory: resident, or lazy and forced.
+    #[cfg(test)]
+    pub(crate) fn decoded_bodies(&self) -> usize {
+        self.bins.values().filter(|e| e.forced().is_some()).count()
     }
 
     /// Loads the bin cache under `dir`: the indexed `bins.pack` archive
@@ -1039,6 +1103,7 @@ impl Irm {
     /// in [`BinLoadOutcome::corrupt`].
     pub fn load_bins(&mut self, dir: &Path) -> Result<BinLoadOutcome, CoreError> {
         let _span = trace::span(names::SPAN_LOAD_BINS);
+        self.saved = None;
         let mut out = BinLoadOutcome::default();
         let pack_path = dir.join(PACK_FILE);
         let mut tail = None;
@@ -1058,7 +1123,6 @@ impl Irm {
                     self.stamps = stamps;
                     self.graph_synced = graph.is_some();
                     self.graph = graph.map(Arc::new);
-                    let reader = Arc::new(reader);
                     pack_entries = reader.entries().len();
                     for pe in reader.entries() {
                         let unit = pe.name;
@@ -1081,7 +1145,7 @@ impl Irm {
                             continue;
                         }
                         let src = LazyBody {
-                            pack: Arc::clone(&reader),
+                            pack: Arc::clone(reader.bodies()),
                             offset: pe.offset,
                             len: pe.len,
                             digest: pe.digest,

@@ -95,6 +95,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use smlsc_faults::{self as faults, points, FaultKind};
@@ -491,8 +492,7 @@ pub fn truncate_torn_tail(path: &Path) -> Result<(), CoreError> {
 #[derive(Debug)]
 pub struct PackReader {
     path: PathBuf,
-    file: File,
-    map: Option<smlsc_mmap::Mapping>,
+    bodies: Arc<PackBodies>,
     entries: Vec<PackEntry>,
     stamps: StampCache,
     graph: Option<DepGraph>,
@@ -598,8 +598,7 @@ impl PackReader {
         }
         Ok(PackReader {
             path: path.to_path_buf(),
-            file,
-            map,
+            bodies: Arc::new(PackBodies { file, map }),
             entries,
             stamps,
             graph,
@@ -647,6 +646,34 @@ impl PackReader {
         self.tail.file.len - self.tail.valid_end
     }
 
+    /// The reader's body handle, shared by every lazy body it serves.
+    pub(crate) fn bodies(&self) -> &Arc<PackBodies> {
+        &self.bodies
+    }
+
+    /// Reads and digest-verifies one body slice; see
+    /// [`PackBodies::read_body`].
+    ///
+    /// # Errors
+    ///
+    /// A description of the IO failure or digest mismatch.
+    pub fn read_body(&self, offset: u64, len: u64, digest: Pid) -> Result<Vec<u8>, String> {
+        self.bodies.read_body(offset, len, digest)
+    }
+}
+
+/// Read access to the bodies of one pack file, with no index: a
+/// [`PackReader`] opens one with the file mapped, and every save
+/// ([`Sealed::bodies`]) opens one for positioned reads of what it just
+/// wrote.  The handle keeps its file open, so its offsets stay valid
+/// after a later rewrite renames a new pack over the path.
+#[derive(Debug)]
+pub struct PackBodies {
+    file: File,
+    map: Option<smlsc_mmap::Mapping>,
+}
+
+impl PackBodies {
     /// Reads and digest-verifies one body slice with a positioned read —
     /// no seek, no lock, safe to call from many workers at once.  The
     /// `Err` string names the failure; callers wrap it in
@@ -765,6 +792,18 @@ enum Sink {
         segment: Vec<u8>,
         torn: bool,
     },
+}
+
+/// A finished save: where the next append may go, and the bodies the
+/// saved segment holds.
+#[derive(Debug)]
+pub struct Sealed {
+    /// Where the next append may go.
+    pub tail: PackTail,
+    /// The segment's index entries, in the order the bodies were added.
+    pub entries: Vec<PackEntry>,
+    /// Positioned reads of the file the segment went to.
+    pub bodies: Arc<PackBodies>,
 }
 
 /// An in-progress save of one segment, holding `bins.pack.lock` until
@@ -911,7 +950,7 @@ impl PackWriter {
     /// commits its staging file into place and deletes the separate
     /// stamp and graph files of earlier releases; an append cuts off any
     /// torn tail, writes the segment at the valid end and fsyncs.
-    /// Returns where the next append may go.
+    /// Returns where the next append may go and what this save wrote.
     ///
     /// # Errors
     ///
@@ -922,7 +961,7 @@ impl PackWriter {
         self,
         stamps: Option<&[u8]>,
         graph: Option<&[u8]>,
-    ) -> Result<PackTail, CoreError> {
+    ) -> Result<Sealed, CoreError> {
         let PackWriter {
             dest,
             sink,
@@ -978,14 +1017,21 @@ impl PackWriter {
                 for old in LEGACY_FILES {
                     std::fs::remove_file(dest.with_file_name(old)).ok();
                 }
-                let meta = std::fs::metadata(&dest).map_err(&io)?;
+                // Opened under the lock, so it is the file just
+                // committed, whoever renames a pack over it later.
+                let file = File::open(&dest).map_err(&io)?;
+                let meta = file.metadata().map_err(&io)?;
                 // A torn commit (fault injection) leaves no segment to
                 // append after.
                 let whole = meta.len() == start + len;
-                Ok(PackTail {
-                    file: FileId::of(&meta),
-                    first_len: if whole { len } else { 0 },
-                    valid_end: if whole { start + len } else { HEADER_LEN },
+                Ok(Sealed {
+                    tail: PackTail {
+                        file: FileId::of(&meta),
+                        first_len: if whole { len } else { 0 },
+                        valid_end: if whole { start + len } else { HEADER_LEN },
+                    },
+                    entries,
+                    bodies: Arc::new(PackBodies { file, map: None }),
                 })
             }
             Sink::Append {
@@ -1020,10 +1066,14 @@ impl PackWriter {
                     return Err(io(e));
                 }
                 let meta = file.metadata().map_err(&io)?;
-                Ok(PackTail {
-                    file: FileId::of(&meta),
-                    first_len,
-                    valid_end: if torn { start } else { start + len },
+                Ok(Sealed {
+                    tail: PackTail {
+                        file: FileId::of(&meta),
+                        first_len,
+                        valid_end: if torn { start } else { start + len },
+                    },
+                    entries,
+                    bodies: Arc::new(PackBodies { file, map: None }),
                 })
             }
         }
@@ -1114,7 +1164,7 @@ mod tests {
             let bytes = b.to_bytes();
             w.add(&b.meta(), &bytes, Pid::of_bytes(&bytes)).unwrap();
         }
-        w.finish_with(None, None).unwrap()
+        w.finish_with(None, None).unwrap().tail
     }
 
     /// What a reader serves: per unit (in entry order) its metadata,

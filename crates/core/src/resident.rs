@@ -3,21 +3,33 @@
 //! A cold `smlsc build` pays process startup, pack-index load, stamp
 //! load, and a directory scan before the first rebuild decision.  A
 //! [`Resident`] pays all of that once, at open, then keeps the analyzed
-//! project — stamps, deps cache, lazily indexed bins, statenvs — hot in
-//! memory and answers every later build from deltas:
+//! project — stamps, deps cache, lazily indexed bins — in memory and
+//! answers every later build from deltas:
 //!
-//! * **File-event deltas, not rescans.**  [`Resident::apply_events`]
-//!   replaces or removes individual in-memory [`SourceFile`] entries
-//!   (via [`Project::add_lazy`]/[`Project::remove`]), so the next build's
-//!   four-rung analysis ladder misses *only* the touched units.  A
-//!   daemon's filesystem watcher computes those events with
-//!   [`Resident::diff_from_disk`] — a stat-only sweep that never reads a
-//!   source body.
-//! * **Serialized build execution.**  The build entry is re-entrant:
-//!   any number of threads may call [`Resident::build`] concurrently,
-//!   and a mutex serializes the actual build runs — the bin cache and
-//!   stamp cache are single-writer.  Waiters then run their own
-//!   (now no-op) build and get a current report.
+//! * **A change feed, drained under the build lock.**  Every
+//!   [`Resident::build`] first drains the session's [`ChangeFeed`] (the
+//!   daemon's inotify watch) and re-stats only the `*.sml` files it
+//!   names, turning them into [`FileEvent`]s.  The kernel queues an
+//!   event inside the `write(2)` that caused it, so an edit that
+//!   finished before the request is always in the queue: the drain is
+//!   a barrier, and since it runs under the state lock no concurrent
+//!   request can consume another's events.  A file named by the feed is
+//!   re-read on the next build whatever its stamp says, so a same-size
+//!   rewrite within one mtime tick is never missed.
+//! * **A counted rescan fallback.**  With no feed, or when the feed
+//!   lost track (queue overflow, a read or watch error, the directory
+//!   itself moved or deleted, an injected `daemon.watch` fault), the
+//!   build stat-scans the directory instead ([`Resident::diff_from_disk`],
+//!   which never reads a source body) and counts a
+//!   [`names::DAEMON_WATCH_RESCANS`].
+//! * **File-event deltas, not rebuilds of the project.**
+//!   [`Resident::apply_events`] replaces or removes individual
+//!   in-memory [`SourceFile`] entries (via
+//!   [`Project::add_lazy`]/[`Project::remove`]), so the next build's
+//!   four-rung analysis ladder misses *only* the touched units.
+//! * **Serialized build execution.**  Any number of threads may call
+//!   [`Resident::build`] concurrently; a mutex serializes the runs — the
+//!   bin cache and stamp cache are single-writer.
 //! * **Snapshot-consistent reports.**  Every finished build publishes an
 //!   immutable [`BuildSnapshot`]; readers ([`Resident::last`], overlapped
 //!   stats requests) get a complete snapshot or none, never a report
@@ -25,23 +37,29 @@
 //! * **One build session.**  Builds run the [`BuildSession`] steps the
 //!   in-process CLI runs, so they print what an in-process build would;
 //!   the open's corrupt-bin notes ride on the first report.
-//! * **No-change short-circuit.**  When no delta has been applied since
-//!   the last successful build, [`Resident::build`] returns the cached
-//!   snapshot without running the analysis ladder at all — the
-//!   sub-millisecond answer a 50k-unit no-op needs.
+//! * **No-change short-circuit.**  When the drain finds nothing and the
+//!   last build succeeded, [`Resident::build`] answers from the cached
+//!   snapshot without running the analysis ladder, rendered as the
+//!   no-op a rerun would print ([`BuildSnapshot::as_noop`]).
+//! * **Flat memory.**  After each save the session releases every
+//!   decoded bin body ([`Irm::release_bodies`](crate::irm::Irm::release_bodies))
+//!   and frees them in [`Resident::free_released`] — a server calls it
+//!   once its reply is on the way — or at the next build: a long-lived
+//!   daemon would otherwise keep every body it ever compiled or forced.
 //!
 //! [`SourceFile`]: crate::irm::SourceFile
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use smlsc_ids::Symbol;
 use smlsc_store::Store;
 use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::build_session::BuildSession;
-use crate::irm::{FailurePolicy, Project, Strategy};
+use crate::irm::{mtime_ns, FailurePolicy, Project, Strategy};
+use crate::unit::BinFile;
 use crate::CoreError;
 
 /// One filesystem change to feed into the resident session.
@@ -65,6 +83,26 @@ pub enum FileEvent {
         /// Unit name (file stem).
         name: String,
     },
+}
+
+/// What one [`ChangeFeed::drain`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Drained {
+    /// The names (relative to the project directory) of the files
+    /// touched since the last drain, in any order, possibly repeated;
+    /// names other than `*.sml` are ignored.
+    Changed(Vec<PathBuf>),
+    /// The feed lost events.  It has already re-armed itself (or will
+    /// retry on the next drain), so a rescan made now misses nothing.
+    Lost,
+}
+
+/// A queue of file-change notices for the project directory, drained by
+/// every [`Resident::build`] under the state lock.  The daemon's inotify
+/// watch implements it; a session without one rescans on every build.
+pub trait ChangeFeed: Send {
+    /// Takes everything queued since the last drain, without blocking.
+    fn drain(&mut self) -> Drained;
 }
 
 /// An immutable report of one finished resident build, rendered for
@@ -95,6 +133,10 @@ pub struct BuildSnapshot {
     /// The delta generation this snapshot reflects (see
     /// [`Resident::build`]'s no-change short-circuit).
     gen: u64,
+    /// The summary a rerun with nothing changed prints.
+    noop_summary: String,
+    /// [`Self::as_noop`], rendered on first use.
+    noop: OnceLock<Arc<BuildSnapshot>>,
 }
 
 impl BuildSnapshot {
@@ -103,12 +145,41 @@ impl BuildSnapshot {
     pub fn generation(&self) -> u64 {
         self.gen
     }
+
+    /// This build as a rerun with nothing changed prints it — every
+    /// unit reused, no notes — under the same sequence number and
+    /// telemetry: what a cached reply serves, so a no-op after an edit
+    /// never repeats "1 recompiled".
+    pub fn as_noop(&self) -> Arc<BuildSnapshot> {
+        let noop = self.noop.get_or_init(|| {
+            Arc::new(BuildSnapshot {
+                seq: self.seq,
+                units: self.units,
+                recompiled: 0,
+                reused: self.units,
+                exit_code: self.exit_code,
+                summary: self.noop_summary.clone(),
+                notes: Vec::new(),
+                decisions: self
+                    .decisions
+                    .iter()
+                    .map(|(unit, _)| (*unit, RebuildDecision::Reused))
+                    .collect(),
+                stats_json: self.stats_json.clone(),
+                gen: self.gen,
+                noop_summary: self.noop_summary.clone(),
+                noop: OnceLock::new(),
+            })
+        });
+        Arc::clone(noop)
+    }
 }
 
 struct State {
     session: BuildSession,
     project: Project,
     dir: PathBuf,
+    feed: Option<Box<dyn ChangeFeed>>,
     /// Bumped once per applied [`FileEvent`]; a build snapshot taken at
     /// generation G is current for as long as the generation stays G.
     gen: u64,
@@ -125,11 +196,17 @@ pub struct Resident {
     /// the concurrency stress test).
     building: AtomicUsize,
     building_high_water: AtomicUsize,
+    invalidations: AtomicU64,
+    rescans: AtomicU64,
+    /// Bodies the last build released, until [`Self::free_released`]
+    /// or the next build frees them.
+    released: Mutex<Vec<BinFile>>,
 }
 
 impl Resident {
     /// Opens a resident session: `bin_dir` as a [`BuildSession`], and
-    /// `dir` scanned (stat-only) into a lazy project.
+    /// `dir` scanned (stat-only) into a lazy project.  Every build
+    /// rescans until [`Self::set_feed`] attaches a change feed.
     ///
     /// # Errors
     ///
@@ -152,19 +229,29 @@ impl Resident {
                 session,
                 project,
                 dir: dir.to_path_buf(),
+                feed: None,
                 gen: 0,
                 seq: 0,
             }),
             last: RwLock::new(None),
             building: AtomicUsize::new(0),
             building_high_water: AtomicUsize::new(0),
+            invalidations: AtomicU64::new(0),
+            rescans: AtomicU64::new(0),
+            released: Mutex::new(Vec::new()),
         })
+    }
+
+    /// Attaches the change feed every later build drains.  Arm it before
+    /// [`Self::open`] scans the directory, so no edit falls between the
+    /// scan and the first event.
+    pub fn set_feed(&self, feed: Box<dyn ChangeFeed>) {
+        self.state.lock().expect("resident state lock").feed = Some(feed);
     }
 
     /// Stat-only sweep of the project directory, diffed against the
     /// in-memory project: the events that would bring the session up to
-    /// date.  Never reads a source body.  The daemon's watcher calls
-    /// this each poll; a sync build calls it before deciding.
+    /// date.  Never reads a source body.
     ///
     /// # Errors
     ///
@@ -181,51 +268,47 @@ impl Resident {
     /// the no-change short-circuit.
     pub fn apply_events(&self, events: &[FileEvent]) -> usize {
         let mut st = self.state.lock().expect("resident state lock");
-        apply_to(&mut st, events)
+        self.apply(&mut st, events)
     }
 
-    /// Builds the project with up to `jobs` workers under `policy`.
+    /// Builds the project with up to `jobs` workers under `policy`,
+    /// after draining the change feed (or rescanning without one).
     ///
-    /// With `sync`, the on-disk state is re-stat'ed first
-    /// ([`Self::diff_from_disk`] + [`Self::apply_events`] in one lock),
-    /// so an edit the watcher has not polled yet is still seen; without
-    /// it, the in-memory project is trusted as-is (the watcher is the
-    /// authority — the sub-millisecond path).
-    ///
-    /// When nothing changed since the last successful build, the cached
-    /// snapshot is returned (`true` in the pair) without running the
-    /// analysis ladder.
+    /// When nothing changed since the last successful build, its
+    /// snapshot is returned as a no-op ([`BuildSnapshot::as_noop`],
+    /// `true` in the pair) without running the analysis ladder.
     ///
     /// # Errors
     ///
-    /// Any [`CoreError`] of [`BuildSession::build`].
+    /// [`CoreError::Io`] when a rescan cannot list the directory; any
+    /// [`CoreError`] of [`BuildSession::build`].
     pub fn build(
         &self,
         jobs: usize,
         policy: FailurePolicy,
-        sync: bool,
     ) -> Result<(Arc<BuildSnapshot>, bool), CoreError> {
         let mut st = self.state.lock().expect("resident state lock");
         let st = &mut *st;
-        if sync {
-            let fresh = Project::from_dir(&st.dir)?;
-            let events = diff_projects(&st.project, &fresh);
-            apply_to(st, &events);
+        let collector = trace::Collector::new();
+        collector.install();
+        if let Err(e) = self.refresh(st) {
+            trace::uninstall();
+            return Err(e);
         }
         if let Some(last) = self.last.read().expect("snapshot lock").as_ref() {
             if last.gen == st.gen && last.exit_code == 0 {
-                return Ok((Arc::clone(last), true));
+                trace::uninstall();
+                return Ok((last.as_noop(), true));
             }
         }
         let started = std::time::Instant::now();
-        let collector = trace::Collector::new();
-        collector.install();
         let n = self.building.fetch_add(1, Ordering::SeqCst) + 1;
         self.building_high_water.fetch_max(n, Ordering::SeqCst);
         let result = st.session.build(&st.project, jobs, policy);
         self.building.fetch_sub(1, Ordering::SeqCst);
         let mut built = result.inspect_err(|_| trace::uninstall())?;
         let (_, warnings) = st.session.finish(&built, &collector, jobs, started, true);
+        *self.released.lock().expect("released lock") = st.session.irm.release_bodies();
         built.notes.extend(warnings);
         let stats_json = collector.stats_json();
         trace::uninstall();
@@ -242,9 +325,76 @@ impl Resident {
             decisions: report.decisions,
             stats_json,
             gen: st.gen,
+            noop_summary: st.session.noop_summary(report.order.len()),
+            noop: OnceLock::new(),
         });
         *self.last.write().expect("snapshot lock") = Some(Arc::clone(&snapshot));
         Ok((snapshot, false))
+    }
+
+    /// Brings the in-memory project up to date: the files the feed
+    /// names, re-stat'ed and stripped of their stamps, or a counted
+    /// rescan when there is no feed or it lost track.
+    fn refresh(&self, st: &mut State) -> Result<(), CoreError> {
+        let named = match st.feed.as_mut().map(|feed| feed.drain()) {
+            Some(Drained::Changed(names)) => restat(&st.dir, names),
+            _ => None,
+        };
+        let events = match named {
+            Some(events) => {
+                for event in &events {
+                    if let FileEvent::Upsert { path, .. } = event {
+                        st.session.irm.forget_stamp(path);
+                    }
+                }
+                events
+            }
+            None => {
+                self.rescans.fetch_add(1, Ordering::SeqCst);
+                trace::counter(names::DAEMON_WATCH_RESCANS, 1);
+                diff_projects(&st.project, &Project::from_dir(&st.dir)?)
+            }
+        };
+        self.apply(st, &events);
+        Ok(())
+    }
+
+    fn apply(&self, st: &mut State, events: &[FileEvent]) -> usize {
+        let mut applied = 0;
+        for event in events {
+            match event {
+                FileEvent::Upsert {
+                    name,
+                    path,
+                    mtime_ns,
+                    size,
+                } => {
+                    st.project
+                        .add_lazy(name.clone(), path.clone(), *mtime_ns, *size);
+                    applied += 1;
+                }
+                FileEvent::Remove { name } => {
+                    if st.project.remove(name).is_ok() {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        if applied > 0 {
+            st.gen += applied as u64;
+            self.invalidations
+                .fetch_add(applied as u64, Ordering::SeqCst);
+            trace::counter(names::DAEMON_INVALIDATIONS, applied as u64);
+        }
+        applied
+    }
+
+    /// Frees the bin bodies the last build released.  A server calls
+    /// this once its reply is on the way; otherwise the next build
+    /// frees them.
+    pub fn free_released(&self) {
+        let released = std::mem::take(&mut *self.released.lock().expect("released lock"));
+        drop(released);
     }
 
     /// The last completed build's snapshot, if any.
@@ -274,8 +424,48 @@ impl Resident {
     pub fn building_high_water(&self) -> usize {
         self.building_high_water.load(Ordering::SeqCst)
     }
+
+    /// File events applied over the session's lifetime
+    /// ([`names::DAEMON_INVALIDATIONS`]).
+    pub fn invalidations(&self) -> u64 {
+        self.invalidations.load(Ordering::SeqCst)
+    }
+
+    /// Builds that rescanned the directory instead of draining a feed
+    /// ([`names::DAEMON_WATCH_RESCANS`]).
+    pub fn rescans(&self) -> u64 {
+        self.rescans.load(Ordering::SeqCst)
+    }
 }
 
+/// Re-stats the `*.sml` files among `names` (in `dir`): an upsert per
+/// file present, a removal per file gone.  `None` when a stat fails for
+/// any other reason, so the caller rescans.
+fn restat(dir: &Path, mut names: Vec<PathBuf>) -> Option<Vec<FileEvent>> {
+    names.sort();
+    names.dedup();
+    let mut events = Vec::new();
+    for file in names {
+        if file.extension().and_then(|e| e.to_str()) != Some("sml") {
+            continue;
+        }
+        let name = file.file_stem()?.to_str()?.to_string();
+        let path = dir.join(&file);
+        match std::fs::metadata(&path) {
+            Ok(meta) => events.push(FileEvent::Upsert {
+                name,
+                mtime_ns: mtime_ns(&meta),
+                size: meta.len(),
+                path,
+            }),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                events.push(FileEvent::Remove { name });
+            }
+            Err(_) => return None,
+        }
+    }
+    Some(events)
+}
 /// The events that turn `old` into `fresh`: an upsert per added or
 /// touched file (mtime or size moved), a removal per vanished unit.
 fn diff_projects(old: &Project, fresh: &Project) -> Vec<FileEvent> {
@@ -306,37 +496,11 @@ fn diff_projects(old: &Project, fresh: &Project) -> Vec<FileEvent> {
     events
 }
 
-fn apply_to(st: &mut State, events: &[FileEvent]) -> usize {
-    let mut applied = 0;
-    for event in events {
-        match event {
-            FileEvent::Upsert {
-                name,
-                path,
-                mtime_ns,
-                size,
-            } => {
-                st.project
-                    .add_lazy(name.clone(), path.clone(), *mtime_ns, *size);
-                applied += 1;
-            }
-            FileEvent::Remove { name } => {
-                if st.project.remove(name).is_ok() {
-                    applied += 1;
-                }
-            }
-        }
-    }
-    if applied > 0 {
-        st.gen += applied as u64;
-        trace::counter(names::DAEMON_INVALIDATIONS, applied as u64);
-    }
-    applied
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::irm::Irm;
+    use smlsc_faults::{install_scoped, FaultPlan};
 
     fn temp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -357,19 +521,82 @@ mod tests {
         Resident::open(&dir.join("src"), &dir.join("bins"), Strategy::Cutoff, None).unwrap()
     }
 
+    /// A feed the test fills by hand: `Some(names)` queued, `None` lost.
+    #[derive(Clone, Default)]
+    struct Queue(Arc<Mutex<Option<Vec<PathBuf>>>>);
+
+    impl Queue {
+        fn push(&self, name: &str) {
+            let mut q = self.0.lock().unwrap();
+            q.get_or_insert_with(Vec::new).push(PathBuf::from(name));
+        }
+
+        fn lose(&self) {
+            *self.0.lock().unwrap() = None;
+        }
+    }
+
+    impl ChangeFeed for Queue {
+        fn drain(&mut self) -> Drained {
+            match self.0.lock().unwrap().replace(Vec::new()) {
+                Some(names) => Drained::Changed(names),
+                None => Drained::Lost,
+            }
+        }
+    }
+
+    fn fed(dir: &Path) -> (Resident, Queue) {
+        let queue = Queue::default();
+        queue.0.lock().unwrap().replace(Vec::new());
+        let r = open(dir);
+        r.set_feed(Box::new(queue.clone()));
+        (r, queue)
+    }
+
+    fn build(r: &Resident) -> (Arc<BuildSnapshot>, bool) {
+        r.build(1, FailurePolicy::FailFast).unwrap()
+    }
+
+    fn export_pids(irm: &Irm, units: &[&str]) -> Vec<String> {
+        units
+            .iter()
+            .map(|u| irm.bin_meta(u).unwrap().export_pid.to_string())
+            .collect()
+    }
+
+    /// The export pids a clean in-process build of `dir`'s sources gives.
+    fn clean_pids(dir: &Path, units: &[&str]) -> Vec<String> {
+        let mut irm = Irm::new(Strategy::Cutoff);
+        irm.build(&Project::from_dir(&dir.join("src")).unwrap())
+            .unwrap();
+        export_pids(&irm, units)
+    }
+
     #[test]
-    fn noop_build_is_served_from_the_cached_snapshot() {
+    fn noop_build_is_served_from_the_cached_snapshot_as_a_noop() {
         let dir = temp("noop");
         write(&dir, "a", "structure A = struct fun f x = x + 1 end");
         write(&dir, "b", "structure B = struct val y = A.f 41 end");
-        let r = open(&dir);
-        let (first, cached) = r.build(2, FailurePolicy::FailFast, true).unwrap();
+        let (r, _queue) = fed(&dir);
+        let (first, cached) = r.build(2, FailurePolicy::FailFast).unwrap();
         assert!(!cached);
         assert_eq!(first.recompiled, 2);
         assert_eq!(first.exit_code, 0);
-        let (second, cached) = r.build(2, FailurePolicy::FailFast, true).unwrap();
+        let (second, cached) = r.build(2, FailurePolicy::FailFast).unwrap();
         assert!(cached, "unchanged project short-circuits to the snapshot");
         assert_eq!(second.seq, first.seq);
+        // The cached reply prints what a rerun would, not the last build.
+        assert_eq!(
+            second.summary,
+            "built 2 unit(s) [cutoff]: 0 recompiled, 2 reused"
+        );
+        assert_eq!((second.recompiled, second.reused), (0, 2));
+        assert!(second
+            .decisions
+            .iter()
+            .all(|(_, d)| *d == RebuildDecision::Reused));
+        assert_eq!(r.last().unwrap().summary, first.summary);
+        assert_eq!(r.rescans(), 0, "a drained feed never rescans");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -379,7 +606,7 @@ mod tests {
         write(&dir, "a", "structure A = struct fun f x = x + 1 end");
         write(&dir, "b", "structure B = struct val y = A.f 41 end");
         let r = open(&dir);
-        r.build(1, FailurePolicy::FailFast, false).unwrap();
+        build(&r);
         // Edit the leaf's body on disk; the diff must see exactly it.
         std::thread::sleep(std::time::Duration::from_millis(5));
         write(&dir, "a", "structure A = struct fun f x = x + 2 end");
@@ -387,7 +614,7 @@ mod tests {
         assert_eq!(events.len(), 1, "{events:?}");
         assert!(matches!(&events[0], FileEvent::Upsert { name, .. } if name == "a"));
         assert_eq!(r.apply_events(&events), 1);
-        let (snap, cached) = r.build(1, FailurePolicy::FailFast, false).unwrap();
+        let (snap, cached) = build(&r);
         assert!(!cached);
         assert_eq!(snap.recompiled, 1, "body edit recompiles the one unit");
         assert_eq!(snap.reused, 1, "the dependent is cut off");
@@ -395,17 +622,74 @@ mod tests {
     }
 
     #[test]
-    fn sync_build_sees_an_unwatched_edit() {
-        let dir = temp("sync");
+    fn a_session_without_a_feed_rescans_every_build_and_counts_it() {
+        let dir = temp("nofeed");
         write(&dir, "a", "structure A = struct val x = 1 end");
         let r = open(&dir);
-        r.build(1, FailurePolicy::FailFast, false).unwrap();
+        build(&r);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        write(&dir, "a", "structure A = struct val x = 2 end");
-        // No apply_events: sync must find the edit itself.
-        let (snap, cached) = r.build(1, FailurePolicy::FailFast, true).unwrap();
+        write(&dir, "a", "structure A = struct val x = 22 end");
+        let (snap, cached) = build(&r);
         assert!(!cached);
         assert_eq!(snap.recompiled, 1);
+        assert_eq!(r.rescans(), 2);
+        assert!(snap.stats_json.contains(r#""daemon.watch_rescans":1"#));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fed_file_is_reread_even_when_its_stamp_still_matches() {
+        let dir = temp("sametick");
+        write(&dir, "a", "structure A = struct val x = 1 end");
+        write(&dir, "b", "structure B = struct val y = A.x end");
+        let (r, queue) = fed(&dir);
+        build(&r);
+        // A same-size rewrite that keeps the mtime: the stamp matches,
+        // and only the event says the bytes moved.
+        let path = dir.join("src/a.sml");
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+        write(&dir, "a", "structure A = struct val x = 2 end");
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        let (_, cached) = build(&r);
+        assert!(cached, "no event, no rebuild");
+        queue.push("a.sml");
+        queue.push("a.sml");
+        queue.push("notes.txt");
+        let (snap, cached) = build(&r);
+        assert!(!cached);
+        assert_eq!(snap.recompiled, 1, "{}", snap.summary);
+        assert!(snap.stats_json.contains(r#""daemon.invalidations":1"#));
+        assert_eq!(r.rescans(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_lost_feed_falls_back_to_a_counted_rescan() {
+        let dir = temp("lost");
+        write(&dir, "a", "structure A = struct val x = 1 end");
+        write(&dir, "b", "structure B = struct val y = A.x end");
+        let (r, queue) = fed(&dir);
+        build(&r);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        write(&dir, "a", "structure A = struct val x = 17 end");
+        write(&dir, "c", "structure C = struct val z = B.y end");
+        queue.lose();
+        let (snap, cached) = build(&r);
+        assert!(!cached);
+        assert_eq!((snap.units, snap.recompiled), (3, 2), "{}", snap.summary);
+        assert_eq!(r.rescans(), 1);
+        assert_eq!(
+            {
+                let st = r.state.lock().unwrap();
+                export_pids(&st.session.irm, &["a", "b", "c"])
+            },
+            clean_pids(&dir, &["a", "b", "c"])
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -414,14 +698,12 @@ mod tests {
         let dir = temp("remove");
         write(&dir, "a", "structure A = struct val x = 1 end");
         write(&dir, "b", "structure B = struct val y = 2 end");
-        let r = open(&dir);
-        let (snap, _) = r.build(1, FailurePolicy::FailFast, false).unwrap();
+        let (r, queue) = fed(&dir);
+        let (snap, _) = build(&r);
         assert_eq!(snap.units, 2);
         std::fs::remove_file(dir.join("src").join("b.sml")).unwrap();
-        let events = r.diff_from_disk().unwrap();
-        assert_eq!(events, vec![FileEvent::Remove { name: "b".into() }]);
-        r.apply_events(&events);
-        let (snap, cached) = r.build(1, FailurePolicy::FailFast, false).unwrap();
+        queue.push("b.sml");
+        let (snap, cached) = build(&r);
         assert!(!cached);
         assert_eq!(snap.units, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -431,14 +713,82 @@ mod tests {
     fn failed_builds_are_not_short_circuited() {
         let dir = temp("fail");
         write(&dir, "a", "structure A = struct val x = 1 + \"s\" end");
-        let r = open(&dir);
-        let (snap, cached) = r.build(1, FailurePolicy::KeepGoing, false).unwrap();
+        let (r, _queue) = fed(&dir);
+        let (snap, cached) = r.build(1, FailurePolicy::KeepGoing).unwrap();
         assert!(!cached);
         assert_eq!(snap.exit_code, 1);
         // Same generation, but a failed snapshot must re-run, not cache.
-        let (snap, cached) = r.build(1, FailurePolicy::KeepGoing, false).unwrap();
+        let (snap, cached) = r.build(1, FailurePolicy::KeepGoing).unwrap();
         assert!(!cached);
         assert_eq!(snap.exit_code, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const CHAIN: [&str; 3] = ["a", "b", "c"];
+
+    fn write_chain(dir: &Path, b_body: &str) {
+        write(dir, "a", "structure A = struct fun f x = x + 1 end");
+        write(
+            dir,
+            "b",
+            &format!("structure B = struct fun g x = A.f ({b_body}) end"),
+        );
+        write(dir, "c", "structure C = struct val z = B.g 40 end");
+    }
+
+    #[test]
+    fn saved_bodies_are_released_and_rebuild_to_identical_pids() {
+        let dir = temp("release");
+        write_chain(&dir, "x");
+        let (r, queue) = fed(&dir);
+        let (snap, _) = build(&r);
+        assert_eq!(snap.recompiled, 3);
+        assert_eq!(r.state.lock().unwrap().session.irm.decoded_bodies(), 0);
+        // A body edit in the middle: `b` recompiles against `a`'s
+        // released body, forced back from the pack; `c` is cut off.
+        write_chain(&dir, "x * 2");
+        queue.push("b.sml");
+        let (snap, _) = build(&r);
+        assert_eq!((snap.recompiled, snap.reused), (1, 2), "{}", snap.summary);
+        let st = r.state.lock().unwrap();
+        assert_eq!(st.session.irm.decoded_bodies(), 0);
+        assert_eq!(
+            export_pids(&st.session.irm, &CHAIN),
+            clean_pids(&dir, &CHAIN)
+        );
+        drop(st);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_released_body_torn_on_disk_is_quarantined_and_recompiled() {
+        let dir = temp("torn");
+        write_chain(&dir, "x");
+        let (r, queue) = fed(&dir);
+        {
+            // `a`'s body goes to the pack torn, under its true digest.
+            let _faults = install_scoped(FaultPlan::parse("bin.save=torn(a)").unwrap());
+            build(&r);
+        }
+        write_chain(&dir, "x * 2");
+        queue.push("b.sml");
+        let (snap, _) = build(&r);
+        assert_eq!(snap.exit_code, 0, "{:?}", snap.notes);
+        // Only the released body could be torn: `a` was compiled in
+        // this session, so without the release it would still be held
+        // decoded and never re-read.
+        let quarantined = format!("\"{}\":1", names::BIN_BODY_QUARANTINED);
+        assert!(
+            snap.stats_json.contains(&quarantined),
+            "{}",
+            snap.stats_json
+        );
+        let st = r.state.lock().unwrap();
+        assert_eq!(
+            export_pids(&st.session.irm, &CHAIN),
+            clean_pids(&dir, &CHAIN)
+        );
+        drop(st);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -220,6 +220,13 @@ impl StampCache {
         self.entries.insert(path, entry);
     }
 
+    /// Drops the entry for `path`, so the next analysis of that file
+    /// reads it whatever its stamp says.
+    pub(crate) fn forget(&mut self, path: &str) {
+        self.entries.remove(path);
+        self.unsaved.remove(path);
+    }
+
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -3,17 +3,19 @@
 //! A cold `smlsc build` on a warm 50k-unit tree spends its time on
 //! process startup and cache loading, not on rebuild decisions.  The
 //! daemon pays those costs once: a [`Resident`] session — stamps, deps
-//! cache, the lazily indexed `bins.pack`, statenvs — stays hot in one
-//! long-lived process, a debounced polling watcher feeds file-event
-//! deltas into targeted invalidation, and CLI clients get build,
-//! stats and status answers over a per-project Unix-domain socket.
+//! cache, the lazily indexed `bins.pack` — stays hot in one long-lived
+//! process, every build drains an inotify watch on the project
+//! directory and re-stats only the files it names, and CLI clients get
+//! build, stats and status answers over a per-project Unix-domain
+//! socket.  After each build that ran, decoded bin bodies are released
+//! and freed heap is trimmed, so the daemon's memory stays flat.
 //!
 //! The crate splits along the obvious seams:
 //!
 //! * [`protocol`] — versioned handshake plus length-prefixed JSON
 //!   frames ([`Hello`]/[`HelloAck`], [`Request`]/[`Response`]);
-//! * [`watcher`] — the debounced polling sweep and the daemon-lifetime
-//!   [`DaemonCounters`];
+//! * [`watcher`] — the inotify [`Watch`] each build drains, with its
+//!   rescan fallback, and the daemon-lifetime [`DaemonCounters`];
 //! * [`server`] — one daemon per project (the pid lockfile of
 //!   `smlsc_store::fsutil`, taken over from a dead owner), socket
 //!   lifecycle and request dispatch ([`run`] for the real daemon,
@@ -25,8 +27,9 @@
 //!
 //! [`Resident`]: smlsc_core::resident::Resident
 
-// `deny`, not `forbid`: the one sanctioned exception is the signal(2)
-// binding in [`signal`], scoped under its own `allow`.
+// `deny`, not `forbid`: the sanctioned exceptions are the libc
+// bindings — signal(2) in [`signal`], inotify(7) in [`watcher`] and
+// malloc_trim(3) in [`server`] — each scoped under its own `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -41,4 +44,4 @@ pub use protocol::{
     lock_path, socket_path, Hello, HelloAck, Request, Response, MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{run, ServerConfig, ServerHandle};
-pub use watcher::DaemonCounters;
+pub use watcher::{DaemonCounters, Watch};

@@ -78,10 +78,9 @@ pub struct HelloAck {
 pub struct Request {
     /// `"build"`, `"stats"`, `"status"`, or `"stop"`.
     pub kind: String,
-    /// Build: re-stat the source directory before deciding (the
-    /// CLI-dispatch default — correct even when the watcher has not
-    /// polled the latest edit yet).  `false` trusts the watcher and is
-    /// the sub-millisecond no-op path.
+    /// Build: ignored.  Every build drains the daemon's file watch (or
+    /// rescans) before deciding; the field stays so the wire format,
+    /// and with it the protocol version, is unchanged.
     pub fresh: bool,
     /// Build: worker count; `0` means the daemon's default.
     pub jobs: u64,

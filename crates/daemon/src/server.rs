@@ -7,10 +7,15 @@
 //! caches are single-writer) while overlapped `status`/`stats` reads
 //! are served from snapshot-consistent state.
 //!
+//! Every build drains the session's inotify [`Watch`] first; after a
+//! build that ran (not a cached reply) the server hands freed heap back
+//! to the kernel, so the daemon's resident set stays flat however many
+//! builds it serves.
+//!
 //! Shutdown: a `stop` request (or [`ServerHandle::stop`]) flips the
 //! shutdown flag and self-connects once to wake the blocking accept;
-//! the server then joins its watcher, removes the socket, and releases
-//! the lockfile.
+//! the server then drains in-flight connections, removes the socket,
+//! and releases the lockfile.
 
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -29,7 +34,7 @@ use smlsc_trace::names;
 
 use crate::client;
 use crate::protocol::{self, Hello, HelloAck, Request, Response, PROTOCOL_VERSION};
-use crate::watcher::{self, DaemonCounters};
+use crate::watcher::{DaemonCounters, Watch};
 
 /// How to run a daemon over one project.
 #[derive(Debug, Clone)]
@@ -42,8 +47,6 @@ pub struct ServerConfig {
     pub strategy: Strategy,
     /// Default worker count for requests that leave `jobs` at 0.
     pub jobs: usize,
-    /// Watcher poll interval.
-    pub watch_interval: Duration,
     /// Default per-request build deadline (a request may pass its own
     /// via `timeout_ms`).  At the deadline the client gets a typed
     /// timeout reply; the build runs on inside the daemon.
@@ -61,7 +64,6 @@ impl ServerConfig {
             bin_dir: bin_dir.into(),
             strategy: Strategy::Cutoff,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            watch_interval: Duration::from_millis(150),
             request_deadline: Duration::from_secs(600),
             idle_timeout: None,
         }
@@ -119,8 +121,13 @@ impl Server {
             ),
             _ => e,
         })?;
+        // Armed before the session scans the directory, so no edit
+        // falls between the scan and the first event.
+        let counters = Arc::new(DaemonCounters::default());
+        let watch = Watch::arm(&config.dir, Arc::clone(&counters));
         let resident = Resident::open(&config.dir, &config.bin_dir, config.strategy, None)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
+        resident.set_feed(Box::new(watch));
         let socket = protocol::socket_path(&config.bin_dir);
         // We hold the lock, so any existing socket file is a leftover.
         std::fs::remove_file(&socket).ok();
@@ -131,18 +138,12 @@ impl Server {
             socket,
             lock,
             resident: Arc::new(resident),
-            counters: Arc::new(DaemonCounters::default()),
+            counters,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
     fn serve(self) -> std::io::Result<()> {
-        let watcher = watcher::spawn(
-            Arc::clone(&self.resident),
-            Arc::clone(&self.counters),
-            Arc::clone(&self.shutdown),
-            self.config.watch_interval,
-        );
         let active = Arc::new(AtomicUsize::new(0));
         let last_activity = Arc::new(Mutex::new(Instant::now()));
         let supervisor = spawn_supervisor(
@@ -199,7 +200,6 @@ impl Server {
             }
         }
         supervisor.join().ok();
-        watcher.join().ok();
         // Graceful drain: an in-flight build finishes and its client
         // gets a real response (or the typed deadline reply) before the
         // socket disappears.
@@ -327,14 +327,6 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
     } else {
         FailurePolicy::FailFast
     };
-    // A degraded watcher (its last sweep failed) cannot vouch for the
-    // in-memory project, so the build re-stats the sources itself — a
-    // full stat-rescan fallback, never a silently stale answer.
-    let fresh = request.fresh
-        || ctx
-            .counters
-            .watch_degraded
-            .load(std::sync::atomic::Ordering::SeqCst);
     let deadline = if request.timeout_ms > 0 {
         Duration::from_millis(request.timeout_ms)
     } else {
@@ -343,13 +335,21 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
     // The build runs on its own thread so this handler can answer the
     // client at the deadline; a timed-out build continues to completion
     // (the resident lock serializes it against later requests) and its
-    // snapshot serves the next build instantly.
+    // snapshot serves the next build instantly.  Every build drains the
+    // watch first (`fresh` is moot); the bodies the build released are
+    // freed, and the heap trimmed, once the reply is on its way.
     let resident = Arc::clone(&ctx.resident);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::Builder::new()
         .name("smlsc-daemon-build".to_string())
         .spawn(move || {
-            tx.send(resident.build(jobs, policy, fresh)).ok();
+            let result = resident.build(jobs, policy);
+            let ran = !matches!(result, Ok((_, true)));
+            tx.send(result).ok();
+            if ran {
+                resident.free_released();
+                trim_heap();
+            }
         })
         .ok();
     let result = match rx.recv_timeout(deadline) {
@@ -388,27 +388,52 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
 
 fn status_json(ctx: &HandlerCtx) -> String {
     let builds = ctx.resident.last().map_or(0, |s| s.seq);
-    // Watcher health plus the generation pair: a last-build generation
-    // equal to the session generation means the served snapshot is
-    // current; a degraded watcher means builds re-stat for themselves.
+    let counters = &ctx.counters;
+    // The watch mode and health, plus the generation pair: a last-build
+    // generation equal to the session generation means the served
+    // snapshot is current.  In `rescan` mode (or after a lost drain)
+    // builds stat-scan the directory for themselves.
+    let armed = counters.watch_armed.load(Ordering::SeqCst);
     format!(
-        "{{\"pid\":{},\"protocol\":{},\"units\":{},\"builds\":{},\"building_high_water\":{},\"watch_healthy\":{},\"watch_errors\":{},\"generation\":{},\"last_build_generation\":{},\"{}\":{},\"{}\":{},\"{}\":{}}}",
+        "{{\"pid\":{},\"protocol\":{},\"units\":{},\"builds\":{},\"building_high_water\":{},\"watch\":\"{}\",\"watch_healthy\":{},\"watch_errors\":{},\"generation\":{},\"last_build_generation\":{},\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{}}}",
         std::process::id(),
         PROTOCOL_VERSION,
         ctx.resident.unit_count(),
         builds,
         ctx.resident.building_high_water(),
-        !ctx.counters.watch_degraded.load(Ordering::SeqCst),
-        ctx.counters.watch_errors.load(Ordering::SeqCst),
+        if armed { "inotify" } else { "rescan" },
+        armed && !counters.watch_degraded.load(Ordering::SeqCst),
+        counters.watch_errors.load(Ordering::SeqCst),
         ctx.resident.generation(),
         ctx.resident.last().map_or(0, |s| s.generation()),
         names::DAEMON_REQUESTS,
-        ctx.counters.requests.load(Ordering::SeqCst),
+        counters.requests.load(Ordering::SeqCst),
         names::DAEMON_WATCH_EVENTS,
-        ctx.counters.watch_events.load(Ordering::SeqCst),
+        counters.watch_events.load(Ordering::SeqCst),
         names::DAEMON_INVALIDATIONS,
-        ctx.counters.invalidations.load(Ordering::SeqCst),
+        ctx.resident.invalidations(),
+        names::DAEMON_WATCH_RESCANS,
+        ctx.resident.rescans(),
     )
+}
+
+/// Hands the heap a build freed back to the kernel.  A build's thread
+/// and its workers free into several glibc arenas, which glibc keeps
+/// mapped; without this the daemon's resident set grows with every
+/// build even though its live data does not.
+fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[allow(unsafe_code)]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointers and only releases
+        // memory the allocator already holds free.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }
 
 fn initiate_shutdown(ctx: &HandlerCtx) {

@@ -5,12 +5,11 @@
 //! the next `acquire` (or `smlsc doctor`) to clean up.  The handler is
 //! the async-signal-safe minimum — one atomic store — and the server's
 //! supervisor thread polls [`requested`] to run the same orderly
-//! shutdown a `stop` request takes: drain in-flight connections, join
-//! the watcher, remove the socket, release the lock.
+//! shutdown a `stop` request takes: drain in-flight connections,
+//! remove the socket, release the lock.
 //!
-//! The registration itself is the crate's only unsafe code: a direct
-//! `signal(2)` binding, since no signal-handling dependency is
-//! vendored.  Handlers are process-global, so only the real daemon
+//! The registration itself is a direct `signal(2)` binding, since no
+//! signal-handling dependency is vendored.  Handlers are process-global, so only the real daemon
 //! entrypoint ([`crate::run`]) installs them — never the in-process
 //! [`crate::ServerHandle`] used by tests and benches.
 

@@ -31,7 +31,6 @@
 //!                      socket in <bin-dir>; `restart` is stop-then-
 //!                      start (idempotent — works with no daemon up).
 //!                      Env knobs for `run`/`start`:
-//!                      SMLSC_DAEMON_POLL_MS (watcher poll interval),
 //!                      SMLSC_DAEMON_IDLE_SECS (auto-shutdown after
 //!                      this long idle), SMLSC_DAEMON_DEADLINE_SECS
 //!                      (per-request build deadline)
@@ -458,9 +457,9 @@ fn daemon_dispatch(opts: &BuildOpts, bin_dir: &Path) -> Option<i32> {
     if !socket.exists() {
         return None;
     }
-    // `fresh`: the daemon re-stats the sources before deciding, so an
-    // edit its watcher has not polled yet is still seen — dispatch is
-    // never less correct than building in-process.
+    // The daemon drains its file watch before deciding, so an edit
+    // written before this request is always seen — dispatch is never
+    // less correct than building in-process.
     let mut request = smlsc::daemon::Request::build(true);
     request.jobs = opts.jobs.unwrap_or(0) as u64;
     request.keep_going = opts.keep_going;
@@ -656,12 +655,6 @@ fn daemon_cmd(args: &[String]) -> i32 {
             config.strategy = opts.strategy;
             if let Some(jobs) = opts.jobs {
                 config.jobs = jobs;
-            }
-            if let Some(ms) = std::env::var("SMLSC_DAEMON_POLL_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                config.watch_interval = Duration::from_millis(ms.max(1));
             }
             if let Some(secs) = std::env::var("SMLSC_DAEMON_IDLE_SECS")
                 .ok()

@@ -522,7 +522,6 @@ fn crash_in_daemon_lock_leaves_recoverable_debris() {
     let out = smlsc()
         .args(["daemon", "start"])
         .arg(&proj)
-        .env("SMLSC_DAEMON_POLL_MS", "20")
         .output()
         .unwrap();
     assert!(out.status.success(), "start over stale debris: {out:?}");

@@ -1,11 +1,10 @@
 //! End-to-end tests of the build daemon through the `smlsc` CLI:
 //! `daemon start/stop/status`, transparent dispatch of plain builds to
-//! the socket, watcher-driven invalidation, and the fallback contract
+//! the socket, event-driven invalidation, and the fallback contract
 //! (a dead or faulted daemon must never fail a build).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
 
 fn smlsc() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_smlsc"));
@@ -50,8 +49,6 @@ impl DaemonGuard {
             .arg("start")
             .args(extra)
             .arg(proj)
-            // A fast watcher poll, so edit tests settle in milliseconds.
-            .env("SMLSC_DAEMON_POLL_MS", "20")
             .output()
             .unwrap();
         assert!(out.status.success(), "daemon start failed: {out:?}");
@@ -170,33 +167,13 @@ fn watched_leaf_edit_recompiles_exactly_one_unit() {
     let out = smlsc().arg("build").arg(&proj).output().unwrap();
     assert!(out.status.success(), "{out:?}");
 
-    // Edit the leaf; the watcher (20ms poll, two settled ticks) feeds
-    // the delta into the resident session.
+    // Edit the leaf and build at once: the build drains the write's
+    // event, with no settling and no rescan.
     std::fs::write(
         proj.join("a.sml"),
         "structure A = struct fun f x = x + 2 end",
     )
     .unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut status = String::new();
-    while std::time::Instant::now() < deadline {
-        let out = smlsc()
-            .arg("daemon")
-            .arg("status")
-            .arg(&proj)
-            .output()
-            .unwrap();
-        status = String::from_utf8_lossy(&out.stdout).to_string();
-        if status.contains(r#""daemon.invalidations":1"#) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        status.contains(r#""daemon.invalidations":1"#),
-        "watcher applied the one-leaf delta: {status}"
-    );
-
     let out = smlsc()
         .args(["build", "--stats"])
         .arg(&proj)
@@ -214,6 +191,109 @@ fn watched_leaf_edit_recompiles_exactly_one_unit() {
     assert!(stats.contains(r#""source.reads":1"#), "{stats}");
     assert!(stats.contains(r#""stamp.hits":1"#), "{stats}");
     assert!(stats.contains(r#""irm.cutoff_hits":1"#), "{stats}");
+    let status = status(&proj);
+    assert!(
+        status.contains(r#""daemon.invalidations":1"#),
+        "the build applied the one-leaf delta: {status}"
+    );
+    assert!(status.contains(r#""daemon.watch_rescans":0"#), "{status}");
+}
+
+fn status(proj: &Path) -> String {
+    let out = smlsc()
+        .arg("daemon")
+        .arg("status")
+        .arg(proj)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+#[test]
+fn injected_watch_fault_rescans_and_still_sees_the_edit() {
+    let proj = temp("watch-fault");
+    write_project(&proj);
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    // The first drain is faulted: that build rescans instead.
+    let _daemon = DaemonGuard::start(&proj, &["--inject-faults", "daemon.watch=io*1"]);
+    std::fs::write(
+        proj.join("a.sml"),
+        "structure A = struct fun f x = x + 3 end",
+    )
+    .unwrap();
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 recompiled, 1 reused"), "{stdout}");
+    let status = status(&proj);
+    assert!(status.contains(r#""daemon.watch_rescans":1"#), "{status}");
+    assert!(
+        status.contains(r#""watch":"inotify""#),
+        "re-armed: {status}"
+    );
+}
+
+#[test]
+fn edit_then_noop_print_the_same_in_process_and_over_the_socket() {
+    let proj = temp("noop-parity");
+    write_project(&proj);
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let build = |extra: &[&str]| {
+        let out = smlsc()
+            .args(["build", "--explain"])
+            .args(extra)
+            .arg(&proj)
+            .output()
+            .unwrap();
+        let stdout: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("loaded "))
+            .map(str::to_string)
+            .collect();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        (out.status.code(), stdout, stderr)
+    };
+    let edit = |n: u32| {
+        std::fs::write(
+            proj.join("a.sml"),
+            format!("structure A = struct fun f x = x + {n} end"),
+        )
+        .unwrap();
+    };
+
+    edit(5);
+    let in_process = [build(&["--no-daemon"]), build(&["--no-daemon"])];
+    // The same edit again, seen by the daemon this time.
+    edit(1);
+    build(&["--no-daemon"]);
+    let _daemon = DaemonGuard::start(&proj, &[]);
+    edit(5);
+    let served = [build(&[]), build(&[])];
+    assert_eq!(in_process, served);
+    assert!(
+        served[0].1[0].contains("1 recompiled, 1 reused"),
+        "{:?}",
+        served[0].1
+    );
+    // The no-op after the edit is a cached reply, printed as a no-op.
+    assert!(
+        served[1].1[0].contains("0 recompiled, 2 reused"),
+        "{:?}",
+        served[1].1
+    );
+    let ledger = std::fs::read_to_string(proj.join(".smlsc-bins/builds.jsonl")).unwrap();
+    assert_eq!(
+        ledger
+            .lines()
+            .filter(|l| l.contains(r#""daemon":1"#))
+            .count(),
+        1,
+        "the edit ran in the daemon and the no-op was snapshot-served: {ledger}"
+    );
 }
 
 #[test]
@@ -232,6 +312,15 @@ fn killed_daemon_is_restarted_once_and_serves_the_build() {
         .status()
         .unwrap();
     assert!(killed.success());
+    // SIGKILL is delivered asynchronously, and a dying daemon's exit
+    // (closing its inotify instance waits for an RCU grace period) can
+    // outlast `kill`: wait until it is dead, as the client must see it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while smlsc::core::store::fsutil::pid_alive(u64::from(pid))
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     assert!(proj.join(".smlsc-bins/daemon.sock").exists());
 
     // The dispatch path finds the stale socket, sees the lockfile owner
@@ -346,7 +435,9 @@ fn stop_is_idempotent_and_status_reports_a_missing_daemon() {
     let status = String::from_utf8_lossy(&out.stdout);
     assert!(status.contains(r#""protocol":2"#), "{status}");
     assert!(status.contains(r#""units":2"#), "{status}");
-    // Watcher health and the generation pair are part of status.
+    // The watch mode and health and the generation pair are part of
+    // status.
+    assert!(status.contains(r#""watch":"inotify""#), "{status}");
     assert!(status.contains(r#""watch_healthy":true"#), "{status}");
     assert!(status.contains(r#""generation":"#), "{status}");
     assert!(status.contains(r#""last_build_generation":"#), "{status}");

@@ -36,7 +36,6 @@ fn start_daemon(proj: &Path, extra: &[&str]) -> u32 {
         .arg("start")
         .args(extra)
         .arg(proj)
-        .env("SMLSC_DAEMON_POLL_MS", "20")
         .output()
         .unwrap();
     assert!(out.status.success(), "daemon start failed: {out:?}");

@@ -135,12 +135,15 @@ pub const DEPS_PACK_MISSES: &str = "deps.pack_misses";
 /// Requests served by the resident build daemon (handshake excluded):
 /// build, stats, status, stop.
 pub const DAEMON_REQUESTS: &str = "daemon.requests";
-/// Filesystem change events observed by the daemon's watcher (one per
-/// added/modified/removed source file, post-debounce).
+/// Kernel file events the daemon's watch drained for `*.sml` files.
 pub const DAEMON_WATCH_EVENTS: &str = "daemon.watch_events";
-/// Project deltas the watcher fed into the resident session (units whose
-/// in-memory stat was replaced or removed without a directory rescan).
+/// Project deltas applied to the resident session (units whose
+/// in-memory stat was replaced or removed).
 pub const DAEMON_INVALIDATIONS: &str = "daemon.invalidations";
+/// Resident builds that stat-rescanned the project directory because
+/// no change feed could vouch for it: none attached, a queue overflow,
+/// a watch error, the directory moved, or an injected fault.
+pub const DAEMON_WATCH_RESCANS: &str = "daemon.watch_rescans";
 
 /// Build records appended to the persistent ledger (`builds.jsonl`).
 pub const LEDGER_APPENDS: &str = "ledger.appends";

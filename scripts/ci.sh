@@ -238,7 +238,7 @@ trap './target/release/smlsc daemon stop "$g" >/dev/null 2>&1 || true; rm -rf "$
 printf 'structure Util = struct fun inc x = x + 1 end\n' > "$g/util.sml"
 printf 'structure Main = struct val v = Util.inc 41 end\n' > "$g/main.sml"
 ./target/release/smlsc build "$g"
-SMLSC_DAEMON_POLL_MS=20 ./target/release/smlsc daemon start "$g"
+./target/release/smlsc daemon start "$g"
 ./target/release/smlsc daemon status "$g"
 # A no-op build dispatches to the daemon's resident session: every
 # rebuild decision is a stamp hit, no source is re-read, and the pack
@@ -251,20 +251,17 @@ for bad in '"source.reads"' '"bin.index_only"' '"irm.units_compiled"'; do
     echo "error: daemon no-op re-read state ($bad): $stats" >&2; exit 1
   fi
 done
-# Edit one leaf; the watcher feeds the delta into the resident session.
+# Edit one leaf and build at once: the build drains the write's inotify
+# event under the build lock, so the edit is seen with no settling.
 printf 'structure Util = struct fun inc x = x + 2 end\n' > "$g/util.sml"
-for _ in $(seq 1 100); do
-  ./target/release/smlsc daemon status "$g" | grep -q '"daemon.invalidations":1' && break
-  sleep 0.1
-done
-./target/release/smlsc daemon status "$g" | grep -q '"daemon.invalidations":1' \
-  || { echo "error: watcher never applied the one-leaf delta" >&2; exit 1; }
 out=$(./target/release/smlsc build --stats "$g")
 echo "$out" | grep -q '1 recompiled, 1 reused' \
   || { echo "error: one-leaf edit did not recompile exactly one unit: $out" >&2; exit 1; }
 stats=$(echo "$out" | grep '^{')
 echo "$stats" | grep -q '"source.reads":1' \
   || { echo "error: daemon re-read untouched sources: $stats" >&2; exit 1; }
+./target/release/smlsc daemon status "$g" | grep -q '"daemon.invalidations":1' \
+  || { echo "error: the build did not apply exactly the one-leaf delta" >&2; exit 1; }
 ./target/release/smlsc daemon stop "$g"
 [ ! -e "$g/.smlsc-bins/daemon.sock" ] \
   || { echo "error: daemon stop left the socket behind" >&2; exit 1; }
@@ -283,7 +280,7 @@ printf 'structure C = struct fun hd (x :: _) = x end\n' > "$s/c.sml"
 { ./target/release/smlsc build -k --explain --no-daemon "$s" 2>&1 && echo "exit 0" || echo "exit $?"; } \
   | grep -v '^loaded ' > "$g/parity-in-process.txt"
 rm -rf "$s/.smlsc-bins"
-SMLSC_DAEMON_POLL_MS=20 ./target/release/smlsc daemon start "$s"
+./target/release/smlsc daemon start "$s"
 { ./target/release/smlsc build -k --explain "$s" 2>&1 && echo "exit 0" || echo "exit $?"; } \
   | grep -v '^loaded ' > "$g/parity-daemon.txt"
 ./target/release/smlsc daemon stop "$s"

@@ -111,7 +111,7 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
         assert_eq!(seq_cold.len(), units);
         assert_eq!(par_cold.len(), units);
         let resident = Resident::open(&src, &dmn_bin, Strategy::Cutoff, None).unwrap();
-        let (snap, _) = resident.build(4, FailurePolicy::FailFast, true).unwrap();
+        let (snap, _) = resident.build(4, FailurePolicy::FailFast).unwrap();
         assert_eq!(snap.recompiled, units);
 
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -140,7 +140,7 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
             assert_eq!(seq_cone, cone.len() as u64, "{ctx}: sequential cone");
             assert_eq!(par_cone, cone.len() as u64, "{ctx}: parallel cone");
 
-            let (snap, cached) = resident.build(4, FailurePolicy::FailFast, true).unwrap();
+            let (snap, cached) = resident.build(4, FailurePolicy::FailFast).unwrap();
             assert!(!cached, "{ctx}: edits must invalidate the snapshot");
             assert_eq!(snap.recompiled, expected.len(), "{ctx}: daemon recompiles");
             assert_eq!(snap.reused, units - expected.len(), "{ctx}: daemon reuses");
@@ -159,7 +159,7 @@ fn seeded_churn_recompiles_exactly_the_union_of_edited_cones() {
         assert!(seq_rec.is_empty(), "seed {seed}: sequential no-op");
         assert!(par_rec.is_empty(), "seed {seed}: parallel no-op");
         assert_eq!((seq_cone, par_cone), (0, 0), "seed {seed}: empty cones");
-        let (snap, cached) = resident.build(4, FailurePolicy::FailFast, true).unwrap();
+        let (snap, cached) = resident.build(4, FailurePolicy::FailFast).unwrap();
         assert!(cached || snap.recompiled == 0, "seed {seed}: daemon no-op");
         std::fs::remove_dir_all(&base).ok();
     }

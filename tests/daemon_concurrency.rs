@@ -60,8 +60,6 @@ fn concurrent_clients_get_serialized_builds_and_consistent_snapshots() {
     write_project(&src);
     let bin_dir = root.join("bins");
     let mut config = ServerConfig::new(&src, &bin_dir);
-    // No watcher interference: nothing edits the project mid-test.
-    config.watch_interval = Duration::from_secs(3600);
     config.jobs = 2;
     let server = ServerHandle::spawn(config).unwrap();
     let socket = server.socket_path().to_path_buf();
@@ -73,6 +71,23 @@ fn concurrent_clients_get_serialized_builds_and_consistent_snapshots() {
     const CLIENTS: usize = 8;
     const REQUESTS: usize = 12;
     let per_client: Vec<Vec<smlsc_daemon::Response>> = std::thread::scope(|scope| {
+        // An editor racing the clients: body-only rewrites of one mid,
+        // saved by rename as editors do (a build never reads half a
+        // file), so builds drain events while other requests queue
+        // behind them.
+        let editor_src = src.clone();
+        scope.spawn(move || {
+            for k in 0..6 {
+                std::thread::sleep(Duration::from_millis(15));
+                let tmp = editor_src.join("mid_00.sml.tmp");
+                std::fs::write(
+                    &tmp,
+                    format!("structure Mid_00 = struct val v = Base.n + {k} end"),
+                )
+                .unwrap();
+                std::fs::rename(&tmp, editor_src.join("mid_00.sml")).unwrap();
+            }
+        });
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let socket = socket.clone();
@@ -103,8 +118,10 @@ fn concurrent_clients_get_serialized_builds_and_consistent_snapshots() {
 
     // Snapshot consistency: every build response with the same sequence
     // number must carry the identical report, no matter which client
-    // received it or what was in flight at the time.
-    let mut by_seq: HashMap<u64, (String, i32)> = HashMap::new();
+    // received it or what was in flight at the time.  A cached reply is
+    // that build rendered as a no-op, so it is keyed apart (a `stats`
+    // reply carries the build itself, as an uncached one does).
+    let mut by_seq: HashMap<(u64, bool), (String, i32)> = HashMap::new();
     let mut builds = 0;
     for response in per_client.iter().flatten() {
         assert!(response.ok, "request refused: {}", response.error);
@@ -121,7 +138,7 @@ fn concurrent_clients_get_serialized_builds_and_consistent_snapshots() {
             response.summary
         );
         let entry = (response.summary.clone(), response.exit_code);
-        if let Some(seen) = by_seq.insert(response.seq, entry.clone()) {
+        if let Some(seen) = by_seq.insert((response.seq, response.cached), entry.clone()) {
             assert_eq!(seen, entry, "two reports for build #{}", response.seq);
         }
     }
