@@ -1041,11 +1041,8 @@ impl Irm {
     /// bodies that save wrote plus one pass over the bins; the index is
     /// not reopened.  A long-lived session calls this after each save so
     /// its heap stays flat however many builds it serves; a one-shot
-    /// build has no reason to.  Returns the released bodies, for the
-    /// caller to free when it suits (a build's worth takes
-    /// milliseconds).
-    pub fn release_bodies(&mut self) -> Vec<BinFile> {
-        let mut released = Vec::new();
+    /// build has no reason to.
+    pub fn release_bodies(&mut self) {
         if let Some((bodies, entries)) = self.saved.take() {
             for e in entries {
                 // A bin rebuilt since that save is not what it wrote.
@@ -1053,7 +1050,7 @@ impl Irm {
                     continue;
                 }
                 if let Some(entry) = self.bins.get_mut(&e.name) {
-                    let lazy = BinBody::Lazy {
+                    entry.body = BinBody::Lazy {
                         src: LazyBody {
                             pack: Arc::clone(&bodies),
                             offset: e.offset,
@@ -1062,20 +1059,14 @@ impl Irm {
                         },
                         cell: OnceLock::new(),
                     };
-                    if let BinBody::Resident(bin) = std::mem::replace(&mut entry.body, lazy) {
-                        released.push(bin);
-                    }
                 }
             }
         }
         for entry in self.bins.values_mut() {
             if let BinBody::Lazy { cell, .. } = &mut entry.body {
-                if let Some(Ok(bin)) = cell.take() {
-                    released.push(bin);
-                }
+                cell.take();
             }
         }
-        released
     }
 
     /// Bin bodies held decoded in memory: resident, or lazy and forced.

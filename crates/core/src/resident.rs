@@ -21,7 +21,10 @@
 //!   itself moved or deleted, an injected `daemon.watch` fault), the
 //!   build stat-scans the directory instead ([`Resident::diff_from_disk`],
 //!   which never reads a source body) and counts a
-//!   [`names::DAEMON_WATCH_RESCANS`].
+//!   [`names::DAEMON_WATCH_RESCANS`].  The rescan stays owed until one
+//!   succeeds: a build whose scan fails returns the error, and the next
+//!   build scans again instead of trusting a feed that has already
+//!   dropped the events the scan stood in for.
 //! * **File-event deltas, not rebuilds of the project.**
 //!   [`Resident::apply_events`] replaces or removes individual
 //!   in-memory [`SourceFile`] entries (via
@@ -41,11 +44,10 @@
 //!   last build succeeded, [`Resident::build`] answers from the cached
 //!   snapshot without running the analysis ladder, rendered as the
 //!   no-op a rerun would print ([`BuildSnapshot::as_noop`]).
-//! * **Flat memory.**  After each save the session releases every
-//!   decoded bin body ([`Irm::release_bodies`](crate::irm::Irm::release_bodies))
-//!   and frees them in [`Resident::free_released`] — a server calls it
-//!   once its reply is on the way — or at the next build: a long-lived
-//!   daemon would otherwise keep every body it ever compiled or forced.
+//! * **Flat memory.**  After each save the session frees every
+//!   decoded bin body ([`Irm::release_bodies`](crate::irm::Irm::release_bodies)):
+//!   a long-lived daemon would otherwise keep every body it ever
+//!   compiled or forced.
 //!
 //! [`SourceFile`]: crate::irm::SourceFile
 
@@ -59,7 +61,6 @@ use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::build_session::BuildSession;
 use crate::irm::{mtime_ns, FailurePolicy, Project, Strategy};
-use crate::unit::BinFile;
 use crate::CoreError;
 
 /// One filesystem change to feed into the resident session.
@@ -180,6 +181,10 @@ struct State {
     project: Project,
     dir: PathBuf,
     feed: Option<Box<dyn ChangeFeed>>,
+    /// Set when the feed cannot say what changed (none attached, lost
+    /// events, a failed re-stat); cleared only once a rescan's deltas
+    /// are applied.
+    rescan_owed: bool,
     /// Bumped once per applied [`FileEvent`]; a build snapshot taken at
     /// generation G is current for as long as the generation stays G.
     gen: u64,
@@ -198,9 +203,6 @@ pub struct Resident {
     building_high_water: AtomicUsize,
     invalidations: AtomicU64,
     rescans: AtomicU64,
-    /// Bodies the last build released, until [`Self::free_released`]
-    /// or the next build frees them.
-    released: Mutex<Vec<BinFile>>,
 }
 
 impl Resident {
@@ -230,6 +232,7 @@ impl Resident {
                 project,
                 dir: dir.to_path_buf(),
                 feed: None,
+                rescan_owed: false,
                 gen: 0,
                 seq: 0,
             }),
@@ -238,7 +241,6 @@ impl Resident {
             building_high_water: AtomicUsize::new(0),
             invalidations: AtomicU64::new(0),
             rescans: AtomicU64::new(0),
-            released: Mutex::new(Vec::new()),
         })
     }
 
@@ -308,7 +310,7 @@ impl Resident {
         self.building.fetch_sub(1, Ordering::SeqCst);
         let mut built = result.inspect_err(|_| trace::uninstall())?;
         let (_, warnings) = st.session.finish(&built, &collector, jobs, started, true);
-        *self.released.lock().expect("released lock") = st.session.irm.release_bodies();
+        st.session.irm.release_bodies();
         built.notes.extend(warnings);
         let stats_json = collector.stats_json();
         trace::uninstall();
@@ -333,29 +335,32 @@ impl Resident {
     }
 
     /// Brings the in-memory project up to date: the files the feed
-    /// names, re-stat'ed and stripped of their stamps, or a counted
-    /// rescan when there is no feed or it lost track.
+    /// names, re-stat'ed and stripped of their stamps, then a counted
+    /// rescan when there is no feed, it lost track, or an earlier
+    /// build's rescan failed.
     fn refresh(&self, st: &mut State) -> Result<(), CoreError> {
         let named = match st.feed.as_mut().map(|feed| feed.drain()) {
             Some(Drained::Changed(names)) => restat(&st.dir, names),
             _ => None,
         };
-        let events = match named {
+        match named {
             Some(events) => {
                 for event in &events {
                     if let FileEvent::Upsert { path, .. } = event {
                         st.session.irm.forget_stamp(path);
                     }
                 }
-                events
+                self.apply(st, &events);
             }
-            None => {
-                self.rescans.fetch_add(1, Ordering::SeqCst);
-                trace::counter(names::DAEMON_WATCH_RESCANS, 1);
-                diff_projects(&st.project, &Project::from_dir(&st.dir)?)
-            }
-        };
-        self.apply(st, &events);
+            None => st.rescan_owed = true,
+        }
+        if st.rescan_owed {
+            self.rescans.fetch_add(1, Ordering::SeqCst);
+            trace::counter(names::DAEMON_WATCH_RESCANS, 1);
+            let events = diff_projects(&st.project, &Project::from_dir(&st.dir)?);
+            self.apply(st, &events);
+            st.rescan_owed = false;
+        }
         Ok(())
     }
 
@@ -387,14 +392,6 @@ impl Resident {
             trace::counter(names::DAEMON_INVALIDATIONS, applied as u64);
         }
         applied
-    }
-
-    /// Frees the bin bodies the last build released.  A server calls
-    /// this once its reply is on the way; otherwise the next build
-    /// frees them.
-    pub fn free_released(&self) {
-        let released = std::mem::take(&mut *self.released.lock().expect("released lock"));
-        drop(released);
     }
 
     /// The last completed build's snapshot, if any.
@@ -466,6 +463,7 @@ fn restat(dir: &Path, mut names: Vec<PathBuf>) -> Option<Vec<FileEvent>> {
     }
     Some(events)
 }
+
 /// The events that turn `old` into `fresh`: an upsert per added or
 /// touched file (mtime or size moved), a removal per vanished unit.
 fn diff_projects(old: &Project, fresh: &Project) -> Vec<FileEvent> {
@@ -673,16 +671,19 @@ mod tests {
         let dir = temp("lost");
         write(&dir, "a", "structure A = struct val x = 1 end");
         write(&dir, "b", "structure B = struct val y = A.x end");
+        write(&dir, "d", "structure D = struct val w = 4 end");
         let (r, queue) = fed(&dir);
         build(&r);
         std::thread::sleep(std::time::Duration::from_millis(5));
         write(&dir, "a", "structure A = struct val x = 17 end");
         write(&dir, "c", "structure C = struct val z = B.y end");
+        std::fs::remove_file(dir.join("src/d.sml")).unwrap();
         queue.lose();
         let (snap, cached) = build(&r);
         assert!(!cached);
         assert_eq!((snap.units, snap.recompiled), (3, 2), "{}", snap.summary);
         assert_eq!(r.rescans(), 1);
+        assert_eq!(r.unit_count(), 3, "the rescan dropped the removed unit");
         assert_eq!(
             {
                 let st = r.state.lock().unwrap();
@@ -693,9 +694,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_rescan_stays_owed_until_one_succeeds() {
+        let dir = temp("owed");
+        write(&dir, "a", "structure A = struct val x = 1 end");
+        write(&dir, "b", "structure B = struct val y = A.x end");
+        let (r, queue) = fed(&dir);
+        build(&r);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        write(&dir, "a", "structure A = struct val x = 17 end");
+        queue.lose();
+        // A dangling `x.sml` link fails the fallback scan's stat.
+        let link = dir.join("src/x.sml");
+        std::os::unix::fs::symlink(dir.join("gone.sml"), &link).unwrap();
+        assert!(r.build(1, FailurePolicy::FailFast).is_err());
+        std::fs::remove_file(&link).unwrap();
+        // The feed re-armed after the loss and now drains clean: only
+        // the owed rescan can still see the edit.
+        let (snap, cached) = build(&r);
+        assert!(!cached, "the owed rescan runs: {}", snap.summary);
+        assert_eq!(snap.recompiled, 1, "{}", snap.summary);
+        assert_eq!(r.rescans(), 2);
+        assert_eq!(
+            {
+                let st = r.state.lock().unwrap();
+                export_pids(&st.session.irm, &["a", "b"])
+            },
+            clean_pids(&dir, &["a", "b"])
+        );
+        let (_, cached) = build(&r);
+        assert!(cached, "a successful rescan is no longer owed");
+        assert_eq!(r.rescans(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn removal_events_drop_units() {
         let dir = temp("remove");
+        write(&dir, "a", "structure A = struct val x = 1 end");
+        write(&dir, "b", "structure B = struct val y = 2 end");
+        let r = open(&dir);
+        let (snap, _) = build(&r);
+        assert_eq!(snap.units, 2);
+        std::fs::remove_file(dir.join("src").join("b.sml")).unwrap();
+        let events = r.diff_from_disk().unwrap();
+        assert_eq!(events, vec![FileEvent::Remove { name: "b".into() }]);
+        r.apply_events(&events);
+        let (snap, cached) = build(&r);
+        assert!(!cached);
+        assert_eq!(snap.units, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fed_removal_drops_the_unit_without_a_rescan() {
+        let dir = temp("fedremove");
         write(&dir, "a", "structure A = struct val x = 1 end");
         write(&dir, "b", "structure B = struct val y = 2 end");
         let (r, queue) = fed(&dir);
@@ -706,6 +760,8 @@ mod tests {
         let (snap, cached) = build(&r);
         assert!(!cached);
         assert_eq!(snap.units, 1);
+        assert!(snap.stats_json.contains(r#""daemon.invalidations":1"#));
+        assert_eq!(r.rescans(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

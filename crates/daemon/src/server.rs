@@ -121,6 +121,11 @@ impl Server {
             ),
             _ => e,
         })?;
+        // We hold the lock, so any existing socket file is a leftover.
+        // Removed before the session opens: a starter waiting for "our
+        // lock and a socket" must not take the leftover for ours.
+        let socket = protocol::socket_path(&config.bin_dir);
+        std::fs::remove_file(&socket).ok();
         // Armed before the session scans the directory, so no edit
         // falls between the scan and the first event.
         let counters = Arc::new(DaemonCounters::default());
@@ -128,9 +133,6 @@ impl Server {
         let resident = Resident::open(&config.dir, &config.bin_dir, config.strategy, None)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         resident.set_feed(Box::new(watch));
-        let socket = protocol::socket_path(&config.bin_dir);
-        // We hold the lock, so any existing socket file is a leftover.
-        std::fs::remove_file(&socket).ok();
         let listener = UnixListener::bind(&socket)?;
         Ok(Server {
             config,
@@ -336,8 +338,8 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
     // client at the deadline; a timed-out build continues to completion
     // (the resident lock serializes it against later requests) and its
     // snapshot serves the next build instantly.  Every build drains the
-    // watch first (`fresh` is moot); the bodies the build released are
-    // freed, and the heap trimmed, once the reply is on its way.
+    // watch first (`fresh` is moot); the heap the build freed is trimmed
+    // once the reply is on its way.
     let resident = Arc::clone(&ctx.resident);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::Builder::new()
@@ -347,7 +349,6 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
             let ran = !matches!(result, Ok((_, true)));
             tx.send(result).ok();
             if ran {
-                resident.free_released();
                 trim_heap();
             }
         })

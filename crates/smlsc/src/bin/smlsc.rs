@@ -549,7 +549,9 @@ fn spawn_daemon(
     let lockfile = smlsc::daemon::lock_path(bin_dir);
     let deadline = std::time::Instant::now() + wait;
     while std::time::Instant::now() < deadline {
-        if socket.exists() && fsutil::owner(&lockfile) == Some(u64::from(child.id())) {
+        // Owner first: the child removes a leftover socket right after
+        // taking the lock, so a socket seen after that is its own.
+        if fsutil::owner(&lockfile) == Some(u64::from(child.id())) && socket.exists() {
             return Ok(child.id());
         }
         // A child that already exited (project unreadable, lock
