@@ -13,9 +13,10 @@
 //!
 //! * `stamped` — the fast path: stamp cache trusted, bins in the
 //!   indexed `bins.pack` archive with lazy bodies;
-//! * `paranoid` — the eager baseline (`--paranoid`): no stamp cache,
-//!   every source re-read and re-digested, and every archived body read
-//!   and digest-verified up front when the same `bins.pack` loads.
+//! * `paranoid` — the eager baseline (`--paranoid`): no stat trusted,
+//!   every source re-read and re-digested (an unchanged one still
+//!   reuses its recorded analysis), and every archived body read and
+//!   digest-verified up front when the same `bins.pack` loads.
 //!
 //! For each, the no-op latency (nothing changed; zero recompiles) and
 //! the one-leaf-edit latency (exactly one unit recompiles) are taken

@@ -89,7 +89,7 @@ use crate::compile::{analyze_source, compile_unit, source_pid, CompileTimings, I
 use crate::depgraph::DepGraph;
 use crate::link::{link_and_execute, DynEnv};
 use crate::pack::{self, PackBodies, PackEntry, PackReader, PackTail, PackWriter, PACK_FILE};
-use crate::stamps::{stamp_key, StampCache, StampEntry};
+use crate::stamps::{Analysis, StampCache, StampEntry};
 use crate::unit::{BinFile, BinMeta, BIN_FORMAT_VERSION};
 use crate::CoreError;
 
@@ -661,15 +661,11 @@ impl BinEntry {
 pub struct Irm {
     strategy: Option<Strategy>,
     bins: HashMap<Symbol, BinEntry>,
-    /// Dependency-analysis cache keyed by unit, valid while the source
-    /// digest (or failing that, the token digest) matches.  `Arc` so a
-    /// cache hit shares the analysis instead of cloning its vectors.
-    deps_cache: HashMap<Symbol, Arc<CachedAnalysis>>,
-    /// The persistent `(path, mtime_ns, size) → analysis` stamp cache,
-    /// loaded from and saved to the pack's stamp sections.
+    /// The unit-keyed analysis cache, loaded from and saved to the
+    /// pack's stamp sections.
     stamps: StampCache,
-    /// When set, every stamp- and token-level shortcut is bypassed:
-    /// all sources are read and fully re-digested.
+    /// When set, no file is trusted by its metadata: every source is
+    /// read and re-digested.
     paranoid: bool,
     /// The shared artifact store, if attached.
     store: Option<Arc<Store>>,
@@ -695,21 +691,13 @@ pub struct Irm {
     saved: Option<(Arc<PackBodies>, Vec<PackEntry>)>,
 }
 
-/// The per-file analysis record — digests plus import/export lists.
-/// This is [`crate::stamps::Analysis`] so a stamp hit shares the stamp
-/// cache's `Arc` directly instead of cloning the vectors per build.
-type CachedAnalysis = crate::stamps::Analysis;
-
 /// How one file's analysis was obtained (drives which counters bump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AnalysisHit {
-    /// Stamp cache: the file was never even opened.
+    /// The record's stat matched: the file was never even opened.
     Stamp,
-    /// Deps cache via the source digest (file read + digested, same
-    /// bytes as last time).
+    /// The file was read and digested to the record's source pid.
     SourcePid,
-    /// Deps cache via the token digest (comment/whitespace-only edit).
-    TokenPid,
     /// Fully analyzed (parsed) this build.
     Fresh,
 }
@@ -719,66 +707,44 @@ enum AnalysisHit {
 /// [`Irm::analyze_all`].
 #[derive(Debug)]
 struct FileAnalysis {
-    analysis: Arc<CachedAnalysis>,
+    analysis: Arc<Analysis>,
     hit: AnalysisHit,
 }
 
-/// The per-file analysis ladder.  Shares `deps_cache` and `stamps`
-/// immutably so it can run on worker threads; all mutation happens in
-/// the caller's merge loop.
+/// The per-file analysis ladder (see [`crate::stamps`]).  Shares
+/// `stamps` immutably so it can run on worker threads; all mutation
+/// happens in the caller's merge loop.
 fn analyze_one(
     f: &SourceFile,
-    deps_cache: &HashMap<Symbol, Arc<CachedAnalysis>>,
     stamps: &StampCache,
     paranoid: bool,
 ) -> Result<FileAnalysis, CoreError> {
-    // Rung 1: the stamp cache.  Path-backed files whose (unit, mtime,
-    // size) stamp matches reuse the recorded analysis without a read.
-    if !paranoid {
-        if let Some(path) = f.path() {
-            if let Some(e) = stamps.lookup(&stamp_key(path), f.name, f.mtime, f.size()) {
-                // The stamp cache shares its analysis by Arc: a hit is
-                // a refcount bump, never a clone of the vectors.
-                return Ok(FileAnalysis {
-                    analysis: Arc::clone(&e.analysis),
-                    hit: AnalysisHit::Stamp,
-                });
-            }
-        }
-    }
-    let text = f.read_text()?;
-    let sp = source_pid(text);
-    // Rung 2: the deps cache, by source digest.
-    if let Some(c) = deps_cache.get(&f.name) {
-        if c.source_pid == sp {
+    // Rung 1: a path-backed file whose stat matches its record reuses
+    // the recorded analysis without a read (a refcount bump, never a
+    // clone of the vectors).
+    if !paranoid && f.path().is_some() {
+        if let Some(e) = stamps.lookup(f.name, f.mtime, f.size()) {
             return Ok(FileAnalysis {
-                analysis: Arc::clone(c),
-                hit: AnalysisHit::SourcePid,
+                analysis: Arc::clone(&e.analysis),
+                hit: AnalysisHit::Stamp,
             });
         }
-        // Rung 3: by token digest — a comment or whitespace edit keeps
-        // the token stream (hence imports/exports) identical.
-        if !paranoid {
-            if let Some(dp) = smlsc_syntax::deps::token_pid(text) {
-                if c.deps_pid == dp {
-                    return Ok(FileAnalysis {
-                        analysis: Arc::new(CachedAnalysis {
-                            source_pid: sp,
-                            ..CachedAnalysis::clone(c)
-                        }),
-                        hit: AnalysisHit::TokenPid,
-                    });
-                }
-            }
-        }
     }
-    // Rung 4: a real parse, and the one place the names pid (the
+    // Rung 2: the same bytes as the record's analysis.
+    let text = f.read_text()?;
+    let sp = source_pid(text);
+    if let Some(e) = stamps.get(f.name).filter(|e| e.analysis.source_pid == sp) {
+        return Ok(FileAnalysis {
+            analysis: Arc::clone(&e.analysis),
+            hit: AnalysisHit::SourcePid,
+        });
+    }
+    // Rung 3: a real parse, and the one place the names pid (the
     // import graph's key) is computed.
     let _span = trace::span(names::SPAN_ANALYZE).field("unit", f.name.as_str());
     let a = analyze_source(f.name, text)?;
-    let dp = smlsc_syntax::deps::token_pid(text).unwrap_or(sp);
     Ok(FileAnalysis {
-        analysis: Arc::new(CachedAnalysis::new(sp, dp, a.imports, a.exports)),
+        analysis: Arc::new(Analysis::new(sp, a.imports, a.exports)),
         hit: AnalysisHit::Fresh,
     })
 }
@@ -844,10 +810,11 @@ impl Irm {
         self.bins.insert(bin.unit.name, BinEntry::resident(bin));
     }
 
-    /// Enables or disables paranoid mode: when on, the stamp cache and
-    /// token-level analysis reuse are bypassed and every source is read
-    /// and fully re-digested.  Decisions must come out identical either
-    /// way — a property test holds the manager to that.
+    /// Enables or disables paranoid mode: when on, no file is trusted
+    /// by its metadata, so every source is read and re-digested (an
+    /// unchanged one still reuses its recorded analysis).  Decisions
+    /// must come out identical either way — a property test holds the
+    /// manager to that.
     pub fn set_paranoid(&mut self, paranoid: bool) {
         self.paranoid = paranoid;
     }
@@ -873,12 +840,12 @@ impl Irm {
         Ok(())
     }
 
-    /// Forgets the stamp recorded for the file at `path`: the next
-    /// build reads and digests it (rung 2 or lower of the analysis
-    /// ladder) even when its mtime and size match the stamp, as after a
-    /// same-size rewrite within one mtime tick.
-    pub(crate) fn forget_stamp(&mut self, path: &Path) {
-        self.stamps.forget(&stamp_key(path));
+    /// Drops the stat recorded for `unit`: the next build reads and
+    /// digests its file (rung 2 or lower of the analysis ladder) even
+    /// when its mtime and size match the record, as after a same-size
+    /// rewrite within one mtime tick.
+    pub(crate) fn forget_stamp(&mut self, unit: Symbol) {
+        self.stamps.forget(unit);
     }
 
     /// Drops a unit whose archived body turned out to be corrupt, so
@@ -974,12 +941,6 @@ impl Irm {
         }
         let mut writer = PackWriter::open(&pack_path, tail)?;
         let appends = writer.appends();
-        // An append carries what changed; a rewrite carries everything.
-        let stamps = self.stamps.encode_section(!appends, writer.saved_at());
-        let graph = match changed_graph {
-            None if !appends => self.graph.as_ref().map(|g| g.encode()),
-            changed => changed,
-        };
         let mut quarantined: Vec<Symbol> = Vec::new();
         if appends {
             for (meta, bytes) in &fresh {
@@ -1021,6 +982,19 @@ impl Irm {
                 put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
             }
         }
+        // An append carries what changed; a rewrite carries everything
+        // but the records of units it holds no bin for (a quarantined
+        // unit's record, say, would otherwise persist forever).
+        if !appends {
+            let bins = &self.bins;
+            self.stamps
+                .retain(|u| bins.contains_key(&u) && !quarantined.contains(&u));
+        }
+        let stamps = self.stamps.encode_section(!appends, writer.saved_at());
+        let graph = match changed_graph {
+            None if !appends => self.graph.as_ref().map(|g| g.encode()),
+            changed => changed,
+        };
         let sealed = writer.finish_with(stamps.as_deref(), graph.as_deref())?;
         for unit in quarantined {
             self.bins.remove(&unit);
@@ -1232,7 +1206,7 @@ impl Irm {
     fn dep_graph(
         &mut self,
         project: &Project,
-        analyses: &HashMap<Symbol, Arc<CachedAnalysis>>,
+        analyses: &HashMap<Symbol, Arc<Analysis>>,
     ) -> Result<Arc<DepGraph>, CoreError> {
         let _span = trace::span(names::SPAN_GRAPH).field("units", analyses.len());
         if let Some(g) = &self.graph {
@@ -1278,7 +1252,7 @@ impl Irm {
     fn dirty_cone(
         &self,
         graph: &DepGraph,
-        analyses: &HashMap<Symbol, Arc<CachedAnalysis>>,
+        analyses: &HashMap<Symbol, Arc<Analysis>>,
         file_index: &HashMap<Symbol, &SourceFile>,
     ) -> Vec<bool> {
         let _span = trace::span(names::SPAN_DIRTY).field("units", graph.len());
@@ -1322,9 +1296,8 @@ impl Irm {
         in_cone
     }
 
-    /// Analyzes every file, cheapest evidence first — stamp cache (no
-    /// read at all), then source digest, then token digest (comment and
-    /// whitespace edits keep the cached analysis), then a real parse.
+    /// Analyzes every file, cheapest evidence first — a matching stat
+    /// (no read at all), then the source digest, then a real parse.
     /// With `jobs > 1` the per-file work fans out over a worker pool;
     /// counters, stamp updates and the returned map merge in file order
     /// either way, so results and telemetry are deterministic.
@@ -1332,19 +1305,18 @@ impl Irm {
         &mut self,
         project: &Project,
         jobs: usize,
-    ) -> Result<HashMap<Symbol, Arc<CachedAnalysis>>, CoreError> {
+    ) -> Result<HashMap<Symbol, Arc<Analysis>>, CoreError> {
         let _span = trace::span(names::SPAN_ANALYZE_ALL)
             .field("files", project.files().len())
             .field("jobs", jobs);
         let files = project.files();
         let results: Vec<Result<FileAnalysis, CoreError>> = {
-            let deps_cache = &self.deps_cache;
             let stamps = &self.stamps;
             let paranoid = self.paranoid;
             if jobs <= 1 || files.len() < 2 {
                 files
                     .iter()
-                    .map(|f| analyze_one(f, deps_cache, stamps, paranoid))
+                    .map(|f| analyze_one(f, stamps, paranoid))
                     .collect()
             } else {
                 let next = AtomicUsize::new(0);
@@ -1366,7 +1338,7 @@ impl Irm {
                                 if i >= files.len() {
                                     break;
                                 }
-                                let r = analyze_one(&files[i], deps_cache, stamps, paranoid);
+                                let r = analyze_one(&files[i], stamps, paranoid);
                                 let _ = slots[i].set(r);
                             }
                             trace::uninstall();
@@ -1379,20 +1351,18 @@ impl Irm {
                     .collect()
             }
         };
-        // Deterministic merge in file order: counters, stamp records,
-        // deps-cache updates, and the first error (if any) all follow
-        // project order regardless of worker scheduling.  Capacity
-        // hints up front: growing two 100k-entry maps through repeated
-        // rehashes is real, cache-hostile work at monorepo scale.
+        // Deterministic merge in file order: counters, records and the
+        // first error (if any) all follow project order regardless of
+        // worker scheduling.  A capacity hint up front: growing a
+        // 100k-entry map through repeated rehashes is real,
+        // cache-hostile work at monorepo scale.
         let mut out = HashMap::with_capacity(files.len());
-        self.deps_cache
-            .reserve(files.len().saturating_sub(self.deps_cache.len()));
         for (f, r) in files.iter().zip(results) {
             let fa = r?;
             let stamped = !self.paranoid && f.path().is_some();
             match fa.hit {
                 AnalysisHit::Stamp => trace::counter(names::STAMP_HITS, 1),
-                AnalysisHit::SourcePid | AnalysisHit::TokenPid => {
+                AnalysisHit::SourcePid => {
                     if stamped {
                         trace::counter(names::STAMP_MISSES, 1);
                     }
@@ -1405,23 +1375,18 @@ impl Irm {
                     trace::counter(names::DEPS_CACHE_MISSES, 1);
                 }
             }
-            // A stamp hit *is* the recorded entry (same unit, mtime,
-            // size, and the analysis it produced); re-recording it would
-            // only clone the import/export vectors per file per build.
+            // A stamp hit *is* the record; re-recording it would only
+            // compare it with itself.  Only a file's own metadata may
+            // vouch for it, so an in-memory source records no stat.
             if fa.hit != AnalysisHit::Stamp {
-                if let Some(path) = f.path() {
-                    self.stamps.record(
-                        stamp_key(path).into_owned(),
-                        StampEntry {
-                            unit: f.name,
-                            mtime_ns: f.mtime,
-                            size: f.size(),
-                            analysis: Arc::clone(&fa.analysis),
-                        },
-                    );
-                }
+                self.stamps.record(
+                    f.name,
+                    StampEntry {
+                        stat: f.path().map(|_| (f.mtime, f.size())),
+                        analysis: Arc::clone(&fa.analysis),
+                    },
+                );
             }
-            self.deps_cache.insert(f.name, Arc::clone(&fa.analysis));
             out.insert(f.name, fa.analysis);
         }
         Ok(out)
@@ -2164,7 +2129,7 @@ fn synthesize_reused(report: &mut BuildReport, name: Symbol) {
 /// being deterministic) the same topological order.  A body edit keeps
 /// its names, so it keeps the graph.  The digests are stored, never
 /// recomputed here: this is one `u128` compare per unit.
-fn graph_is_current(g: &DepGraph, analyses: &HashMap<Symbol, Arc<CachedAnalysis>>) -> bool {
+fn graph_is_current(g: &DepGraph, analyses: &HashMap<Symbol, Arc<Analysis>>) -> bool {
     g.len() == analyses.len()
         && g.order().iter().enumerate().all(|(i, u)| {
             analyses
@@ -2286,7 +2251,7 @@ struct ParallelShared<'a> {
     /// Topological order and resolved imports, by slot and by name.
     graph: &'a DepGraph,
     file_index: &'a HashMap<Symbol, &'a SourceFile>,
-    analyses: &'a HashMap<Symbol, Arc<CachedAnalysis>>,
+    analyses: &'a HashMap<Symbol, Arc<Analysis>>,
     /// The bin store as of the start of the build.  New bins live in
     /// `outcomes` until the coordinator merges them, so old state stays
     /// readable (a unit's *own* decision reads its pre-build bin).
@@ -2526,7 +2491,7 @@ impl ParallelShared<'_> {
 
 /// Maps each exported top-level name to the unit exporting it.
 fn exporters(
-    analyses: &HashMap<Symbol, Arc<CachedAnalysis>>,
+    analyses: &HashMap<Symbol, Arc<Analysis>>,
 ) -> Result<HashMap<Symbol, Symbol>, CoreError> {
     let mut map: HashMap<Symbol, Symbol> = HashMap::new();
     let mut units: Vec<&Symbol> = analyses.keys().collect();
@@ -2550,7 +2515,7 @@ fn exporters(
 /// project unit are errors, cycles are errors.
 fn topo_order(
     project: &Project,
-    analyses: &HashMap<Symbol, Arc<CachedAnalysis>>,
+    analyses: &HashMap<Symbol, Arc<Analysis>>,
     exporters: &HashMap<Symbol, Symbol>,
 ) -> Result<Vec<Symbol>, CoreError> {
     // Validate imports first for a precise error.
@@ -2568,7 +2533,7 @@ fn topo_order(
     let mut state: HashMap<Symbol, u8> = HashMap::new(); // 1 = visiting, 2 = done
     fn visit(
         unit: Symbol,
-        analyses: &HashMap<Symbol, Arc<CachedAnalysis>>,
+        analyses: &HashMap<Symbol, Arc<Analysis>>,
         exporters: &HashMap<Symbol, Symbol>,
         state: &mut HashMap<Symbol, u8>,
         order: &mut Vec<Symbol>,

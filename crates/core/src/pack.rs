@@ -1,5 +1,5 @@
 //! The indexed bin archive: one append-only `bins.pack` holding every
-//! bin, the stamp cache and the import graph.
+//! bin, the analysis records and the import graph.
 //!
 //! Layout (all integers little-endian; every offset is absolute):
 //!
@@ -27,8 +27,8 @@
 //!         | u32 edges_start | u32 edges_count
 //! then, to the end of the index, at most one section of each kind:
 //!   u8 kind | u32 len | len bytes
-//!   kind 1 = stamps ([`crate::stamps`]: the entries recorded since the
-//!            previous segment, with this save's instant)
+//!   kind 1 = stamps ([`crate::stamps`]: the analysis records changed
+//!            since the previous segment, with this save's instant)
 //!   kind 2 = graph  ([`crate::depgraph`]: the whole import DAG, only
 //!            when it changed)
 //! ```
@@ -43,7 +43,7 @@
 //! at the first segment that fails validation (a length running past
 //! the end of the file, a bad footer, an index digest mismatch, a
 //! malformed section).  It serves the valid prefix, later segments
-//! winning by unit name (bins), by path (stamps) or whole (the graph),
+//! winning by unit name (bins and stamps) or whole (the graph),
 //! and reports the bytes after it as the torn tail.  A file with no
 //! valid first segment is corrupt as a whole.
 //! Every rebuild decision runs off index metadata alone; bodies are
@@ -69,10 +69,10 @@
 //!   rename is needed.
 //! * **Full rewrite** — otherwise (cold build, a removed unit, someone
 //!   else's file, the growth bound reached): a fresh one-segment file,
-//!   carrying every bin, every stamp and the graph, streamed through a
-//!   bounded buffer into the shared [`AtomicFile`] (a unique staging
-//!   file, fsync, `rename(2)`, fsync of the parent directory), so a
-//!   crash mid-save leaves the previous pack intact.  It also deletes
+//!   carrying every bin, the record of each binned unit and the graph,
+//!   streamed through a bounded buffer into the shared [`AtomicFile`]
+//!   (a unique staging file, fsync, `rename(2)`, fsync of the parent
+//!   directory), so a crash mid-save leaves the previous pack intact.  It also deletes
 //!   the `stamps.json` and `deps.pack` files of earlier releases.
 //!
 //! The 1/32 bound is a constant, so `bins.pack` is never more than
@@ -114,7 +114,7 @@ pub const PACK_FILE: &str = "bins.pack";
 
 /// Version byte after the leading magic; anything else rejects the
 /// pack (the units then just recompile).
-pub const PACK_VERSION: u8 = 3;
+pub const PACK_VERSION: u8 = 4;
 
 const PACK_MAGIC: &[u8; 8] = b"SMLSPAK3";
 const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";
@@ -1326,15 +1326,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A one-byte stamp for `path` (unit `unit`) at `mtime`.
-    fn stamp(path: &str, unit: &str, mtime: u64) -> stamps::StampEntry {
+    /// A record of a one-byte file for `unit` at `mtime`.
+    fn stamp(unit: &str, mtime: u64) -> stamps::StampEntry {
         stamps::StampEntry {
-            unit: Symbol::intern(unit),
-            mtime_ns: mtime,
-            size: 1,
+            stat: Some((mtime, 1)),
             analysis: std::sync::Arc::new(stamps::Analysis::new(
-                Pid::of_bytes(path.as_bytes()),
-                Pid::of_bytes(path.as_bytes()),
+                Pid::of_bytes(unit.as_bytes()),
                 vec![],
                 vec![Symbol::intern(unit)],
             )),
@@ -1369,16 +1366,10 @@ mod tests {
         DepGraph::new(order, pids, imports)
     }
 
-    fn stamp_mtimes(r: &PackReader, paths: &[(&str, &str)]) -> Vec<Option<u64>> {
-        paths
+    fn stamp_mtimes(r: &PackReader, units: &[&str]) -> Vec<Option<u64>> {
+        units
             .iter()
-            .map(|&(path, unit)| {
-                (1..=3).find(|&m| {
-                    r.stamps()
-                        .lookup(path, Symbol::intern(unit), m, 1)
-                        .is_some()
-                })
-            })
+            .map(|unit| (1..=3).find(|&m| r.stamps().lookup(Symbol::intern(unit), m, 1).is_some()))
             .collect()
     }
 
@@ -1389,22 +1380,22 @@ mod tests {
         let old = graph_of(&["a", "b"]);
         let new = graph_of(&["a", "b", "c"]);
         let mut cache = StampCache::new();
-        cache.record("a.sml".into(), stamp("a.sml", "a", 1));
-        cache.record("b.sml".into(), stamp("b.sml", "b", 1));
+        cache.record(Symbol::intern("a"), stamp("a", 1));
+        cache.record(Symbol::intern("b"), stamp("b", 1));
         save_state(&path, false, &[versioned("a", 1)], &cache, Some(&old));
         cache.mark_saved();
         // A stamp-only segment (a `touch`): one record, no bins, no graph.
-        cache.record("b.sml".into(), stamp("b.sml", "b", 2));
+        cache.record(Symbol::intern("b"), stamp("b", 2));
         save_state(&path, true, &[], &cache, None);
         cache.mark_saved();
         // A graph-only segment.
         save_state(&path, true, &[], &cache, Some(&new));
-        let paths = [("a.sml", "a"), ("b.sml", "b")];
+        let units = ["a", "b"];
         for r in open_both(&path) {
             let r = r.unwrap();
             assert_eq!(r.torn_tail(), 0);
             assert_eq!(
-                stamp_mtimes(&r, &paths),
+                stamp_mtimes(&r, &units),
                 [Some(1), Some(2)],
                 "later stamps win"
             );
@@ -1427,7 +1418,7 @@ mod tests {
             let r = r.unwrap();
             assert!(r.torn_tail() > 0);
             assert_eq!(r.graph().unwrap().order(), old.order());
-            assert_eq!(stamp_mtimes(&r, &paths), [Some(1), Some(2)]);
+            assert_eq!(stamp_mtimes(&r, &units), [Some(1), Some(2)]);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,7 +3,7 @@
 //! A cold `smlsc build` pays process startup, pack-index load, stamp
 //! load, and a directory scan before the first rebuild decision.  A
 //! [`Resident`] pays all of that once, at open, then keeps the analyzed
-//! project — stamps, deps cache, lazily indexed bins — in memory and
+//! project — its analysis records, lazily indexed bins — in memory and
 //! answers every later build from deltas:
 //!
 //! * **A change feed, drained under the build lock.**  Every
@@ -29,7 +29,7 @@
 //!   [`Resident::apply_events`] replaces or removes individual
 //!   in-memory [`SourceFile`] entries (via
 //!   [`Project::add_lazy`]/[`Project::remove`]), so the next build's
-//!   four-rung analysis ladder misses *only* the touched units.
+//!   three-rung analysis ladder misses *only* the touched units.
 //! * **Serialized build execution.**  Any number of threads may call
 //!   [`Resident::build`] concurrently; a mutex serializes the runs — the
 //!   bin cache and stamp cache are single-writer.
@@ -335,9 +335,9 @@ impl Resident {
     }
 
     /// Brings the in-memory project up to date: the files the feed
-    /// names, re-stat'ed and stripped of their stamps, then a counted
-    /// rescan when there is no feed, it lost track, or an earlier
-    /// build's rescan failed.
+    /// names, re-stat'ed and stripped of their recorded stats, then a
+    /// counted rescan when there is no feed, it lost track, or an
+    /// earlier build's rescan failed.
     fn refresh(&self, st: &mut State) -> Result<(), CoreError> {
         let named = match st.feed.as_mut().map(|feed| feed.drain()) {
             Some(Drained::Changed(names)) => restat(&st.dir, names),
@@ -346,8 +346,8 @@ impl Resident {
         match named {
             Some(events) => {
                 for event in &events {
-                    if let FileEvent::Upsert { path, .. } = event {
-                        st.session.irm.forget_stamp(path);
+                    if let FileEvent::Upsert { name, .. } = event {
+                        st.session.irm.forget_stamp(Symbol::intern(name));
                     }
                 }
                 self.apply(st, &events);

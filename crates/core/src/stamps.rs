@@ -1,51 +1,66 @@
-//! The persistent stamp cache: `(path, mtime_ns, size) → analysis`.
+//! The persistent analysis cache: `unit → (stat, analysis)`.
 //!
-//! The paper's IRM promises that an unchanged project costs only digest
-//! checks — but even digesting requires *reading* every source.  The
-//! stamp cache removes that last O(project) scan: when a file's path,
-//! mtime (nanoseconds) and size all match the recorded stamp, the
-//! manager reuses the recorded source pid and dependency analysis
-//! without opening the file at all.
+//! The paper's IRM derives each unit's imports from its source (§8) and
+//! trusts only the source digest (§4–5).  [`StampCache`] is the
+//! manager's one record of that analysis, keyed by unit, and it serves
+//! the three-rung ladder of `analyze_one` in [`crate::irm`]:
 //!
-//! Stamps are a *hint*, never the truth (the paper's §4 stance applied
-//! to timestamps): every pid that participates in a rebuild decision was
-//! originally computed from file contents, and `--paranoid` re-reads and
-//! re-digests everything, bypassing the stamp cache entirely.  A
-//! property test asserts stamped and paranoid runs produce identical
-//! pids and identical rebuild decisions.
+//! 1. a path-backed file whose mtime (nanoseconds) and size match its
+//!    record's stat reuses the record without being opened;
+//! 2. otherwise the file is read and digested, and an equal source pid
+//!    reuses the record's analysis (re-recording the new stat);
+//! 3. otherwise one parse gives the imports, the exports and
+//!    `names_pid`.
 //!
-//! Paths are keyed relative to the project directory (see
-//! [`stamp_key`]), so a moved checkout keeps every hit and no persisted
-//! byte depends on where the checkout lives.
+//! A stat is a *hint*, never the truth (the paper's §4 stance applied
+//! to timestamps): every pid that participates in a rebuild decision
+//! was computed from file contents.  `--paranoid` skips rung 1, so it
+//! reads and digests every source, yet still reuses the analysis of an
+//! unchanged one.  A property test asserts stamped and paranoid runs
+//! produce identical pids and identical rebuild decisions.
+//!
+//! A record whose stat may not vouch for the file (an in-memory source,
+//! a file the daemon's watch named, a racy save) keeps its analysis for
+//! rung 2 and has no stat for rung 1.
 //!
 //! The cache persists as the stamp section of `bins.pack` segments
-//! ([`crate::pack`]): a save appends the entries recorded since the last
+//! ([`crate::pack`]): a save appends the records changed since the last
 //! save ([`StampCache::encode_section`] with `all == false`), a full
-//! rewrite carries every entry, and on load later segments win by path.
-//! Each section records its own save instant; an entry stamped at or
-//! after it is *racy* and dropped ([`StampCache::merge_section`]).  A
-//! pack with no stamp section — or none at all — degrades to "no
-//! hints", i.e. the cold path.
+//! rewrite carries the record of every unit it holds a bin for, and on
+//! load later segments win by unit.  Each section records its own save
+//! instant; a stat taken at or after it is *racy* and dropped
+//! ([`StampCache::merge_section`]).  A pack with no stamp section — or
+//! none at all — degrades to "no hints", i.e. the cold path.
+//!
+//! # Section layout
+//!
+//! ```text
+//! u64 save instant (nanoseconds since the epoch)
+//! u32 record count
+//! per record, sorted by unit name:
+//!   str  unit name
+//!   u8   1 when a stat follows, else 0
+//!   u64  mtime_ns, u64 size (the stat)
+//!   u128 source pid, u128 names pid
+//!   u32  import count, then that many names
+//!   u32  export count, then that many names
+//! ```
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::Arc;
 
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
 
-/// The dependency analysis recorded for one source: its content and
-/// token digests, the import/export lists, and a digest of those lists.
-/// Shared by [`Arc`] between the stamp cache and the manager's
-/// in-memory deps cache, so a warm stamp hit costs a refcount bump —
-/// never a clone of the vectors (at monorepo scale those per-unit
-/// clones dominated the no-op analyze phase).
+/// The dependency analysis of one source: its content digest, its
+/// import/export lists, and a digest of those lists.  Shared by [`Arc`],
+/// so a cache hit costs a refcount bump — never a clone of the vectors
+/// (at monorepo scale those per-unit clones dominated the no-op analyze
+/// phase).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Analysis {
-    /// Digest of the file contents at stamp time.
+    /// Digest of the file contents the analysis was parsed from.
     pub source_pid: Pid,
-    /// Digest of the token stream (comment/whitespace-insensitive).
-    pub deps_pid: Pid,
     /// Digest of `imports` and `exports`: everything the import graph
     /// reads of this unit ([`crate::depgraph::DepGraph`] is keyed on it).
     pub names_pid: Pid,
@@ -57,13 +72,8 @@ pub struct Analysis {
 
 impl Analysis {
     /// An analysis of these lists, computing `names_pid` from them.
-    /// Only a fresh parse calls this; every cache keeps the digest.
-    pub fn new(
-        source_pid: Pid,
-        deps_pid: Pid,
-        imports: Vec<Symbol>,
-        exports: Vec<Symbol>,
-    ) -> Analysis {
+    /// Only a fresh parse calls this; the cache keeps the digest.
+    pub fn new(source_pid: Pid, imports: Vec<Symbol>, exports: Vec<Symbol>) -> Analysis {
         let mut w = Writer::new();
         for list in [&imports, &exports] {
             w.u32(list.len() as u32);
@@ -73,7 +83,6 @@ impl Analysis {
         }
         Analysis {
             source_pid,
-            deps_pid,
             names_pid: Pid::of_bytes(&w.into_bytes()),
             imports,
             exports,
@@ -81,38 +90,28 @@ impl Analysis {
     }
 }
 
-/// One recorded analysis for a source path.
+/// The recorded analysis of one unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StampEntry {
-    /// The unit the path analyzed as (a rename never matches a stale
-    /// stamp even if mtime and size coincide).
-    pub unit: Symbol,
-    /// File modification time, nanoseconds since the epoch.
-    pub mtime_ns: u64,
-    /// File size in bytes.
-    pub size: u64,
-    /// The recorded analysis, shareable with the deps cache.
+    /// `(mtime_ns, size)` of the file the analysis was taken from, while
+    /// that metadata may vouch for the file unread; `None` when it may
+    /// not (see the module docs).
+    pub stat: Option<(u64, u64)>,
+    /// The recorded analysis.
     pub analysis: Arc<Analysis>,
 }
 
-/// The stamp key of a source path: its path relative to the project
-/// directory.  [`crate::irm::Project::from_dir`] scans one flat
-/// directory, so that is the file name.  Two files of one name in
-/// different directories would share a key; the unit check in
-/// [`StampCache::lookup`] keeps that a miss, never a wrong hit.
-pub fn stamp_key(path: &Path) -> std::borrow::Cow<'_, str> {
-    path.file_name()
-        .unwrap_or(path.as_os_str())
-        .to_string_lossy()
-}
+/// The fewest bytes one encoded record can take: an empty name, the
+/// stat flag, two pids and two empty lists.
+const MIN_RECORD_LEN: usize = 4 + 1 + 16 + 16 + 4 + 4;
 
-/// The persistent stamp cache.  See the module docs.
+/// The persistent analysis cache.  See the module docs.
 #[derive(Debug, Default)]
 pub struct StampCache {
-    entries: HashMap<String, StampEntry>,
-    /// Paths recorded since the last save: what the next appended
+    entries: HashMap<Symbol, StampEntry>,
+    /// Units recorded since the last save: what the next appended
     /// section carries.
-    unsaved: HashSet<String>,
+    unsaved: HashSet<Symbol>,
 }
 
 impl StampCache {
@@ -122,57 +121,56 @@ impl StampCache {
     }
 
     /// Merges one segment's stamp section, decoded by
-    /// [`decode_section`], over the entries of earlier segments.
+    /// [`decode_section`], over the records of earlier segments.
     ///
-    /// Entries whose recorded `mtime_ns` is at or after the section's
-    /// save instant are *racy* and dropped, together with any earlier
-    /// entry for the path: a file edited within the same mtime tick and
-    /// to the same byte size as its stamp would otherwise be served as a
-    /// hit with stale analysis.  The dropped path then misses once, and
-    /// its re-digested entry goes into the next save, whose later
-    /// instant trusts it.
+    /// A stat whose mtime is at or after the section's save instant is
+    /// *racy* and dropped: a file edited within the same mtime tick and
+    /// to the same byte size would otherwise be served unread with
+    /// stale analysis.  The record keeps its analysis, so the unit is
+    /// read and digested once, and its re-recorded stat goes into the
+    /// next save, whose later instant trusts it.
     pub fn merge_section(&mut self, section: StampSection) {
         let StampSection { saved_at, records } = section;
         self.entries.reserve(records.len());
-        for (path, entry) in records {
-            if entry.mtime_ns < saved_at {
-                self.entries.insert(path, entry);
-            } else {
-                self.entries.remove(&path);
+        for (unit, mut entry) in records {
+            if entry.stat.is_some_and(|(mtime_ns, _)| mtime_ns >= saved_at) {
+                entry.stat = None;
             }
+            self.entries.insert(unit, entry);
         }
     }
 
     /// Encodes a stamp section saved at `saved_at` (nanoseconds since
-    /// the epoch): every entry when `all`, else only those recorded
-    /// since the last save.  Records are sorted by path, so saving the
-    /// same cache twice is byte-identical.  `None` when there is
+    /// the epoch): every record when `all`, else only those recorded
+    /// since the last save.  Records are sorted by unit name, so saving
+    /// the same cache twice is byte-identical.  `None` when there is
     /// nothing to write.
     pub fn encode_section(&self, all: bool, saved_at: u64) -> Option<Vec<u8>> {
-        let mut paths: Vec<&String> = if all {
-            self.entries.keys().collect()
+        let mut units: Vec<Symbol> = if all {
+            self.entries.keys().copied().collect()
         } else {
             self.unsaved
                 .iter()
-                .filter(|p| self.entries.contains_key(*p))
+                .copied()
+                .filter(|u| self.entries.contains_key(u))
                 .collect()
         };
-        if paths.is_empty() {
+        if units.is_empty() {
             return None;
         }
-        paths.sort();
+        units.sort_by_key(|u| u.as_str());
         let mut w = Writer::new();
         w.u64(saved_at);
-        w.u32(paths.len() as u32);
-        for p in paths {
-            let e = &self.entries[p];
+        w.u32(units.len() as u32);
+        for unit in units {
+            let e = &self.entries[&unit];
             let a = &e.analysis;
-            w.str(p);
-            w.str(e.unit.as_str());
-            w.u64(e.mtime_ns);
-            w.u64(e.size);
+            w.str(unit.as_str());
+            let (mtime_ns, size) = e.stat.unwrap_or((0, 0));
+            w.u8(u8::from(e.stat.is_some()));
+            w.u64(mtime_ns);
+            w.u64(size);
             w.u128(a.source_pid.as_raw());
-            w.u128(a.deps_pid.as_raw());
             w.u128(a.names_pid.as_raw());
             for list in [&a.imports, &a.exports] {
                 w.u32(list.len() as u32);
@@ -184,55 +182,59 @@ impl StampCache {
         Some(w.into_bytes())
     }
 
-    /// True when every entry is in the pack: a save need write no
+    /// True when every record is in the pack: a save need write no
     /// stamp section.
     pub fn is_saved(&self) -> bool {
         self.unsaved.is_empty()
     }
 
-    /// Marks every entry as written (a save committed its section).
+    /// Marks every record as written (a save committed its section).
     pub fn mark_saved(&mut self) {
         self.unsaved.clear();
     }
 
-    /// The recorded entry for `path`, but only if the stamp still
-    /// matches: same unit, same mtime (nanoseconds), same size.
-    pub fn lookup(
-        &self,
-        path: &str,
-        unit: Symbol,
-        mtime_ns: u64,
-        size: u64,
-    ) -> Option<&StampEntry> {
-        self.entries
-            .get(path)
-            .filter(|e| e.unit == unit && e.mtime_ns == mtime_ns && e.size == size)
+    /// The record of `unit`, whatever its stat.
+    pub fn get(&self, unit: Symbol) -> Option<&StampEntry> {
+        self.entries.get(&unit)
     }
 
-    /// Records (or refreshes) the entry for `path`.  Recording an
-    /// identical entry changes nothing, so a fully warm build saves no
+    /// The record of `unit`, but only if its stat vouches for a file of
+    /// this mtime (nanoseconds) and size.
+    pub fn lookup(&self, unit: Symbol, mtime_ns: u64, size: u64) -> Option<&StampEntry> {
+        self.get(unit).filter(|e| e.stat == Some((mtime_ns, size)))
+    }
+
+    /// Records (or refreshes) the record of `unit`.  Recording an
+    /// identical record changes nothing, so a fully warm build saves no
     /// stamps.
-    pub fn record(&mut self, path: String, entry: StampEntry) {
-        if self.entries.get(&path) == Some(&entry) {
+    pub fn record(&mut self, unit: Symbol, entry: StampEntry) {
+        if self.entries.get(&unit) == Some(&entry) {
             return;
         }
-        self.unsaved.insert(path.clone());
-        self.entries.insert(path, entry);
+        self.unsaved.insert(unit);
+        self.entries.insert(unit, entry);
     }
 
-    /// Drops the entry for `path`, so the next analysis of that file
-    /// reads it whatever its stamp says.
-    pub(crate) fn forget(&mut self, path: &str) {
-        self.entries.remove(path);
-        self.unsaved.remove(path);
+    /// Drops the stat of `unit`'s record, so the next analysis reads its
+    /// file whatever its metadata says; the analysis stays for rung 2.
+    pub(crate) fn forget(&mut self, unit: Symbol) {
+        if let Some(e) = self.entries.get_mut(&unit) {
+            e.stat = None;
+        }
     }
 
-    /// Number of recorded entries.
+    /// Keeps only the records of units `keep` accepts.
+    pub(crate) fn retain(&mut self, keep: impl Fn(Symbol) -> bool) {
+        self.entries.retain(|&u, _| keep(u));
+        self.unsaved.retain(|&u| keep(u));
+    }
+
+    /// Number of records.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no entries are recorded.
+    /// True when no records are held.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -242,7 +244,7 @@ impl StampCache {
 #[derive(Debug)]
 pub struct StampSection {
     saved_at: u64,
-    records: Vec<(String, StampEntry)>,
+    records: Vec<(Symbol, StampEntry)>,
 }
 
 /// Decodes a stamp section.
@@ -255,24 +257,29 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
     let err = |e: smlsc_pickle::PickleError| format!("stamp section: {e}");
     let saved_at = r.u64().map_err(err)?;
     let count = r.u32().map_err(err)? as usize;
-    // The segment digest vouches for the bytes; this bound guards the
-    // allocation against a well-digested section from a buggy writer.
-    if count > bytes.len() {
+    // The segment digest vouches for the bytes; these bounds keep the
+    // allocations proportional to the section even for a well-digested
+    // section from a buggy writer.
+    if count > bytes.len() / MIN_RECORD_LEN {
         return Err(format!("stamp section: implausible record count {count}"));
     }
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let path = r.str().map_err(err)?;
         let unit = Symbol::intern(r.str_ref().map_err(err)?);
+        let stated = match r.u8().map_err(err)? {
+            0 => false,
+            1 => true,
+            b => return Err(format!("stamp section: bad stat flag {b}")),
+        };
         let mtime_ns = r.u64().map_err(err)?;
         let size = r.u64().map_err(err)?;
         let source_pid = Pid::from_raw(r.u128().map_err(err)?);
-        let deps_pid = Pid::from_raw(r.u128().map_err(err)?);
         let names_pid = Pid::from_raw(r.u128().map_err(err)?);
         let mut lists = [Vec::new(), Vec::new()];
         for list in &mut lists {
             let n = r.u32().map_err(err)? as usize;
-            if n > bytes.len() {
+            // Every name takes at least its 4-byte length.
+            if n > bytes.len() / 4 {
                 return Err(format!("stamp section: implausible name count {n}"));
             }
             list.reserve_exact(n);
@@ -282,14 +289,11 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
         }
         let [imports, exports] = lists;
         records.push((
-            path,
+            unit,
             StampEntry {
-                unit,
-                mtime_ns,
-                size,
+                stat: stated.then_some((mtime_ns, size)),
                 analysis: Arc::new(Analysis {
                     source_pid,
-                    deps_pid,
                     names_pid,
                     imports,
                     exports,
@@ -307,21 +311,22 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
 mod tests {
     use super::*;
 
-    fn entry(unit: &str, mtime: u64, size: u64) -> StampEntry {
+    fn sym(s: &str) -> Symbol {
+        Symbol::intern(s)
+    }
+
+    fn entry(mtime: u64, size: u64) -> StampEntry {
         StampEntry {
-            unit: Symbol::intern(unit),
-            mtime_ns: mtime,
-            size,
+            stat: Some((mtime, size)),
             analysis: Arc::new(Analysis::new(
                 Pid::of_bytes(b"src"),
-                Pid::of_bytes(b"toks"),
-                vec![Symbol::intern("A")],
-                vec![Symbol::intern("B")],
+                vec![sym("A")],
+                vec![sym("B")],
             )),
         }
     }
 
-    /// Round-trips `cache`'s section (all entries or the unsaved ones)
+    /// Round-trips `cache`'s section (all records or the unsaved ones)
     /// through the codec into `into`.
     fn reload(into: &mut StampCache, cache: &StampCache, all: bool, saved_at: u64) {
         if let Some(bytes) = cache.encode_section(all, saved_at) {
@@ -332,20 +337,29 @@ mod tests {
     #[test]
     fn round_trip() {
         let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 10, 20));
+        c.record(sym("a"), entry(10, 20));
+        c.record(
+            sym("inline"),
+            StampEntry {
+                stat: None,
+                ..entry(0, 0)
+            },
+        );
         let mut back = StampCache::new();
         reload(&mut back, &c, true, 100);
-        assert_eq!(back.len(), 1);
-        let hit = back.lookup("a.sml", Symbol::intern("a"), 10, 20).unwrap();
-        assert_eq!(hit, &entry("a", 10, 20));
-        assert_eq!(hit.analysis.names_pid, entry("a", 0, 0).analysis.names_pid);
+        assert_eq!(back.len(), 2);
+        let hit = back.lookup(sym("a"), 10, 20).unwrap();
+        assert_eq!(hit, &entry(10, 20));
+        assert_eq!(hit.analysis.names_pid, entry(0, 0).analysis.names_pid);
+        assert_eq!(back.get(sym("inline")).unwrap().stat, None);
+        assert!(back.lookup(sym("inline"), 0, 0).is_none());
     }
 
     #[test]
     fn names_pid_follows_the_name_lists_only() {
-        let (a, b) = (Symbol::intern("A"), Symbol::intern("B"));
+        let (a, b) = (sym("A"), sym("B"));
         let p = |src: &[u8], imports: Vec<Symbol>, exports: Vec<Symbol>| {
-            Analysis::new(Pid::of_bytes(src), Pid::of_bytes(src), imports, exports).names_pid
+            Analysis::new(Pid::of_bytes(src), imports, exports).names_pid
         };
         assert_eq!(p(b"x", vec![a], vec![b]), p(b"y", vec![a], vec![b]));
         assert_ne!(p(b"x", vec![a], vec![b]), p(b"x", vec![], vec![a, b]));
@@ -353,101 +367,88 @@ mod tests {
     }
 
     #[test]
-    fn stamp_keys_are_project_relative() {
-        assert_eq!(stamp_key(Path::new("/one/checkout/a.sml")), "a.sml");
-        assert_eq!(stamp_key(Path::new("/moved/elsewhere/a.sml")), "a.sml");
-    }
-
-    #[test]
-    fn stale_stamp_does_not_match() {
+    fn stale_stat_does_not_match() {
         let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 10, 20));
-        let a = Symbol::intern("a");
-        assert!(c.lookup("a.sml", a, 11, 20).is_none(), "mtime moved");
-        assert!(c.lookup("a.sml", a, 10, 21).is_none(), "size moved");
-        assert!(
-            c.lookup("a.sml", Symbol::intern("b"), 10, 20).is_none(),
-            "renamed unit must not reuse the old path's analysis"
-        );
-        assert!(c.lookup("b.sml", a, 10, 20).is_none(), "other path");
+        c.record(sym("a"), entry(10, 20));
+        assert!(c.lookup(sym("a"), 11, 20).is_none(), "mtime moved");
+        assert!(c.lookup(sym("a"), 10, 21).is_none(), "size moved");
+        assert!(c.lookup(sym("b"), 10, 20).is_none(), "other unit");
+        // Forgetting drops the stat, not the analysis.
+        c.forget(sym("a"));
+        assert!(c.lookup(sym("a"), 10, 20).is_none());
+        assert_eq!(c.get(sym("a")).unwrap().analysis, entry(10, 20).analysis);
     }
 
-    /// The racy rule applies per section: each entry is judged against
+    /// The racy rule applies per section: each stat is judged against
     /// the save instant of the section that carries it, not the latest
-    /// one, and a racy record also drops the path's earlier record.
+    /// one, and a racy record loses its stat but keeps its analysis.
     #[test]
-    fn racy_entries_are_judged_against_their_own_section() {
-        let a = Symbol::intern("a");
+    fn racy_stats_are_judged_against_their_own_section() {
         let mut first = StampCache::new();
-        first.record("old.sml".into(), entry("old", 10, 20));
-        first.record("racy.sml".into(), entry("racy", 100, 20));
-        first.record("a.sml".into(), entry("a", 50, 20));
+        first.record(sym("old"), entry(10, 20));
+        first.record(sym("racy"), entry(100, 20));
+        first.record(sym("a"), entry(50, 20));
         let mut back = StampCache::new();
-        // Section 1, saved at 100: `racy` (stamped at 100) is dropped.
+        // Section 1, saved at 100: `racy` (stamped at 100) loses its stat.
         reload(&mut back, &first, true, 100);
-        assert_eq!(back.len(), 2);
-        assert!(back
-            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
-            .is_none());
+        assert_eq!(back.len(), 3);
+        assert!(back.lookup(sym("racy"), 100, 20).is_none());
+        assert_eq!(back.get(sym("racy")).unwrap().stat, None);
 
-        // Section 2, saved at 200, re-stamps `a` at 200: racy again, so
-        // `a`'s settled record from section 1 goes too.
+        // Section 2, saved at 200, re-stamps `a` at 200: racy again, and
+        // it replaces `a`'s settled record from section 1.
         let mut second = StampCache::new();
-        second.record("a.sml".into(), entry("a", 200, 20));
-        second.record("new.sml".into(), entry("new", 150, 20));
+        second.record(sym("a"), entry(200, 20));
+        second.record(sym("new"), entry(150, 20));
         reload(&mut back, &second, false, 200);
-        assert!(back.lookup("a.sml", a, 50, 20).is_none());
-        assert!(back.lookup("a.sml", a, 200, 20).is_none());
-        assert!(back
-            .lookup("new.sml", Symbol::intern("new"), 150, 20)
-            .is_some());
+        assert!(back.lookup(sym("a"), 50, 20).is_none());
+        assert!(back.lookup(sym("a"), 200, 20).is_none());
+        assert!(back.lookup(sym("new"), 150, 20).is_some());
         // `racy`'s mtime (100) is before section 2's instant, but it was
-        // saved in section 1: still dropped.
-        assert!(back
-            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
-            .is_none());
-        assert!(back
-            .lookup("old.sml", Symbol::intern("old"), 10, 20)
-            .is_some());
+        // saved in section 1: still untrusted.
+        assert!(back.lookup(sym("racy"), 100, 20).is_none());
+        assert!(back.lookup(sym("old"), 10, 20).is_some());
 
-        // Re-digesting a dropped path records it as unsaved even when
-        // the analysis comes out identical, so the next section trusts it.
+        // Re-recording the stat of a racy record marks it unsaved even
+        // though the analysis is identical, so the next section trusts it.
         assert!(back.is_saved());
-        back.record("racy.sml".into(), entry("racy", 100, 20));
+        back.record(sym("racy"), entry(100, 20));
         assert!(!back.is_saved());
         let mut healed = StampCache::new();
         reload(&mut healed, &back, true, 300);
-        assert!(healed
-            .lookup("racy.sml", Symbol::intern("racy"), 100, 20)
-            .is_some());
+        assert!(healed.lookup(sym("racy"), 100, 20).is_some());
     }
 
     #[test]
-    fn appended_sections_carry_only_unsaved_entries() {
+    fn appended_sections_carry_only_unsaved_records() {
         let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 1, 2));
-        c.record("b.sml".into(), entry("b", 1, 2));
+        c.record(sym("a"), entry(1, 2));
+        c.record(sym("b"), entry(1, 2));
         c.mark_saved();
         assert!(c.is_saved());
         assert_eq!(c.encode_section(false, 10), None, "nothing to append");
-        // Re-recording the identical entry keeps the cache saved.
-        c.record("a.sml".into(), entry("a", 1, 2));
+        // Re-recording the identical record keeps the cache saved.
+        c.record(sym("a"), entry(1, 2));
         assert!(c.is_saved());
-        c.record("b.sml".into(), entry("b", 3, 2));
+        c.record(sym("b"), entry(3, 2));
         let bytes = c.encode_section(false, 10).unwrap();
         let section = decode_section(&bytes).unwrap();
-        let paths: Vec<&str> = section.records.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(paths, ["b.sml"]);
+        let units: Vec<&str> = section.records.iter().map(|(u, _)| u.as_str()).collect();
+        assert_eq!(units, ["b"]);
         assert_eq!(
             c.encode_section(true, 10).map(|b| b.len() > bytes.len()),
             Some(true)
         );
+        // Retaining drops records and their unsaved marks alike.
+        c.retain(|u| u != sym("b"));
+        assert_eq!(c.len(), 1);
+        assert!(c.is_saved());
     }
 
     #[test]
     fn malformed_sections_are_errors() {
         let mut c = StampCache::new();
-        c.record("a.sml".into(), entry("a", 1, 2));
+        c.record(sym("a"), entry(1, 2));
         let bytes = c.encode_section(true, 10).unwrap();
         for cut in [0, 8, 12, bytes.len() - 1] {
             assert!(decode_section(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -455,8 +456,11 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode_section(&long).is_err(), "trailing byte");
-        let mut inflated = bytes;
+        let mut inflated = bytes.clone();
         inflated[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_section(&inflated).is_err(), "inflated count");
+        let mut flag = bytes;
+        flag[12 + 4 + 1] = 2;
+        assert!(decode_section(&flag).is_err(), "bad stat flag");
     }
 }

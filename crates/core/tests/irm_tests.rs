@@ -651,10 +651,10 @@ fn build_telemetry_counts_cutoffs_and_cache_traffic() {
     assert_eq!(collector.counter(trace::names::UNITS_COMPILED), 5); // 4 + a
     assert_eq!(collector.counter(trace::names::CUTOFF_HITS), 1); // b
     assert_eq!(collector.counter(trace::names::UNITS_REUSED), 3); // b, c, d
-                                                                  // Second build re-analyzed nothing: the comment-only edit to `a`
-                                                                  // keeps its token digest, so even its dependency analysis hits.
-    assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 4);
-    assert_eq!(collector.counter(trace::names::DEPS_CACHE_HITS), 4);
+                                                                  // The second build re-parsed only the edited `a`; b, c and d
+                                                                  // reused their analyses by source digest.
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 5);
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_HITS), 3);
     // Per-unit compile phases produced histograms.
     assert_eq!(
         collector
@@ -879,7 +879,7 @@ fn session_step_limit_stops_runaway_recursion() {
 }
 
 #[test]
-fn comment_only_edit_keeps_the_cached_dependency_analysis() {
+fn comment_only_edit_reparses_only_the_edited_unit() {
     use smlsc_core::trace;
     let collector = trace::Collector::new();
     collector.install();
@@ -890,16 +890,17 @@ fn comment_only_edit_keeps_the_cached_dependency_analysis() {
     irm.build(&p).unwrap();
     assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 2);
 
-    // A comment-only edit changes the source pid but not the token
-    // stream: the *analysis* is served from cache (`a` by token digest,
-    // `b` by source pid), even though `a` itself still recompiles.
+    // A comment-only edit changes the source pid, so `a` recompiles
+    // and its parse gives its analysis; `b` reuses its analysis by
+    // source pid and is cut off.
     p.edit("a", "(* tweak *) structure A = struct val n = 1 end")
         .unwrap();
     let report = irm.build(&p).unwrap();
     trace::uninstall();
     assert!(report.was_recompiled("a"));
-    assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 2);
-    assert_eq!(collector.counter(trace::names::DEPS_CACHE_HITS), 2);
+    assert!(!report.was_recompiled("b"));
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 3);
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_HITS), 1);
 }
 
 #[test]
@@ -915,7 +916,7 @@ fn import_adding_edit_invalidates_the_cached_dependency_analysis() {
     irm.build(&p).unwrap();
     assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 3);
 
-    // Adding a reference to `C` changes the token stream: `b` must be
+    // Adding a reference to `C` changes the source: `b` must be
     // re-analyzed (one fresh miss) and the new import edge is live.
     p.edit("b", "structure B = struct val m = A.n + C.k end")
         .unwrap();

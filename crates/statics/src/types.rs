@@ -8,7 +8,7 @@
 //! generalization and the SML value restriction.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -113,8 +113,6 @@ impl Tycon {
 /// A unification variable.
 #[derive(Debug)]
 pub struct UVar {
-    /// Display/debug identity.
-    pub id: u64,
     /// Binding level for generalization.
     pub level: AtomicU32,
     /// The solution, once unified.
@@ -132,8 +130,6 @@ impl UVar {
         self.level.store(level, Ordering::Relaxed);
     }
 }
-
-static NEXT_UVAR: AtomicU64 = AtomicU64::new(1);
 
 /// A semantic type.
 #[derive(Debug, Clone)]
@@ -156,7 +152,6 @@ impl Type {
     /// A fresh unification variable at `level`.
     pub fn fresh(level: u32) -> Type {
         Type::UVar(Arc::new(UVar {
-            id: NEXT_UVAR.fetch_add(1, Ordering::Relaxed),
             level: AtomicU32::new(level),
             link: RwLock::new(None),
         }))
@@ -311,9 +306,11 @@ impl fmt::Display for UnifyError {
 }
 
 fn mismatch(a: &Type, b: &Type, detail: Option<&str>) -> UnifyError {
+    // Both sides share one numbering, so `'u1` names one variable.
+    let mut uvars = Vec::new();
     UnifyError {
-        left: format_type(a),
-        right: format_type(b),
+        left: format_type_with(a, &mut uvars),
+        right: format_type_with(b, &mut uvars),
         detail: detail.map(str::to_owned),
     }
 }
@@ -465,11 +462,28 @@ fn collect_generalizable(level: u32, t: &Type, out: &mut Vec<Arc<UVar>>) {
 }
 
 /// Pretty-prints a type for error messages and the session REPL.
+/// Unsolved variables print as `'u1`, `'u2`, … in order of first
+/// appearance, so the text depends on the type alone — never on how
+/// many variables the process made before.
 pub fn format_type(t: &Type) -> String {
-    fn go(t: &Type, prec: u8, out: &mut String) {
+    format_type_with(t, &mut Vec::new())
+}
+
+/// [`format_type`], numbering unsolved variables after those already in
+/// `uvars` (and adding the new ones), so several types printed into one
+/// message agree on each variable's name.
+fn format_type_with(t: &Type, uvars: &mut Vec<Arc<UVar>>) -> String {
+    fn go(t: &Type, prec: u8, uvars: &mut Vec<Arc<UVar>>, out: &mut String) {
         match &t.head_normalize() {
             Type::UVar(uv) => {
-                out.push_str(&format!("'u{}", uv.id));
+                let n = match uvars.iter().position(|v| Arc::ptr_eq(v, uv)) {
+                    Some(i) => i + 1,
+                    None => {
+                        uvars.push(Arc::clone(uv));
+                        uvars.len()
+                    }
+                };
+                out.push_str(&format!("'u{n}"));
             }
             Type::Param(i) => {
                 out.push('\'');
@@ -484,7 +498,7 @@ pub fn format_type(t: &Type) -> String {
                 match args.len() {
                     0 => {}
                     1 => {
-                        go(&args[0], 2, out);
+                        go(&args[0], 2, uvars, out);
                         out.push(' ');
                     }
                     _ => {
@@ -493,7 +507,7 @@ pub fn format_type(t: &Type) -> String {
                             if i > 0 {
                                 out.push_str(", ");
                             }
-                            go(a, 0, out);
+                            go(a, 0, uvars, out);
                         }
                         out.push_str(") ");
                     }
@@ -508,7 +522,7 @@ pub fn format_type(t: &Type) -> String {
                     if i > 0 {
                         out.push_str(" * ");
                     }
-                    go(x, 2, out);
+                    go(x, 2, uvars, out);
                 }
                 if prec > 1 {
                     out.push(')');
@@ -518,9 +532,9 @@ pub fn format_type(t: &Type) -> String {
                 if prec > 0 {
                     out.push('(');
                 }
-                go(a, 1, out);
+                go(a, 1, uvars, out);
                 out.push_str(" -> ");
-                go(b, 0, out);
+                go(b, 0, uvars, out);
                 if prec > 0 {
                     out.push(')');
                 }
@@ -528,7 +542,7 @@ pub fn format_type(t: &Type) -> String {
         }
     }
     let mut s = String::new();
-    go(t, 0, &mut s);
+    go(t, 0, uvars, &mut s);
     s
 }
 

@@ -202,3 +202,24 @@ fn arity_of_applied_structure_member() {
          structure B = struct val f = fn (x : int A.t) => x end");
     assert!(m.contains("expects 0 argument"), "{m}");
 }
+
+/// Unsolved variables are numbered per message, both sides of a
+/// `cannot unify` sharing one numbering, so an ill-typed unit reads the
+/// same whether it is elaborated first or after other units whose
+/// inference made variables of its own.
+#[test]
+fn unsolved_variables_are_numbered_per_message() {
+    let bad = "structure A = struct fun f x = x x end";
+    let first = err(bad);
+    let ok = "structure B = struct fun id x = x val p = (id 1, id true) val g = fn y => y end";
+    let ast = smlsc_syntax::parse_unit(ok).unwrap();
+    for _ in 0..3 {
+        elaborate_unit(&ast, &ImportEnv::empty()).unwrap();
+    }
+    let again = err(bad);
+    assert_eq!(again, first);
+    assert!(
+        first.contains("cannot unify `'u1` with `'u1 -> 'u2`"),
+        "{first}"
+    );
+}

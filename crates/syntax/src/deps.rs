@@ -12,44 +12,9 @@
 
 use std::collections::BTreeSet;
 
-use smlsc_ids::{Digest128, Pid, Symbol};
+use smlsc_ids::Symbol;
 
 use crate::ast::*;
-
-/// Digests the token stream of `src`, ignoring whitespace, comments, and
-/// token positions: two sources that lex to the same tokens get the same
-/// pid even when their raw bytes (and hence their source pids) differ.
-///
-/// The IRM uses this to keep a cached dependency analysis alive across
-/// comment-only and reformatting edits — imports and exports are derived
-/// from the token stream, so an equal token pid guarantees an equal
-/// analysis.  Returns `None` when the source does not lex; such a unit
-/// must be re-analyzed the slow way (and will fail there with a proper
-/// diagnostic).
-///
-/// # Examples
-///
-/// ```
-/// let a = smlsc_syntax::deps::token_pid("structure A = struct end").unwrap();
-/// let b = smlsc_syntax::deps::token_pid(
-///     "(* new comment *) structure A =\n  struct end",
-/// )
-/// .unwrap();
-/// assert_eq!(a, b);
-/// ```
-pub fn token_pid(src: &str) -> Option<Pid> {
-    let toks = crate::lexer::lex(src).ok()?;
-    let mut d = Digest128::new();
-    for t in &toks {
-        // Loc is deliberately excluded: comment edits shift positions
-        // without changing meaning.  Debug on Tok spells out the variant
-        // and payload, and the length prefix keeps adjacent tokens from
-        // colliding by concatenation.
-        d.write_str(&format!("{:?}", t.tok));
-    }
-    d.write_u64(toks.len() as u64);
-    Some(d.finish_pid())
-}
 
 /// Returns the free module-level names of `unit`, sorted by name.
 ///
@@ -544,33 +509,5 @@ mod tests {
     fn figure_one_dependencies() {
         let src = "structure FSort : SORT = TopSort(Factors)";
         assert_eq!(free(src), vec!["Factors", "SORT", "TopSort"]);
-    }
-
-    #[test]
-    fn token_pid_ignores_comments_and_whitespace() {
-        let a = token_pid("structure A = struct val x = 1 end").unwrap();
-        let b = token_pid("(* c *) structure A =\n  struct\n  val x = 1 end\n").unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn token_pid_sees_semantic_edits() {
-        let a = token_pid("structure A = struct val x = 1 end").unwrap();
-        let b = token_pid("structure A = struct val x = 2 end").unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn token_pid_distinguishes_identifier_splits() {
-        // "ab c" and "a bc" must not collide via concatenation.
-        assert_ne!(
-            token_pid("structure Ab = C").unwrap(),
-            token_pid("structure A = Bc").unwrap()
-        );
-    }
-
-    #[test]
-    fn token_pid_of_unlexable_source_is_none() {
-        assert!(token_pid("val s = \"unterminated").is_none());
     }
 }

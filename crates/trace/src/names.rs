@@ -12,9 +12,10 @@ pub const UNITS_REUSED: &str = "irm.units_reused";
 /// so the dependent was *not* recompiled.
 pub const CUTOFF_HITS: &str = "irm.cutoff_hits";
 
-/// Dependency-analysis cache hits (source pid unchanged).
+/// Analyses reused after a read: the file was read and digested to the
+/// source pid of its recorded analysis.
 pub const DEPS_CACHE_HITS: &str = "irm.deps_cache_hits";
-/// Dependency-analysis cache misses (new or changed source).
+/// Analyses parsed: a new or changed source.
 pub const DEPS_CACHE_MISSES: &str = "irm.deps_cache_misses";
 
 /// Rehydration environment-cache hits (same export pid already forced).
@@ -86,16 +87,17 @@ pub const REHYDRATE_ALLOCS: &str = "rehydrate.allocs";
 /// Pickle bytes decoded by rehydration (borrowed, not copied).
 pub const PICKLE_BYTES: &str = "pickle.bytes";
 
-/// Stamp-cache hits: `(path, mtime_ns, size)` matched, so the source was
-/// neither read nor re-digested (timestamps are a hint; the recorded
-/// digest is the truth and `--paranoid` re-verifies it).
+/// Stamp-cache hits: a unit's `(mtime_ns, size)` matched its record, so
+/// the source was neither read nor re-digested (timestamps are a hint;
+/// the recorded digest is the truth and `--paranoid` re-verifies it).
 pub const STAMP_HITS: &str = "stamp.hits";
 /// Pack saves that wrote no stamp section because no entry changed
 /// since the last save: a fully warm build writes no stamps, no matter
 /// how many entries the cache holds.
 pub const STAMP_SAVES_SKIPPED: &str = "stamp.saves_skipped";
 /// Stamp-cache misses: a new, touched, or resized file that had to be
-/// read and digested (also counted when running `--paranoid`).
+/// read and digested (not counted under `--paranoid`, which reads every
+/// file).
 pub const STAMP_MISSES: &str = "stamp.misses";
 /// Source files actually read from disk (forced lazy texts). A warm
 /// no-op build keeps this at zero.

@@ -195,11 +195,20 @@ set -e
 for f in stamps.json deps.pack; do
   [ ! -e "$x/.smlsc-bins/$f" ] || { echo "error: a build left $f behind" >&2; exit 1; }
 done
-# A `touch` (dated back, so its new stamp is not racy) appends a
-# stamp-only segment; flip a byte of its stamp section, just before the
-# segment's 40-byte footer, so the doctor must report a torn tail.
+# A `touch` (dated back, so its new stamp is not racy) reads and
+# digests that one file and reuses its recorded analysis: no parse, no
+# recompile.  It appends a stamp-only segment; flip a byte of its stamp
+# section, just before the segment's 40-byte footer, so the doctor must
+# report a torn tail.
 touch -d '1 minute ago' "$x/m1.sml"
-./target/release/smlsc build --no-daemon "$x"
+./target/release/smlsc build --no-daemon --stats "$x" > "$x/touch.out"
+grep -q ' 0 recompiled' "$x/touch.out" \
+  || { echo "error: touch recompiled:" >&2; cat "$x/touch.out" >&2; exit 1; }
+grep -q '"source.reads":1[,}]' "$x/touch.out" \
+  || { echo "error: touch read other than one file:" >&2; cat "$x/touch.out" >&2; exit 1; }
+if grep -q '"irm.deps_cache_misses"' "$x/touch.out"; then
+  echo "error: touch re-parsed a file:" >&2; cat "$x/touch.out" >&2; exit 1
+fi
 pack="$x/.smlsc-bins/bins.pack"
 printf '\377' | dd of="$pack" bs=1 seek=$(( $(stat -c %s "$pack") - 43 )) conv=notrunc status=none
 # Mangle every other state kind the doctor audits, then assert its exit

@@ -283,9 +283,9 @@ fn noop_warm_build_is_binary_end_to_end_and_allocation_free() {
 }
 
 /// A rename preserves (mtime, size) and content exactly — the
-/// adversarial case for a stamp cache.  The stamp is keyed by path and
-/// unit name, so the renamed file must re-digest, and the deps cache
-/// (keyed by unit) must never serve the old unit's analysis.
+/// adversarial case for a stamp cache.  Records are keyed by unit, so
+/// the renamed file must re-digest and never be served the old unit's
+/// analysis.
 #[test]
 fn renamed_file_never_serves_stale_stamps_or_analysis() {
     let base = temp_dir("rename");
@@ -313,6 +313,81 @@ fn renamed_file_never_serves_stale_stamps_or_analysis() {
     assert!(report.was_recompiled("b"), "{:?}", report.decisions);
     assert!(matches!(report.decisions[0], (_, RebuildDecision::NewUnit)));
     assert!(warm.bin_meta("b").is_some());
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Writes `files` under `src`, dated a minute back so their stats are
+/// settled (not racy) when the first save records them.
+fn write_settled(src: &Path, files: &[(&str, &str)]) {
+    std::fs::create_dir_all(src).unwrap();
+    for (name, text) in files {
+        let path = src.join(name);
+        std::fs::write(&path, text).unwrap();
+        set_mtime(&path, 60);
+    }
+}
+
+fn set_mtime(path: &Path, secs_ago: u64) {
+    std::fs::File::options()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(secs_ago))
+        .unwrap();
+}
+
+const CHAIN: [(&str, &str); 3] = [
+    ("base.sml", "structure Base = struct val n = 10 end"),
+    ("mid.sml", "structure Mid = struct val v = Base.n + 1 end"),
+    ("top.sml", "structure Top = struct val t = Mid.v * 2 end"),
+];
+
+/// A `touch` moves a file's stat but not its bytes: a fresh manager
+/// that loads the pack reads and digests that one file and reuses its
+/// recorded analysis, so nothing is parsed and nothing recompiles.
+#[test]
+fn touched_file_reuses_its_recorded_analysis_in_a_fresh_process() {
+    let base = temp_dir("touch");
+    let (src, bins) = (base.join("src"), base.join("bins"));
+    write_settled(&src, &CHAIN);
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&Project::from_dir(&src).unwrap()).unwrap();
+    irm.save_bins(&bins).unwrap();
+
+    set_mtime(&src.join("mid.sml"), 30);
+    let collector = trace::Collector::new();
+    collector.install();
+    let mut warm = Irm::new(Strategy::Cutoff);
+    warm.load_bins(&bins).unwrap();
+    let report = warm.build(&Project::from_dir(&src).unwrap()).unwrap();
+    trace::uninstall();
+
+    assert_eq!(report.recompiled.len(), 0, "{:?}", report.decisions);
+    assert_eq!(collector.counter(trace::names::SOURCE_READS), 1);
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_MISSES), 0);
+    assert_eq!(collector.counter(trace::names::DEPS_CACHE_HITS), 1);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A full rewrite carries the record of each unit it holds a bin for
+/// and no other, so a dropped unit's record does not outlive its bin.
+#[test]
+fn a_rewrite_drops_the_records_of_units_without_bins() {
+    use smlsc_core::pack::{PackReader, PACK_FILE};
+    let base = temp_dir("records");
+    let (src, bins) = (base.join("src"), base.join("bins"));
+    write_settled(&src, &CHAIN);
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&Project::from_dir(&src).unwrap()).unwrap();
+    irm.save_bins(&bins).unwrap();
+
+    // Dropping a unit's bin forces the next save to rewrite the pack.
+    assert!(irm.quarantine_bin(smlsc_ids::Symbol::intern("top")));
+    irm.save_bins(&bins).unwrap();
+
+    let reader = PackReader::open(&bins.join(PACK_FILE)).unwrap().unwrap();
+    assert_eq!(reader.entries().len(), 2);
+    assert_eq!(reader.stamps().len(), reader.entries().len());
     std::fs::remove_dir_all(&base).ok();
 }
 
