@@ -20,6 +20,21 @@ use crate::irm::{BuildReport, FailurePolicy, Irm, Project, Strategy, UnitOutcome
 use crate::ledger::{Ledger, LedgerRecord};
 use crate::CoreError;
 
+/// The daemon's socket filename inside a bin directory.
+pub const SOCKET_FILE: &str = "daemon.sock";
+/// The daemon's lockfile name inside a bin directory.
+pub const LOCK_FILE: &str = "daemon.lock";
+
+/// The daemon socket for a project's bin directory.
+pub fn socket_path(bin_dir: &Path) -> PathBuf {
+    bin_dir.join(SOCKET_FILE)
+}
+
+/// The daemon lockfile for a project's bin directory.
+pub fn lock_path(bin_dir: &Path) -> PathBuf {
+    bin_dir.join(LOCK_FILE)
+}
+
 /// Exit code: the build succeeded.
 pub const EXIT_OK: i32 = 0;
 /// Exit code: the user's source is wrong.

@@ -38,16 +38,11 @@ use std::time::Duration;
 
 use serde::Serialize;
 
+use crate::build_session;
 use crate::ledger::Ledger;
 use crate::pack::{self, PackReader, PackWriter, PACK_FILE};
 use crate::CoreError;
 use smlsc_store::{fsutil, Store};
-
-/// Mirror of the daemon crate's socket filename (`smlsc-daemon`
-/// depends on this crate, so the constant cannot be imported).
-const DAEMON_SOCKET_FILE: &str = "daemon.sock";
-/// Mirror of the daemon crate's lockfile name.
-const DAEMON_LOCK_FILE: &str = "daemon.lock";
 
 /// What `smlsc doctor` should look at and whether it may write.
 #[derive(Debug, Clone)]
@@ -417,8 +412,8 @@ fn audit_store(root: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
 /// again; clearing both lets the next `daemon start` come up cleanly.
 /// A live owner is healthy and left alone.
 fn audit_daemon(bin_dir: &Path, fix: bool, findings: &mut Vec<DoctorFinding>) {
-    let lock = bin_dir.join(DAEMON_LOCK_FILE);
-    let sock = bin_dir.join(DAEMON_SOCKET_FILE);
+    let lock = build_session::lock_path(bin_dir);
+    let sock = build_session::socket_path(bin_dir);
     if let Some(issue) = stale_lock(&lock) {
         let f = finding("daemon", &lock, issue, "remove stale lockfile and socket");
         findings.push(apply_fix(f, fix, || {

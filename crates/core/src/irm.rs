@@ -42,14 +42,14 @@
 //! dispatched the moment every import's export environment has
 //! settled.  It is a thin layer — in-degree counters over the
 //! topological order and per-unit once-cells holding settled export
-//! environments.  At `jobs == 1` the calling thread runs each ready
-//! task itself, lowest topological index first (so the cone is visited
-//! in plain topological order), with no threads and no channels; at
-//! `jobs >= 2` a worker pool drains a task channel, so independent
-//! subtrees of the analysis DAG compile concurrently.  Results are
-//! **bit-identical at every width**: the same export pids, the same
-//! [`RebuildDecision`] per unit, and a [`BuildReport`] in topological
-//! order regardless of completion order.
+//! environments.  Workers share one lock over that state and always
+//! take the ready unit with the lowest topological index; the calling
+//! thread is worker 0, so at `jobs == 1` it visits the cone in plain
+//! topological order with no other thread, and at `jobs >= 2`
+//! independent subtrees of the analysis DAG compile concurrently.
+//! Results are **bit-identical at every width**: the same export pids,
+//! the same [`RebuildDecision`] per unit, and a [`BuildReport`] in
+//! topological order regardless of completion order.
 //!
 //! # Fault tolerance
 //!
@@ -74,8 +74,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use smlsc_faults::{self as faults, points, FaultKind};
@@ -1298,9 +1297,9 @@ impl Irm {
 
     /// Analyzes every file, cheapest evidence first — a matching stat
     /// (no read at all), then the source digest, then a real parse.
-    /// With `jobs > 1` the per-file work fans out over a worker pool;
-    /// counters, stamp updates and the returned map merge in file order
-    /// either way, so results and telemetry are deterministic.
+    /// The per-file work fans out over `jobs` workers; counters, stamp
+    /// updates and the returned map merge in file order, so results and
+    /// telemetry are deterministic.
     fn analyze_all(
         &mut self,
         project: &Project,
@@ -1313,43 +1312,18 @@ impl Irm {
         let results: Vec<Result<FileAnalysis, CoreError>> = {
             let stamps = &self.stamps;
             let paranoid = self.paranoid;
-            if jobs <= 1 || files.len() < 2 {
-                files
-                    .iter()
-                    .map(|f| analyze_one(f, stamps, paranoid))
-                    .collect()
-            } else {
-                let next = AtomicUsize::new(0);
-                let slots: Vec<OnceLock<Result<FileAnalysis, CoreError>>> =
-                    files.iter().map(|_| OnceLock::new()).collect();
-                std::thread::scope(|scope| {
-                    for _ in 0..jobs.min(files.len()) {
-                        let sink = trace::fork_current();
-                        let plan = faults::fork_current();
-                        let next = &next;
-                        let slots = &slots;
-                        scope.spawn(move || {
-                            if let Some(sink) = sink {
-                                trace::install(sink);
-                            }
-                            let _faults = plan.map(faults::install_forked);
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= files.len() {
-                                    break;
-                                }
-                                let r = analyze_one(&files[i], stamps, paranoid);
-                                let _ = slots[i].set(r);
-                            }
-                            trace::uninstall();
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("every analysis slot is filled"))
-                    .collect()
-            }
+            let next = AtomicUsize::new(0);
+            let slots: Vec<OnceLock<Result<FileAnalysis, CoreError>>> =
+                files.iter().map(|_| OnceLock::new()).collect();
+            on_workers(jobs.min(files.len()), |_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(f) = files.get(i) else { break };
+                let _ = slots[i].set(analyze_one(f, stamps, paranoid));
+            });
+            slots
+                .into_iter()
+                .map(|s| s.into_inner().expect("every analysis slot is filled"))
+                .collect()
         };
         // Deterministic merge in file order: counters, records and the
         // first error (if any) all follow project order regardless of
@@ -1426,9 +1400,9 @@ impl Irm {
     }
 
     /// The general build entry point: up to `jobs` workers under
-    /// `policy`.  For any `jobs`, the report (decisions, outcomes,
-    /// failed and skipped sets, export pids) is the same; `jobs <= 1`
-    /// runs every task inline on the calling thread.
+    /// `policy`, the calling thread among them.  For any `jobs`, the
+    /// report (decisions, outcomes, failed and skipped sets, export
+    /// pids) is the same.
     ///
     /// # Errors
     ///
@@ -1507,7 +1481,7 @@ impl Irm {
 
         if !in_cone.contains(&true) {
             // Nothing to schedule: the whole report is synthesized
-            // reuses.  No workers, no channels, no per-unit slots.
+            // reuses.  No workers, no per-unit slots.
             let mut report = BuildReport {
                 strategy,
                 order: order.to_vec(),
@@ -1560,81 +1534,20 @@ impl Irm {
                 envs: &envs,
                 outcomes: &outcomes,
             };
-            let mut wave = Wavefront::new(&graph, &in_cone, policy);
-            let mut released: Vec<usize> = wave.roots().collect();
-
-            if workers == 1 {
-                // Inline: the calling thread runs every task itself,
-                // lowest ready topological index first — the cone in
-                // plain topological order.  A fail-fast error stops
-                // dispatch on the spot: every remaining ready unit sits
-                // after the failure, so none of them would merge.
-                let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-                loop {
-                    ready.extend(released.drain(..).map(Reverse));
-                    let Some(Reverse(i)) = ready.pop() else { break };
-                    wave.complete(i, shared.run(i), &mut released);
-                    if wave.min_err.is_some() {
-                        break;
-                    }
-                }
-            } else {
-                let (task_tx, task_rx) = mpsc::channel::<usize>();
-                let task_rx = Arc::new(Mutex::new(task_rx));
-                let (done_tx, done_rx) = mpsc::channel::<(usize, bool)>();
-
-                std::thread::scope(|scope| {
-                    for w in 0..workers {
-                        let task_rx = Arc::clone(&task_rx);
-                        let done_tx = done_tx.clone();
-                        let sink = trace::fork_current();
-                        let plan = faults::fork_current();
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            if let Some(sink) = sink {
-                                trace::install(sink);
-                            }
-                            let _faults = plan.map(faults::install_forked);
-                            {
-                                let _worker_span =
-                                    trace::span(names::SPAN_WORKER).field("worker", w);
-                                loop {
-                                    let msg = {
-                                        let rx = task_rx.lock().unwrap_or_else(|e| e.into_inner());
-                                        rx.recv()
-                                    };
-                                    let Ok(i) = msg else { break };
-                                    if done_tx.send((i, shared.run(i))).is_err() {
-                                        break;
-                                    }
-                                }
-                            }
-                            trace::uninstall();
-                        });
-                    }
-                    drop(done_tx);
-
-                    // Coordinator: dispatch whatever the wavefront
-                    // releases, as completions arrive.
-                    let mut inflight = 0usize;
-                    loop {
-                        for d in released.drain(..) {
-                            if task_tx.send(d).is_ok() {
-                                inflight += 1;
-                            }
-                        }
-                        if inflight == 0 {
-                            break;
-                        }
-                        let Ok((i, ok)) = done_rx.recv() else {
-                            break; // a worker died; scope propagates its panic
-                        };
-                        inflight -= 1;
-                        wave.complete(i, ok, &mut released);
-                    }
-                    drop(task_tx); // hang up; workers drain and exit
-                });
-            }
+            let wave = Wavefront::new(&graph, &in_cone, policy);
+            let ready = wave.roots().map(Reverse).collect();
+            let sched = (
+                Mutex::new(Sched {
+                    wave,
+                    ready,
+                    in_flight: 0,
+                }),
+                Condvar::new(),
+            );
+            on_workers(workers, |w| {
+                let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
+                drain_wavefront(&sched, &shared);
+            });
         }
 
         // Merge in topological order — the report is deterministic no
@@ -1962,9 +1875,8 @@ fn store_bin_matches(
 }
 
 /// The scheduling state of one build: in-degrees over the dirty cone,
-/// released as tasks complete.  The coordinator drives it the same way
-/// at every width — inline at `jobs == 1`, from worker completions
-/// otherwise.
+/// released as tasks complete.  Workers drive it under the [`Sched`]
+/// lock the same way at every width.
 ///
 /// An out-of-cone unit is never released (its slot stays empty and
 /// the merge phase synthesizes its reuse).  The cone is
@@ -2052,6 +1964,88 @@ impl Wavefront {
                 }
             }
         }
+    }
+}
+
+/// Runs `work(w)` for each worker `w` in `0..jobs` and returns when
+/// all have: worker 0 on the calling thread, the rest on scoped threads
+/// that report to the caller's trace sink and see its fault plan.
+fn on_workers(jobs: usize, work: impl Fn(usize) + Sync) {
+    std::thread::scope(|scope| {
+        for w in 1..jobs {
+            let sink = trace::fork_current();
+            let plan = faults::fork_current();
+            let work = &work;
+            scope.spawn(move || {
+                if let Some(sink) = sink {
+                    trace::install(sink);
+                }
+                let _faults = plan.map(faults::install_forked);
+                work(w);
+                trace::uninstall();
+            });
+        }
+        work(0);
+    });
+}
+
+/// What the wavefront's workers share under one lock.
+struct Sched {
+    wave: Wavefront,
+    /// Released units, lowest topological index on top.
+    ready: BinaryHeap<Reverse<usize>>,
+    /// Units taken off `ready` and not yet completed.
+    in_flight: usize,
+}
+
+/// One worker's share of a build: take the lowest ready unit, run it
+/// without the lock, then complete it and release its dependents under
+/// the lock.  Returns once nothing is ready or running, or when the
+/// lock is poisoned.
+///
+/// [`ParallelShared::run`] catches unit panics, so a worker unwinds only
+/// from under the lock: the lock is then poisoned, and the unwinding
+/// worker wakes the others so each finds that out and returns.
+fn drain_wavefront(sched: &(Mutex<Sched>, Condvar), shared: &ParallelShared<'_>) {
+    struct WakeOnUnwind<'a>(&'a Condvar);
+    impl Drop for WakeOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.notify_all();
+            }
+        }
+    }
+    let (lock, cvar) = sched;
+    let _wake = WakeOnUnwind(cvar);
+    let mut released = Vec::new();
+    let Ok(mut s) = lock.lock() else { return };
+    loop {
+        let next = s.ready.pop().map(|Reverse(i)| i);
+        // Fail-fast: a unit at or after the lowest failure can never
+        // merge, and every unit still ready is one.
+        let next = next.filter(|&i| s.wave.min_err.is_none_or(|k| i < k));
+        let Some(i) = next else {
+            s.ready.clear();
+            if s.in_flight == 0 {
+                return;
+            }
+            s = match cvar.wait(s) {
+                Ok(s) => s,
+                Err(_) => return,
+            };
+            continue;
+        };
+        s.in_flight += 1;
+        drop(s);
+        let ok = shared.run(i);
+        s = match lock.lock() {
+            Ok(s) => s,
+            Err(_) => return,
+        };
+        s.in_flight -= 1;
+        s.wave.complete(i, ok, &mut released);
+        s.ready.extend(released.drain(..).map(Reverse));
+        cvar.notify_all();
     }
 }
 
@@ -2232,7 +2226,7 @@ fn publish_to_store(store: &Store, key: Pid, bin: &BinFile) {
 type EnvSlot = OnceLock<Result<Arc<Bindings>, CoreError>>;
 
 /// What one wavefront task resolved to; merged into the bin store and
-/// the report in topological order by the coordinator.
+/// the report in topological order once every worker returns.
 #[derive(Debug)]
 struct TaskOutcome {
     decision: RebuildDecision,
@@ -2253,7 +2247,7 @@ struct ParallelShared<'a> {
     file_index: &'a HashMap<Symbol, &'a SourceFile>,
     analyses: &'a HashMap<Symbol, Arc<Analysis>>,
     /// The bin store as of the start of the build.  New bins live in
-    /// `outcomes` until the coordinator merges them, so old state stays
+    /// `outcomes` until the build merges them, so old state stays
     /// readable (a unit's *own* decision reads its pre-build bin).
     old_bins: &'a HashMap<Symbol, BinEntry>,
     /// The shared artifact store, probed before compiling and published
@@ -2289,8 +2283,8 @@ impl ParallelShared<'_> {
 
     /// Runs task `i` under the per-unit panic guard and fills its
     /// outcome slot; true when the task produced an outcome.  A
-    /// panicking compiler fails this unit, never the worker (the pool
-    /// survives and drains) nor, inline, the build.
+    /// panicking compiler fails this unit, never the worker or the
+    /// build.
     fn run(&self, i: usize) -> bool {
         let res = isolate_unit(self.graph.order()[i], || self.run_task(i));
         let ok = res.is_ok();

@@ -478,17 +478,9 @@ pub fn truncate_torn_tail(path: &Path) -> Result<(), CoreError> {
 /// An open pack: the merged index of its valid segments plus a shared
 /// handle for body reads.
 ///
-/// When the platform supports it the whole file is memory-mapped
-/// read-only ([`smlsc_mmap::Mapping`]): the first segment's index
-/// decodes straight out of the page cache with no heap copy, and body
-/// slices are borrowed from the map instead of `pread`.  Length words,
-/// footers and the (small) appended indexes are always `pread`: a
-/// concurrent writer may cut a torn tail off in place, and a read of
-/// those bytes must then fail, not fault.  When mapping fails the
-/// reader falls back to positioned reads; every byte is
-/// digest-verified exactly the same way on both paths, so torn and
-/// corrupt packs quarantine identically either way (the unit tests run
-/// the corruption cases against both readers).
+/// Every read is a positioned read (`pread`) and every index and body
+/// is digest-verified, so a concurrent writer cutting a torn tail off
+/// in place makes a read fail, never fault.
 #[derive(Debug)]
 pub struct PackReader {
     path: PathBuf,
@@ -520,19 +512,6 @@ impl PackReader {
         let meta = file
             .metadata()
             .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
-        let map = smlsc_mmap::Mapping::map(&file, meta.len());
-        PackReader::with_map(path, file, &meta, map).map(Some)
-    }
-
-    /// Validates and indexes the open pack `file` (described by
-    /// `meta`), reading through `map` when the file is mapped and with
-    /// positioned reads otherwise.
-    fn with_map(
-        path: &Path,
-        file: File,
-        meta: &std::fs::Metadata,
-        map: Option<smlsc_mmap::Mapping>,
-    ) -> Result<PackReader, CoreError> {
         let corrupt = |m: String| CoreError::CorruptBin(format!("{}: {m}", path.display()));
         let total = meta.len();
         if total < HEADER_LEN + SEGMENT_HEADER_LEN + FOOTER_LEN {
@@ -556,13 +535,7 @@ impl PackReader {
         let mut first_len = 0;
         let mut end = HEADER_LEN;
         while end < total {
-            // Only the first segment's index is read through the map.
-            let map = if end == HEADER_LEN {
-                map.as_ref()
-            } else {
-                None
-            };
-            let (seg_end, seg, sections) = match read_segment(&file, map, end, total) {
+            let (seg_end, seg, sections) = match read_segment(&file, end, total) {
                 Ok(seg) => seg,
                 Err(m) if end == HEADER_LEN => return Err(corrupt(m)),
                 Err(_) => break,
@@ -596,18 +569,18 @@ impl PackReader {
                 entries.sort_by_cached_key(|e| e.name.as_str());
             }
         }
-        Ok(PackReader {
+        Ok(Some(PackReader {
             path: path.to_path_buf(),
-            bodies: Arc::new(PackBodies { file, map }),
+            bodies: Arc::new(PackBodies { file }),
             entries,
             stamps,
             graph,
             tail: PackTail {
-                file: FileId::of(meta),
+                file: FileId::of(&meta),
                 first_len,
                 valid_end: end,
             },
-        })
+        }))
     }
 
     /// The pack's path.
@@ -663,14 +636,12 @@ impl PackReader {
 }
 
 /// Read access to the bodies of one pack file, with no index: a
-/// [`PackReader`] opens one with the file mapped, and every save
-/// ([`Sealed::bodies`]) opens one for positioned reads of what it just
-/// wrote.  The handle keeps its file open, so its offsets stay valid
+/// [`PackReader`] opens one, and every save ([`Sealed::bodies`]) opens
+/// one for reads of what it just wrote.  The handle keeps its file open, so its offsets stay valid
 /// after a later rewrite renames a new pack over the path.
 #[derive(Debug)]
 pub struct PackBodies {
     file: File,
-    map: Option<smlsc_mmap::Mapping>,
 }
 
 impl PackBodies {
@@ -683,23 +654,8 @@ impl PackBodies {
     ///
     /// A description of the IO failure or digest mismatch.
     pub fn read_body(&self, offset: u64, len: u64, digest: Pid) -> Result<Vec<u8>, String> {
-        let buf = if let Some(m) = &self.map {
-            let start = usize::try_from(offset).map_err(|_| "body too large".to_string())?;
-            let n = usize::try_from(len).map_err(|_| "body too large".to_string())?;
-            // Bounds were validated against the index at open time, but
-            // re-check against the map so a logic slip can never read
-            // out of the mapping.
-            let end = start
-                .checked_add(n)
-                .filter(|&end| end <= m.len())
-                .ok_or_else(|| "body out of mapped range".to_string())?;
-            m.bytes()[start..end].to_vec()
-        } else {
-            let mut buf =
-                vec![0u8; usize::try_from(len).map_err(|_| "body too large".to_string())?];
-            read_exact_at(&self.file, &mut buf, offset).map_err(|e| e.to_string())?;
-            buf
-        };
+        let mut buf = vec![0u8; usize::try_from(len).map_err(|_| "body too large".to_string())?];
+        read_exact_at(&self.file, &mut buf, offset).map_err(|e| e.to_string())?;
         trace::counter(names::BIN_BYTES_READ, len);
         let got = Pid::of_bytes(&buf);
         if got != digest {
@@ -710,12 +666,10 @@ impl PackBodies {
 }
 
 /// Validates the segment starting at `start` of a `total`-byte pack and
-/// decodes its index and sections, reading the index through `map` when
-/// given.  Returns the segment's end, entries and sections, or why it is
+/// decodes its index and sections.  Returns the segment's end, entries and sections, or why it is
 /// invalid.
 fn read_segment(
     file: &File,
-    map: Option<&smlsc_mmap::Mapping>,
     start: u64,
     total: u64,
 ) -> Result<(u64, Vec<PackEntry>, Sections), String> {
@@ -746,27 +700,17 @@ fn read_segment(
     {
         return Err(at("index bounds out of range"));
     }
-    // Mapped: the index is decoded in place, page-cache-resident, with
-    // no heap copy of the raw bytes.  Otherwise: one positioned read
-    // into a scratch vector.
-    let scratch;
-    let index_bytes: &[u8] = if let Some(m) = map {
-        &m.bytes()[index_offset as usize..(index_offset + index_len) as usize]
-    } else {
-        let mut buf = vec![0u8; usize::try_from(index_len).map_err(|_| at("index too large"))?];
-        read_exact_at(file, &mut buf, index_offset).map_err(|e| at(&e.to_string()))?;
-        scratch = buf;
-        &scratch
-    };
+    let mut index_bytes = vec![0u8; usize::try_from(index_len).map_err(|_| at("index too large"))?];
+    read_exact_at(file, &mut index_bytes, index_offset).map_err(|e| at(&e.to_string()))?;
     trace::counter(
         names::BIN_BYTES_READ,
         SEGMENT_HEADER_LEN + FOOTER_LEN + index_len,
     );
-    if Pid::of_bytes(index_bytes) != index_digest {
+    if Pid::of_bytes(&index_bytes) != index_digest {
         return Err(at("index digest mismatch"));
     }
     let (entries, sections) =
-        decode_index(index_bytes).map_err(|e| at(&format!("index parse: {e}")))?;
+        decode_index(&index_bytes).map_err(|e| at(&format!("index parse: {e}")))?;
     for e in &entries {
         if e.offset < start + SEGMENT_HEADER_LEN
             || e.offset
@@ -1031,7 +975,7 @@ impl PackWriter {
                         valid_end: if whole { start + len } else { HEADER_LEN },
                     },
                     entries,
-                    bodies: Arc::new(PackBodies { file, map: None }),
+                    bodies: Arc::new(PackBodies { file }),
                 })
             }
             Sink::Append {
@@ -1073,7 +1017,7 @@ impl PackWriter {
                         valid_end: if torn { start } else { start + len },
                     },
                     entries,
-                    bodies: Arc::new(PackBodies { file, map: None }),
+                    bodies: Arc::new(PackBodies { file }),
                 })
             }
         }
@@ -1127,18 +1071,6 @@ mod tests {
         }
         w.finish_with(None, None).unwrap();
         path
-    }
-
-    /// Opens `path` through both read paths: the memory-mapped reader
-    /// and the `pread` fallback.
-    fn open_both(path: &Path) -> [Result<PackReader, CoreError>; 2] {
-        let open = |mapped: bool| {
-            let file = File::open(path).unwrap();
-            let meta = file.metadata().unwrap();
-            let map = mapped.then(|| smlsc_mmap::Mapping::map(&file, meta.len()).expect("mmap"));
-            PackReader::with_map(path, file, &meta, map)
-        };
-        [open(true), open(false)]
     }
 
     /// A bin for `name` whose mtime, body length and body bytes all
@@ -1225,11 +1157,9 @@ mod tests {
             save(&fresh, false, model.values());
             let want = contents(&PackReader::open(&fresh).unwrap().unwrap());
             assert_eq!(want.len(), model.len());
-            for r in open_both(&path) {
-                let r = r.unwrap();
-                assert_eq!(r.torn_tail(), 0);
-                assert_eq!(contents(&r), want, "seed {seed}");
-            }
+            let r = PackReader::open(&path).unwrap().unwrap();
+            assert_eq!(r.torn_tail(), 0);
+            assert_eq!(contents(&r), want, "seed {seed}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1262,24 +1192,20 @@ mod tests {
             }
             drop(f);
             let torn = std::fs::metadata(&path).unwrap().len() - valid_end;
-            for r in open_both(&path) {
-                let r = r.unwrap();
-                assert_eq!(contents(&r), want, "{tear}: the valid prefix is served");
-                assert_eq!(r.torn_tail(), torn, "{tear}");
-                assert_eq!(r.tail().valid_end(), valid_end, "{tear}");
-            }
+            let r = PackReader::open(&path).unwrap().unwrap();
+            assert_eq!(contents(&r), want, "{tear}: the valid prefix is served");
+            assert_eq!(r.torn_tail(), torn, "{tear}");
+            assert_eq!(r.tail().valid_end(), valid_end, "{tear}");
             let tail = save(&path, true, &[versioned("b", 3)]);
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len(),
                 tail.valid_end(),
                 "{tear}: the append cut the torn tail off"
             );
-            for r in open_both(&path) {
-                let r = r.unwrap();
-                assert_eq!(r.torn_tail(), 0, "{tear}");
-                let mtimes: Vec<u64> = r.entries().iter().map(|e| e.mtime).collect();
-                assert_eq!(mtimes, [1, 3], "{tear}: a from the prefix, b appended");
-            }
+            let r = PackReader::open(&path).unwrap().unwrap();
+            assert_eq!(r.torn_tail(), 0, "{tear}");
+            let mtimes: Vec<u64> = r.entries().iter().map(|e| e.mtime).collect();
+            assert_eq!(mtimes, [1, 3], "{tear}: a from the prefix, b appended");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1304,14 +1230,12 @@ mod tests {
                 save(&path, false, model.values());
                 rewrites += 1;
             }
-            for r in open_both(&path) {
-                let first = r.unwrap().tail().first_len;
-                let len = std::fs::metadata(&path).unwrap().len();
-                assert!(
-                    len - HEADER_LEN <= first + first / GROWTH_DIVISOR,
-                    "round {round}"
-                );
-            }
+            let first = PackReader::open(&path).unwrap().unwrap().tail().first_len;
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert!(
+                len - HEADER_LEN <= first + first / GROWTH_DIVISOR,
+                "round {round}"
+            );
         }
         assert!(
             appends > rewrites && rewrites > 1,
@@ -1320,9 +1244,7 @@ mod tests {
         let fresh = dir.join("fresh.pack");
         save(&fresh, false, model.values());
         let want = contents(&PackReader::open(&fresh).unwrap().unwrap());
-        for r in open_both(&path) {
-            assert_eq!(contents(&r.unwrap()), want);
-        }
+        assert_eq!(contents(&PackReader::open(&path).unwrap().unwrap()), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1391,21 +1313,19 @@ mod tests {
         // A graph-only segment.
         save_state(&path, true, &[], &cache, Some(&new));
         let units = ["a", "b"];
-        for r in open_both(&path) {
-            let r = r.unwrap();
-            assert_eq!(r.torn_tail(), 0);
-            assert_eq!(
-                stamp_mtimes(&r, &units),
-                [Some(1), Some(2)],
-                "later stamps win"
-            );
-            assert_eq!(
-                r.graph().unwrap().order(),
-                new.order(),
-                "the last graph wins"
-            );
-            assert_eq!(r.entries().len(), 1);
-        }
+        let r = PackReader::open(&path).unwrap().unwrap();
+        assert_eq!(r.torn_tail(), 0);
+        assert_eq!(
+            stamp_mtimes(&r, &units),
+            [Some(1), Some(2)],
+            "later stamps win"
+        );
+        assert_eq!(
+            r.graph().unwrap().order(),
+            new.order(),
+            "the last graph wins"
+        );
+        assert_eq!(r.entries().len(), 1);
 
         // A flipped byte in the last segment's graph section fails that
         // segment alone: its bytes become a torn tail, and the reader
@@ -1414,12 +1334,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[(len - FOOTER_LEN - 3) as usize] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        for r in open_both(&path) {
-            let r = r.unwrap();
-            assert!(r.torn_tail() > 0);
-            assert_eq!(r.graph().unwrap().order(), old.order());
-            assert_eq!(stamp_mtimes(&r, &units), [Some(1), Some(2)]);
-        }
+        let r = PackReader::open(&path).unwrap().unwrap();
+        assert!(r.torn_tail() > 0);
+        assert_eq!(r.graph().unwrap().order(), old.order());
+        assert_eq!(stamp_mtimes(&r, &units), [Some(1), Some(2)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1427,12 +1345,10 @@ mod tests {
     fn a_pack_without_sections_reads_as_no_stamps_and_no_graph() {
         let dir = tmp_dir("nosections");
         let path = write_two(&dir);
-        for r in open_both(&path) {
-            let r = r.unwrap();
-            assert!(r.stamps().is_empty());
-            assert!(r.graph().is_none());
-            assert_eq!(r.entries().len(), 2);
-        }
+        let r = PackReader::open(&path).unwrap().unwrap();
+        assert!(r.stamps().is_empty());
+        assert!(r.graph().is_none());
+        assert_eq!(r.entries().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1470,9 +1386,11 @@ mod tests {
             });
             assert!(result.is_err(), "{stage}");
             assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "{stage}");
-            for r in open_both(&path) {
-                assert_eq!(contents(&r.unwrap()), want, "{stage}");
-            }
+            assert_eq!(
+                contents(&PackReader::open(&path).unwrap().unwrap()),
+                want,
+                "{stage}"
+            );
         }
         assert!(!lock_path(&path).exists(), "the lock is released");
         std::fs::remove_dir_all(&dir).ok();
@@ -1486,9 +1404,9 @@ mod tests {
         bytes[..8].copy_from_slice(b"SMLSPAK2");
         bytes[8] = 2;
         std::fs::write(&path, &bytes).unwrap();
-        for r in open_both(&path) {
-            assert!(matches!(r, Err(CoreError::CorruptBin(m)) if m.contains("bad magic")));
-        }
+        assert!(
+            matches!(PackReader::open(&path), Err(CoreError::CorruptBin(m)) if m.contains("bad magic"))
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1647,11 +1565,9 @@ mod tests {
         drop(r);
         bytes[e0.offset as usize + 4] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        for r in open_both(&path) {
-            let r = r.unwrap();
-            assert!(r.read_body(e0.offset, e0.len, e0.digest).is_err());
-            assert!(r.read_body(e1.offset, e1.len, e1.digest).is_ok());
-        }
+        let r = PackReader::open(&path).unwrap().unwrap();
+        assert!(r.read_body(e0.offset, e0.len, e0.digest).is_err());
+        assert!(r.read_body(e1.offset, e1.len, e1.digest).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1673,9 +1589,10 @@ mod tests {
             mangled(8, PACK_VERSION + 1),     // wrong version byte
         ] {
             std::fs::write(&path, &bytes).unwrap();
-            for r in open_both(&path) {
-                assert!(matches!(r, Err(CoreError::CorruptBin(_))));
-            }
+            assert!(matches!(
+                PackReader::open(&path),
+                Err(CoreError::CorruptBin(_))
+            ));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

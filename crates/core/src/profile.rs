@@ -316,8 +316,8 @@ mod tests {
 
     #[test]
     fn profile_attributes_phases_and_critical_path() {
-        // One scheduler at every width: inline (jobs 1) and threaded
-        // builds profile alike.
+        // One scheduler at every width: single-worker (jobs 1) and
+        // threaded builds profile alike.
         for jobs in [1, 4] {
             let p = chain_project();
             let collector = trace::Collector::new();
@@ -352,8 +352,8 @@ mod tests {
             assert!(rendered.contains("critical path 3 unit(s)"), "{rendered}");
             assert!(rendered.contains("critical chain"), "{rendered}");
             if jobs == 1 {
-                // Inline: every task runs on the thread that opened the
-                // build span.
+                // One worker: every task runs on the thread that opened
+                // the build span.
                 let caller = spans
                     .iter()
                     .find(|s| s.name == names::SPAN_BUILD)

@@ -14,32 +14,18 @@
 //! concurrent clients can never observe interleaved frame bytes.
 
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+pub use smlsc_core::build_session::{lock_path, socket_path, LOCK_FILE, SOCKET_FILE};
 
 /// Version of the wire protocol; bumped on any incompatible change.
-/// v2 added `Request::timeout_ms` and `Response::timed_out`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3 dropped the per-request build deadline fields.
+pub const PROTOCOL_VERSION: u32 = 3;
 /// Handshake magic — catches a non-smlsc peer before any parsing.
 pub const MAGIC: &str = "smlsc-daemon";
-/// Socket filename inside the project's bin directory.
-pub const SOCKET_FILE: &str = "daemon.sock";
-/// Lockfile filename inside the project's bin directory.
-pub const LOCK_FILE: &str = "daemon.lock";
 /// Upper bound on a single frame; a length prefix beyond this is
 /// treated as a corrupt stream, not an allocation request.
 pub const MAX_FRAME: u32 = 64 << 20;
-
-/// The daemon socket for a project's bin directory.
-pub fn socket_path(bin_dir: &Path) -> PathBuf {
-    bin_dir.join(SOCKET_FILE)
-}
-
-/// The daemon lockfile for a project's bin directory.
-pub fn lock_path(bin_dir: &Path) -> PathBuf {
-    bin_dir.join(LOCK_FILE)
-}
 
 /// Client's opening frame.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,12 +74,6 @@ pub struct Request {
     pub keep_going: bool,
     /// Build: include per-unit rebuild decisions in the response.
     pub explain: bool,
-    /// Build: per-request deadline in milliseconds; `0` takes the
-    /// server's configured default.  A build still running at the
-    /// deadline is answered with a typed timeout reply
-    /// ([`Response::timed_out`]) while the build itself runs on to
-    /// completion inside the daemon.
-    pub timeout_ms: u64,
 }
 
 impl Request {
@@ -105,7 +85,6 @@ impl Request {
             jobs: 0,
             keep_going: false,
             explain: false,
-            timeout_ms: 0,
         }
     }
 
@@ -117,7 +96,6 @@ impl Request {
             jobs: 0,
             keep_going: false,
             explain: false,
-            timeout_ms: 0,
         }
     }
 }
@@ -130,10 +108,6 @@ pub struct Response {
     pub ok: bool,
     /// Why not, when `ok` is false.
     pub error: String,
-    /// The request's deadline expired before the build finished (a
-    /// typed refusal, distinct from a build failure; the build keeps
-    /// running inside the daemon).
-    pub timed_out: bool,
     /// Build: the CLI exit code the build maps to.
     pub exit_code: i32,
     /// Build: served from the no-change snapshot without running the
@@ -159,7 +133,6 @@ impl Response {
         Response {
             ok: true,
             error: String::new(),
-            timed_out: false,
             exit_code: 0,
             cached: false,
             seq: 0,

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smlsc_core::build_session::{exit_code, explain_lines, EXIT_IO};
+use smlsc_core::build_session::{exit_code, explain_lines};
 use smlsc_core::irm::{FailurePolicy, Strategy};
 use smlsc_core::resident::Resident;
 use smlsc_core::store::fsutil::{self, LockGuard, Stale};
@@ -47,10 +47,6 @@ pub struct ServerConfig {
     pub strategy: Strategy,
     /// Default worker count for requests that leave `jobs` at 0.
     pub jobs: usize,
-    /// Default per-request build deadline (a request may pass its own
-    /// via `timeout_ms`).  At the deadline the client gets a typed
-    /// timeout reply; the build runs on inside the daemon.
-    pub request_deadline: Duration,
     /// Shut down after this long without a served request (and no
     /// in-flight connection).  `None` means serve forever.
     pub idle_timeout: Option<Duration>,
@@ -64,7 +60,6 @@ impl ServerConfig {
             bin_dir: bin_dir.into(),
             strategy: Strategy::Cutoff,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            request_deadline: Duration::from_secs(600),
             idle_timeout: None,
         }
     }
@@ -179,7 +174,6 @@ impl Server {
                 shutdown: Arc::clone(&self.shutdown),
                 socket: self.socket.clone(),
                 default_jobs: self.config.jobs,
-                deadline: self.config.request_deadline,
             };
             // Count the connection before the thread exists, so the
             // drain below can never miss one that was accepted but not
@@ -203,8 +197,7 @@ impl Server {
         }
         supervisor.join().ok();
         // Graceful drain: an in-flight build finishes and its client
-        // gets a real response (or the typed deadline reply) before the
-        // socket disappears.
+        // gets a real response before the socket disappears.
         let deadline = Instant::now() + SHUTDOWN_DRAIN;
         while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -264,7 +257,6 @@ struct HandlerCtx {
     shutdown: Arc<AtomicBool>,
     socket: PathBuf,
     default_jobs: usize,
-    deadline: Duration,
 }
 
 fn handle_connection(mut stream: UnixStream, ctx: &HandlerCtx) {
@@ -290,8 +282,12 @@ fn handle_connection(mut stream: UnixStream, ctx: &HandlerCtx) {
     let response = dispatch(&request, ctx);
     protocol::send(&mut stream, &response).ok();
     stream.flush().ok();
-    if request.kind == "stop" {
-        initiate_shutdown(ctx);
+    match request.kind.as_str() {
+        "stop" => initiate_shutdown(ctx),
+        // A build that ran (not a cached reply) freed its working set;
+        // hand it back once the reply is on its way.
+        "build" if !response.cached => trim_heap(),
+        _ => {}
     }
 }
 
@@ -329,43 +325,8 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
     } else {
         FailurePolicy::FailFast
     };
-    let deadline = if request.timeout_ms > 0 {
-        Duration::from_millis(request.timeout_ms)
-    } else {
-        ctx.deadline
-    };
-    // The build runs on its own thread so this handler can answer the
-    // client at the deadline; a timed-out build continues to completion
-    // (the resident lock serializes it against later requests) and its
-    // snapshot serves the next build instantly.  Every build drains the
-    // watch first (`fresh` is moot); the heap the build freed is trimmed
-    // once the reply is on its way.
-    let resident = Arc::clone(&ctx.resident);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::Builder::new()
-        .name("smlsc-daemon-build".to_string())
-        .spawn(move || {
-            let result = resident.build(jobs, policy);
-            let ran = !matches!(result, Ok((_, true)));
-            tx.send(result).ok();
-            if ran {
-                trim_heap();
-            }
-        })
-        .ok();
-    let result = match rx.recv_timeout(deadline) {
-        Ok(result) => result,
-        Err(_) => {
-            let mut r = Response::refuse(format!(
-                "build exceeded its {}ms deadline (still running in the daemon)",
-                deadline.as_millis()
-            ));
-            r.timed_out = true;
-            r.exit_code = EXIT_IO;
-            return r;
-        }
-    };
-    match result {
+    // Every build drains the watch first (`fresh` is moot).
+    match ctx.resident.build(jobs, policy) {
         Ok((snap, cached)) => {
             let mut r = Response::new();
             r.exit_code = snap.exit_code;

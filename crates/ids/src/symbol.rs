@@ -17,7 +17,9 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 ///
 /// Two `Symbol`s are equal iff they intern the same string.  `Symbol` is
 /// `Copy`, 4 bytes, and cheap to hash, so it is used pervasively as a map
-/// key across the compiler.
+/// key across the compiler.  It has no order: interner numbering
+/// depends on what a process interned first, so code that needs one
+/// sorts by [`Symbol::as_str`].
 ///
 /// Serialization round-trips through the string form so pickled data does
 /// not depend on interner numbering (which varies between processes).
@@ -31,7 +33,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 /// assert_eq!(a, b);
 /// assert_eq!(a.as_str(), "sort");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
 struct Interner {
@@ -138,15 +140,6 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert_eq!(format!("{:?}", Symbol::intern("x")), "Symbol(\"x\")");
-    }
-
-    #[test]
-    fn ordering_is_stable_per_symbol() {
-        let a = Symbol::intern("aaa-order");
-        let b = Symbol::intern("bbb-order");
-        // Ordering is by interner index; all we promise is consistency.
-        assert_eq!(a.cmp(&b), a.cmp(&b));
-        assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
     }
 
     #[test]

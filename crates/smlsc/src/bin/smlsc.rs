@@ -30,16 +30,15 @@
 //!                      internally); `stop` and `status` talk to the
 //!                      socket in <bin-dir>; `restart` is stop-then-
 //!                      start (idempotent — works with no daemon up).
-//!                      Env knobs for `run`/`start`:
+//!                      Env knob for `run`/`start`:
 //!                      SMLSC_DAEMON_IDLE_SECS (auto-shutdown after
-//!                      this long idle), SMLSC_DAEMON_DEADLINE_SECS
-//!                      (per-request build deadline)
+//!                      this long idle)
 //!
 //! build/run options:
 //!   --strategy <s>     recompilation strategy: cutoff (default),
 //!                      timestamp, or classical
 //!   --jobs <n>         compile up to <n> units in parallel (default:
-//!                      available CPU parallelism; 1 = inline on the
+//!                      available CPU parallelism; 1 = all on the
 //!                      calling thread)
 //!   --keep-going, -k   on a unit failure, keep compiling every unit
 //!                      that does not depend on it; dependents are
@@ -664,13 +663,6 @@ fn daemon_cmd(args: &[String]) -> i32 {
                 .filter(|&s| s > 0)
             {
                 config.idle_timeout = Some(Duration::from_secs(secs));
-            }
-            if let Some(secs) = std::env::var("SMLSC_DAEMON_DEADLINE_SECS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&s| s > 0)
-            {
-                config.request_deadline = Duration::from_secs(secs);
             }
             match smlsc::daemon::run(config) {
                 Ok(()) => EXIT_OK,

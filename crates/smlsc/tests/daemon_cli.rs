@@ -433,7 +433,7 @@ fn stop_is_idempotent_and_status_reports_a_missing_daemon() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let status = String::from_utf8_lossy(&out.stdout);
-    assert!(status.contains(r#""protocol":2"#), "{status}");
+    assert!(status.contains(r#""protocol":3"#), "{status}");
     assert!(status.contains(r#""units":2"#), "{status}");
     // The watch mode and health and the generation pair are part of
     // status.

@@ -10,7 +10,7 @@
 //! outer structure `P` inside the functor body, a `let`-bound structure
 //! hides an import inside its scope, and so on.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 use smlsc_ids::Symbol;
 
@@ -44,14 +44,14 @@ pub fn free_module_names(unit: &UnitAst) -> Vec<Symbol> {
 /// One lexical scope's worth of module bindings, split by namespace.
 #[derive(Default)]
 struct Scope {
-    strs: BTreeSet<Symbol>,
-    sigs: BTreeSet<Symbol>,
-    fcts: BTreeSet<Symbol>,
+    strs: HashSet<Symbol>,
+    sigs: HashSet<Symbol>,
+    fcts: HashSet<Symbol>,
 }
 
 struct Collector {
     scopes: Vec<Scope>,
-    free: BTreeSet<Symbol>,
+    free: HashSet<Symbol>,
 }
 
 #[derive(Clone, Copy)]
@@ -65,7 +65,7 @@ impl Collector {
     fn new() -> Collector {
         Collector {
             scopes: vec![Scope::default()],
-            free: BTreeSet::new(),
+            free: HashSet::new(),
         }
     }
 

@@ -120,7 +120,7 @@ cargo test -q --test chaos
 cargo test -q --test keep_going
 cargo test -q --test daemon_concurrency
 
-echo "==> chaos: fault-plan and lock isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency; 20 runs)"
+echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, profile; 20 runs)"
 for i in $(seq 1 20); do
   cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
   cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
@@ -128,6 +128,9 @@ for i in $(seq 1 20); do
   cargo test -q -p smlsc --test crash_recovery -- pack_append concurrent_builds || { echo "error: pack append crash/concurrency cases failed on run $i" >&2; exit 1; }
   cargo test -q -p smlsc-store || { echo "error: smlsc-store failed on run $i" >&2; exit 1; }
   cargo test -q --test store_concurrency || { echo "error: store_concurrency failed on run $i" >&2; exit 1; }
+  cargo test -q --test parallel || { echo "error: parallel failed on run $i" >&2; exit 1; }
+  cargo test -q --test keep_going || { echo "error: keep_going failed on run $i" >&2; exit 1; }
+  cargo test -q -p smlsc-core --lib profile || { echo "error: profile unit tests failed on run $i" >&2; exit 1; }
 done
 
 echo "==> chaos: seeded storms (--jobs 4, three fixed seeds)"

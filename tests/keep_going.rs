@@ -138,6 +138,22 @@ proptest! {
                 prop_assert_eq!(a, b, "export pid diverged for {}", name);
             }
         }
+
+        // Fail-fast over the same project: the same first error and the
+        // same bins held at jobs 1 and 4.
+        let mut ff1 = Irm::new(BuildStrategy::Cutoff);
+        let mut ff4 = Irm::new(BuildStrategy::Cutoff);
+        let e1 = ff1.build_with(&p, 1, FailurePolicy::FailFast).unwrap_err();
+        let e4 = ff4.build_with(&p, 4, FailurePolicy::FailFast).unwrap_err();
+        prop_assert_eq!(e1.to_string(), e4.to_string());
+        for i in 0..n {
+            let name = module_name(i);
+            prop_assert_eq!(
+                ff1.bin(&name).map(|b| b.unit.export_pid),
+                ff4.bin(&name).map(|b| b.unit.export_pid),
+                "fail-fast bins diverged at {}", name
+            );
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Strategy as Strategy2;
 use smlsc::core::irm::{Irm, Project, Strategy as BuildStrategy};
+use smlsc::core::trace::{self, names};
 use smlsc::core::BuildReport;
 use smlsc::ids::Symbol;
 use smlsc::workload::{module_name, EditKind, Topology, Workload, WorkloadSpec};
@@ -156,6 +157,37 @@ fn more_jobs_than_units() {
         seq.bin("b").unwrap().unit.export_pid,
         par.bin("b").unwrap().unit.export_pid
     );
+}
+
+/// The calling thread is one of the workers: a jobs=2 build runs two
+/// worker spans on two threads, one of them the thread that opened the
+/// build span.
+#[test]
+fn the_calling_thread_is_a_worker() {
+    let mut p = Project::new();
+    p.add("a", "structure A = struct val x = 1 end");
+    p.add("b", "structure B = struct val y = A.x + 1 end");
+    p.add("c", "structure C = struct val z = A.x + 2 end");
+    let collector = trace::Collector::new();
+    collector.install();
+    Irm::new(BuildStrategy::Cutoff)
+        .build_with_jobs(&p, 2)
+        .unwrap();
+    trace::uninstall();
+    let spans = collector.spans();
+    let caller = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_BUILD)
+        .expect("build span")
+        .tid;
+    let workers: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == names::SPAN_WORKER)
+        .map(|s| s.tid)
+        .collect();
+    assert_eq!(workers.len(), 2, "{workers:?}");
+    assert_ne!(workers[0], workers[1], "{workers:?}");
+    assert!(workers.contains(&caller), "{workers:?} vs caller {caller}");
 }
 
 /// On failure the parallel build reports the error of the *first unit in
