@@ -1,14 +1,14 @@
 //! The CI perf-regression gate driver.
 //!
 //! ```text
-//! check_bench --baseline BENCH_null.json --fresh target/BENCH_null_fresh.json \
-//!             [--baseline BENCH_parallel.json --fresh target/BENCH_parallel_fresh.json] \
+//! check_bench --baseline BENCH_monorepo.json --fresh target/BENCH_monorepo_fresh.json \
 //!             [--factor 2.0] [--slack-ms 200] [--ledger path/to/builds.jsonl]
 //! ```
 //!
 //! Every `--baseline` pairs with the `--fresh` in the same position.
-//! Exit codes: 0 all gates passed; 1 a regression (or a failed ledger
-//! smoke); 2 usage or unreadable/malformed input.
+//! Exit codes: 0 all gates passed; 1 a regression, an unmatched fresh
+//! row, a pair that checked nothing, or a failed ledger smoke; 2 usage
+//! or unreadable/malformed input.
 
 use smlsc_bench::gate::{check_warm_ledger, compare, Tolerance};
 
@@ -72,17 +72,24 @@ fn main() {
         match compare(&base, &doc, &tol) {
             Ok(outcome) => {
                 println!(
-                    "gate {fresh_path} vs {base_path}: {} metric(s) checked, {} skipped, {} regression(s) [factor {:.2}, slack {:.0}ms]",
+                    "gate {fresh_path} vs {base_path}: {} metric(s) checked, {} skipped, {} unmatched, {} regression(s) [factor {:.2}, slack {:.0}ms]",
                     outcome.checked,
                     outcome.skipped,
+                    outcome.unmatched.len(),
                     outcome.regressions.len(),
                     tol.factor,
                     tol.slack_ms
                 );
                 for r in &outcome.regressions {
                     println!("  REGRESSION {r}");
-                    failed = true;
                 }
+                for u in &outcome.unmatched {
+                    println!("  UNMATCHED {u}");
+                }
+                if outcome.checked == 0 {
+                    println!("  NOTHING CHECKED: no fresh metric matched the baseline");
+                }
+                failed |= !outcome.passed();
             }
             Err(e) => {
                 eprintln!("error: {e}");

@@ -1,6 +1,5 @@
-//! Monorepo-scale warm-build latency: the binary pack index, the
-//! allocation-free rehydration path, the persisted import DAG,
-//! and dirty-set scheduling under module graphs up to 100,000 units.
+//! The one gated benchmark table: cold, no-op and one-leaf-edit builds
+//! of a monorepo-shaped project, keyed by `(units, jobs, mode)`.
 //!
 //! ```text
 //! cargo run --release -p smlsc-bench --bin monorepo
@@ -9,53 +8,259 @@
 //! cargo run --release -p smlsc-bench --bin monorepo -- --units 100000 --out /tmp/spot.json
 //! ```
 //!
-//! Each point measures full *cold-process* pipelines over real on-disk
-//! sources at N ∈ {5,000, 20,000, 50,000, 100,000} units (`--smoke`:
-//! N = 5,000 only) of the [`Topology::Monorepo`] shape — hub
-//! interfaces, deep functor chains, wide leaf fans:
+//! Every point builds real on-disk sources of the [`Topology::Monorepo`]
+//! shape (hub interfaces, deep functor chains, wide leaf fans) at
+//! N ∈ {5,000, 20,000, 50,000, 100,000} units (`--smoke`: N = 5,000
+//! only), at jobs 1 and 2, in four modes:
 //!
-//! * `cold_ms` — first-ever build: everything compiles (timed once; a
-//!   50k-unit cold build is too slow for best-of-N);
-//! * `noop_ms` — nothing changed: the zero-copy warm path end to end
-//!   (binary index, binary stamps, zero bodies parsed), best of `RUNS`;
-//! * `leaf_edit_ms` — one leaf body edit, timed through the save of the
-//!   recompiled bin and the stamps: exactly one unit recompiles,
-//!   best of `RUNS`.
+//! * `stamped` — cold-process builds over the stamp cache and the lazy
+//!   `bins.pack` archive: `cold_ms` (first-ever build, timed once),
+//!   `noop_ms` (nothing changed) and `leaf_edit_ms` (one leaf body
+//!   edit, timed through the save: exactly one unit recompiles);
+//! * `paranoid` — the same `noop_ms` and `leaf_edit_ms` with no stat
+//!   trusted: every source re-read and re-digested, every archived
+//!   body read and digest-verified at load;
+//! * `daemon` — socket round-trips to an in-process resident server:
+//!   `noop_ms` (nothing changed: answered from the retained snapshot),
+//!   `event_noop_ms` (one source rewritten with the same bytes: the
+//!   drained event re-reads it, nothing recompiles) and `leaf_edit_ms`
+//!   (one leaf body edit, through the daemon's save);
+//! * `store` — `cold_ms` of a fresh checkout of the same sources, with
+//!   no bins of its own, built against an artifact store that an
+//!   earlier checkout filled: every unit is a store hit.
 //!
-//! Results land in `BENCH_monorepo.json`, gated by `scripts/check_bench`
-//! with the same row-matched tolerances as `BENCH_null.json`.
+//! Warm points are best of `RUNS`.  Results land in
+//! `BENCH_monorepo.json`, gated by `scripts/check_bench`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
-use smlsc_core::irm::{Irm, Project, Strategy};
+use smlsc_core::irm::{BuildReport, Irm, Project, Strategy};
+use smlsc_core::store::Store;
 use smlsc_core::trace::{self, names};
 use smlsc_core::BuildSession;
+use smlsc_daemon::{client, Request, Response, ServerConfig, ServerHandle};
 use smlsc_workload::{module_name, EditKind, Topology, Workload};
 
-const RUNS: usize = 3;
-const JOBS: usize = 4;
+const RUNS: usize = 5;
+const JOBS: [usize; 2] = [1, 2];
 
-fn write_sources(src: &Path, w: &Workload) {
-    for i in 0..w.module_count() {
-        let name = module_name(i);
-        let text = w.project().file(&name).unwrap().read_text().unwrap();
-        std::fs::write(src.join(format!("{name}.sml")), text).unwrap();
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Stamped,
+    Paranoid,
+    Daemon,
+    Store,
+}
+
+impl Mode {
+    const ALL: [Mode; 4] = [Mode::Stamped, Mode::Paranoid, Mode::Daemon, Mode::Store];
+
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Stamped => "stamped",
+            Mode::Paranoid => "paranoid",
+            Mode::Daemon => "daemon",
+            Mode::Store => "store",
+        }
     }
 }
 
-/// One cold-process warm build over the stamped fast path: load the
-/// indexed archive with its stamp and graph sections, scan sources,
-/// build.
-fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
+/// One point's directories: the project's sources and bins, the shared
+/// artifact store, and a second checkout of the same sources.
+struct Dirs {
+    base: PathBuf,
+    src: PathBuf,
+    bins: PathBuf,
+    store: PathBuf,
+    checkout: PathBuf,
+}
+
+impl Dirs {
+    fn new(tag: &str) -> Dirs {
+        let base = std::env::temp_dir().join(format!("smlsc-bench-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let dirs = Dirs {
+            src: base.join("src"),
+            bins: base.join("bins"),
+            store: base.join("store"),
+            checkout: base.join("checkout"),
+            base,
+        };
+        std::fs::create_dir_all(&dirs.src).unwrap();
+        dirs
+    }
+}
+
+fn write_source(src: &Path, w: &Workload, i: usize) {
+    let name = module_name(i);
+    let text = w.project().file(&name).unwrap().read_text().unwrap();
+    std::fs::write(src.join(format!("{name}.sml")), text).unwrap();
+}
+
+fn write_sources(src: &Path, w: &Workload) {
+    for i in 0..w.module_count() {
+        write_source(src, w, i);
+    }
+}
+
+/// Applies one body edit to `victim` and writes it to `src`.
+fn edit_leaf(src: &Path, w: &mut Workload, victim: usize) {
+    w.edit(victim, EditKind::BodyOnly);
+    write_source(src, w, victim);
+}
+
+/// One cold-process build of `src` over `bins` in `mode`, through the
+/// session every client opens: paranoid mode verifies every archived
+/// body at load and re-reads every source, store mode attaches the
+/// artifact store at `store`.  Times the open, the scan and the build.
+fn pipeline(
+    mode: Mode,
+    jobs: usize,
+    src: &Path,
+    bins: &Path,
+    store: &Path,
+) -> (Duration, BuildReport, Irm) {
     let t0 = Instant::now();
-    let session = BuildSession::open(bin_dir, Strategy::Cutoff, false, None);
+    let store = (mode == Mode::Store).then(|| Arc::new(Store::open(store).expect("store opens")));
+    let session = BuildSession::open(bins, Strategy::Cutoff, mode == Mode::Paranoid, store);
     assert!(session.notes.is_empty(), "{:?}", session.notes);
     let mut irm = session.irm;
     let project = Project::from_dir(src).expect("bench sources scan");
-    let report = irm.build_with_jobs(&project, JOBS).expect("bench build");
-    (t0.elapsed(), report.recompiled.len(), irm)
+    let report = irm.build_with_jobs(&project, jobs).expect("bench build");
+    (t0.elapsed(), report, irm)
+}
+
+/// One timed build request over the daemon socket, which must succeed
+/// having recompiled exactly `recompiled` units.
+fn timed_request(socket: &Path, recompiled: usize) -> (Duration, Response) {
+    let t0 = Instant::now();
+    let response = client::request(socket, &Request::build(true)).expect("daemon answers");
+    let dt = t0.elapsed();
+    assert!(response.ok, "{}", response.error);
+    assert_eq!(response.exit_code, 0, "{}", response.summary);
+    assert!(
+        response
+            .summary
+            .contains(&format!(": {recompiled} recompiled")),
+        "expected {recompiled} recompiled: {}",
+        response.summary
+    );
+    (dt, response)
+}
+
+/// Best of `RUNS` calls of `f`.
+fn best(mut f: impl FnMut() -> Duration) -> Duration {
+    (0..RUNS).map(|_| f()).min().expect("RUNS > 0")
+}
+
+/// Measures one `(units, jobs, mode)` row and returns its metrics as
+/// `(name, duration)` pairs.  Runs in [`Mode::ALL`] order per point:
+/// `stamped` leaves `dirs.bins` in sync with the sources for the warm
+/// modes after it, and `store` runs last, so the store it fills holds
+/// the sources every later row builds.
+fn measure(
+    mode: Mode,
+    jobs: usize,
+    w: &mut Workload,
+    dirs: &Dirs,
+) -> Vec<(&'static str, Duration)> {
+    let n = w.module_count();
+    // The last module is a fan leaf by construction: no dependents, so
+    // a body edit recompiles exactly one of the N units.
+    let victim = n - 1;
+    let Dirs {
+        src, bins, store, ..
+    } = dirs;
+    let noop = || {
+        best(|| {
+            let (dt, report, _) = pipeline(mode, jobs, src, bins, store);
+            assert_eq!(report.recompiled.len(), 0, "no-op must recompile nothing");
+            dt
+        })
+    };
+    let leaf = |w: &mut Workload| {
+        best(|| {
+            edit_leaf(src, w, victim);
+            // The edit is timed through its save: a user's build pays
+            // for persisting the recompiled bin too.
+            let t0 = Instant::now();
+            let (_, report, mut irm) = pipeline(mode, jobs, src, bins, store);
+            irm.save_bins(bins).expect("save archive");
+            let dt = t0.elapsed();
+            assert_eq!(
+                report.recompiled.len(),
+                1,
+                "leaf edit must recompile one unit"
+            );
+            dt
+        })
+    };
+    match mode {
+        Mode::Stamped => {
+            std::fs::remove_dir_all(bins).ok();
+            let (cold, report, mut irm) = pipeline(mode, jobs, src, bins, store);
+            assert_eq!(report.recompiled.len(), n, "cold build compiles everything");
+            irm.save_bins(bins).expect("save archive");
+            drop(irm);
+            vec![
+                ("cold_ms", cold),
+                ("noop_ms", noop()),
+                ("leaf_edit_ms", leaf(w)),
+            ]
+        }
+        Mode::Paranoid => vec![("noop_ms", noop()), ("leaf_edit_ms", leaf(w))],
+        Mode::Daemon => {
+            let mut config = ServerConfig::new(src, bins);
+            config.jobs = jobs;
+            let server = ServerHandle::spawn(config).expect("daemon spawns");
+            let socket = server.socket_path().to_path_buf();
+            // Prime one build so a retained snapshot exists.
+            let (_, primed) = timed_request(&socket, 0);
+            assert!(!primed.cached, "the primer is a real build");
+            let noop = best(|| {
+                let (dt, response) = timed_request(&socket, 0);
+                assert!(response.cached, "an empty drain is snapshot-served");
+                dt
+            });
+            let touched = src.join(format!("{}.sml", module_name(0)));
+            let bytes = std::fs::read(&touched).unwrap();
+            let event = best(|| {
+                std::fs::write(&touched, &bytes).unwrap();
+                let (dt, response) = timed_request(&socket, 0);
+                assert!(!response.cached, "an event runs the ladder");
+                dt
+            });
+            let edit = best(|| {
+                edit_leaf(src, w, victim);
+                timed_request(&socket, 1).0
+            });
+            server.stop().expect("daemon stops");
+            vec![
+                ("noop_ms", noop),
+                ("event_noop_ms", event),
+                ("leaf_edit_ms", edit),
+            ]
+        }
+        Mode::Store => {
+            if !store.exists() {
+                // The earlier checkout: a cold build of `src` with bins
+                // of its own fills the store; then a fresh copy of the
+                // same sources.
+                let fill = dirs.base.join("fill-bins");
+                let (_, report, _) = pipeline(mode, jobs, src, &fill, store);
+                assert_eq!(report.recompiled.len(), n, "the fill compiles everything");
+                std::fs::create_dir_all(&dirs.checkout).unwrap();
+                write_sources(&dirs.checkout, w);
+            }
+            let fresh_bins = dirs.base.join(format!("checkout-bins-{jobs}"));
+            let (cold, report, _) = pipeline(mode, jobs, &dirs.checkout, &fresh_bins, store);
+            assert_eq!(report.store_hits.len(), n, "every unit is a store hit");
+            vec![("cold_ms", cold)]
+        }
+    }
 }
 
 /// CI scale smoke: one 100,000-unit round trip — cold build, no-op,
@@ -66,7 +271,8 @@ fn pipeline(src: &Path, bin_dir: &Path) -> (Duration, usize, Irm) {
 /// seed and cone are both exactly the one edited unit.
 fn scale_smoke() {
     const N: usize = 100_000;
-    println!("== monorepo scale smoke (N={N}, jobs={JOBS}, counters asserted) ==");
+    let jobs = JOBS[JOBS.len() - 1];
+    println!("== monorepo scale smoke (N={N}, jobs={jobs}, counters asserted) ==");
     let mut w = workload(
         Topology::Monorepo {
             units: N,
@@ -75,22 +281,25 @@ fn scale_smoke() {
         2,
         false,
     );
-    let base = std::env::temp_dir().join(format!("smlsc-bench-scale-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let src = base.join("src");
-    let bin_dir = base.join("bins");
-    std::fs::create_dir_all(&src).unwrap();
-    write_sources(&src, &w);
+    let dirs = Dirs::new("scale");
+    let (src, bins) = (&dirs.src, &dirs.bins);
+    write_sources(src, &w);
+    let stamped = |src: &Path| pipeline(Mode::Stamped, jobs, src, bins, &dirs.store);
 
-    let (cold, compiled, mut irm) = pipeline(&src, &bin_dir);
-    assert_eq!(compiled, N, "cold build compiles everything");
-    irm.save_bins(&bin_dir).expect("save archive");
+    let (cold, report, mut irm) = stamped(src);
+    assert_eq!(report.recompiled.len(), N, "cold build compiles everything");
+    irm.save_bins(bins).expect("save archive");
+    drop(irm);
 
     let collector = trace::Collector::new();
     collector.install();
-    let (noop, recompiled, _) = pipeline(&src, &bin_dir);
+    let (noop, report, _) = stamped(src);
     trace::uninstall();
-    assert_eq!(recompiled, 0, "no-op build must recompile nothing");
+    assert_eq!(
+        report.recompiled.len(),
+        0,
+        "no-op build must recompile nothing"
+    );
     assert_eq!(
         collector.counter(names::SOURCE_READS),
         0,
@@ -114,16 +323,16 @@ fn scale_smoke() {
 
     // The last module is a fan leaf: no dependents, so its dirty cone
     // is exactly itself — dirty-set size == cone size == 1 of 100,000.
-    let victim = N - 1;
-    w.edit(victim, EditKind::BodyOnly);
-    let name = module_name(victim);
-    let text = w.project().file(&name).unwrap().read_text().unwrap();
-    std::fs::write(src.join(format!("{name}.sml")), text).unwrap();
+    edit_leaf(src, &mut w, N - 1);
     let collector = trace::Collector::new();
     collector.install();
-    let (leaf, recompiled, mut irm) = pipeline(&src, &bin_dir);
+    let (leaf, report, mut irm) = stamped(src);
     trace::uninstall();
-    assert_eq!(recompiled, 1, "leaf body edit must recompile one unit");
+    assert_eq!(
+        report.recompiled.len(),
+        1,
+        "leaf body edit must recompile one unit"
+    );
     assert_eq!(
         collector.counter(names::SCHED_DIRTY_SEED),
         1,
@@ -134,16 +343,16 @@ fn scale_smoke() {
         1,
         "fan-leaf dirty cone must equal the dirty seed"
     );
-    irm.save_bins(&bin_dir).expect("save archive");
+    irm.save_bins(bins).expect("save archive");
 
     println!(
-        "  N={N} jobs={JOBS}: cold {} ms | no-op {} ms | one-leaf-edit {} ms",
+        "  N={N} jobs={jobs}: cold {} ms | no-op {} ms | one-leaf-edit {} ms",
         ms(cold),
         ms(noop),
         ms(leaf)
     );
     println!("scale smoke: all counters as asserted");
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&dirs.base).ok();
 }
 
 fn main() {
@@ -177,9 +386,7 @@ fn main() {
         None => vec![5_000, 20_000, 50_000, 100_000],
     };
 
-    println!(
-        "== monorepo warm-build latency (cold-process pipelines, warm points best of {RUNS}) =="
-    );
+    println!("== monorepo builds by (units, jobs, mode), warm points best of {RUNS} ==");
     let mut rows = Vec::new();
     for &n in &sizes {
         let mut w = workload(
@@ -191,57 +398,32 @@ fn main() {
             false,
         );
         assert_eq!(w.module_count(), n);
-        let base =
-            std::env::temp_dir().join(format!("smlsc-bench-mono-{n}-{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let src = base.join("src");
-        let bin_dir = base.join("bins");
-        std::fs::create_dir_all(&src).unwrap();
-        write_sources(&src, &w);
-
-        let (cold, compiled, mut irm) = pipeline(&src, &bin_dir);
-        assert_eq!(compiled, n, "cold build compiles everything");
-        irm.save_bins(&bin_dir).expect("save archive");
-
-        let mut noop = Duration::MAX;
-        for _ in 0..RUNS {
-            let (dt, recompiled, _) = pipeline(&src, &bin_dir);
-            assert_eq!(recompiled, 0, "no-op build must recompile nothing");
-            noop = noop.min(dt);
+        let dirs = Dirs::new(&format!("mono-{n}"));
+        write_sources(&dirs.src, &w);
+        for mode in Mode::ALL {
+            for jobs in JOBS {
+                let metrics = measure(mode, jobs, &mut w, &dirs);
+                let shown: Vec<String> = metrics
+                    .iter()
+                    .map(|(name, d)| format!("{name} {}", ms(*d)))
+                    .collect();
+                println!(
+                    "  N={n} jobs={jobs} {:>8}: {}",
+                    mode.name(),
+                    shown.join(" | ")
+                );
+                let fields: Vec<String> = metrics
+                    .iter()
+                    .map(|(name, d)| format!(r#""{name}":{}"#, ms(*d)))
+                    .collect();
+                rows.push(format!(
+                    r#"{{"units":{n},"jobs":{jobs},"mode":"{}",{}}}"#,
+                    mode.name(),
+                    fields.join(",")
+                ));
+            }
         }
-
-        // The last module is a fan leaf by construction: no dependents,
-        // so a body edit recompiles exactly one of the N units.
-        let victim = n - 1;
-        let mut leaf = Duration::MAX;
-        for _ in 0..RUNS {
-            w.edit(victim, EditKind::BodyOnly);
-            let name = module_name(victim);
-            let text = w.project().file(&name).unwrap().read_text().unwrap();
-            std::fs::write(src.join(format!("{name}.sml")), text).unwrap();
-            // The edit is timed through its save: a user's build pays
-            // for persisting the recompiled bin too.
-            let t0 = Instant::now();
-            let (_, recompiled, mut irm) = pipeline(&src, &bin_dir);
-            irm.save_bins(&bin_dir).expect("save archive");
-            let dt = t0.elapsed();
-            assert_eq!(recompiled, 1, "leaf body edit must recompile one unit");
-            leaf = leaf.min(dt);
-        }
-
-        println!(
-            "  N={n} jobs={JOBS}: cold {} ms | no-op {} ms | one-leaf-edit {} ms",
-            ms(cold),
-            ms(noop),
-            ms(leaf)
-        );
-        rows.push(format!(
-            r#"{{"units":{n},"jobs":{JOBS},"cold_ms":{},"noop_ms":{},"leaf_edit_ms":{}}}"#,
-            ms(cold),
-            ms(noop),
-            ms(leaf)
-        ));
-        std::fs::remove_dir_all(&base).ok();
+        std::fs::remove_dir_all(&dirs.base).ok();
     }
 
     let host = std::thread::available_parallelism().map_or(1, usize::from);

@@ -1,15 +1,14 @@
-//! The CI perf-regression gate: compares a fresh benchmark JSON
-//! document (`BENCH_null.json`, `BENCH_parallel.json`) against a
-//! committed baseline with explicit tolerances, and checks the build
-//! ledger's warm-build smoke invariant.
+//! The CI perf-regression gate: compares a fresh `BENCH_monorepo.json`
+//! document against the committed baseline with explicit tolerances,
+//! and checks the build ledger's warm-build smoke invariant.
 //!
-//! The gate is deliberately row-matched: it only compares measurements
-//! present in *both* documents, so a `--smoke` fresh run (N = 50 only)
-//! gates against a full committed baseline without false alarms, and a
-//! baseline regenerated on a bigger machine does not fail a smaller
-//! host's run on rows it never measured.  Tolerances are a
-//! multiplicative factor plus an absolute slack, so microsecond-scale
-//! rows are not gated to CI timer noise.
+//! Rows are matched by `(units, jobs, mode)`.  A baseline row the fresh
+//! run did not measure is skipped, so a `--smoke` fresh run (N = 5,000
+//! only) gates against the full committed table.  A fresh row or metric
+//! the baseline lacks fails: a re-keyed table, or a baseline that was
+//! never regenerated, must not pass having checked nothing.
+//! Tolerances are a multiplicative factor plus an absolute slack, so
+//! microsecond-scale rows are not gated to CI timer noise.
 
 use std::fmt;
 
@@ -72,17 +71,21 @@ impl fmt::Display for Regression {
 pub struct GateOutcome {
     /// Metrics compared.
     pub checked: usize,
-    /// Baseline metrics with no fresh counterpart (or vice versa) —
+    /// Baseline rows and metrics the fresh run did not measure —
     /// reported, never failed.
     pub skipped: usize,
+    /// Fresh rows and metrics with no baseline counterpart — each one a
+    /// failure.
+    pub unmatched: Vec<String>,
     /// Rows that broke their limit.
     pub regressions: Vec<Regression>,
 }
 
 impl GateOutcome {
-    /// True when nothing regressed.
+    /// True when something was checked, every fresh measurement had a
+    /// baseline, and nothing regressed.
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.checked > 0 && self.unmatched.is_empty() && self.regressions.is_empty()
     }
 }
 
@@ -109,188 +112,88 @@ fn text(v: &Value) -> Option<&str> {
     }
 }
 
-fn seq(v: &Value) -> Option<&[Value]> {
-    match v {
-        Value::Seq(items) => Some(items.as_slice()),
-        _ => None,
-    }
-}
-
 fn field_num(v: &Value, key: &str) -> Option<f64> {
     get(v, key).and_then(num)
 }
 
-/// Compares a fresh benchmark document against its baseline.
-///
-/// Dispatches on the document's `"bench"` field; both documents must be
-/// the same kind.  Only rows present in both are gated.
+fn rows(doc: &Value) -> &[Value] {
+    match get(doc, "rows") {
+        Some(Value::Seq(items)) => items,
+        _ => &[],
+    }
+}
+
+/// The metrics a row may carry; each mode measures a subset.
+const METRICS: [&str; 4] = ["cold_ms", "noop_ms", "event_noop_ms", "leaf_edit_ms"];
+
+/// A row's identity: (units, jobs, mode).
+type Key = (u64, u64, String);
+
+fn key(row: &Value) -> Option<Key> {
+    Some((
+        field_num(row, "units")? as u64,
+        field_num(row, "jobs")? as u64,
+        get(row, "mode").and_then(text)?.to_string(),
+    ))
+}
+
+/// Compares a fresh `monorepo` document against its baseline.
 ///
 /// # Errors
 ///
-/// A message when either document is not a known benchmark shape (a
+/// A message when either document is not a `monorepo` document (a
 /// malformed document must fail CI loudly, not pass silently).
 pub fn compare(baseline: &Value, fresh: &Value, tol: &Tolerance) -> Result<GateOutcome, String> {
-    let kind = get(baseline, "bench")
-        .and_then(text)
-        .ok_or("baseline has no \"bench\" field")?;
-    let fresh_kind = get(fresh, "bench")
-        .and_then(text)
-        .ok_or("fresh output has no \"bench\" field")?;
-    if kind != fresh_kind {
-        return Err(format!(
-            "benchmark kind mismatch: baseline is `{kind}`, fresh is `{fresh_kind}`"
-        ));
-    }
-    match kind {
-        "null_build" => Ok(compare_null(baseline, fresh, tol)),
-        "parallel_wavefront_scaling" => Ok(compare_parallel(baseline, fresh, tol)),
-        "monorepo" => Ok(compare_monorepo(baseline, fresh, tol)),
-        other => Err(format!("unknown benchmark kind `{other}`")),
-    }
-}
-
-/// A row's identity in `BENCH_null.json`: (units, mode, jobs).
-fn null_key(row: &Value) -> Option<(u64, String, u64)> {
-    Some((
-        field_num(row, "units")? as u64,
-        get(row, "mode").and_then(text)?.to_string(),
-        field_num(row, "jobs")? as u64,
-    ))
-}
-
-fn check_metric(
-    outcome: &mut GateOutcome,
-    tol: &Tolerance,
-    what: String,
-    baseline_ms: Option<f64>,
-    fresh_ms: Option<f64>,
-) {
-    // A metric absent on either side (an older baseline, a smoke run)
-    // is skipped: the gate compares what both documents measured.
-    let (Some(base), Some(fresh)) = (baseline_ms, fresh_ms) else {
-        outcome.skipped += 1;
-        return;
-    };
-    outcome.checked += 1;
-    let limit = tol.limit_ms(base);
-    if fresh > limit {
-        outcome.regressions.push(Regression {
-            what,
-            baseline_ms: base,
-            fresh_ms: fresh,
-            limit_ms: limit,
-        });
-    }
-}
-
-fn compare_null(baseline: &Value, fresh: &Value, tol: &Tolerance) -> GateOutcome {
-    let mut outcome = GateOutcome::default();
-    let base_rows = get(baseline, "rows").and_then(seq).unwrap_or(&[]);
-    let fresh_rows = get(fresh, "rows").and_then(seq).unwrap_or(&[]);
-    for frow in fresh_rows {
-        let Some(key) = null_key(frow) else {
-            outcome.skipped += 1;
-            continue;
-        };
-        let Some(brow) = base_rows
-            .iter()
-            .find(|r| null_key(r).as_ref() == Some(&key))
-        else {
-            outcome.skipped += 1;
-            continue;
-        };
-        let (units, mode, jobs) = &key;
-        for metric in ["noop_ms", "leaf_edit_ms"] {
-            check_metric(
-                &mut outcome,
-                tol,
-                format!("null_build units={units} mode={mode} jobs={jobs} {metric}"),
-                field_num(brow, metric),
-                field_num(frow, metric),
-            );
+    for (doc, which) in [(baseline, "baseline"), (fresh, "fresh output")] {
+        match get(doc, "bench").and_then(text) {
+            Some("monorepo") => {}
+            Some(other) => return Err(format!("{which} is `{other}`, not a monorepo document")),
+            None => return Err(format!("{which} has no \"bench\" field")),
         }
     }
-    outcome
-}
-
-fn compare_parallel(baseline: &Value, fresh: &Value, tol: &Tolerance) -> GateOutcome {
     let mut outcome = GateOutcome::default();
-    let base_wls = get(baseline, "workloads").and_then(seq).unwrap_or(&[]);
-    let fresh_wls = get(fresh, "workloads").and_then(seq).unwrap_or(&[]);
-    for fwl in fresh_wls {
-        let Some(name) = get(fwl, "name").and_then(text) else {
-            outcome.skipped += 1;
+    let base_rows = rows(baseline);
+    let fresh_keys: Vec<Option<Key>> = rows(fresh).iter().map(key).collect();
+    outcome.skipped += base_rows
+        .iter()
+        .filter(|b| !fresh_keys.contains(&key(b)))
+        .count();
+    for (frow, fkey) in rows(fresh).iter().zip(&fresh_keys) {
+        let Some(k @ (units, jobs, mode)) = fkey else {
+            outcome
+                .unmatched
+                .push("monorepo: a fresh row has no (units, jobs, mode) key".into());
             continue;
         };
-        let Some(bwl) = base_wls
-            .iter()
-            .find(|w| get(w, "name").and_then(text) == Some(name))
-        else {
-            outcome.skipped += 1;
+        let Some(brow) = base_rows.iter().find(|b| key(b).as_ref() == Some(k)) else {
+            outcome.unmatched.push(format!(
+                "monorepo units={units} jobs={jobs} mode={mode}: no baseline row"
+            ));
             continue;
         };
-        let base_rows = get(bwl, "results").and_then(seq).unwrap_or(&[]);
-        for frow in get(fwl, "results").and_then(seq).unwrap_or(&[]) {
-            let Some(jobs) = field_num(frow, "jobs").map(|j| j as u64) else {
-                outcome.skipped += 1;
-                continue;
-            };
-            let brow = base_rows
-                .iter()
-                .find(|r| field_num(r, "jobs").map(|j| j as u64) == Some(jobs));
-            let Some(brow) = brow else {
-                outcome.skipped += 1;
-                continue;
-            };
-            check_metric(
-                &mut outcome,
-                tol,
-                format!("parallel_scaling workload={name} jobs={jobs} cold_ms"),
-                field_num(brow, "cold_ms"),
-                field_num(frow, "cold_ms"),
-            );
+        for metric in METRICS {
+            let what = format!("monorepo units={units} jobs={jobs} mode={mode} {metric}");
+            match (field_num(brow, metric), field_num(frow, metric)) {
+                (Some(base), Some(fresh)) => {
+                    outcome.checked += 1;
+                    let limit = tol.limit_ms(base);
+                    if fresh > limit {
+                        outcome.regressions.push(Regression {
+                            what,
+                            baseline_ms: base,
+                            fresh_ms: fresh,
+                            limit_ms: limit,
+                        });
+                    }
+                }
+                (Some(_), None) => outcome.skipped += 1,
+                (None, Some(_)) => outcome.unmatched.push(format!("{what}: no baseline")),
+                (None, None) => {}
+            }
         }
     }
-    outcome
-}
-
-/// A row's identity in `BENCH_monorepo.json`: (units, jobs).
-fn monorepo_key(row: &Value) -> Option<(u64, u64)> {
-    Some((
-        field_num(row, "units")? as u64,
-        field_num(row, "jobs")? as u64,
-    ))
-}
-
-fn compare_monorepo(baseline: &Value, fresh: &Value, tol: &Tolerance) -> GateOutcome {
-    let mut outcome = GateOutcome::default();
-    let base_rows = get(baseline, "rows").and_then(seq).unwrap_or(&[]);
-    let fresh_rows = get(fresh, "rows").and_then(seq).unwrap_or(&[]);
-    for frow in fresh_rows {
-        let Some(key) = monorepo_key(frow) else {
-            outcome.skipped += 1;
-            continue;
-        };
-        let Some(brow) = base_rows
-            .iter()
-            .find(|r| monorepo_key(r).as_ref() == Some(&key))
-        else {
-            outcome.skipped += 1;
-            continue;
-        };
-        let (units, jobs) = &key;
-        for metric in ["cold_ms", "noop_ms", "leaf_edit_ms"] {
-            check_metric(
-                &mut outcome,
-                tol,
-                format!("monorepo units={units} jobs={jobs} {metric}"),
-                field_num(brow, metric),
-                field_num(frow, metric),
-            );
-        }
-    }
-    check_monorepo_scaling(fresh_rows, &mut outcome);
-    outcome
+    check_scaling(rows(fresh), &mut outcome);
+    Ok(outcome)
 }
 
 /// How much faster than linear growth the warm no-op may fall short:
@@ -303,37 +206,37 @@ const SCALING_HEADROOM: f64 = 1.25;
 const SCALING_SLACK_MS: f64 = 10.0;
 
 /// The within-document scaling gate: for every pair of adjacent unit
-/// counts measured at the same job count, the no-op time must grow at
+/// counts in one `(jobs, mode)` series, the no-op time must grow at
 /// most ~linearly in the unit count.  Unlike the row-matched baseline
 /// comparison this self-check needs no committed history — a fresh
 /// superlinear curve fails even against an equally bad baseline.
-fn check_monorepo_scaling(rows: &[Value], outcome: &mut GateOutcome) {
-    let mut points: Vec<(u64, u64, f64)> = rows
+fn check_scaling(rows: &[Value], outcome: &mut GateOutcome) {
+    let mut points: Vec<(u64, String, u64, f64)> = rows
         .iter()
         .filter_map(|r| {
-            let (units, jobs) = monorepo_key(r)?;
-            Some((jobs, units, field_num(r, "noop_ms")?))
+            let (units, jobs, mode) = key(r)?;
+            Some((jobs, mode, units, field_num(r, "noop_ms")?))
         })
         .collect();
     points.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     for pair in points.windows(2) {
-        let (jobs_lo, units_lo, noop_lo) = pair[0];
-        let (jobs_hi, units_hi, noop_hi) = pair[1];
-        if jobs_lo != jobs_hi || units_lo == 0 || units_hi <= units_lo {
+        let (jobs, mode, units_lo, noop_lo) = &pair[0];
+        let (jobs_hi, mode_hi, units_hi, noop_hi) = &pair[1];
+        if (jobs, mode) != (jobs_hi, mode_hi) || *units_lo == 0 || units_hi <= units_lo {
             continue;
         }
         outcome.checked += 1;
-        let ratio = units_hi as f64 / units_lo as f64;
+        let ratio = *units_hi as f64 / *units_lo as f64;
         let limit = noop_lo * ratio * SCALING_HEADROOM + SCALING_SLACK_MS;
-        if noop_hi > limit {
+        if *noop_hi > limit {
             outcome.regressions.push(Regression {
                 what: format!(
-                    "monorepo scaling jobs={jobs_hi} noop_ms {units_lo}->{units_hi} units \
+                    "monorepo scaling jobs={jobs} mode={mode} noop_ms {units_lo}->{units_hi} units \
                      ({ratio:.1}x units may cost at most {:.1}x time)",
                     ratio * SCALING_HEADROOM
                 ),
-                baseline_ms: noop_lo,
-                fresh_ms: noop_hi,
+                baseline_ms: *noop_lo,
+                fresh_ms: *noop_hi,
                 limit_ms: limit,
             });
         }
@@ -380,155 +283,196 @@ mod tests {
         serde_json::parse_value(s.as_bytes()).expect("fixture parses")
     }
 
-    fn null_doc(noop: f64, leaf: f64) -> Value {
+    /// A smoke-shaped document: one row per mode at 5,000 units, each
+    /// mode's metrics `scale(mode)` times a base value.
+    fn doc_by_mode(scale: impl Fn(&str) -> f64) -> Value {
+        let m = |mode: &str, ms: f64| ms * scale(mode);
         parse(&format!(
-            r#"{{"bench":"null_build","runs_per_point":3,"smoke":true,"host_parallelism":4,"underpowered_host":false,"rows":[
-                {{"units":50,"mode":"stamped","jobs":1,"noop_ms":{noop},"leaf_edit_ms":{leaf}}},
-                {{"units":50,"mode":"paranoid","jobs":1,"noop_ms":{n2},"leaf_edit_ms":{l2}}}],
-              "noop_speedups":[{{"units":50,"jobs":1,"noop_speedup":4.0}}]}}"#,
-            n2 = noop * 4.0,
-            l2 = leaf * 2.0,
+            r#"{{"bench":"monorepo","runs_per_point":3,"smoke":true,"host_parallelism":2,"underpowered_host":false,"rows":[
+                {{"units":5000,"jobs":1,"mode":"stamped","cold_ms":{},"noop_ms":{},"leaf_edit_ms":{}}},
+                {{"units":5000,"jobs":2,"mode":"paranoid","noop_ms":{},"leaf_edit_ms":{}}},
+                {{"units":5000,"jobs":2,"mode":"daemon","noop_ms":{},"event_noop_ms":{},"leaf_edit_ms":{}}},
+                {{"units":5000,"jobs":2,"mode":"store","cold_ms":{}}}]}}"#,
+            m("stamped", 1000.0),
+            m("stamped", 40.0),
+            m("stamped", 50.0),
+            m("paranoid", 100.0),
+            m("paranoid", 110.0),
+            m("daemon", 0.5),
+            m("daemon", 15.0),
+            m("daemon", 20.0),
+            m("store", 400.0),
         ))
+    }
+
+    fn doc(scale: f64) -> Value {
+        doc_by_mode(|_| scale)
+    }
+
+    /// `doc(1.0)` with one mode's row slowed down 2x.
+    fn one_mode_slow(slow: &str) -> Value {
+        doc_by_mode(|mode| if mode == slow { 2.0 } else { 1.0 })
+    }
+
+    fn strict() -> Tolerance {
+        Tolerance {
+            factor: 1.5,
+            slack_ms: 0.0,
+        }
     }
 
     #[test]
     fn identical_output_passes() {
-        let base = null_doc(10.0, 20.0);
-        let outcome = compare(&base, &null_doc(10.0, 20.0), &Tolerance::default()).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.checked, 4);
+        let outcome = compare(&doc(1.0), &doc(1.0), &Tolerance::default()).unwrap();
+        assert!(outcome.passed(), "{outcome:?}");
+        assert_eq!(outcome.checked, 9);
         assert_eq!(outcome.skipped, 0);
     }
 
     #[test]
-    fn synthetic_2x_slowdown_fails() {
+    fn synthetic_2x_slowdown_fails_every_metric() {
         // The acceptance fixture: a 2x slowdown against a strict-factor
         // tolerance must be a regression on every matched metric.
-        let base = null_doc(100.0, 200.0);
-        let slow = null_doc(200.0, 400.0);
-        let tol = Tolerance {
-            factor: 1.5,
-            slack_ms: 0.0,
-        };
-        let outcome = compare(&base, &slow, &tol).unwrap();
+        let outcome = compare(&doc(1.0), &doc(2.0), &strict()).unwrap();
         assert!(!outcome.passed());
-        assert_eq!(outcome.regressions.len(), 4);
+        assert_eq!(outcome.regressions.len(), 9);
         let msg = outcome.regressions[0].to_string();
-        assert!(msg.contains("null_build units=50"), "{msg}");
+        assert!(
+            msg.contains("monorepo units=5000 jobs=1 mode=stamped"),
+            "{msg}"
+        );
         assert!(msg.contains("limit"), "{msg}");
-        // The same slowdown passes under the default (2x + slack) CI
-        // tolerance only because of the absolute slack; drop the slack
-        // and 2.0x sits exactly at the limit (not over), so it passes.
+        // Drop the slack and 2.0x sits exactly at the limit (not over),
+        // so it passes.
         let exactly = Tolerance {
             factor: 2.0,
             slack_ms: 0.0,
         };
-        assert!(compare(&base, &slow, &exactly).unwrap().passed());
+        assert!(compare(&doc(1.0), &doc(2.0), &exactly).unwrap().passed());
     }
 
     #[test]
-    fn rows_missing_from_either_side_are_skipped_not_failed() {
-        let base = null_doc(10.0, 20.0);
-        // Fresh run measured a row (units=800) the baseline lacks.
-        let fresh = parse(
-            r#"{"bench":"null_build","rows":[
-                {"units":800,"mode":"stamped","jobs":1,"noop_ms":999.0,"leaf_edit_ms":999.0},
-                {"units":50,"mode":"stamped","jobs":1,"noop_ms":10.0,"leaf_edit_ms":20.0}],
-              "noop_speedups":[]}"#,
+    fn synthetic_2x_slowdown_fails_a_daemon_row() {
+        let outcome = compare(&doc(1.0), &one_mode_slow("daemon"), &strict()).unwrap();
+        assert!(!outcome.passed());
+        let what: Vec<&str> = outcome
+            .regressions
+            .iter()
+            .map(|r| r.what.as_str())
+            .collect();
+        assert_eq!(
+            what,
+            [
+                "monorepo units=5000 jobs=2 mode=daemon noop_ms",
+                "monorepo units=5000 jobs=2 mode=daemon event_noop_ms",
+                "monorepo units=5000 jobs=2 mode=daemon leaf_edit_ms",
+            ]
         );
-        let outcome = compare(&base, &fresh, &Tolerance::default()).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.checked, 2);
-        assert_eq!(outcome.skipped, 1);
     }
 
     #[test]
-    fn parallel_scaling_gates_cold_ms_by_workload_and_jobs() {
-        let doc = |ms: f64| {
-            parse(&format!(
-                r#"{{"bench":"parallel_wavefront_scaling","funs_per_module":4,"runs_per_point":3,"host_parallelism":4,"underpowered_host":false,"workloads":[
-                    {{"name":"diamond(8x4)","units":34,"lines":1000,"critical_path":6,"dag_ceiling":5.67,"results":[
-                        {{"jobs":1,"cold_ms":{ms},"speedup":1.0}},
-                        {{"jobs":4,"cold_ms":{q},"speedup":3.1}}]}}]}}"#,
-                q = ms / 3.0
-            ))
-        };
-        let tol = Tolerance {
-            factor: 1.5,
-            slack_ms: 0.0,
-        };
-        assert!(compare(&doc(90.0), &doc(90.0), &tol).unwrap().passed());
-        let outcome = compare(&doc(90.0), &doc(180.0), &tol).unwrap();
-        assert_eq!(outcome.regressions.len(), 2);
-        assert!(outcome.regressions[0].what.contains("diamond(8x4)"));
+    fn synthetic_2x_slowdown_fails_a_store_row() {
+        let outcome = compare(&doc(1.0), &one_mode_slow("store"), &strict()).unwrap();
+        assert!(!outcome.passed());
+        assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
+        assert_eq!(
+            outcome.regressions[0].what,
+            "monorepo units=5000 jobs=2 mode=store cold_ms"
+        );
     }
 
     #[test]
-    fn monorepo_gates_all_three_metrics_by_units_and_jobs() {
-        let doc = |noop: f64| {
-            parse(&format!(
-                r#"{{"bench":"monorepo","runs_per_point":3,"smoke":true,"host_parallelism":4,"underpowered_host":false,"rows":[
-                    {{"units":5000,"jobs":4,"cold_ms":{c},"noop_ms":{noop},"leaf_edit_ms":{l}}}]}}"#,
-                c = noop * 100.0,
-                l = noop * 2.0,
-            ))
-        };
-        let tol = Tolerance {
-            factor: 1.5,
-            slack_ms: 0.0,
-        };
-        let outcome = compare(&doc(100.0), &doc(100.0), &tol).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.checked, 3);
-        let outcome = compare(&doc(100.0), &doc(200.0), &tol).unwrap();
-        assert_eq!(outcome.regressions.len(), 3);
-        assert!(outcome.regressions[0].what.contains("monorepo units=5000"));
-        // A full fresh run gates a smoke baseline only on shared rows.
+    fn smoke_rows_are_skipped_but_unmatched_fresh_rows_fail() {
+        // A full baseline against a smoke run: the baseline's 50k row
+        // was not measured, and is skipped.
         let full = parse(
             r#"{"bench":"monorepo","rows":[
-                {"units":5000,"jobs":4,"cold_ms":10000.0,"noop_ms":100.0,"leaf_edit_ms":200.0},
-                {"units":50000,"jobs":4,"cold_ms":99999.0,"noop_ms":999.0,"leaf_edit_ms":999.0}]}"#,
+                {"units":5000,"jobs":1,"mode":"stamped","cold_ms":1000.0,"noop_ms":40.0,"leaf_edit_ms":50.0},
+                {"units":50000,"jobs":1,"mode":"stamped","cold_ms":9000.0,"noop_ms":400.0,"leaf_edit_ms":500.0}]}"#,
         );
-        let outcome = compare(&doc(100.0), &full, &tol).unwrap();
-        assert!(outcome.passed());
-        // Three baseline-matched metrics plus one within-document
-        // scaling pair (5000 -> 50000 units).
-        assert_eq!(outcome.checked, 4);
-        assert_eq!(outcome.skipped, 1);
+        let smoke = parse(
+            r#"{"bench":"monorepo","rows":[
+                {"units":5000,"jobs":1,"mode":"stamped","cold_ms":1000.0,"noop_ms":40.0,"leaf_edit_ms":50.0}]}"#,
+        );
+        let outcome = compare(&full, &smoke, &Tolerance::default()).unwrap();
+        assert!(outcome.passed(), "{outcome:?}");
+        assert_eq!((outcome.checked, outcome.skipped), (3, 1));
+
+        // The other way round, the fresh 50k row has no baseline: fail.
+        let outcome = compare(&smoke, &full, &Tolerance::default()).unwrap();
+        assert!(!outcome.passed());
+        assert_eq!(
+            outcome.unmatched,
+            ["monorepo units=50000 jobs=1 mode=stamped: no baseline row"]
+        );
+
+        // So does a fresh metric its baseline row lacks.
+        let more = parse(
+            r#"{"bench":"monorepo","rows":[
+                {"units":5000,"jobs":1,"mode":"stamped","cold_ms":1000.0,"noop_ms":40.0,"leaf_edit_ms":50.0,"event_noop_ms":1.0}]}"#,
+        );
+        let outcome = compare(&smoke, &more, &Tolerance::default()).unwrap();
+        assert_eq!(
+            outcome.unmatched,
+            ["monorepo units=5000 jobs=1 mode=stamped event_noop_ms: no baseline"]
+        );
     }
 
     #[test]
-    fn monorepo_superlinear_noop_fails_the_scaling_gate() {
+    fn a_rekeyed_table_checking_nothing_fails() {
+        // Rows keyed the old way, by (units, jobs) alone: nothing
+        // matches, and a comparison that checked 0 metrics fails.
+        let old = parse(
+            r#"{"bench":"monorepo","rows":[
+                {"units":5000,"jobs":4,"cold_ms":754.0,"noop_ms":43.0,"leaf_edit_ms":77.0}]}"#,
+        );
+        let outcome = compare(&old, &old, &Tolerance::default()).unwrap();
+        assert_eq!(outcome.checked, 0);
+        assert!(!outcome.passed());
+        let empty = parse(r#"{"bench":"monorepo","rows":[]}"#);
+        assert!(!compare(&empty, &empty, &Tolerance::default())
+            .unwrap()
+            .passed());
+    }
+
+    #[test]
+    fn superlinear_noop_fails_the_scaling_gate_per_series() {
         // 10x the units costing 45x the time is the superlinear warm
         // path this gate exists to catch — even when the committed
         // baseline shows the same bad curve (row-matched comparison
         // alone would pass it).
         let bad = parse(
             r#"{"bench":"monorepo","rows":[
-                {"units":5000,"jobs":4,"cold_ms":1000.0,"noop_ms":52.0,"leaf_edit_ms":60.0},
-                {"units":50000,"jobs":4,"cold_ms":12000.0,"noop_ms":2356.0,"leaf_edit_ms":2400.0}]}"#,
+                {"units":5000,"jobs":2,"mode":"paranoid","noop_ms":52.0,"leaf_edit_ms":60.0},
+                {"units":50000,"jobs":2,"mode":"paranoid","noop_ms":2356.0,"leaf_edit_ms":2400.0}]}"#,
         );
         let outcome = compare(&bad, &bad, &Tolerance::default()).unwrap();
         assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
         let msg = outcome.regressions[0].to_string();
-        assert!(msg.contains("monorepo scaling"), "{msg}");
+        assert!(
+            msg.contains("monorepo scaling jobs=2 mode=paranoid"),
+            "{msg}"
+        );
         assert!(msg.contains("5000->50000"), "{msg}");
 
         // A near-linear curve passes: 10x units, 10x time.
         let good = parse(
             r#"{"bench":"monorepo","rows":[
-                {"units":5000,"jobs":4,"cold_ms":1000.0,"noop_ms":20.0,"leaf_edit_ms":30.0},
-                {"units":50000,"jobs":4,"cold_ms":11000.0,"noop_ms":205.0,"leaf_edit_ms":300.0}]}"#,
+                {"units":5000,"jobs":2,"mode":"stamped","cold_ms":1000.0,"noop_ms":20.0,"leaf_edit_ms":30.0},
+                {"units":50000,"jobs":2,"mode":"stamped","cold_ms":11000.0,"noop_ms":205.0,"leaf_edit_ms":300.0}]}"#,
         );
         assert!(compare(&good, &good, &Tolerance::default())
             .unwrap()
             .passed());
 
-        // Rows at different job counts are never compared to each other.
+        // Rows of different series, by jobs or by mode, are never
+        // compared to each other.
         let cross = parse(
             r#"{"bench":"monorepo","rows":[
-                {"units":5000,"jobs":1,"cold_ms":1000.0,"noop_ms":10.0,"leaf_edit_ms":30.0},
-                {"units":50000,"jobs":4,"cold_ms":11000.0,"noop_ms":9999.0,"leaf_edit_ms":300.0}]}"#,
+                {"units":5000,"jobs":1,"mode":"stamped","cold_ms":1000.0,"noop_ms":10.0,"leaf_edit_ms":30.0},
+                {"units":5000,"jobs":2,"mode":"daemon","noop_ms":0.2,"event_noop_ms":5.0,"leaf_edit_ms":9.0},
+                {"units":50000,"jobs":2,"mode":"stamped","cold_ms":11000.0,"noop_ms":9999.0,"leaf_edit_ms":300.0},
+                {"units":50000,"jobs":1,"mode":"paranoid","noop_ms":9999.0,"leaf_edit_ms":300.0}]}"#,
         );
         assert!(compare(&cross, &cross, &Tolerance::default())
             .unwrap()
@@ -536,14 +480,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_mismatch_and_garbage_are_errors() {
-        let base = null_doc(1.0, 1.0);
-        let other = parse(r#"{"bench":"parallel_wavefront_scaling","workloads":[]}"#);
+    fn other_kinds_and_garbage_are_errors() {
+        let base = doc(1.0);
+        let other = parse(r#"{"bench":"mystery","rows":[]}"#);
         assert!(compare(&base, &other, &Tolerance::default()).is_err());
+        assert!(compare(&other, &other, &Tolerance::default()).is_err());
         let junk = parse(r#"{"rows":[]}"#);
         assert!(compare(&junk, &base, &Tolerance::default()).is_err());
-        let unknown = parse(r#"{"bench":"mystery"}"#);
-        assert!(compare(&unknown, &unknown, &Tolerance::default()).is_err());
+        assert!(compare(&base, &junk, &Tolerance::default()).is_err());
     }
 
     #[test]

@@ -81,42 +81,6 @@ pub fn histogram_row(collector: &trace::Collector, name: &str) -> Option<String>
     ))
 }
 
-/// Times one cold build of `w` on `jobs` wavefront workers.
-pub fn time_cold_build_jobs(
-    w: &Workload,
-    strategy: Strategy,
-    jobs: usize,
-) -> (smlsc_core::BuildReport, Duration) {
-    let mut irm = Irm::new(strategy);
-    let t0 = Instant::now();
-    let report = irm
-        .build_with_jobs(w.project(), jobs)
-        .expect("workload builds");
-    (report, t0.elapsed())
-}
-
-/// The longest dependency chain in a workload's module DAG, in modules —
-/// the wavefront scheduler's wall-clock floor, and with the unit count
-/// the DAG's parallel-speedup ceiling (`units / critical_path`).
-pub fn critical_path(w: &Workload) -> usize {
-    fn depth(i: usize, deps: &[Vec<usize>], memo: &mut [usize]) -> usize {
-        if memo[i] == 0 {
-            memo[i] = 1 + deps[i]
-                .iter()
-                .map(|&j| depth(j, deps, memo))
-                .max()
-                .unwrap_or(0);
-        }
-        memo[i]
-    }
-    let deps = w.deps();
-    let mut memo = vec![0usize; deps.len()];
-    (0..deps.len())
-        .map(|i| depth(i, deps, &mut memo))
-        .max()
-        .unwrap_or(0)
-}
-
 /// Units recompiled after applying `kind` at `victim` under `strategy`.
 pub fn recompiles_after_edit(
     topology: Topology,
@@ -175,25 +139,6 @@ mod tests {
             Strategy::Classical,
         );
         assert_eq!(n, 10);
-    }
-
-    #[test]
-    fn critical_path_matches_topology() {
-        let w = workload(Topology::Chain { n: 10 }, 1, false);
-        assert_eq!(critical_path(&w), 10);
-        // base + depth layers + top.
-        let w = workload(Topology::Diamond { width: 8, depth: 4 }, 1, false);
-        assert_eq!(critical_path(&w), 6);
-        assert_eq!(w.module_count(), 34);
-    }
-
-    #[test]
-    fn cold_build_jobs_is_equivalent_to_sequential() {
-        let w = workload(Topology::Diamond { width: 4, depth: 2 }, 1, false);
-        let (seq, _) = time_cold_build_jobs(&w, Strategy::Cutoff, 1);
-        let (par, _) = time_cold_build_jobs(&w, Strategy::Cutoff, 4);
-        assert_eq!(seq.decision_kinds(), par.decision_kinds());
-        assert_eq!(seq.recompiled, par.recompiled);
     }
 
     #[test]

@@ -133,22 +133,17 @@ impl DepGraph {
     pub fn decode(bytes: &[u8]) -> Result<DepGraph, String> {
         let mut r = Reader::new(bytes);
         let bad = |e| format!("graph section: {e}");
-        let n = r.u32().map_err(bad)? as usize;
-        // The segment digest vouches for the bytes; these bounds guard
-        // against a *well-digested* section written by a buggy producer.
-        if n > bytes.len() {
-            return Err(format!("graph section: implausible unit count {n}"));
-        }
+        // The segment digest vouches for the bytes; the bounded counts
+        // guard against a *well-digested* section written by a buggy
+        // producer.  A unit is a name, a names pid and an import count.
+        let n = r.count(4 + 16 + 4).map_err(bad)?;
         let mut order = Vec::with_capacity(n);
         let mut names_pids = Vec::with_capacity(n);
         let mut import_idx = Vec::with_capacity(n);
         for i in 0..n {
             order.push(Symbol::intern(r.str_ref().map_err(bad)?));
             names_pids.push(Pid::from_raw(r.u128().map_err(bad)?));
-            let m = r.u32().map_err(bad)? as usize;
-            if m > bytes.len() {
-                return Err(format!("graph section: implausible import count {m}"));
-            }
+            let m = r.count(4).map_err(bad)?;
             let mut deps = Vec::with_capacity(m);
             for _ in 0..m {
                 let j = r.u32().map_err(bad)? as usize;

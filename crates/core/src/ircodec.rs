@@ -161,7 +161,7 @@ pub fn read_pat(r: &mut Reader<'_>) -> Result<IrPat, PickleError> {
         PAT_STR => IrPat::Str(r.str()?),
         PAT_UNIT => IrPat::Unit,
         PAT_TUPLE => {
-            let n = r.u32()? as usize;
+            let n = r.count(1)?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
                 ps.push(read_pat(r)?);
@@ -196,7 +196,8 @@ fn write_rules(w: &mut Writer, rs: &[IrRule]) {
 }
 
 fn read_rules(r: &mut Reader<'_>) -> Result<Vec<IrRule>, PickleError> {
-    let n = r.u32()? as usize;
+    // A rule is a pattern and a body, each at least a tag byte.
+    let n = r.count(2)?;
     let mut rs = Vec::with_capacity(n);
     for _ in 0..n {
         let pat = read_pat(r)?;
@@ -242,7 +243,8 @@ fn read_dec(r: &mut Reader<'_>) -> Result<IrDec, PickleError> {
             IrDec::Val(p, e)
         }
         DEC_FIX => {
-            let n = r.u32()? as usize;
+            // A binding is its lvar and its rule count.
+            let n = r.count(8)?;
             let mut fs = Vec::with_capacity(n);
             for _ in 0..n {
                 let v = r.u32()?;
@@ -364,7 +366,7 @@ fn write_many(w: &mut Writer, es: &[Ir]) {
 }
 
 fn read_many(r: &mut Reader<'_>) -> Result<Vec<Ir>, PickleError> {
-    let n = r.u32()? as usize;
+    let n = r.count(1)?;
     let mut es = Vec::with_capacity(n);
     for _ in 0..n {
         es.push(read_ir(r)?);
@@ -420,7 +422,7 @@ pub fn read_ir(r: &mut Reader<'_>) -> Result<Ir, PickleError> {
             Ir::If(Box::new(a), Box::new(b), Box::new(c))
         }
         IR_LET => {
-            let n = r.u32()? as usize;
+            let n = r.count(1)?;
             let mut ds = Vec::with_capacity(n);
             for _ in 0..n {
                 ds.push(read_dec(r)?);

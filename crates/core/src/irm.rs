@@ -883,6 +883,7 @@ impl Irm {
     /// [`CoreError::Io`]/[`CoreError::BinIo`] on filesystem failures.
     pub fn save_bins(&mut self, dir: &Path) -> Result<(), CoreError> {
         let _span = trace::span("irm.save_bins").field("bins", self.bins.len());
+        self.drop_removed_units();
         let pack_path = dir.join(PACK_FILE);
         let mut tail = match &self.pack {
             Some((path, tail)) if self.pack_synced && *path == pack_path => Some(tail),
@@ -1006,6 +1007,25 @@ impl Irm {
         self.pack_synced = true;
         self.saved = Some((sealed.bodies, sealed.entries));
         Ok(())
+    }
+
+    /// Drops the bins and stamp records of units that the last build's
+    /// project no longer holds (a deleted source, a daemon `Remove`
+    /// event), so a removed unit leaves the pack at this save.  A
+    /// segment cannot delete an entry, so a drop forces a rewrite.  The
+    /// unit set changes only with a re-derived graph, so a save whose
+    /// graph the pack already holds (a no-op, a body edit) checks
+    /// nothing.
+    fn drop_removed_units(&mut self) {
+        let Some(graph) = self.graph.as_ref().filter(|_| !self.graph_synced) else {
+            return;
+        };
+        let (bins, records) = (self.bins.len(), self.stamps.len());
+        self.bins.retain(|u, _| graph.index_of(*u).is_some());
+        self.stamps.retain(|u| graph.index_of(u).is_some());
+        if (bins, records) != (self.bins.len(), self.stamps.len()) {
+            self.pack_synced = false;
+        }
     }
 
     /// Frees every decoded bin body: each body the last save wrote is

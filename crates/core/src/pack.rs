@@ -135,6 +135,8 @@ const WRITE_BUFFER: usize = 1 << 20;
 const LOCK_WAIT: Duration = Duration::from_secs(60);
 /// A section's kind byte and length word.
 const SECTION_HEADER_LEN: u64 = 5;
+/// Width of one index entry.
+const ENTRY_LEN: usize = 84;
 /// Section kind: the stamp records of this save.
 const SECTION_STAMPS: u8 = 1;
 /// Section kind: the import graph.
@@ -186,7 +188,7 @@ impl PackEntry {
 pub fn entry_len_bound(meta: &BinMeta, body_len: usize) -> u64 {
     let string = |s: Symbol| 4 + s.as_str().len() as u64;
     let edges: u64 = meta.imports.iter().map(|i| 20 + string(i.unit)).sum();
-    body_len as u64 + 84 + string(meta.name) + edges
+    body_len as u64 + ENTRY_LEN as u64 + string(meta.name) + edges
 }
 
 /// The bytes a section of `len` payload bytes adds to a segment; summed
@@ -255,12 +257,14 @@ struct Sections {
 fn decode_index(bytes: &[u8]) -> Result<(Vec<PackEntry>, Sections), String> {
     let mut r = Reader::new(bytes);
     let err = |e: smlsc_pickle::PickleError| e.to_string();
-    let nstrings = r.u32().map_err(err)? as usize;
+    // Every string takes its 4-byte length, an edge a name index and a
+    // pid, an entry `ENTRY_LEN` bytes.
+    let nstrings = r.count(4).map_err(err)?;
     let mut strings = Vec::with_capacity(nstrings);
     for _ in 0..nstrings {
         strings.push(Symbol::intern(r.str_ref().map_err(err)?));
     }
-    let nedges = r.u32().map_err(err)? as usize;
+    let nedges = r.count(4 + 16).map_err(err)?;
     let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
         let ix = r.u32().map_err(err)? as usize;
@@ -270,7 +274,7 @@ fn decode_index(bytes: &[u8]) -> Result<(Vec<PackEntry>, Sections), String> {
             .ok_or_else(|| format!("edge name index {ix} out of range"))?;
         edges.push(ImportEdge { unit, pid });
     }
-    let nentries = r.u32().map_err(err)? as usize;
+    let nentries = r.count(ENTRY_LEN).map_err(err)?;
     let mut entries = Vec::with_capacity(nentries);
     for _ in 0..nentries {
         let name_ix = r.u32().map_err(err)? as usize;

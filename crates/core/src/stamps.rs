@@ -256,13 +256,10 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
     let mut r = Reader::new(bytes);
     let err = |e: smlsc_pickle::PickleError| format!("stamp section: {e}");
     let saved_at = r.u64().map_err(err)?;
-    let count = r.u32().map_err(err)? as usize;
-    // The segment digest vouches for the bytes; these bounds keep the
-    // allocations proportional to the section even for a well-digested
-    // section from a buggy writer.
-    if count > bytes.len() / MIN_RECORD_LEN {
-        return Err(format!("stamp section: implausible record count {count}"));
-    }
+    // The segment digest vouches for the bytes; the bounded counts keep
+    // the allocations proportional to the section even for a
+    // well-digested section from a buggy writer.
+    let count = r.count(MIN_RECORD_LEN).map_err(err)?;
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
         let unit = Symbol::intern(r.str_ref().map_err(err)?);
@@ -277,11 +274,8 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
         let names_pid = Pid::from_raw(r.u128().map_err(err)?);
         let mut lists = [Vec::new(), Vec::new()];
         for list in &mut lists {
-            let n = r.u32().map_err(err)? as usize;
             // Every name takes at least its 4-byte length.
-            if n > bytes.len() / 4 {
-                return Err(format!("stamp section: implausible name count {n}"));
-            }
+            let n = r.count(4).map_err(err)?;
             list.reserve_exact(n);
             for _ in 0..n {
                 list.push(Symbol::intern(r.str_ref().map_err(err)?));

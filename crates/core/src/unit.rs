@@ -141,7 +141,8 @@ impl BinFile {
         let source_pid = Pid::from_raw(r.u128().map_err(corrupt)?);
         let export_pid = Pid::from_raw(r.u128().map_err(corrupt)?);
         let mtime = r.u64().map_err(corrupt)?;
-        let nimports = r.u32().map_err(corrupt)? as usize;
+        // Each import is a name (its 4-byte length at least) and a pid.
+        let nimports = r.count(4 + 16).map_err(corrupt)?;
         let mut imports = Vec::with_capacity(nimports);
         for _ in 0..nimports {
             let unit = Symbol::intern(r.str_ref().map_err(corrupt)?);

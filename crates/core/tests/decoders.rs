@@ -1,27 +1,49 @@
-//! Seeded mutation over the pack's section decoders: bit flips,
-//! truncations and inflated counts of valid stamp and graph sections
-//! must decode to `Err` (or, when the mutation happens to stay
-//! well-formed, `Ok`), never panic, and never allocate out of
-//! proportion to the input.
+//! Seeded mutation over the on-disk decoders — the pack's stamp and
+//! graph sections, its index, the `SMLCBIN2` bin container and the
+//! environment pickle inside it: bit flips, truncations and inflated
+//! counts of valid bytes must decode to `Err` (or, when the mutation
+//! happens to stay well-formed, `Ok`), never panic, and never allocate
+//! out of proportion to the input.
+//!
+//! The index and the bin payload sit under digests; each mutation is
+//! resealed under a recomputed digest, so the mutated bytes reach the
+//! payload decoders instead of stopping at the digest check.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use smlsc_core::depgraph::DepGraph;
+use smlsc_core::irm::{Irm, Project, Strategy};
+use smlsc_core::pack::{PackReader, PACK_FILE};
 use smlsc_core::stamps::{decode_section, Analysis, StampCache, StampEntry};
+use smlsc_core::BinFile;
 use smlsc_ids::{Pid, Symbol};
+use smlsc_pickle::{rehydrate, RehydrateContext};
 
-/// Tracks the largest single allocation, so a decoder that trusts an
-/// inflated count shows up even when the allocation happens to succeed.
+/// Tracks the largest single allocation of the current thread, so a
+/// decoder that trusts an inflated count shows up even when the
+/// allocation happens to succeed — and the tests, which run on threads
+/// of their own, do not see each other's allocations.
 struct Largest;
 
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    LARGEST.with(|l| l.set(l.get().max(size)));
+}
+
+/// Resets the current thread's largest allocation, returning it.
+fn take_largest() -> usize {
+    LARGEST.with(|l| l.replace(0))
+}
 
 // SAFETY: forwards every call to the system allocator unchanged.
 unsafe impl GlobalAlloc for Largest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -30,7 +52,7 @@ unsafe impl GlobalAlloc for Largest {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -88,10 +110,10 @@ fn fuzz(valid: &[u8], seed: u64, iterations: usize, decode: impl Fn(&[u8]) -> bo
     let mut rejected = 0;
     for _ in 0..iterations {
         let input = mutate(valid, &mut rng);
-        LARGEST.store(0, Ordering::Relaxed);
+        take_largest();
         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&input)))
             .unwrap_or_else(|_| panic!("decoder panicked on {input:?}"));
-        let largest = LARGEST.load(Ordering::Relaxed);
+        let largest = take_largest();
         assert!(
             largest <= 64 * input.len() + 4096,
             "a {}-byte input allocated {largest} bytes at once",
@@ -149,4 +171,152 @@ fn mutated_sections_are_errors_never_panics_or_huge_allocations() {
         fuzz(&stamps, seed, 2_000, |b| decode_section(b).is_ok());
         fuzz(&graph, seed, 2_000, |b| DepGraph::decode(b).is_ok());
     }
+}
+
+/// A bin file and a pack from a small build whose units import each
+/// other and carry functions, tuples, datatypes, `let`s, a signature
+/// and a functor.  Returns the bins of `top` and of the import-free
+/// `base` and `lib`.
+fn built(dir: &std::path::Path) -> [BinFile; 3] {
+    let mut p = Project::new();
+    p.add(
+        "base",
+        "structure Base = struct datatype t = A | B of int * int \
+         fun f (A, n) = n | f (B (x, y), n) = let val z = x + y in z + n end end",
+    );
+    p.add(
+        "top",
+        "structure Top = struct val v = Base.f (Base.B (1, 2), 3) \
+         fun g (x, y) = (y, x) end",
+    );
+    p.add(
+        "lib",
+        "signature KEY = sig type t val k : t end \
+         functor Keyed (K : KEY) = struct type t = K.t fun pair x = (x, K.k) end \
+         structure IntKey = Keyed (struct type t = int val k = 3 end)",
+    );
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&p).expect("fixture builds");
+    irm.save_bins(dir).expect("fixture saves");
+    ["top", "base", "lib"].map(|u| irm.bin(u).expect("every unit has a bin").clone())
+}
+
+/// `SMLCBIN2` magic, payload, then the payload's 16-byte digest.
+const BIN_MAGIC_LEN: usize = 8;
+
+fn reseal_bin(magic: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&Pid::of_bytes(payload).as_raw().to_le_bytes());
+    out
+}
+
+fn bin_payload(bytes: &[u8]) -> &[u8] {
+    &bytes[BIN_MAGIC_LEN..bytes.len() - 16]
+}
+
+#[test]
+fn mutated_bin_payloads_are_errors_never_panics_or_huge_allocations() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-bin-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let [top, ..] = built(&dir);
+    let bytes = top.to_bytes();
+    let magic = &bytes[..BIN_MAGIC_LEN];
+    let payload = bin_payload(&bytes);
+    for seed in [3, 11, 0xb1b] {
+        fuzz(payload, seed, 2_000, |p| {
+            BinFile::from_bytes(&reseal_bin(magic, p)).is_ok()
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The import count right after the name and the source, export and
+/// mtime fields: inflated, it must be an error, not an allocation of
+/// that many edges.
+#[test]
+fn an_inflated_import_count_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-nimports-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let [bin, ..] = built(&dir);
+    let bytes = bin.to_bytes();
+    let payload = bin_payload(&bytes);
+    let at = 4 + bin.unit.name.as_str().len() + 16 + 16 + 8;
+    let nimports = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    assert_eq!(nimports as usize, bin.unit.imports.len());
+    for huge in [u32::MAX, 1 << 24, payload.len() as u32] {
+        let mut p = payload.to_vec();
+        p[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+        let sealed = reseal_bin(&bytes[..BIN_MAGIC_LEN], &p);
+        take_largest();
+        assert!(BinFile::from_bytes(&sealed).is_err(), "count {huge}");
+        let largest = take_largest();
+        assert!(
+            largest <= 64 * sealed.len() + 4096,
+            "count {huge} allocated {largest} bytes"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first segment's index bytes and their offset in `pack`: the
+/// footer's first two words, 40 bytes before the segment's end.
+fn first_index(pack: &[u8]) -> (usize, &[u8]) {
+    let word = |at: usize| u64::from_le_bytes(pack[at..at + 8].try_into().unwrap()) as usize;
+    let end = 9 + word(9);
+    let (offset, len) = (word(end - 40), word(end - 32));
+    (offset, &pack[offset..offset + len])
+}
+
+/// `pack` with its first segment's index replaced by `index`: the
+/// footer and the segment length word rewritten around it, the index
+/// digest recomputed.
+fn reseal_pack(pack: &[u8], index: &[u8]) -> Vec<u8> {
+    let (offset, _) = first_index(pack);
+    let mut out = pack[..offset].to_vec();
+    out.extend_from_slice(index);
+    out.extend_from_slice(&(offset as u64).to_le_bytes());
+    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    out.extend_from_slice(&Pid::of_bytes(index).as_raw().to_le_bytes());
+    out.extend_from_slice(b"SMLSPKI1");
+    let len = (out.len() - 9) as u64;
+    out[9..17].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
+#[test]
+fn mutated_pack_indexes_are_errors_never_panics_or_huge_allocations() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-pack-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    built(&dir);
+    let path = dir.join(PACK_FILE);
+    let pack = std::fs::read(&path).unwrap();
+    let (_, index) = first_index(&pack);
+    assert_eq!(reseal_pack(&pack, index), pack, "resealing is exact");
+    let index = index.to_vec();
+    let mutated = dir.join("mutated.pack");
+    for seed in [5, 13, 0x1de] {
+        fuzz(&index, seed, 1_000, |ix| {
+            std::fs::write(&mutated, reseal_pack(&pack, ix)).unwrap();
+            // No valid first segment is a whole-pack error.
+            PackReader::open(&mutated).is_ok()
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The environment pickles of the import-free units rehydrate against
+/// the pervasives alone.
+#[test]
+fn mutated_env_pickles_are_errors_never_panics_or_huge_allocations() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-env-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let [_, base, lib] = built(&dir);
+    let ctx = RehydrateContext::with_pervasives(std::iter::empty());
+    for (bin, seed) in [(&base, 17), (&lib, 19), (&lib, 0xe4f)] {
+        fuzz(&bin.unit.env_pickle, seed, 2_000, |b| {
+            rehydrate(b, &ctx).is_ok()
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

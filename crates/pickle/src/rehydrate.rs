@@ -143,8 +143,9 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 let def = match self.r.u8()? {
                     DEF_ABSTRACT => TyconDef::Abstract,
                     DEF_DATATYPE => {
-                        let n = self.r.u32()?;
-                        let mut cons = Vec::with_capacity(n as usize);
+                        // A constructor is a name and an argument tag.
+                        let n = self.r.count(4 + 1)?;
+                        let mut cons = Vec::with_capacity(n);
                         for _ in 0..n {
                             let cname = self.sym()?;
                             let arg = match self.r.u8()? {
@@ -229,8 +230,8 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 }));
                 let lo = StampGenerator::peek_raw();
                 let body = self.structure()?;
-                let n = self.r.u32()?;
-                let mut bound = Vec::with_capacity(n as usize);
+                let n = self.r.count(4)?;
+                let mut bound = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tix = self.r.u32()? as usize;
                     let tc = self
@@ -296,8 +297,8 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 let gen_lo = StampGenerator::peek_raw();
                 let param_sig = self.signature()?;
                 let param_inst = self.structure()?;
-                let n = self.r.u32()?;
-                let mut skolems = Vec::with_capacity(n as usize);
+                let n = self.r.count(4)?;
+                let mut skolems = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tix = self.r.u32()? as usize;
                     let tc = self
@@ -405,16 +406,16 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
             TY_PARAM => Ok(Type::Param(self.r.u32()?)),
             TY_CON => {
                 let tc = self.tycon()?;
-                let n = self.r.u32()?;
-                let mut args = Vec::with_capacity(n as usize);
+                let n = self.r.count(1)?;
+                let mut args = Vec::with_capacity(n);
                 for _ in 0..n {
                     args.push(self.ty()?);
                 }
                 Ok(Type::Con(tc, args))
             }
             TY_TUPLE => {
-                let n = self.r.u32()?;
-                let mut ts = Vec::with_capacity(n as usize);
+                let n = self.r.count(1)?;
+                let mut ts = Vec::with_capacity(n);
                 for _ in 0..n {
                     ts.push(self.ty()?);
                 }

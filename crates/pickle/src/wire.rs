@@ -132,6 +132,25 @@ impl<'b> Reader<'b> {
         ))
     }
 
+    /// Reads a `u32` element count, rejecting one whose elements, at
+    /// `min_elem_bytes` (at least 1) each, could not fit in the bytes
+    /// left — so a caller may reserve that many without trusting it.
+    ///
+    /// # Errors
+    ///
+    /// [`PickleError::Corrupt`] on a truncated or implausible count.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, PickleError> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(min_elem_bytes.max(1)) > left {
+            return Err(PickleError::Corrupt(format!(
+                "count {n} at byte {} exceeds the {left} bytes left",
+                self.pos - 4
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, PickleError> {
         Ok(self.str_ref()?.to_owned())
@@ -162,6 +181,24 @@ impl<'b> Reader<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_rejects_what_the_remaining_bytes_cannot_hold() {
+        let mut w = Writer::new();
+        w.u32(3);
+        w.u32(1);
+        w.u32(2);
+        w.u32(3);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).count(4).unwrap(), 3);
+        assert!(Reader::new(&bytes).count(5).is_err());
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        let bytes = w.into_bytes();
+        // Even zero-sized elements are charged one byte each.
+        assert!(Reader::new(&bytes).count(0).is_err());
+        assert!(Reader::new(&bytes[..2]).count(1).is_err());
+    }
 
     #[test]
     fn round_trip_all_primitives() {

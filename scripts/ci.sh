@@ -72,19 +72,12 @@ for bad in '"source.reads"' '"irm.units_compiled"'; do
   fi
 done
 
-echo "==> null-build benchmark (smoke)"
-./target/release/null_build --smoke --out "$w/BENCH_null.json"
-cat "$w/BENCH_null.json"; echo
-
-echo "==> monorepo benchmark (smoke, N=5k)"
-./target/release/monorepo --smoke --out "$w/BENCH_monorepo.json"
-cat "$w/BENCH_monorepo.json"; echo
-
 echo "==> perf: ledger + profiler test suites"
 cargo test -q -p smlsc-core --lib
 cargo test -q -p smlsc-bench --lib
 cargo test -q -p smlsc --test profile_cli
 cargo test -q --test telemetry
+cargo test -q --test decoders -p smlsc-core
 
 echo "==> perf: warm-build ledger smoke (profile + history)"
 p=$(mktemp -d)
@@ -102,7 +95,9 @@ ledger="$p/.smlsc-bins/builds.jsonl"
 tail -1 "$ledger" | grep -q '"compiled":0' \
   || { echo "error: warm build compiled units:" >&2; tail -1 "$ledger" >&2; exit 1; }
 
-echo "==> perf: regression gate vs committed baselines"
+echo "==> perf: regression gate vs the committed BENCH_monorepo.json"
+# One `monorepo --smoke` run: 5k-unit rows for every mode (stamped,
+# paranoid, daemon, store) at jobs 1 and 2.
 scripts/check_bench
 
 echo "==> perf: monorepo scale smoke (N=100k, counters asserted)"
@@ -302,9 +297,5 @@ grep -q '^exit 1$' "$g/parity-daemon.txt" \
   || { echo "error: keep-going build did not exit 1:" >&2; cat "$g/parity-daemon.txt" >&2; exit 1; }
 grep -q '"daemon":1' "$s/.smlsc-bins/builds.jsonl" \
   || { echo "error: the parity build was not served by the daemon" >&2; exit 1; }
-
-echo "==> daemon-latency benchmark (smoke)"
-./target/release/daemon_latency --smoke --out "$g/BENCH_daemon.json"
-cat "$g/BENCH_daemon.json"; echo
 
 echo "ci: all green"

@@ -391,6 +391,59 @@ fn a_rewrite_drops_the_records_of_units_without_bins() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A deleted source takes its bin and stamp record out of the pack at
+/// the next save — in a fresh process (the CLI) and in a long-lived
+/// manager (the daemon) alike — and the save after that is a no-op.
+#[test]
+fn a_removed_source_leaves_the_pack_at_the_next_save() {
+    use smlsc_core::pack::{PackReader, PACK_FILE};
+    use std::os::unix::fs::MetadataExt;
+    let base = temp_dir("removed");
+    let (src, bins) = (base.join("src"), base.join("bins"));
+    let pack = bins.join(PACK_FILE);
+    let units_in_pack = || {
+        let reader = PackReader::open(&pack).unwrap().unwrap();
+        let mut names: Vec<&str> = reader.entries().iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(reader.stamps().len(), names.len());
+        names.join(",")
+    };
+    let build_and_save = |irm: &mut Irm| {
+        irm.build(&Project::from_dir(&src).unwrap()).unwrap();
+        irm.save_bins(&bins).unwrap();
+    };
+    write_settled(&src, &CHAIN);
+    let mut resident = Irm::new(Strategy::Cutoff);
+    build_and_save(&mut resident);
+    assert_eq!(units_in_pack(), "base,mid,top");
+
+    std::fs::remove_file(src.join("top.sml")).unwrap();
+    let mut fresh = Irm::new(Strategy::Cutoff);
+    assert_eq!(fresh.load_bins(&bins).unwrap().loaded, 3);
+    build_and_save(&mut fresh);
+    assert_eq!(fresh.bin_count(), 2);
+    assert_eq!(units_in_pack(), "base,mid");
+    let mut reopened = Irm::new(Strategy::Cutoff);
+    assert_eq!(reopened.load_bins(&bins).unwrap().loaded, 2);
+    assert_eq!(reopened.bin_count(), 2);
+    let stat = || std::fs::metadata(&pack).map(|m| (m.ino(), m.len(), m.mtime_nsec()));
+    let before = stat().unwrap();
+    build_and_save(&mut reopened);
+    assert_eq!(
+        stat().unwrap(),
+        before,
+        "a no-op save after the drop writes nothing"
+    );
+
+    // The long-lived manager still holds `top`: its next build over the
+    // same directory drops it too.
+    assert_eq!(resident.bin_count(), 3);
+    build_and_save(&mut resident);
+    assert_eq!(resident.bin_count(), 2);
+    assert_eq!(units_in_pack(), "base,mid");
+    std::fs::remove_dir_all(&base).ok();
+}
+
 // ---------------------------------------------------------------------
 // The stamped-vs-paranoid equivalence property.
 // ---------------------------------------------------------------------
