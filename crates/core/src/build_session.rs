@@ -62,10 +62,14 @@ pub fn exit_code(result: Result<&BuildReport, &CoreError>) -> i32 {
     }
 }
 
-/// The `--explain` lines: why each unit was recompiled or reused.
-pub fn explain_lines(decisions: &[(Symbol, RebuildDecision)]) -> Vec<String> {
+/// The `--explain` lines: why each unit was recompiled or reused, from
+/// [`BuildReport::all_decisions`] or [`BuildSnapshot::all_decisions`].
+///
+/// [`BuildSnapshot::all_decisions`]: crate::resident::BuildSnapshot::all_decisions
+pub fn explain_lines<'a>(
+    decisions: impl Iterator<Item = (Symbol, &'a RebuildDecision)>,
+) -> Vec<String> {
     decisions
-        .iter()
         .map(|(unit, decision)| format!("  {unit}: {decision}"))
         .collect()
 }
@@ -151,7 +155,27 @@ impl BuildSession {
         jobs: usize,
         policy: FailurePolicy,
     ) -> Result<Built, CoreError> {
-        let report = self.irm.build_with(project, jobs, policy)?;
+        self.build_changed(project, jobs, policy, None)
+    }
+
+    /// [`Self::build`], seeded from the units a change feed says changed
+    /// since the last build ([`Irm::build_changed`]) when `changed` is
+    /// given.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::build`].
+    pub fn build_changed(
+        &mut self,
+        project: &Project,
+        jobs: usize,
+        policy: FailurePolicy,
+        changed: Option<&[Symbol]>,
+    ) -> Result<Built, CoreError> {
+        let report = match changed {
+            Some(units) => self.irm.build_changed(project, jobs, policy, units)?,
+            None => self.irm.build_with(project, jobs, policy)?,
+        };
         let mut notes = std::mem::take(&mut self.notes);
         notes.extend(
             report
@@ -174,7 +198,7 @@ impl BuildSession {
             report.order.len(),
             report.strategy,
             report.recompiled.len(),
-            report.reused.len(),
+            report.reused,
             self.irm.store().map(|_| report.store_hits.len()),
         );
         if !report.succeeded() {

@@ -37,6 +37,7 @@
 //! load and doubles as a structural corruption check.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
@@ -51,6 +52,9 @@ pub struct DepGraph {
     import_units: Vec<Vec<Symbol>>,
     import_idx: Vec<Vec<usize>>,
     index_of: HashMap<Symbol, usize>,
+    /// The reverse edges (dependents by slot, ascending), derived on
+    /// first use.
+    dependents: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl DepGraph {
@@ -72,6 +76,7 @@ impl DepGraph {
             import_units,
             import_idx,
             index_of,
+            dependents: OnceLock::new(),
         }
     }
 
@@ -108,6 +113,21 @@ impl DepGraph {
     /// The imports of topological slot `i` as topological slots.
     pub fn import_idx(&self, i: usize) -> &[usize] {
         &self.import_idx[i]
+    }
+
+    /// The units that import topological slot `i`, as ascending slots.
+    /// The reverse edges are derived once per graph, so a resident
+    /// session walks a cone without rebuilding them.
+    pub fn dependents(&self, i: usize) -> &[usize] {
+        &self.dependents.get_or_init(|| {
+            let mut dependents = vec![Vec::new(); self.order.len()];
+            for (d, imports) in self.import_idx.iter().enumerate() {
+                for &j in imports {
+                    dependents[j].push(d);
+                }
+            }
+            dependents
+        })[i]
     }
 
     /// Encodes the graph as a pack graph section.
@@ -195,6 +215,9 @@ mod tests {
         assert_eq!(back.import_units(2), &[g.order()[0], g.order()[1]]);
         assert_eq!(back.names_pid(1), g.names_pid(1));
         assert_eq!(back.index_of(Symbol::intern("C")), Some(2));
+        assert_eq!(back.dependents(0), &[1, 2]);
+        assert_eq!(back.dependents(1), &[2]);
+        assert!(back.dependents(2).is_empty());
     }
 
     #[test]
@@ -221,6 +244,7 @@ mod tests {
             import_units: vec![vec![b], vec![]],
             import_idx: vec![vec![1], vec![]],
             index_of: [(a, 0), (b, 1)].into_iter().collect(),
+            dependents: OnceLock::new(),
         };
         assert!(DepGraph::decode(&bogus.encode()).is_err());
     }

@@ -74,7 +74,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use smlsc_faults::{self as faults, points, FaultKind};
@@ -400,7 +400,11 @@ impl Project {
 
     /// Looks up a file.
     pub fn file(&self, name: &str) -> Option<&SourceFile> {
-        let name = Symbol::intern(name);
+        self.get(Symbol::intern(name))
+    }
+
+    /// Looks up a file by unit name.
+    pub(crate) fn get(&self, name: Symbol) -> Option<&SourceFile> {
         self.index.get(&name).map(|&slot| &self.files[slot])
     }
 
@@ -488,6 +492,9 @@ pub enum UnitOutcome {
 }
 
 /// What one [`Irm::build`] did.
+/// It lists only the units the build touched; every other unit of
+/// `order` was reused, which [`Self::all_decisions`],
+/// [`Self::decision_for`] and [`Self::outcome_for`] render on demand.
 #[derive(Debug, Clone, Default)]
 pub struct BuildReport {
     /// The strategy that made the decisions.
@@ -496,13 +503,13 @@ pub struct BuildReport {
     pub order: Vec<Symbol>,
     /// Units that were recompiled.
     pub recompiled: Vec<Symbol>,
-    /// Units whose bins were reused.
-    pub reused: Vec<Symbol>,
+    /// How many units kept their bins, touched or not.
+    pub reused: usize,
     /// Units whose recompile verdict was satisfied by the shared
     /// artifact store (rehydrated, not compiled).
     pub store_hits: Vec<Symbol>,
-    /// Why each unit was recompiled or reused, in build order — the
-    /// causal chain behind `smlsc build --explain`.
+    /// Why each touched unit was recompiled or reused, in build order —
+    /// the causal chain behind `smlsc build --explain`.
     pub decisions: Vec<(Symbol, RebuildDecision)>,
     /// Aggregate compile-phase timings.
     pub timings: CompileTimings,
@@ -510,8 +517,8 @@ pub struct BuildReport {
     pub rehydrate: Duration,
     /// Elaboration warnings, per unit.
     pub warnings: Vec<(Symbol, String)>,
-    /// Per-unit outcome in build order — including, under
-    /// [`FailurePolicy::KeepGoing`], failed and skipped units.
+    /// Per-unit outcome of each touched unit in build order — including,
+    /// under [`FailurePolicy::KeepGoing`], failed and skipped units.
     pub outcomes: Vec<(Symbol, UnitOutcome)>,
     /// Units whose compile failed, with the error.  Populated only by
     /// keep-going builds; fail-fast builds return the error instead.
@@ -519,6 +526,30 @@ pub struct BuildReport {
     /// Units never attempted because a transitive import failed
     /// (keep-going builds).
     pub skipped: Vec<Symbol>,
+}
+
+/// The decision of a unit the build never touched.
+static IMPLIED_REUSE: RebuildDecision = RebuildDecision::Reused;
+/// The outcome of a unit the build never touched.
+static IMPLIED_OUTCOME: UnitOutcome = UnitOutcome::Reused;
+
+/// Every unit of `order` with a decision: the recorded one for a
+/// touched unit, [`RebuildDecision::Reused`] for an untouched one, and
+/// none for a `failed` one.  `decisions` must follow `order`, as a
+/// report's do.
+pub fn with_implied_reuses<'a>(
+    order: &'a [Symbol],
+    decisions: &'a [(Symbol, RebuildDecision)],
+    failed: impl Fn(Symbol) -> bool + 'a,
+) -> impl Iterator<Item = (Symbol, &'a RebuildDecision)> + 'a {
+    let mut touched = decisions.iter().peekable();
+    order
+        .iter()
+        .filter_map(move |&unit| match touched.next_if(|(u, _)| *u == unit) {
+            Some((_, d)) => Some((unit, d)),
+            None if failed(unit) => None,
+            None => Some((unit, &IMPLIED_REUSE)),
+        })
 }
 
 impl BuildReport {
@@ -532,20 +563,31 @@ impl BuildReport {
         self.store_hits.contains(&Symbol::intern(name))
     }
 
-    /// The decision recorded for `name`, if it was in the build.
+    /// Every unit in build order with its decision, implied reuses
+    /// included: what `--explain` and `--report-json` print.
+    pub fn all_decisions(&self) -> impl Iterator<Item = (Symbol, &RebuildDecision)> + '_ {
+        with_implied_reuses(&self.order, &self.decisions, |u| self.failed_unit(u))
+    }
+
+    fn failed_unit(&self, unit: Symbol) -> bool {
+        self.failed.iter().any(|(u, _)| *u == unit)
+    }
+
+    /// The decision recorded for `name`, if it was in the build and did
+    /// not fail.
     pub fn decision_for(&self, name: &str) -> Option<&RebuildDecision> {
         let name = Symbol::intern(name);
-        self.decisions
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, d)| d)
+        match self.decisions.iter().find(|(n, _)| *n == name) {
+            Some((_, d)) => Some(d),
+            None if self.failed_unit(name) => None,
+            None => self.order.contains(&name).then_some(&IMPLIED_REUSE),
+        }
     }
 
     /// The decision kinds in build order (`name`, `kind`) — handy for
     /// asserting exact causal sequences in tests.
     pub fn decision_kinds(&self) -> Vec<(String, &'static str)> {
-        self.decisions
-            .iter()
+        self.all_decisions()
             .map(|(n, d)| (n.as_str().to_string(), d.kind()))
             .collect()
     }
@@ -559,10 +601,10 @@ impl BuildReport {
     /// The outcome recorded for `name`, if it was in the build.
     pub fn outcome_for(&self, name: &str) -> Option<&UnitOutcome> {
         let name = Symbol::intern(name);
-        self.outcomes
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, o)| o)
+        match self.outcomes.iter().find(|(n, _)| *n == name) {
+            Some((_, o)) => Some(o),
+            None => self.order.contains(&name).then_some(&IMPLIED_OUTCOME),
+        }
     }
 
     /// True when any recorded failure is an internal (compiler-bug)
@@ -621,16 +663,21 @@ impl BinEntry {
         }
     }
 
-    /// The full bin, forcing a lazy body.  The result (success or
-    /// corruption) is cached: a torn body fails identically every time
-    /// until the unit is quarantined.
-    fn force(&self) -> Result<&BinFile, CoreError> {
+    /// The full bin, forcing a lazy body; a real read is logged in
+    /// `forced`, so [`Irm::release_bodies`] knows which cells to empty.
+    /// The result (success or corruption) is cached: a torn body fails
+    /// identically every time until the unit is quarantined.
+    fn force(&self, forced: &Mutex<Vec<Symbol>>) -> Result<&BinFile, CoreError> {
         match &self.body {
             BinBody::Resident(bin) => Ok(bin),
             BinBody::Lazy { src, cell } => {
                 let unit = self.meta.name;
                 cell.get_or_init(|| {
                     trace::counter(names::BIN_LAZY_BODIES, 1);
+                    forced
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(unit);
                     let bytes = src
                         .pack
                         .read_body(src.offset, src.len, src.digest)
@@ -678,9 +725,11 @@ pub struct Irm {
     /// a save need only append the dirty ones — or, with none, skip.
     pack_synced: bool,
     /// The resolved import DAG from the previous build or the pack's
-    /// graph section.  Never trusted blindly: every build revalidates
-    /// it against the analyses (per-unit `names_pid`) before reuse, so
-    /// a stale graph costs a re-derivation, never a wrong schedule.
+    /// graph section.  Never trusted blindly: a build revalidates it
+    /// against the analyses (per-unit `names_pid`) before reuse — a
+    /// seeded build those of the changed units, `seedable` vouching
+    /// for the rest — so a stale graph costs a re-derivation, never a
+    /// wrong schedule.
     graph: Option<Arc<DepGraph>>,
     /// True while the pack holds `graph`, so a save need not write a
     /// graph section.
@@ -688,54 +737,35 @@ pub struct Irm {
     /// The segment the last save wrote and a read handle on its file:
     /// what [`Irm::release_bodies`] points the saved bodies at.
     saved: Option<(Arc<PackBodies>, Vec<PackEntry>)>,
+    /// Units whose lazy bodies were forced since the last release.
+    forced: Mutex<Vec<Symbol>>,
+    /// True after a successful fail-fast build until anything else
+    /// touches the bins, stamps or graph.  The event seed
+    /// ([`Irm::build_changed`]) rests on it: every unit's analysis is
+    /// recorded, `graph` is current, and every bin matched its source
+    /// and its imports' export pids when that build ended.
+    seedable: bool,
 }
 
-/// How one file's analysis was obtained (drives which counters bump).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AnalysisHit {
-    /// The record's stat matched: the file was never even opened.
-    Stamp,
-    /// The file was read and digested to the record's source pid.
-    SourcePid,
-    /// Fully analyzed (parsed) this build.
-    Fresh,
-}
-
-/// One file's analysis plus how it was obtained; produced (possibly on
-/// a worker thread) by [`analyze_one`], merged deterministically by
-/// [`Irm::analyze_all`].
+/// One file's analysis from a read, and whether it took a parse.
 #[derive(Debug)]
 struct FileAnalysis {
     analysis: Arc<Analysis>,
-    hit: AnalysisHit,
+    parsed: bool,
 }
 
-/// The per-file analysis ladder (see [`crate::stamps`]).  Shares
+/// The rungs of the analysis ladder that read the file (see
+/// [`crate::stamps`]); rung 1, the stat match, is the caller's.  Shares
 /// `stamps` immutably so it can run on worker threads; all mutation
 /// happens in the caller's merge loop.
-fn analyze_one(
-    f: &SourceFile,
-    stamps: &StampCache,
-    paranoid: bool,
-) -> Result<FileAnalysis, CoreError> {
-    // Rung 1: a path-backed file whose stat matches its record reuses
-    // the recorded analysis without a read (a refcount bump, never a
-    // clone of the vectors).
-    if !paranoid && f.path().is_some() {
-        if let Some(e) = stamps.lookup(f.name, f.mtime, f.size()) {
-            return Ok(FileAnalysis {
-                analysis: Arc::clone(&e.analysis),
-                hit: AnalysisHit::Stamp,
-            });
-        }
-    }
+fn read_and_analyze(f: &SourceFile, stamps: &StampCache) -> Result<FileAnalysis, CoreError> {
     // Rung 2: the same bytes as the record's analysis.
     let text = f.read_text()?;
     let sp = source_pid(text);
     if let Some(e) = stamps.get(f.name).filter(|e| e.analysis.source_pid == sp) {
         return Ok(FileAnalysis {
             analysis: Arc::clone(&e.analysis),
-            hit: AnalysisHit::SourcePid,
+            parsed: false,
         });
     }
     // Rung 3: a real parse, and the one place the names pid (the
@@ -744,8 +774,18 @@ fn analyze_one(
     let a = analyze_source(f.name, text)?;
     Ok(FileAnalysis {
         analysis: Arc::new(Analysis::new(sp, a.imports, a.exports)),
-        hit: AnalysisHit::Fresh,
+        parsed: true,
     })
+}
+
+/// The recorded analysis of `unit`.  Every project unit has one once
+/// the build's analysis ladder ran (or, for a seeded build, since the
+/// last build's did).
+fn analysis_of(stamps: &StampCache, unit: Symbol) -> Result<&Analysis, CoreError> {
+    stamps
+        .get(unit)
+        .map(|e| &*e.analysis)
+        .ok_or(CoreError::UnknownUnit(unit))
 }
 
 impl Irm {
@@ -788,7 +828,7 @@ impl Irm {
     pub fn bin(&self, name: &str) -> Option<&BinFile> {
         self.bins
             .get(&Symbol::intern(name))
-            .and_then(|e| e.force().ok())
+            .and_then(|e| e.force(&self.forced).ok())
     }
 
     /// The cached bin *metadata* for a unit, if any — never touches a
@@ -805,6 +845,7 @@ impl Irm {
     /// Overwrites a cached bin — used by tests and the linkage experiment
     /// to simulate stale or corrupted bin stores.
     pub fn inject_bin(&mut self, bin: BinFile) {
+        self.seedable = false;
         self.dirty.insert(bin.unit.name);
         self.bins.insert(bin.unit.name, BinEntry::resident(bin));
     }
@@ -851,6 +892,7 @@ impl Irm {
     /// the next build recompiles it (alone).  Returns true if the unit
     /// was cached.
     pub fn quarantine_bin(&mut self, name: Symbol) -> bool {
+        self.seedable = false;
         let had = self.bins.remove(&name).is_some();
         if had {
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
@@ -897,7 +939,7 @@ impl Irm {
             _ => None,
         };
         if self.dirty.is_empty()
-            && self.stamps.is_saved()
+            && self.stamps.only_heals()
             && changed_graph.is_none()
             && tail.is_some()
             && pack_path.is_file()
@@ -998,6 +1040,7 @@ impl Irm {
         let sealed = writer.finish_with(stamps.as_deref(), graph.as_deref())?;
         for unit in quarantined {
             self.bins.remove(&unit);
+            self.seedable = false;
             trace::counter(names::BIN_BODY_QUARANTINED, 1);
         }
         self.dirty.clear();
@@ -1030,11 +1073,11 @@ impl Irm {
 
     /// Frees every decoded bin body: each body the last save wrote is
     /// pointed at its bytes in the pack (forced again, digest-verified,
-    /// on next use), and every forced lazy body is emptied.  Costs the
-    /// bodies that save wrote plus one pass over the bins; the index is
-    /// not reopened.  A long-lived session calls this after each save so
-    /// its heap stays flat however many builds it serves; a one-shot
-    /// build has no reason to.
+    /// on next use), and every lazy body forced since the last release
+    /// is emptied.  Costs the bodies that save wrote plus the bodies
+    /// forced; the index is not reopened.  A long-lived session calls
+    /// this after each save so its heap stays flat however many builds
+    /// it serves; a one-shot build has no reason to.
     pub fn release_bodies(&mut self) {
         if let Some((bodies, entries)) = self.saved.take() {
             for e in entries {
@@ -1055,8 +1098,17 @@ impl Irm {
                 }
             }
         }
-        for entry in self.bins.values_mut() {
-            if let BinBody::Lazy { cell, .. } = &mut entry.body {
+        let forced = std::mem::take(
+            self.forced
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for unit in forced {
+            if let Some(BinEntry {
+                body: BinBody::Lazy { cell, .. },
+                ..
+            }) = self.bins.get_mut(&unit)
+            {
                 cell.take();
             }
         }
@@ -1088,6 +1140,7 @@ impl Irm {
     pub fn load_bins(&mut self, dir: &Path) -> Result<BinLoadOutcome, CoreError> {
         let _span = trace::span(names::SPAN_LOAD_BINS);
         self.saved = None;
+        self.seedable = false;
         let mut out = BinLoadOutcome::default();
         let pack_path = dir.join(PACK_FILE);
         let mut tail = None;
@@ -1187,9 +1240,8 @@ impl Irm {
     ///
     /// Parse errors, unresolved or duplicate exports, or an import cycle.
     pub fn plan(&mut self, project: &Project) -> Result<Vec<Symbol>, CoreError> {
-        let analyses = self.analyze_all(project, 1)?;
-        let graph = self.dep_graph(project, &analyses)?;
-        Ok(graph.order().to_vec())
+        self.analyze_all(project, 1)?;
+        Ok(self.dep_graph(project)?.order().to_vec())
     }
 
     /// The resolved import DAG in topological order: for every unit,
@@ -1206,8 +1258,8 @@ impl Irm {
         &mut self,
         project: &Project,
     ) -> Result<Vec<(Symbol, Vec<Symbol>)>, CoreError> {
-        let analyses = self.analyze_all(project, 1)?;
-        let graph = self.dep_graph(project, &analyses)?;
+        self.analyze_all(project, 1)?;
+        let graph = self.dep_graph(project)?;
         Ok((0..graph.len())
             .map(|i| (graph.order()[i], graph.import_units(i).to_vec()))
             .collect())
@@ -1222,27 +1274,24 @@ impl Irm {
     /// anything else (first build, a changed import or export name, an
     /// added, removed or renamed unit, no graph section) re-derives from
     /// the analyses.
-    fn dep_graph(
-        &mut self,
-        project: &Project,
-        analyses: &HashMap<Symbol, Arc<Analysis>>,
-    ) -> Result<Arc<DepGraph>, CoreError> {
-        let _span = trace::span(names::SPAN_GRAPH).field("units", analyses.len());
+    fn dep_graph(&mut self, project: &Project) -> Result<Arc<DepGraph>, CoreError> {
+        self.seedable = false;
+        let _span = trace::span(names::SPAN_GRAPH).field("units", project.files().len());
         if let Some(g) = &self.graph {
-            if graph_is_current(g, analyses) {
+            if graph_is_current(g, project, &self.stamps) {
                 trace::counter(names::DEPS_PACK_HITS, 1);
                 return Ok(Arc::clone(g));
             }
         }
         trace::counter(names::DEPS_PACK_MISSES, 1);
-        let exporters = exporters(analyses)?;
-        let order = topo_order(project, analyses, &exporters)?;
+        let exporters = exporters(project, &self.stamps)?;
+        let order = topo_order(project, &self.stamps, &exporters)?;
         let index_of: HashMap<Symbol, usize> =
             order.iter().enumerate().map(|(i, s)| (*s, i)).collect();
         let mut names_pids = Vec::with_capacity(order.len());
         let mut import_idx = Vec::with_capacity(order.len());
         for name in &order {
-            let a = &analyses[name];
+            let a = analysis_of(&self.stamps, *name)?;
             names_pids.push(a.names_pid);
             let units: Vec<Symbol> = a
                 .imports
@@ -1258,132 +1307,160 @@ impl Irm {
         Ok(g)
     }
 
-    /// The dirty cone: which topological slots this build must actually
-    /// schedule.  One cheap pre-pass decides every unit against its
-    /// *old* bins (no import treated as rebuilt); units that require a
-    /// recompile on that evidence **seed** the cone, and the cone is
-    /// the seed plus its transitive dependents.  A unit outside the
-    /// cone has an unchanged source, identical import pids, and no
-    /// rebuilt import, so its final decision is exactly
-    /// [`RebuildDecision::Reused`] — the build synthesizes it without
-    /// dispatching, making scheduler work proportional to the edit's
-    /// cone rather than the project size.
-    fn dirty_cone(
+    /// The seeds of this build's schedule: the units among `candidates`
+    /// (topological slots, ascending) whose own evidence — their source
+    /// and their old bin, with no import counted as rebuilt — already
+    /// demands a recompile.  Everything else can only recompile because
+    /// an import did, which the scheduler finds out as imports settle.
+    fn dirty_seeds(
         &self,
+        project: &Project,
         graph: &DepGraph,
-        analyses: &HashMap<Symbol, Arc<Analysis>>,
-        file_index: &HashMap<Symbol, &SourceFile>,
-    ) -> Vec<bool> {
-        let _span = trace::span(names::SPAN_DIRTY).field("units", graph.len());
+        candidates: Vec<usize>,
+    ) -> Vec<usize> {
         let strategy = self.strategy();
-        let order = graph.order();
-        let mut in_cone = vec![false; order.len()];
-        let mut seed = 0u64;
-        for (i, name) in order.iter().enumerate() {
-            // A dirty import puts the unit in the cone regardless of
-            // its own state; its real decision happens at dispatch.
-            if graph.import_idx(i).iter().any(|&j| in_cone[j]) {
-                in_cone[i] = true;
-                continue;
-            }
-            let decision = decide_unit(
-                strategy,
-                file_index[name],
-                analyses[name].source_pid,
-                graph.import_units(i),
-                self.bins.get(name).map(|e| &e.meta),
-                &|u| {
-                    self.bins.get(&u).map(|e| ImportFacts {
-                        export_pid: e.meta.export_pid,
-                        mtime: e.meta.mtime,
-                        rebuilt: false,
-                    })
-                },
-            );
-            if decision.requires_recompile() {
-                in_cone[i] = true;
-                seed += 1;
-            }
-        }
-        let cone = in_cone.iter().filter(|b| **b).count() as u64;
-        if seed > 0 {
-            trace::counter(names::SCHED_DIRTY_SEED, seed);
-        }
-        if cone > 0 {
-            trace::counter(names::SCHED_DIRTY_CONE, cone);
-        }
-        in_cone
+        candidates
+            .into_iter()
+            .filter(|&i| {
+                let name = graph.order()[i];
+                let (Some(file), Ok(a)) = (project.get(name), analysis_of(&self.stamps, name))
+                else {
+                    return true; // dispatched, where the task reports it
+                };
+                decide_unit(
+                    strategy,
+                    file,
+                    a.source_pid,
+                    graph.import_units(i),
+                    self.bins.get(&name).map(|e| &e.meta),
+                    &|u| {
+                        self.bins.get(&u).map(|e| ImportFacts {
+                            export_pid: e.meta.export_pid,
+                            mtime: e.meta.mtime,
+                            rebuilt: false,
+                        })
+                    },
+                )
+                .requires_recompile()
+            })
+            .collect()
     }
 
     /// Analyzes every file, cheapest evidence first — a matching stat
-    /// (no read at all), then the source digest, then a real parse.
-    /// The per-file work fans out over `jobs` workers; counters, stamp
-    /// updates and the returned map merge in file order, so results and
-    /// telemetry are deterministic.
-    fn analyze_all(
-        &mut self,
-        project: &Project,
-        jobs: usize,
-    ) -> Result<HashMap<Symbol, Arc<Analysis>>, CoreError> {
-        let _span = trace::span(names::SPAN_ANALYZE_ALL)
-            .field("files", project.files().len())
-            .field("jobs", jobs);
+    /// (no read at all), then the source digest, then a real parse —
+    /// and records each analysis in the stamp cache, where the graph
+    /// and the scheduler read it.  Stat matches run on the calling
+    /// thread; only the files that need a read fan out over `jobs`
+    /// workers, and none are spawned when no file does.  Counters and
+    /// records merge in file order, so results and telemetry are
+    /// deterministic.
+    fn analyze_all(&mut self, project: &Project, jobs: usize) -> Result<(), CoreError> {
         let files = project.files();
+        let _span = trace::span(names::SPAN_ANALYZE_ALL)
+            .field("files", files.len())
+            .field("jobs", jobs);
+        // Rung 1: a path-backed file whose stat matches its record
+        // reuses the recorded analysis without a read.
+        let reads: Vec<usize> = (0..files.len())
+            .filter(|&i| {
+                let f = &files[i];
+                self.paranoid
+                    || f.path().is_none()
+                    || self.stamps.lookup(f.name, f.mtime, f.size()).is_none()
+            })
+            .collect();
+        let hits = files.len() - reads.len();
+        if hits > 0 {
+            trace::counter(names::STAMP_HITS, hits as u64);
+        }
         let results: Vec<Result<FileAnalysis, CoreError>> = {
             let stamps = &self.stamps;
-            let paranoid = self.paranoid;
             let next = AtomicUsize::new(0);
             let slots: Vec<OnceLock<Result<FileAnalysis, CoreError>>> =
-                files.iter().map(|_| OnceLock::new()).collect();
-            on_workers(jobs.min(files.len()), |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(f) = files.get(i) else { break };
-                let _ = slots[i].set(analyze_one(f, stamps, paranoid));
+                reads.iter().map(|_| OnceLock::new()).collect();
+            on_workers(jobs.min(reads.len()), |_| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = reads.get(k) else { break };
+                let _ = slots[k].set(read_and_analyze(&files[i], stamps));
             });
             slots
                 .into_iter()
                 .map(|s| s.into_inner().expect("every analysis slot is filled"))
                 .collect()
         };
-        // Deterministic merge in file order: counters, records and the
-        // first error (if any) all follow project order regardless of
-        // worker scheduling.  A capacity hint up front: growing a
-        // 100k-entry map through repeated rehashes is real,
-        // cache-hostile work at monorepo scale.
-        let mut out = HashMap::with_capacity(files.len());
-        for (f, r) in files.iter().zip(results) {
-            let fa = r?;
-            let stamped = !self.paranoid && f.path().is_some();
-            match fa.hit {
-                AnalysisHit::Stamp => trace::counter(names::STAMP_HITS, 1),
-                AnalysisHit::SourcePid => {
-                    if stamped {
-                        trace::counter(names::STAMP_MISSES, 1);
-                    }
-                    trace::counter(names::DEPS_CACHE_HITS, 1);
-                }
-                AnalysisHit::Fresh => {
-                    if stamped {
-                        trace::counter(names::STAMP_MISSES, 1);
-                    }
-                    trace::counter(names::DEPS_CACHE_MISSES, 1);
-                }
-            }
-            // A stamp hit *is* the record; re-recording it would only
-            // compare it with itself.  Only a file's own metadata may
-            // vouch for it, so an in-memory source records no stat.
-            if fa.hit != AnalysisHit::Stamp {
-                self.stamps.record(
-                    f.name,
-                    StampEntry {
-                        stat: f.path().map(|_| (f.mtime, f.size())),
-                        analysis: Arc::clone(&fa.analysis),
-                    },
-                );
-            }
-            out.insert(f.name, fa.analysis);
+        for (&i, r) in reads.iter().zip(results) {
+            self.record_analysis(&files[i], r?);
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Records one file's analysis from a read and bumps its counters.
+    /// Only a file's own metadata may vouch for it, so an in-memory
+    /// source records no stat.
+    fn record_analysis(&mut self, f: &SourceFile, fa: FileAnalysis) {
+        if !self.paranoid && f.path().is_some() {
+            trace::counter(names::STAMP_MISSES, 1);
+        }
+        let hit = if fa.parsed {
+            names::DEPS_CACHE_MISSES
+        } else {
+            names::DEPS_CACHE_HITS
+        };
+        trace::counter(hit, 1);
+        self.stamps.record(
+            f.name,
+            StampEntry {
+                stat: f.path().map(|_| (f.mtime, f.size())),
+                analysis: fa.analysis,
+            },
+        );
+    }
+
+    /// The analysis ladder of a seeded build: only the `changed` units
+    /// are read and analyzed, and the last build's graph is reused
+    /// unwalked (the feed vouches for every other record, counted as a
+    /// stamp hit).  Returns the graph and the changed slots, ascending;
+    /// `None`, recording nothing, when the graph does not cover them,
+    /// a `names_pid` moved or a file fails to read or parse — the full
+    /// ladder then runs and reports any error itself.
+    fn reanalyze(
+        &mut self,
+        project: &Project,
+        changed: &[Symbol],
+    ) -> Option<(Arc<DepGraph>, Vec<usize>)> {
+        let span = trace::span(names::SPAN_ANALYZE_ALL)
+            .field("files", changed.len())
+            .field("jobs", 1);
+        let graph = Arc::clone(self.graph.as_ref()?);
+        if graph.len() != project.files().len() {
+            return None;
+        }
+        let mut slots = changed
+            .iter()
+            .map(|&u| graph.index_of(u))
+            .collect::<Option<Vec<usize>>>()?;
+        slots.sort_unstable();
+        slots.dedup();
+        let mut fresh = Vec::with_capacity(slots.len());
+        for &i in &slots {
+            let f = project.get(graph.order()[i])?;
+            let fa = read_and_analyze(f, &self.stamps).ok()?;
+            if fa.analysis.names_pid != graph.names_pid(i) {
+                return None;
+            }
+            fresh.push((f, fa));
+        }
+        let vouched = graph.len() - slots.len();
+        if vouched > 0 {
+            trace::counter(names::STAMP_HITS, vouched as u64);
+        }
+        for (f, fa) in fresh {
+            self.record_analysis(f, fa);
+        }
+        drop(span);
+        let _span = trace::span(names::SPAN_GRAPH).field("units", graph.len());
+        trace::counter(names::DEPS_PACK_HITS, 1);
+        Some((graph, slots))
     }
 
     /// Builds the project: recompiles what the strategy requires, reuses
@@ -1437,15 +1514,46 @@ impl Irm {
         jobs: usize,
         policy: FailurePolicy,
     ) -> Result<BuildReport, CoreError> {
+        self.build_from(project, jobs, policy, None)
+    }
+
+    /// [`Irm::build_with`] for a `project` that differs from the last
+    /// one built only in the sources of the `changed` units (no unit
+    /// added, removed or renamed), as a change feed reports them.  When
+    /// the seed holds (see `seedable`), only those units are analyzed
+    /// and decided and the schedule is seeded from them; otherwise this
+    /// is exactly [`Irm::build_with`].  The report is the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`Irm::build_with`].
+    pub fn build_changed(
+        &mut self,
+        project: &Project,
+        jobs: usize,
+        policy: FailurePolicy,
+        changed: &[Symbol],
+    ) -> Result<BuildReport, CoreError> {
+        self.build_from(project, jobs, policy, Some(changed))
+    }
+
+    fn build_from(
+        &mut self,
+        project: &Project,
+        jobs: usize,
+        policy: FailurePolicy,
+        changed: Option<&[Symbol]>,
+    ) -> Result<BuildReport, CoreError> {
         // Quarantine-and-retry: a lazily archived body that turns out
         // to be corrupt (torn write, bit rot) surfaces as
         // `BinBodyCorrupt` mid-build.  Drop just that unit's cache
         // entry and rebuild — it recompiles alone, and since its source
         // is unchanged its export pid comes out identical, so
         // dependents cut off.  Each retry removes at least one cached
-        // entry, so the loop is bounded by the cache size.
+        // entry, so the loop is bounded by the cache size.  A quarantine
+        // also voids the event seed, so a retry takes the full ladder.
         loop {
-            match self.build_wavefront(project, jobs.max(1), policy) {
+            match self.build_wavefront(project, jobs.max(1), policy, changed) {
                 Err(CoreError::BinBodyCorrupt { unit, .. }) => {
                     if !self.quarantine_bin(unit) {
                         return Err(CoreError::BinBodyCorrupt {
@@ -1483,10 +1591,27 @@ impl Irm {
         project: &Project,
         jobs: usize,
         policy: FailurePolicy,
+        changed: Option<&[Symbol]>,
     ) -> Result<BuildReport, CoreError> {
         let strategy = self.strategy();
-        let analyses = self.analyze_all(project, jobs)?;
-        let graph = self.dep_graph(project, &analyses)?;
+        let trusted = std::mem::take(&mut self.seedable)
+            && policy == FailurePolicy::FailFast
+            && !self.paranoid;
+        let seeded = changed
+            .filter(|_| trusted)
+            .and_then(|units| self.reanalyze(project, units));
+        let (graph, candidates) = match seeded {
+            Some(seeded) => {
+                trace::counter(names::SCHED_EVENT_SEEDED, 1);
+                seeded
+            }
+            None => {
+                self.analyze_all(project, jobs)?;
+                let graph = self.dep_graph(project)?;
+                let all = (0..graph.len()).collect();
+                (graph, all)
+            }
+        };
         let order = graph.order();
         let n = order.len();
         let workers = jobs.min(n.max(1));
@@ -1495,167 +1620,119 @@ impl Irm {
             .field("units", n)
             .field("jobs", workers);
 
-        let file_index: HashMap<Symbol, &SourceFile> =
-            project.files().iter().map(|f| (f.name, f)).collect();
-        let in_cone = self.dirty_cone(&graph, &analyses, &file_index);
-
-        if !in_cone.contains(&true) {
-            // Nothing to schedule: the whole report is synthesized
-            // reuses.  No workers, no per-unit slots.
-            let mut report = BuildReport {
-                strategy,
-                order: order.to_vec(),
-                ..BuildReport::default()
-            };
-            for name in order {
-                synthesize_reused(&mut report, *name);
-            }
-            return Ok(report);
-        }
-
-        // The longest *scheduled* import chain bounds wall-clock time no
-        // matter how many workers run; units outside the cone are
-        // settled before the wavefront starts, so only cone edges count.
-        let mut chain = vec![0usize; n];
-        let mut critical_path = 0usize;
-        let mut scheduled = 0usize;
-        for i in 0..n {
-            if !in_cone[i] {
-                continue;
-            }
-            scheduled += 1;
-            chain[i] = 1;
-            for &d in graph.import_idx(i) {
-                if in_cone[d] {
-                    chain[i] = chain[i].max(chain[d] + 1);
-                }
-            }
-            critical_path = critical_path.max(chain[i]);
-        }
-        trace::counter(names::CRITICAL_PATH, critical_path as u64);
-        trace::event(names::BUILD_PARALLELISM)
-            .field("critical_path", critical_path)
-            .field("units", scheduled)
-            .field("jobs", workers);
-
-        let outcomes: Vec<OnceLock<Result<TaskOutcome, CoreError>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        {
-            // Env slots exist for *every* unit, not just the cone: a
-            // cone unit may rehydrate an out-of-cone import's exports.
-            let envs: Vec<EnvSlot> = (0..n).map(|_| OnceLock::new()).collect();
-            let shared = ParallelShared {
-                strategy,
-                graph: &graph,
-                file_index: &file_index,
-                analyses: &analyses,
-                old_bins: &self.bins,
-                store: self.store.as_deref(),
-                envs: &envs,
-                outcomes: &outcomes,
-            };
-            let wave = Wavefront::new(&graph, &in_cone, policy);
-            let ready = wave.roots().map(Reverse).collect();
-            let sched = (
-                Mutex::new(Sched {
-                    wave,
-                    ready,
-                    in_flight: 0,
-                }),
-                Condvar::new(),
-            );
-            on_workers(workers, |w| {
-                let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
-                drain_wavefront(&sched, &shared);
-            });
-        }
-
-        // Merge in topological order — the report is deterministic no
-        // matter which worker finished when.
+        let seeds = {
+            let _span = trace::span(names::SPAN_DIRTY).field("units", candidates.len());
+            self.dirty_seeds(project, &graph, candidates)
+        };
+        let cone = Cone::walk(&graph, &seeds);
         let mut report = BuildReport {
             strategy,
             order: order.to_vec(),
             ..BuildReport::default()
         };
-        match policy {
-            FailurePolicy::FailFast => {
-                let mut failure: Option<CoreError> = None;
-                // The lowest failing topo index: everything before it
-                // merges, it reports, nothing after it counts.
-                let limit = outcomes
+        if !cone.slots.is_empty() {
+            // The longest import chain inside the cone bounds wall-clock
+            // time no matter how many workers run.
+            let mut chain = vec![0usize; cone.slots.len()];
+            for (p, &i) in cone.slots.iter().enumerate() {
+                let deepest = graph
+                    .import_idx(i)
                     .iter()
-                    .position(|slot| matches!(slot.get(), Some(Err(_))))
-                    .unwrap_or(n);
-                for (i, slot) in outcomes.into_iter().enumerate() {
-                    if !in_cone[i] {
-                        if i < limit {
-                            synthesize_reused(&mut report, order[i]);
-                        }
-                        continue;
-                    }
-                    let Some(res) = slot.into_inner() else {
-                        continue; // gated off by an earlier failure
-                    };
-                    match res {
-                        Ok(out) => {
-                            if i >= limit {
-                                continue; // completed past the error point
-                            }
-                            self.merge_outcome(order[i], out, &mut report);
-                        }
-                        Err(e) => {
-                            if i == limit && failure.is_none() {
-                                failure = Some(e);
-                            }
-                        }
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(report),
-                }
+                    .filter_map(|&j| cone.pos(j))
+                    .map(|q| chain[q])
+                    .max();
+                chain[p] = 1 + deepest.unwrap_or(0);
             }
-            FailurePolicy::KeepGoing => {
-                // Failed units have `Err` slots; poisoned units were
-                // never dispatched and have *empty* slots.  Walking in
-                // topological order, a skipped unit's blockers (direct
-                // imports in the failed-or-skipped set) have always
-                // been classified already.
-                let mut failed_or_skipped: HashSet<Symbol> = HashSet::new();
-                for (i, slot) in outcomes.into_iter().enumerate() {
-                    let name = order[i];
-                    if !in_cone[i] {
-                        // Never dispatched *and* never poisoned: the
-                        // cone is dependent-closed, so a failure can
-                        // only block units inside it.
-                        synthesize_reused(&mut report, name);
-                        continue;
+            let critical_path = chain.iter().copied().max().unwrap_or(0);
+            trace::counter(names::CRITICAL_PATH, critical_path as u64);
+            trace::event(names::BUILD_PARALLELISM)
+                .field("critical_path", critical_path)
+                .field("units", cone.slots.len())
+                .field("jobs", workers);
+
+            let outcomes: Vec<OnceLock<Result<TaskOutcome, CoreError>>> =
+                cone.slots.iter().map(|_| OnceLock::new()).collect();
+            let wave = {
+                let shared = ParallelShared {
+                    strategy,
+                    graph: &graph,
+                    project,
+                    stamps: &self.stamps,
+                    cone: &cone,
+                    old_bins: &self.bins,
+                    forced: &self.forced,
+                    store: self.store.as_deref(),
+                    envs: cone.slots.iter().map(|_| OnceLock::new()).collect(),
+                    imported_envs: Mutex::default(),
+                    outcomes: &outcomes,
+                };
+                let wave = Wavefront::new(&graph, &cone, &seeds, policy);
+                let ready = wave.roots().map(Reverse).collect();
+                let sched = (
+                    Mutex::new(Sched {
+                        wave,
+                        ready,
+                        in_flight: 0,
+                    }),
+                    Condvar::new(),
+                );
+                on_workers(workers, |w| {
+                    let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
+                    drain_wavefront(&sched, &shared);
+                });
+                let (lock, _) = sched;
+                lock.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .wave
+            };
+
+            // Merge in topological order — the report is deterministic no
+            // matter which worker finished when.  Fail-fast: everything
+            // before the lowest failing unit merges, it reports, nothing
+            // after it counts.  Keep-going: a failed unit has an `Err`
+            // slot; a unit downstream of a failure was never dispatched,
+            // is marked blocked and has an *empty* slot, and its blockers
+            // (direct imports in the failed-or-skipped set) have always
+            // been classified by the time the walk reaches it.
+            let mut failed_or_skipped: HashSet<Symbol> = HashSet::new();
+            for (p, slot) in outcomes.into_iter().enumerate() {
+                let i = cone.slots[p];
+                let name = order[i];
+                match slot.into_inner() {
+                    Some(Ok(out)) => self.merge_outcome(name, out, &mut report),
+                    Some(Err(e)) if policy == FailurePolicy::FailFast => return Err(e),
+                    Some(Err(e)) => {
+                        record_failure(&mut report, name, e);
+                        failed_or_skipped.insert(name);
                     }
-                    match slot.into_inner() {
-                        Some(Ok(out)) => self.merge_outcome(name, out, &mut report),
-                        Some(Err(e)) => {
-                            record_failure(&mut report, name, e);
-                            failed_or_skipped.insert(name);
-                        }
-                        None => {
-                            let blocked_on: Vec<Symbol> = graph
-                                .import_units(i)
-                                .iter()
-                                .copied()
-                                .filter(|u| failed_or_skipped.contains(u))
-                                .collect();
-                            record_skip(&mut report, name, blocked_on);
-                            failed_or_skipped.insert(name);
-                        }
+                    None if wave.units[p].blocked => {
+                        let blocked_on: Vec<Symbol> = graph
+                            .import_units(i)
+                            .iter()
+                            .copied()
+                            .filter(|u| failed_or_skipped.contains(u))
+                            .collect();
+                        record_skip(&mut report, name, blocked_on);
+                        failed_or_skipped.insert(name);
                     }
+                    // Settled without a trace, or (fail-fast) gated off.
+                    None => {}
                 }
-                Ok(report)
             }
         }
+        // Every unit the build never touched kept its bin: one count,
+        // not one event per unit.
+        let implied = n - report.outcomes.len();
+        report.reused += implied;
+        if implied > 0 {
+            trace::counter(names::UNITS_REUSED, implied as u64);
+        }
+        self.seedable = policy == FailurePolicy::FailFast;
+        Ok(report)
     }
 
-    /// Merges one completed wavefront task into the bin store and the
-    /// report; always called in topological order.
+    /// Merges one settled unit into the bin store and the report; always
+    /// called in topological order.
     fn merge_outcome(&mut self, name: Symbol, out: TaskOutcome, report: &mut BuildReport) {
         let TaskOutcome {
             decision,
@@ -1679,7 +1756,7 @@ impl Irm {
                 }
             }
             None => {
-                report.reused.push(name);
+                report.reused += 1;
                 report.outcomes.push((name, UnitOutcome::Reused));
             }
         }
@@ -1722,7 +1799,7 @@ impl Irm {
             let mut bad_unit = None;
             for name in &report.order {
                 let entry = self.bins.get(name).ok_or(CoreError::UnknownUnit(*name))?;
-                match entry.force() {
+                match entry.force(&self.forced) {
                     Ok(bin) => {
                         link_and_execute(&bin.unit, &mut env).map_err(CoreError::Link)?;
                     }
@@ -1894,93 +1971,143 @@ fn store_bin_matches(
             .all(|(edge, &u)| edge.unit == u && export_pid_of(u) == Some(edge.pid))
 }
 
-/// The scheduling state of one build: in-degrees over the dirty cone,
-/// released as tasks complete.  Workers drive it under the [`Sched`]
-/// lock the same way at every width.
+/// The cone of one build: the seeds and their transitive dependents,
+/// walked over the reverse edges.  A unit outside it has an unchanged
+/// source, its old import pids and no rebuilt import, so it is never
+/// visited; per-build state is indexed by position in the cone.
+struct Cone {
+    /// Topological slots, ascending.
+    slots: Vec<usize>,
+    /// Topological slot → position in `slots`.
+    pos: HashMap<usize, usize>,
+}
+
+impl Cone {
+    fn walk(graph: &DepGraph, seeds: &[usize]) -> Cone {
+        let mut pos: HashMap<usize, usize> = seeds.iter().map(|&s| (s, 0)).collect();
+        let mut stack = seeds.to_vec();
+        while let Some(i) = stack.pop() {
+            for &d in graph.dependents(i) {
+                if let std::collections::hash_map::Entry::Vacant(v) = pos.entry(d) {
+                    v.insert(0);
+                    stack.push(d);
+                }
+            }
+        }
+        let mut slots: Vec<usize> = pos.keys().copied().collect();
+        slots.sort_unstable();
+        for (p, &i) in slots.iter().enumerate() {
+            pos.insert(i, p);
+        }
+        if !seeds.is_empty() {
+            trace::counter(names::SCHED_DIRTY_SEED, seeds.len() as u64);
+            trace::counter(names::SCHED_DIRTY_CONE, slots.len() as u64);
+        }
+        Cone { slots, pos }
+    }
+
+    /// The position of topological slot `i`, if it is in the cone.
+    fn pos(&self, i: usize) -> Option<usize> {
+        self.pos.get(&i).copied()
+    }
+}
+
+/// One cone unit's scheduling state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pending {
+    /// Cone imports not yet settled.
+    indegree: usize,
+    /// Its own evidence demands a recompile.
+    seed: bool,
+    /// Some import was rebuilt.
+    rebuilt_import: bool,
+    /// Keep-going: downstream of a failure.
+    blocked: bool,
+}
+
+/// The scheduling state of one build: in-degrees over the [`Cone`],
+/// released as units settle under the [`Sched`] lock.
 ///
-/// An out-of-cone unit is never released (its slot stays empty and
-/// the merge phase synthesizes its reuse).  The cone is
-/// dependent-closed, so a non-cone unit never has a cone import and
-/// needs no in-degree.
-struct Wavefront {
+/// Only a unit that may recompile is dispatched: a seed, or a unit
+/// whose decision against a rebuilt import says so.  The rest settles
+/// here, under the lock, from bin metadata: behind a rebuilt import
+/// whose pid held it is the paper's cutoff, recorded; behind none it
+/// keeps its bin and leaves no trace.
+struct Wavefront<'a> {
+    graph: &'a DepGraph,
+    cone: &'a Cone,
     policy: FailurePolicy,
-    indegree: Vec<usize>,
-    dependents: Vec<Vec<usize>>,
-    /// Keep-going: units downstream of a failure.
-    blocked: Vec<bool>,
-    /// Fail-fast: the lowest failing topological index so far.
+    /// By cone position.
+    units: Vec<Pending>,
+    /// Fail-fast: the lowest failing cone position so far.
     min_err: Option<usize>,
 }
 
-impl Wavefront {
-    fn new(graph: &DepGraph, in_cone: &[bool], policy: FailurePolicy) -> Self {
-        let n = in_cone.len();
-        let mut indegree = vec![usize::MAX; n]; // never reaches zero
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in (0..n).filter(|&i| in_cone[i]) {
-            indegree[i] = 0;
-            for &d in graph.import_idx(i).iter().filter(|&&d| in_cone[d]) {
-                indegree[i] += 1;
-                dependents[d].push(i);
+impl<'a> Wavefront<'a> {
+    fn new(graph: &'a DepGraph, cone: &'a Cone, seeds: &[usize], policy: FailurePolicy) -> Self {
+        let mut units = vec![Pending::default(); cone.slots.len()];
+        for &s in seeds {
+            units[cone.pos[&s]].seed = true;
+        }
+        for &i in &cone.slots {
+            for d in graph.dependents(i) {
+                units[cone.pos[d]].indegree += 1;
             }
         }
         Wavefront {
+            graph,
+            cone,
             policy,
-            indegree,
-            dependents,
-            blocked: vec![false; n],
+            units,
             min_err: None,
         }
     }
 
-    /// The units ready before anything has run.
+    /// The units ready before anything has run: the seeds with no seed
+    /// upstream (every other cone unit has a cone import).
     fn roots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.indegree.len()).filter(|&i| self.indegree[i] == 0)
+        (0..self.units.len()).filter(|&p| self.units[p].indegree == 0)
     }
 
-    /// Records task `i` as finished (`ok` = it produced an outcome) and
-    /// pushes the units it makes ready onto `released`.
+    /// Records position `p` as settled (`Some(rebuilt)`) or failed
+    /// (`None`): units it makes ready to dispatch go onto `released`,
+    /// the rest settle in place and propagate in turn.
     ///
-    /// Fail-fast: after the first error, only units topologically
-    /// *before* the lowest failing index are still released — the only
-    /// ones whose outcomes can merge.
-    ///
-    /// Keep-going: a failure *poisons* its dependents.  Poisoned units
-    /// are never released; they complete synthetically right here
-    /// (poisoning their own dependents in turn) so in-degrees keep
-    /// draining and every independent unit still runs.  Their outcome
-    /// slots stay empty — the merge phase reads an empty slot as
-    /// "skipped".
-    fn complete(&mut self, i: usize, ok: bool, released: &mut Vec<usize>) {
-        match self.policy {
-            FailurePolicy::FailFast => {
-                if !ok {
-                    self.min_err = Some(self.min_err.map_or(i, |k| k.min(i)));
-                    return;
+    /// Fail-fast: a failure releases nothing, and after it only units
+    /// *before* the lowest failing position still settle — the only
+    /// ones whose outcomes can merge.  Keep-going: a failure *poisons*
+    /// its dependents, which complete here unreleased (poisoning theirs
+    /// in turn), with empty slots and `blocked` set for the merge.
+    fn complete(
+        &mut self,
+        p: usize,
+        settled: Option<bool>,
+        shared: &ParallelShared<'_>,
+        released: &mut Vec<usize>,
+    ) {
+        if settled.is_none() && self.policy == FailurePolicy::FailFast {
+            self.min_err = Some(self.min_err.map_or(p, |k| k.min(p)));
+            return;
+        }
+        let mut worklist = vec![(p, settled)];
+        while let Some((u, settled)) = worklist.pop() {
+            for d in self.graph.dependents(self.cone.slots[u]) {
+                let q = self.cone.pos[d];
+                let unit = &mut self.units[q];
+                match settled {
+                    None => unit.blocked = true,
+                    Some(rebuilt) => unit.rebuilt_import |= rebuilt,
                 }
-                for &d in &self.dependents[i] {
-                    self.indegree[d] -= 1;
-                    if self.indegree[d] == 0 && self.min_err.is_none_or(|k| d < k) {
-                        released.push(d);
-                    }
+                unit.indegree -= 1;
+                if unit.indegree > 0 || self.min_err.is_some_and(|k| q >= k) {
+                    continue;
                 }
-            }
-            FailurePolicy::KeepGoing => {
-                let mut worklist: Vec<(usize, bool)> = vec![(i, !ok)];
-                while let Some((u, poison)) = worklist.pop() {
-                    for &d in &self.dependents[u] {
-                        if poison {
-                            self.blocked[d] = true;
-                        }
-                        self.indegree[d] -= 1;
-                        if self.indegree[d] == 0 {
-                            if self.blocked[d] {
-                                worklist.push((d, true));
-                            } else {
-                                released.push(d);
-                            }
-                        }
-                    }
+                if unit.blocked {
+                    worklist.push((q, None));
+                } else if unit.seed || (unit.rebuilt_import && !shared.settle(q)) {
+                    released.push(q);
+                } else {
+                    worklist.push((q, Some(false)));
                 }
             }
         }
@@ -2010,8 +2137,8 @@ fn on_workers(jobs: usize, work: impl Fn(usize) + Sync) {
 }
 
 /// What the wavefront's workers share under one lock.
-struct Sched {
-    wave: Wavefront,
+struct Sched<'a> {
+    wave: Wavefront<'a>,
     /// Released units, lowest topological index on top.
     ready: BinaryHeap<Reverse<usize>>,
     /// Units taken off `ready` and not yet completed.
@@ -2026,7 +2153,7 @@ struct Sched {
 /// [`ParallelShared::run`] catches unit panics, so a worker unwinds only
 /// from under the lock: the lock is then poisoned, and the unwinding
 /// worker wakes the others so each finds that out and returns.
-fn drain_wavefront(sched: &(Mutex<Sched>, Condvar), shared: &ParallelShared<'_>) {
+fn drain_wavefront(sched: &(Mutex<Sched<'_>>, Condvar), shared: &ParallelShared<'_>) {
     struct WakeOnUnwind<'a>(&'a Condvar);
     impl Drop for WakeOnUnwind<'_> {
         fn drop(&mut self) {
@@ -2057,13 +2184,13 @@ fn drain_wavefront(sched: &(Mutex<Sched>, Condvar), shared: &ParallelShared<'_>)
         };
         s.in_flight += 1;
         drop(s);
-        let ok = shared.run(i);
+        let settled = shared.run(i);
         s = match lock.lock() {
             Ok(s) => s,
             Err(_) => return,
         };
         s.in_flight -= 1;
-        s.wave.complete(i, ok, &mut released);
+        s.wave.complete(i, settled, shared, &mut released);
         s.ready.extend(released.drain(..).map(Reverse));
         cvar.notify_all();
     }
@@ -2121,34 +2248,20 @@ fn compile_unit_injected(
     compile_unit(name, source, sources)
 }
 
-/// Records a unit the dirty-cone pre-pass proved reusable, without
-/// dispatching it: same decision, counters and report entries the full
-/// decide path would have produced (the pre-pass guarantees the final
-/// decision is exactly `Reused` — never `CutOff`, which needs a rebuilt
-/// import, impossible outside the cone).
-fn synthesize_reused(report: &mut BuildReport, name: Symbol) {
-    trace::event("irm.decision")
-        .field("unit", name.as_str())
-        .field("kind", RebuildDecision::Reused.kind());
-    trace::counter(names::UNITS_REUSED, 1);
-    report.decisions.push((name, RebuildDecision::Reused));
-    report.reused.push(name);
-    report.outcomes.push((name, UnitOutcome::Reused));
-}
-
-/// True when `g` still describes exactly this set of analyses: same
+/// True when `g` still describes exactly `project`'s analyses: same
 /// unit set, and every unit's import/export name digest unchanged.  The
 /// graph is a function of those names alone, so equal `names_pid`s imply
 /// the same export map, the same resolved imports, and (the derivation
 /// being deterministic) the same topological order.  A body edit keeps
 /// its names, so it keeps the graph.  The digests are stored, never
 /// recomputed here: this is one `u128` compare per unit.
-fn graph_is_current(g: &DepGraph, analyses: &HashMap<Symbol, Arc<Analysis>>) -> bool {
-    g.len() == analyses.len()
-        && g.order().iter().enumerate().all(|(i, u)| {
-            analyses
-                .get(u)
-                .is_some_and(|a| a.names_pid == g.names_pid(i))
+fn graph_is_current(g: &DepGraph, project: &Project, stamps: &StampCache) -> bool {
+    g.len() == project.files().len()
+        && g.order().iter().enumerate().all(|(i, &u)| {
+            project.get(u).is_some()
+                && stamps
+                    .get(u)
+                    .is_some_and(|e| e.analysis.names_pid == g.names_pid(i))
         })
 }
 
@@ -2242,11 +2355,11 @@ fn publish_to_store(store: &Store, key: Pid, bin: &BinFile) {
 }
 
 /// A settled export environment (or the error that settling produced),
-/// published at most once per unit per parallel build.
+/// published at most once per unit per build.
 type EnvSlot = OnceLock<Result<Arc<Bindings>, CoreError>>;
 
-/// What one wavefront task resolved to; merged into the bin store and
-/// the report in topological order once every worker returns.
+/// What one cone unit resolved to; merged into the bin store and the
+/// report in topological order once every worker returns.
 #[derive(Debug)]
 struct TaskOutcome {
     decision: RebuildDecision,
@@ -2259,40 +2372,85 @@ struct TaskOutcome {
     rehydrate: Duration,
 }
 
-/// Read-only build state shared by every wavefront worker.
+impl TaskOutcome {
+    /// `decision` with no new bin, and the trace event it leaves.
+    fn decided(name: Symbol, decision: RebuildDecision) -> TaskOutcome {
+        trace::event("irm.decision")
+            .field("unit", name.as_str())
+            .field("kind", decision.kind());
+        TaskOutcome {
+            decision,
+            new_bin: None,
+            from_store: false,
+            timings: CompileTimings::default(),
+            warnings: Vec::new(),
+            rehydrate: Duration::ZERO,
+        }
+    }
+
+    /// A unit that keeps its bin.
+    fn reuse(name: Symbol, decision: RebuildDecision) -> TaskOutcome {
+        trace::counter(names::UNITS_REUSED, 1);
+        if matches!(decision, RebuildDecision::CutOff { .. }) {
+            trace::counter(names::CUTOFF_HITS, 1);
+        }
+        TaskOutcome::decided(name, decision)
+    }
+}
+
+/// Build state shared by every wavefront worker.
 struct ParallelShared<'a> {
     strategy: Strategy,
     /// Topological order and resolved imports, by slot and by name.
     graph: &'a DepGraph,
-    file_index: &'a HashMap<Symbol, &'a SourceFile>,
-    analyses: &'a HashMap<Symbol, Arc<Analysis>>,
+    project: &'a Project,
+    /// Every project unit's analysis.
+    stamps: &'a StampCache,
+    cone: &'a Cone,
     /// The bin store as of the start of the build.  New bins live in
     /// `outcomes` until the build merges them, so old state stays
     /// readable (a unit's *own* decision reads its pre-build bin).
     old_bins: &'a HashMap<Symbol, BinEntry>,
+    /// Where forcing a lazy body logs it.
+    forced: &'a Mutex<Vec<Symbol>>,
     /// The shared artifact store, probed before compiling and published
     /// to after.
     store: Option<&'a Store>,
-    envs: &'a [EnvSlot],
+    /// Export environments by cone position.
+    envs: Vec<EnvSlot>,
+    /// Export environments of imports outside the cone, by topological
+    /// slot, each created on first use.
+    imported_envs: Mutex<HashMap<usize, Arc<EnvSlot>>>,
+    /// By cone position.
     outcomes: &'a [OnceLock<Result<TaskOutcome, CoreError>>],
 }
 
 impl ParallelShared<'_> {
+    /// The outcome of topological slot `j`, if it is in the cone and
+    /// has settled.
+    fn outcome(&self, j: usize) -> Option<&TaskOutcome> {
+        match self.outcomes[self.cone.pos(j)?].get() {
+            Some(Ok(out)) => Some(out),
+            _ => None,
+        }
+    }
+
     /// Current facts about a unit: its fresh bin if it recompiled this
-    /// build, else its old bin.  Only called for *completed* units (the
-    /// scheduler dispatches a unit after all its imports finish), so the
-    /// outcome slot read is never racy.
+    /// build, else its old bin.  Only called for *settled* units (a unit
+    /// is decided after all its imports settle), so the outcome slot
+    /// read is never racy.
     fn facts(&self, u: Symbol) -> Option<ImportFacts> {
-        if let Some(j) = self.graph.index_of(u) {
-            if let Some(Ok(out)) = self.outcomes[j].get() {
-                if let Some(b) = &out.new_bin {
-                    return Some(ImportFacts {
-                        export_pid: b.unit.export_pid,
-                        mtime: b.mtime,
-                        rebuilt: true,
-                    });
-                }
-            }
+        let new_bin = self
+            .graph
+            .index_of(u)
+            .and_then(|j| self.outcome(j))
+            .and_then(|out| out.new_bin.as_ref());
+        if let Some(b) = new_bin {
+            return Some(ImportFacts {
+                export_pid: b.unit.export_pid,
+                mtime: b.mtime,
+                rebuilt: true,
+            });
         }
         self.old_bins.get(&u).map(|e| ImportFacts {
             export_pid: e.meta.export_pid,
@@ -2301,50 +2459,61 @@ impl ParallelShared<'_> {
         })
     }
 
-    /// Runs task `i` under the per-unit panic guard and fills its
-    /// outcome slot; true when the task produced an outcome.  A
-    /// panicking compiler fails this unit, never the worker or the
-    /// build.
-    fn run(&self, i: usize) -> bool {
-        let res = isolate_unit(self.graph.order()[i], || self.run_task(i));
-        let ok = res.is_ok();
-        let _ = self.outcomes[i].set(res);
-        ok
+    /// The decision for topological slot `i`, against its imports'
+    /// current facts.
+    fn decide(&self, i: usize) -> Result<RebuildDecision, CoreError> {
+        let name = self.graph.order()[i];
+        let file = self.project.get(name).ok_or(CoreError::UnknownUnit(name))?;
+        Ok(decide_unit(
+            self.strategy,
+            file,
+            analysis_of(self.stamps, name)?.source_pid,
+            self.graph.import_units(i),
+            self.old_bins.get(&name).map(|e| &e.meta),
+            &|u| self.facts(u),
+        ))
     }
 
-    /// Decide-then-maybe-compile for one unit.
-    fn run_task(&self, i: usize) -> Result<TaskOutcome, CoreError> {
+    /// Settles cone position `p` in place, without dispatching it, when
+    /// its decision keeps its bin; false when it must be dispatched.
+    /// Called under the scheduler lock once every import has settled.
+    fn settle(&self, p: usize) -> bool {
+        let i = self.cone.slots[p];
+        match self.decide(i) {
+            Ok(decision) if !decision.requires_recompile() => {
+                let out = TaskOutcome::reuse(self.graph.order()[i], decision);
+                let _ = self.outcomes[p].set(Ok(out));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Runs cone position `p` under the per-unit panic guard and fills
+    /// its outcome slot: `Some(rebuilt)` once it settled, `None` when it
+    /// failed.  A panicking compiler fails this unit, never the worker
+    /// or the build.
+    fn run(&self, p: usize) -> Option<bool> {
+        let i = self.cone.slots[p];
+        let res = isolate_unit(self.graph.order()[i], || self.run_task(p, i));
+        let settled = res.as_ref().ok().map(|out| out.new_bin.is_some());
+        let _ = self.outcomes[p].set(res);
+        settled
+    }
+
+    /// Decide-then-maybe-compile for cone position `p`, topological
+    /// slot `i`.
+    fn run_task(&self, p: usize, i: usize) -> Result<TaskOutcome, CoreError> {
         let name = self.graph.order()[i];
-        let file = self.file_index[&name];
-        let sp = self.analyses[&name].source_pid;
         let units = self.graph.import_units(i);
         let _task = trace::span(names::SPAN_TASK).field("unit", name.as_str());
 
-        let decision = decide_unit(
-            self.strategy,
-            file,
-            sp,
-            units,
-            self.old_bins.get(&name).map(|e| &e.meta),
-            &|u| self.facts(u),
-        );
+        let decision = self.decide(i)?;
         if !decision.requires_recompile() {
-            trace::event("irm.decision")
-                .field("unit", name.as_str())
-                .field("kind", decision.kind());
-            trace::counter(names::UNITS_REUSED, 1);
-            if matches!(decision, RebuildDecision::CutOff { .. }) {
-                trace::counter(names::CUTOFF_HITS, 1);
-            }
-            return Ok(TaskOutcome {
-                decision,
-                new_bin: None,
-                from_store: false,
-                timings: CompileTimings::default(),
-                warnings: Vec::new(),
-                rehydrate: Duration::ZERO,
-            });
+            return Ok(TaskOutcome::reuse(name, decision));
         }
+        let file = self.project.get(name).ok_or(CoreError::UnknownUnit(name))?;
+        let sp = analysis_of(self.stamps, name)?.source_pid;
 
         // Recompile verdict: probe the shared artifact store first.
         // Imports have all settled (the scheduler guarantees it), so
@@ -2369,19 +2538,13 @@ impl ParallelShared<'_> {
                             key: key.to_string(),
                             cause: Box::new(decision),
                         };
-                        trace::event("irm.decision")
-                            .field("unit", name.as_str())
-                            .field("kind", decision.kind());
                         // No eager env publication: dependents that need
                         // the exports rehydrate them from this bin via
                         // `rehydrate_env`, exactly like a reused unit.
                         return Ok(TaskOutcome {
-                            decision,
                             new_bin: Some(bin),
                             from_store: true,
-                            timings: CompileTimings::default(),
-                            warnings: Vec::new(),
-                            rehydrate: Duration::ZERO,
+                            ..TaskOutcome::decided(name, decision)
                         });
                     }
                     _ => {
@@ -2391,9 +2554,7 @@ impl ParallelShared<'_> {
             }
         }
 
-        trace::event("irm.decision")
-            .field("unit", name.as_str())
-            .field("kind", decision.kind());
+        let decided = TaskOutcome::decided(name, decision);
         let mut rehydrate = Duration::ZERO;
         let sources: Vec<ImportSource> = self
             .graph
@@ -2423,7 +2584,7 @@ impl ParallelShared<'_> {
         trace::counter(names::UNITS_COMPILED, 1);
         // Publish the export environment *before* the completion signal,
         // so a dependent never rehydrates a freshly compiled unit.
-        let _ = self.envs[i].set(Ok(out.exports.clone()));
+        let _ = self.envs[p].set(Ok(out.exports.clone()));
         let bin = BinFile {
             unit: out.unit,
             mtime: 0,
@@ -2432,15 +2593,14 @@ impl ParallelShared<'_> {
             publish_to_store(store, key, &bin);
         }
         Ok(TaskOutcome {
-            decision,
             new_bin: Some(BinFile {
                 mtime: tick(),
                 ..bin
             }),
-            from_store: false,
             timings: out.timings,
             warnings: out.warnings.iter().map(|w| w.to_string()).collect(),
             rehydrate,
+            ..decided
         })
     }
 
@@ -2454,13 +2614,24 @@ impl ParallelShared<'_> {
         j: usize,
         rehydrate_acc: &mut Duration,
     ) -> Result<Arc<Bindings>, CoreError> {
-        if let Some(r) = self.envs[j].get() {
+        let imported;
+        let slot = match self.cone.pos(j) {
+            Some(p) => &self.envs[p],
+            None => {
+                let mut envs = self
+                    .imported_envs
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                imported = Arc::clone(envs.entry(j).or_default());
+                &imported
+            }
+        };
+        if let Some(r) = slot.get() {
             trace::counter(names::ENV_CACHE_HITS, 1);
             return r.clone();
         }
         trace::counter(names::ENV_CACHE_MISSES, 1);
-        self.envs[j]
-            .get_or_init(|| self.rehydrate_env(j, rehydrate_acc))
+        slot.get_or_init(|| self.rehydrate_env(j, rehydrate_acc))
             .clone()
     }
 
@@ -2477,17 +2648,13 @@ impl ParallelShared<'_> {
         for &d in self.graph.import_idx(j) {
             ctx_envs.push(self.force_env(d, acc)?);
         }
-        let new_bin = match self.outcomes[j].get() {
-            Some(Ok(out)) => out.new_bin.as_ref(),
-            _ => None,
-        };
-        let bin = match new_bin {
+        let bin = match self.outcome(j).and_then(|out| out.new_bin.as_ref()) {
             Some(b) => b,
             None => match self.old_bins.get(&unit) {
                 // Forcing may find a corrupt archived body; the error
                 // propagates up as this unit's failure and the caller's
                 // quarantine-and-retry loop recompiles it.
-                Some(e) => e.force()?,
+                Some(e) => e.force(self.forced)?,
                 None => return Err(CoreError::UnknownUnit(unit)),
             },
         };
@@ -2504,19 +2671,17 @@ impl ParallelShared<'_> {
 }
 
 /// Maps each exported top-level name to the unit exporting it.
-fn exporters(
-    analyses: &HashMap<Symbol, Arc<Analysis>>,
-) -> Result<HashMap<Symbol, Symbol>, CoreError> {
+fn exporters(project: &Project, stamps: &StampCache) -> Result<HashMap<Symbol, Symbol>, CoreError> {
     let mut map: HashMap<Symbol, Symbol> = HashMap::new();
-    let mut units: Vec<&Symbol> = analyses.keys().collect();
+    let mut units: Vec<Symbol> = project.files().iter().map(|f| f.name).collect();
     units.sort_by_key(|s| s.as_str());
     for unit in units {
-        for name in &analyses[unit].exports {
-            if let Some(prev) = map.insert(*name, *unit) {
-                if prev != *unit {
+        for name in &analysis_of(stamps, unit)?.exports {
+            if let Some(prev) = map.insert(*name, unit) {
+                if prev != unit {
                     return Err(CoreError::DuplicateExport {
                         name: *name,
-                        units: vec![prev, *unit],
+                        units: vec![prev, unit],
                     });
                 }
             }
@@ -2529,12 +2694,12 @@ fn exporters(
 /// project unit are errors, cycles are errors.
 fn topo_order(
     project: &Project,
-    analyses: &HashMap<Symbol, Arc<Analysis>>,
+    stamps: &StampCache,
     exporters: &HashMap<Symbol, Symbol>,
 ) -> Result<Vec<Symbol>, CoreError> {
     // Validate imports first for a precise error.
     for f in project.files() {
-        for import in &analyses[&f.name].imports {
+        for import in &analysis_of(stamps, f.name)?.imports {
             if !exporters.contains_key(import) {
                 return Err(CoreError::UnresolvedImport {
                     unit: f.name,
@@ -2547,7 +2712,7 @@ fn topo_order(
     let mut state: HashMap<Symbol, u8> = HashMap::new(); // 1 = visiting, 2 = done
     fn visit(
         unit: Symbol,
-        analyses: &HashMap<Symbol, Arc<Analysis>>,
+        stamps: &StampCache,
         exporters: &HashMap<Symbol, Symbol>,
         state: &mut HashMap<Symbol, u8>,
         order: &mut Vec<Symbol>,
@@ -2564,7 +2729,7 @@ fn topo_order(
         }
         state.insert(unit, 1);
         stack.push(unit);
-        let mut deps: Vec<Symbol> = analyses[&unit]
+        let mut deps: Vec<Symbol> = analysis_of(stamps, unit)?
             .imports
             .iter()
             .map(|n| exporters[n])
@@ -2573,7 +2738,7 @@ fn topo_order(
         deps.dedup();
         for d in deps {
             if d != unit {
-                visit(d, analyses, exporters, state, order, stack)?;
+                visit(d, stamps, exporters, state, order, stack)?;
             }
         }
         stack.pop();
@@ -2585,7 +2750,7 @@ fn topo_order(
     units.sort_by_key(|s| s.as_str());
     let mut stack = Vec::new();
     for u in units {
-        visit(u, analyses, exporters, &mut state, &mut order, &mut stack)?;
+        visit(u, stamps, exporters, &mut state, &mut order, &mut stack)?;
     }
     Ok(order)
 }

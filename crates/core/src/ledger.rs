@@ -190,7 +190,7 @@ impl LedgerRecord {
             dehydrate_us: us(report.timings.dehydrate),
             rehydrate_us: us(report.rehydrate),
             compiled: report.recompiled.len() as u64,
-            reused: report.reused.len() as u64,
+            reused: report.reused as u64,
             cutoff,
             store_hits: report.store_hits.len() as u64,
             skipped: report.skipped.len() as u64,
@@ -411,7 +411,7 @@ pub fn build_report_json(
     let mut out = String::from("{\"record\":");
     out.push_str(&serde_json::to_string(record).expect("ledger record serializes"));
     out.push_str(",\"decisions\":[");
-    for (i, (unit, decision)) in report.decisions.iter().enumerate() {
+    for (i, (unit, decision)) in report.all_decisions().enumerate() {
         if i > 0 {
             out.push(',');
         }

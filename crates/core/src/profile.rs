@@ -198,7 +198,7 @@ impl BuildProfile {
         // about one mean compile.  A build that compiled something
         // measures its own mean; otherwise the caller's hint (history).
         let compiled = report.recompiled.len() as u64;
-        let avoided = (report.reused.len() + report.store_hits.len()) as u64;
+        let avoided = (report.reused + report.store_hits.len()) as u64;
         let measured_mean =
             (compiled > 0).then(|| report.timings.total().as_micros() as u64 / compiled);
         let mean_compile_us = measured_mean.or(mean_compile_us_hint);

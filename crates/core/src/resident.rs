@@ -30,6 +30,14 @@
 //!   in-memory [`SourceFile`] entries (via
 //!   [`Project::add_lazy`]/[`Project::remove`]), so the next build's
 //!   three-rung analysis ladder misses *only* the touched units.
+//! * **Builds seeded from the drain.**  When the feed named only
+//!   changed sources of units the project already held, the build is
+//!   handed their names ([`Irm::build_changed`](crate::irm::Irm::build_changed)):
+//!   it analyzes and decides just those units against the last build's
+//!   graph and seeds the schedule from them, with no pass over the
+//!   whole project.  An added, removed or renamed unit, a rescan, or
+//!   anything the manager cannot vouch for (see `build_changed`) takes
+//!   the full ladder instead; the report is the same either way.
 //! * **Serialized build execution.**  Any number of threads may call
 //!   [`Resident::build`] concurrently; a mutex serializes the runs — the
 //!   bin cache and stamp cache are single-writer.
@@ -60,7 +68,7 @@ use smlsc_store::Store;
 use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::build_session::BuildSession;
-use crate::irm::{mtime_ns, FailurePolicy, Project, Strategy};
+use crate::irm::{mtime_ns, with_implied_reuses, FailurePolicy, Project, Strategy};
 use crate::CoreError;
 
 /// One filesystem change to feed into the resident session.
@@ -117,7 +125,7 @@ pub struct BuildSnapshot {
     pub units: usize,
     /// Units compiled fresh.
     pub recompiled: usize,
-    /// Units reused untouched.
+    /// Units that kept their bins.
     pub reused: usize,
     /// The exit code class of the build (0 ok, 1 compile, 3 internal,
     /// 4 store/IO).
@@ -126,9 +134,14 @@ pub struct BuildSnapshot {
     pub summary: String,
     /// Diagnostics for stderr: warnings, failures, skip explanations.
     pub notes: Vec<String>,
-    /// Per-unit rebuild decisions, rendered for `--explain` only when a
-    /// request asks ([`explain_lines`](crate::build_session::explain_lines)).
+    /// The build order.
+    pub order: Arc<[Symbol]>,
+    /// The rebuild decisions of the units the build touched, in order;
+    /// every other unit that did not fail was reused.  Rendered for
+    /// `--explain` only when a request asks ([`Self::all_decisions`]).
     pub decisions: Vec<(Symbol, RebuildDecision)>,
+    /// The units whose compile failed (keep-going).
+    failed: Vec<Symbol>,
     /// The build's full telemetry (`Collector::stats_json`).
     pub stats_json: String,
     /// The delta generation this snapshot reflects (see
@@ -141,6 +154,13 @@ pub struct BuildSnapshot {
 }
 
 impl BuildSnapshot {
+    /// Every unit in build order with its decision, implied reuses
+    /// included, as [`BuildReport::all_decisions`](crate::irm::BuildReport::all_decisions)
+    /// renders them.
+    pub fn all_decisions(&self) -> impl Iterator<Item = (Symbol, &RebuildDecision)> + '_ {
+        with_implied_reuses(&self.order, &self.decisions, |u| self.failed.contains(&u))
+    }
+
     /// The delta generation this snapshot reflects; current while it
     /// equals [`Resident::generation`].
     pub fn generation(&self) -> u64 {
@@ -161,11 +181,9 @@ impl BuildSnapshot {
                 exit_code: self.exit_code,
                 summary: self.noop_summary.clone(),
                 notes: Vec::new(),
-                decisions: self
-                    .decisions
-                    .iter()
-                    .map(|(unit, _)| (*unit, RebuildDecision::Reused))
-                    .collect(),
+                order: Arc::clone(&self.order),
+                decisions: Vec::new(),
+                failed: Vec::new(),
                 stats_json: self.stats_json.clone(),
                 gen: self.gen,
                 noop_summary: self.noop_summary.clone(),
@@ -293,10 +311,13 @@ impl Resident {
         let st = &mut *st;
         let collector = trace::Collector::new();
         collector.install();
-        if let Err(e) = self.refresh(st) {
-            trace::uninstall();
-            return Err(e);
-        }
+        let changed = match self.refresh(st) {
+            Ok(changed) => changed,
+            Err(e) => {
+                trace::uninstall();
+                return Err(e);
+            }
+        };
         if let Some(last) = self.last.read().expect("snapshot lock").as_ref() {
             if last.gen == st.gen && last.exit_code == 0 {
                 trace::uninstall();
@@ -306,30 +327,41 @@ impl Resident {
         let started = std::time::Instant::now();
         let n = self.building.fetch_add(1, Ordering::SeqCst) + 1;
         self.building_high_water.fetch_max(n, Ordering::SeqCst);
-        let result = st.session.build(&st.project, jobs, policy);
+        let result = st
+            .session
+            .build_changed(&st.project, jobs, policy, changed.as_deref());
         self.building.fetch_sub(1, Ordering::SeqCst);
         let mut built = result.inspect_err(|_| trace::uninstall())?;
         let (_, warnings) = st.session.finish(&built, &collector, jobs, started, true);
+        // The span ends before `stats_json` renders, so the reply
+        // reports it; the render and the drop of the replaced snapshot
+        // come after it, both sized to the units the build touched.
+        let span = trace::span(names::SPAN_RESIDENT_SNAPSHOT);
         st.session.irm.release_bodies();
         built.notes.extend(warnings);
-        let stats_json = collector.stats_json();
-        trace::uninstall();
         st.seq += 1;
         let report = built.report;
-        let snapshot = Arc::new(BuildSnapshot {
+        let units = report.order.len();
+        let mut snapshot = BuildSnapshot {
             seq: st.seq,
-            units: report.order.len(),
+            units,
             recompiled: report.recompiled.len(),
-            reused: report.reused.len(),
+            reused: report.reused,
             exit_code: built.exit_code,
             summary: built.summary,
             notes: built.notes,
+            order: report.order.into(),
             decisions: report.decisions,
-            stats_json,
+            failed: report.failed.into_iter().map(|(u, _)| u).collect(),
+            stats_json: String::new(),
             gen: st.gen,
-            noop_summary: st.session.noop_summary(report.order.len()),
+            noop_summary: st.session.noop_summary(units),
             noop: OnceLock::new(),
-        });
+        };
+        drop(span);
+        snapshot.stats_json = collector.stats_json();
+        trace::uninstall();
+        let snapshot = Arc::new(snapshot);
         *self.last.write().expect("snapshot lock") = Some(Arc::clone(&snapshot));
         Ok((snapshot, false))
     }
@@ -338,19 +370,34 @@ impl Resident {
     /// names, re-stat'ed and stripped of their recorded stats, then a
     /// counted rescan when there is no feed, it lost track, or an
     /// earlier build's rescan failed.
-    fn refresh(&self, st: &mut State) -> Result<(), CoreError> {
+    ///
+    /// Returns the units the feed named when they alone may seed the
+    /// build: every event replaced a unit the project already held, and
+    /// no rescan ran.
+    fn refresh(&self, st: &mut State) -> Result<Option<Vec<Symbol>>, CoreError> {
+        let _span = trace::span(names::SPAN_RESIDENT_REFRESH);
         let named = match st.feed.as_mut().map(|feed| feed.drain()) {
             Some(Drained::Changed(names)) => restat(&st.dir, names),
             _ => None,
         };
+        let mut seed = None;
         match named {
             Some(events) => {
+                let mut units = Vec::with_capacity(events.len());
+                let mut replaces_only = true;
                 for event in &events {
-                    if let FileEvent::Upsert { name, .. } = event {
-                        st.session.irm.forget_stamp(Symbol::intern(name));
+                    match event {
+                        FileEvent::Upsert { name, .. } => {
+                            let unit = Symbol::intern(name);
+                            st.session.irm.forget_stamp(unit);
+                            replaces_only &= st.project.get(unit).is_some();
+                            units.push(unit);
+                        }
+                        FileEvent::Remove { .. } => replaces_only = false,
                     }
                 }
                 self.apply(st, &events);
+                seed = replaces_only.then_some(units);
             }
             None => st.rescan_owed = true,
         }
@@ -360,8 +407,9 @@ impl Resident {
             let events = diff_projects(&st.project, &Project::from_dir(&st.dir)?);
             self.apply(st, &events);
             st.rescan_owed = false;
+            seed = None;
         }
-        Ok(())
+        Ok(seed)
     }
 
     fn apply(&self, st: &mut State, events: &[FileEvent]) -> usize {
@@ -762,6 +810,34 @@ mod tests {
         assert_eq!(snap.units, 1);
         assert!(snap.stats_json.contains(r#""daemon.invalidations":1"#));
         assert_eq!(r.rescans(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fed build is seeded from the drain, and its stats name the
+    /// daemon's own layers around the ledger's wall time.
+    #[test]
+    fn a_fed_build_is_seeded_and_names_its_daemon_layers() {
+        let dir = temp("layers");
+        write(&dir, "a", "structure A = struct fun f x = x + 1 end");
+        write(&dir, "b", "structure B = struct val y = A.f 41 end");
+        let (r, queue) = fed(&dir);
+        let (first, _) = build(&r);
+        assert!(!first.stats_json.contains(names::SCHED_EVENT_SEEDED));
+        write(&dir, "a", "structure A = struct fun f x = x + 2 end");
+        queue.push("a.sml");
+        let (snap, _) = build(&r);
+        assert_eq!((snap.recompiled, snap.reused), (1, 1), "{}", snap.summary);
+        for name in [
+            names::SPAN_RESIDENT_REFRESH,
+            names::SPAN_RESIDENT_SNAPSHOT,
+            names::SCHED_EVENT_SEEDED,
+        ] {
+            assert!(
+                snap.stats_json.contains(&format!("\"{name}\"")),
+                "{name}: {}",
+                snap.stats_json
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -112,6 +112,12 @@ pub struct StampCache {
     /// Units recorded since the last save: what the next appended
     /// section carries.
     unsaved: HashSet<Symbol>,
+    /// Stats dropped as racy at load, by unit.
+    racy: HashMap<Symbol, (u64, u64)>,
+    /// Unsaved units whose only change is a racy stat re-recorded over
+    /// the same analysis: the pack already holds these records, and
+    /// writing them would only move the instant that vouches for them.
+    heals: HashSet<Symbol>,
 }
 
 impl StampCache {
@@ -127,14 +133,21 @@ impl StampCache {
     /// *racy* and dropped: a file edited within the same mtime tick and
     /// to the same byte size would otherwise be served unread with
     /// stale analysis.  The record keeps its analysis, so the unit is
-    /// read and digested once, and its re-recorded stat goes into the
-    /// next save, whose later instant trusts it.
+    /// read and digested, and its re-recorded stat goes into the next
+    /// save that writes anything else ([`Self::only_heals`]), whose later
+    /// instant trusts it.
     pub fn merge_section(&mut self, section: StampSection) {
         let StampSection { saved_at, records } = section;
         self.entries.reserve(records.len());
         for (unit, mut entry) in records {
-            if entry.stat.is_some_and(|(mtime_ns, _)| mtime_ns >= saved_at) {
-                entry.stat = None;
+            match entry.stat {
+                Some(stat) if stat.0 >= saved_at => {
+                    self.racy.insert(unit, stat);
+                    entry.stat = None;
+                }
+                _ => {
+                    self.racy.remove(&unit);
+                }
             }
             self.entries.insert(unit, entry);
         }
@@ -188,9 +201,19 @@ impl StampCache {
         self.unsaved.is_empty()
     }
 
+    /// True when every unsaved record only re-vouches a racy stat (see
+    /// `heals`), so a save that has nothing else to write may skip.  A
+    /// read-only command beside a daemon then leaves the pack alone
+    /// rather than append a segment that sends the daemon's next save
+    /// into a full rewrite.
+    pub fn only_heals(&self) -> bool {
+        self.unsaved.len() == self.heals.len()
+    }
+
     /// Marks every record as written (a save committed its section).
     pub fn mark_saved(&mut self) {
         self.unsaved.clear();
+        self.heals.clear();
     }
 
     /// The record of `unit`, whatever its stat.
@@ -211,6 +234,14 @@ impl StampCache {
         if self.entries.get(&unit) == Some(&entry) {
             return;
         }
+        let heal = entry.stat.is_some()
+            && self.racy.remove(&unit) == entry.stat
+            && self.entries.get(&unit).map(|e| &e.analysis) == Some(&entry.analysis);
+        if heal && !self.unsaved.contains(&unit) {
+            self.heals.insert(unit);
+        } else {
+            self.heals.remove(&unit);
+        }
         self.unsaved.insert(unit);
         self.entries.insert(unit, entry);
     }
@@ -227,6 +258,7 @@ impl StampCache {
     pub(crate) fn retain(&mut self, keep: impl Fn(Symbol) -> bool) {
         self.entries.retain(|&u, _| keep(u));
         self.unsaved.retain(|&u| keep(u));
+        self.heals.retain(|&u| keep(u));
     }
 
     /// Number of records.
@@ -404,10 +436,14 @@ mod tests {
         assert!(back.lookup(sym("old"), 10, 20).is_some());
 
         // Re-recording the stat of a racy record marks it unsaved even
-        // though the analysis is identical, so the next section trusts it.
+        // though the analysis is identical, so the next section trusts it;
+        // alone, such heals are not worth a section of their own.
         assert!(back.is_saved());
         back.record(sym("racy"), entry(100, 20));
         assert!(!back.is_saved());
+        assert!(back.only_heals());
+        back.record(sym("old"), entry(11, 20));
+        assert!(!back.only_heals(), "a moved stat is worth a save");
         let mut healed = StampCache::new();
         reload(&mut healed, &back, true, 300);
         assert!(healed.lookup(sym("racy"), 100, 20).is_some());

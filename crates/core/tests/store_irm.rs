@@ -236,7 +236,7 @@ fn store_hit_bins_persist_and_satisfy_the_next_build() {
     let report = third.build(&p).unwrap();
     assert!(report.recompiled.is_empty());
     assert!(report.store_hits.is_empty());
-    assert_eq!(report.reused.len(), 4);
+    assert_eq!(report.reused, 4);
     std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(&bins).ok();
 }

@@ -335,7 +335,7 @@ fn build(request: &Request, ctx: &HandlerCtx) -> Response {
             r.summary = snap.summary.clone();
             r.notes = snap.notes.clone();
             if request.explain {
-                r.explain = explain_lines(&snap.decisions);
+                r.explain = explain_lines(snap.all_decisions());
             }
             r.stats_json = snap.stats_json.clone();
             r

@@ -352,7 +352,9 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
             return exit_code(Err(&e));
         }
     };
-    let explain = opts.explain.then(|| explain_lines(&built.report.decisions));
+    let explain = opts
+        .explain
+        .then(|| explain_lines(built.report.all_decisions()));
     // Printed before the persist, which may wait on another writer's
     // pack lock.
     print_build(

@@ -120,10 +120,17 @@ pub const CRITICAL_PATH: &str = "irm.critical_path";
 /// whose rebuild decision (ignoring cascades) already says "recompile".
 /// A no-op build keeps this at zero.
 pub const SCHED_DIRTY_SEED: &str = "sched.dirty_seed";
-/// Units in the scheduled cone: the dirty seed plus its transitive
-/// dependents.  Everything outside the cone is reused without being
-/// dispatched, so scheduler work is O(cone), not O(project).
+/// Units in the cone: the dirty seed plus its transitive dependents,
+/// the units whose in-degrees the scheduler counts.  Only a seed or a
+/// unit whose import was rebuilt is decided, and only one that may
+/// recompile is dispatched; the rest of the cone settles under the
+/// scheduler lock, and everything outside it is never touched.
 pub const SCHED_DIRTY_CONE: &str = "sched.dirty_cone";
+/// Builds seeded from the units a change feed named: only those were
+/// analyzed and decided, with no stat check, graph check or dirty
+/// pre-pass over the whole project.  A build the seed cannot vouch for
+/// takes the full ladder and leaves this at zero.
+pub const SCHED_EVENT_SEEDED: &str = "sched.event_seeded";
 
 /// Import DAGs reused from the previous build or the pack's graph
 /// section, because no unit's import or export names changed (no
@@ -156,6 +163,15 @@ pub const LEDGER_ROTATIONS: &str = "ledger.rotations";
 /// `jobs` fields — total units over critical-path length is the maximum
 /// parallel speedup the DAG admits.
 pub const BUILD_PARALLELISM: &str = "build.parallelism";
+
+/// Span: a resident build bringing its project up to date: the change
+/// feed's drain, the re-stat of the files it names (or the fallback
+/// rescan) and the application of the resulting events.
+pub const SPAN_RESIDENT_REFRESH: &str = "resident.refresh";
+/// Span: a resident build publishing its result after the ledger
+/// append: releasing decoded bodies, assembling the snapshot and
+/// replacing (dropping) the previous one.
+pub const SPAN_RESIDENT_SNAPSHOT: &str = "resident.snapshot";
 
 /// Span: one whole `Irm::build` call.
 pub const SPAN_BUILD: &str = "irm.build";

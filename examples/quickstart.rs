@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use smlsc::core::irm::{Irm, Project, Strategy};
+use smlsc::core::irm::{Irm, Project, Strategy, UnitOutcome};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut project = Project::new();
@@ -65,7 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|s| s.as_str())
             .collect::<Vec<_>>(),
-        report.reused.iter().map(|s| s.as_str()).collect::<Vec<_>>()
+        report
+            .order
+            .iter()
+            .filter(|s| report.outcome_for(s.as_str()) == Some(&UnitOutcome::Reused))
+            .map(|s| s.as_str())
+            .collect::<Vec<_>>()
     );
     print_main(&env);
 

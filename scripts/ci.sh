@@ -24,6 +24,9 @@ cargo test -q --workspace
 echo "==> parallel equivalence (wavefront scheduler, jobs > 1)"
 cargo test -q --test parallel
 
+echo "==> report rendering goldens (three strategies, jobs 1 and 4)"
+cargo test -q --test report_goldens
+
 echo "==> corruption recovery + concurrent store sharing"
 cargo test -q --test corruption
 cargo test -q --test store_concurrency
@@ -115,7 +118,7 @@ cargo test -q --test chaos
 cargo test -q --test keep_going
 cargo test -q --test daemon_concurrency
 
-echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, profile; 20 runs)"
+echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, seeded_builds, profile; 20 runs)"
 for i in $(seq 1 20); do
   cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
   cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
@@ -125,6 +128,7 @@ for i in $(seq 1 20); do
   cargo test -q --test store_concurrency || { echo "error: store_concurrency failed on run $i" >&2; exit 1; }
   cargo test -q --test parallel || { echo "error: parallel failed on run $i" >&2; exit 1; }
   cargo test -q --test keep_going || { echo "error: keep_going failed on run $i" >&2; exit 1; }
+  cargo test -q --test seeded_builds || { echo "error: seeded_builds failed on run $i" >&2; exit 1; }
   cargo test -q -p smlsc-core --lib profile || { echo "error: profile unit tests failed on run $i" >&2; exit 1; }
 done
 

@@ -729,7 +729,7 @@ fn torn_graph_section_is_rederived_and_repaired() {
     smlsc::core::trace::uninstall();
     assert!(report.succeeded());
     assert_eq!(report.recompiled, [smlsc::ids::Symbol::intern("Extra")]);
-    assert_eq!(report.reused.len(), 40);
+    assert_eq!(report.reused, 40);
     assert_eq!(collector.counter(names::DEPS_PACK_MISSES), 1);
 
     // Doctor: reported without --fix, cut off with it.

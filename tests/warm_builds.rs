@@ -369,6 +369,55 @@ fn touched_file_reuses_its_recorded_analysis_in_a_fresh_process() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A stat the pack holds as racy (taken at or after its save) is
+/// re-read by a fresh manager; when the bytes still match the record,
+/// re-vouching the stat is not worth a save of its own.  A read-only
+/// build beside a daemon thus leaves the pack untouched, and the
+/// daemon's next save can still append.
+#[test]
+fn a_build_that_only_reconfirms_racy_stats_writes_nothing() {
+    let base = temp_dir("heals");
+    let (src, bins) = (base.join("src"), base.join("bins"));
+    write_settled(&src, &CHAIN);
+    // Dated after the save: racy when the next manager loads the pack.
+    std::fs::File::options()
+        .write(true)
+        .open(src.join("mid.sml"))
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() + std::time::Duration::from_secs(60))
+        .unwrap();
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&Project::from_dir(&src).unwrap()).unwrap();
+    irm.save_bins(&bins).unwrap();
+    let pack = bins.join(smlsc_core::pack::PACK_FILE);
+    let identity = || {
+        use std::os::unix::fs::MetadataExt;
+        let m = std::fs::metadata(&pack).unwrap();
+        (m.ino(), m.len())
+    };
+    let before = identity();
+
+    let collector = trace::Collector::new();
+    collector.install();
+    let mut warm = Irm::new(Strategy::Cutoff);
+    warm.load_bins(&bins).unwrap();
+    let report = warm.build(&Project::from_dir(&src).unwrap()).unwrap();
+    warm.save_bins(&bins).unwrap();
+    trace::uninstall();
+    assert_eq!(report.recompiled.len(), 0, "{:?}", report.decisions);
+    assert_eq!(
+        collector.counter(trace::names::SOURCE_READS),
+        1,
+        "the racy file is re-read"
+    );
+    assert_eq!(
+        identity(),
+        before,
+        "the pack is neither appended to nor rewritten"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// A full rewrite carries the record of each unit it holds a bin for
 /// and no other, so a dropped unit's record does not outlive its bin.
 #[test]
