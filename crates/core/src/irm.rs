@@ -624,27 +624,26 @@ pub struct BinLoadOutcome {
     pub corrupt: Vec<(PathBuf, CoreError)>,
 }
 
-/// A cached bin: decision metadata always resident, the body either in
-/// memory or a lazily forced, digest-verified slice of `bins.pack`.
-/// Rebuild decisions need only [`BinMeta`], so a warm build touches no
-/// bodies at all.
+/// A cached bin: decision metadata always resident, the body sealed
+/// bytes — in memory, or a digest-verified slice of `bins.pack` — that
+/// are decoded at most once, on first real use.  Rebuild decisions need
+/// only [`BinMeta`], so a warm build touches no bodies at all.
 #[derive(Debug)]
 struct BinEntry {
     meta: BinMeta,
     body: BinBody,
+    /// The decoded bin once forced, or why it would not decode.
+    cell: OnceLock<Result<BinFile, CoreError>>,
 }
 
 #[derive(Debug)]
 enum BinBody {
-    /// The full bin is in memory (fresh compile, store hit, injected
-    /// by a test).
-    Resident(BinFile),
-    /// The body lives in `bins.pack`; forced (read + digest-verified +
-    /// parsed) at most once, on first real use.
-    Lazy {
-        src: LazyBody,
-        cell: OnceLock<Result<BinFile, CoreError>>,
-    },
+    /// Sealed in memory by the worker that compiled or fetched the unit
+    /// (or by [`Irm::inject_bin`]): exactly the bytes a save writes,
+    /// under their pack digest.
+    Sealed { bytes: Vec<u8>, digest: Pid },
+    /// The body lives in `bins.pack`.
+    Packed(LazyBody),
 }
 
 #[derive(Debug, Clone)]
@@ -656,48 +655,58 @@ struct LazyBody {
 }
 
 impl BinEntry {
-    fn resident(bin: BinFile) -> BinEntry {
+    /// An entry for a body sealed as `bytes`, under their pack digest.
+    fn sealed(meta: BinMeta, bytes: Vec<u8>) -> BinEntry {
+        let digest = Pid::of_bytes(&bytes);
         BinEntry {
-            meta: bin.meta(),
-            body: BinBody::Resident(bin),
+            meta,
+            body: BinBody::Sealed { bytes, digest },
+            cell: OnceLock::new(),
         }
     }
 
-    /// The full bin, forcing a lazy body; a real read is logged in
-    /// `forced`, so [`Irm::release_bodies`] knows which cells to empty.
-    /// The result (success or corruption) is cached: a torn body fails
-    /// identically every time until the unit is quarantined.
+    fn packed(meta: BinMeta, src: LazyBody) -> BinEntry {
+        BinEntry {
+            meta,
+            body: BinBody::Packed(src),
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The full bin, decoding the body on first use; the decode is
+    /// logged in `forced`, so [`Irm::release_bodies`] knows which cells
+    /// to empty.  The result (success or corruption) is cached: a torn
+    /// body fails identically every time until the unit is quarantined.
     fn force(&self, forced: &Mutex<Vec<Symbol>>) -> Result<&BinFile, CoreError> {
-        match &self.body {
-            BinBody::Resident(bin) => Ok(bin),
-            BinBody::Lazy { src, cell } => {
-                let unit = self.meta.name;
-                cell.get_or_init(|| {
-                    trace::counter(names::BIN_LAZY_BODIES, 1);
-                    forced
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(unit);
-                    let bytes = src
-                        .pack
-                        .read_body(src.offset, src.len, src.digest)
-                        .map_err(|detail| CoreError::BinBodyCorrupt { unit, detail })?;
-                    BinFile::from_bytes(&bytes).map_err(|e| CoreError::BinBodyCorrupt {
-                        unit,
-                        detail: e.to_string(),
-                    })
+        let unit = self.meta.name;
+        self.cell
+            .get_or_init(|| {
+                trace::counter(names::BIN_LAZY_BODIES, 1);
+                forced
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(unit);
+                let (bytes, _) = self
+                    .body_bytes()
+                    .map_err(|detail| CoreError::BinBodyCorrupt { unit, detail })?;
+                BinFile::from_bytes(&bytes).map_err(|e| CoreError::BinBodyCorrupt {
+                    unit,
+                    detail: e.to_string(),
                 })
-                .as_ref()
-                .map_err(|e| e.clone())
-            }
-        }
+            })
+            .as_ref()
+            .map_err(|e| e.clone())
     }
 
-    /// The full bin if it is already in memory — never forces.
-    fn forced(&self) -> Option<&BinFile> {
+    /// The body's bytes and pack digest: sealed bytes as they are, a
+    /// packed body read back and verified.
+    fn body_bytes(&self) -> Result<(std::borrow::Cow<'_, [u8]>, Pid), String> {
         match &self.body {
-            BinBody::Resident(bin) => Some(bin),
-            BinBody::Lazy { cell, .. } => cell.get().and_then(|r| r.as_ref().ok()),
+            BinBody::Sealed { bytes, digest } => Ok((bytes.into(), *digest)),
+            BinBody::Packed(src) => {
+                let bytes = src.pack.read_body(src.offset, src.len, src.digest)?;
+                Ok((bytes.into(), src.digest))
+            }
         }
     }
 }
@@ -822,8 +831,8 @@ impl Irm {
         self.strategy.unwrap_or(Strategy::Cutoff)
     }
 
-    /// The cached bin for a unit, if any — forces a lazily archived
-    /// body.  A corrupt body reads as "no bin" here; builds surface the
+    /// The cached bin for a unit, if any — decodes its body on first
+    /// use.  A corrupt body reads as "no bin" here; builds surface the
     /// corruption properly and quarantine the unit.
     pub fn bin(&self, name: &str) -> Option<&BinFile> {
         self.bins
@@ -847,7 +856,8 @@ impl Irm {
     pub fn inject_bin(&mut self, bin: BinFile) {
         self.seedable = false;
         self.dirty.insert(bin.unit.name);
-        self.bins.insert(bin.unit.name, BinEntry::resident(bin));
+        self.bins
+            .insert(bin.unit.name, BinEntry::sealed(bin.meta(), bin.to_bytes()));
     }
 
     /// Enables or disables paranoid mode: when on, no file is trusted
@@ -948,10 +958,10 @@ impl Irm {
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Io(format!("{}: {e}", dir.display())))?;
-        // Serialize the dirty bins while they, the changed stamps and
-        // the changed graph still fit one appended segment; past the
-        // bound the save is a full rewrite.
-        let mut fresh: Vec<(&BinMeta, Vec<u8>)> = Vec::new();
+        // Take the dirty bins while they, the changed stamps and the
+        // changed graph still fit one appended segment; past the bound
+        // the save is a full rewrite.
+        let mut fresh: Vec<(&BinMeta, &[u8], Pid)> = Vec::new();
         if let Some(t) = tail {
             let mut dirty: Vec<Symbol> = self.dirty.iter().copied().collect();
             dirty.sort_by_key(|n| n.as_str());
@@ -968,60 +978,46 @@ impl Irm {
                 let Some(entry) = self.bins.get(&name) else {
                     continue;
                 };
-                let Some(bin) = entry.forced() else {
+                let BinBody::Sealed { bytes, digest } = &entry.body else {
                     tail = None;
                     break;
                 };
-                let bytes = bin.to_bytes();
                 need += pack::entry_len_bound(&entry.meta, bytes.len());
                 if !t.fits(need) {
                     tail = None;
                     break;
                 }
-                fresh.push((&entry.meta, bytes));
+                fresh.push((&entry.meta, bytes, *digest));
             }
         }
         let mut writer = PackWriter::open(&pack_path, tail)?;
         let appends = writer.appends();
         let mut quarantined: Vec<Symbol> = Vec::new();
         if appends {
-            for (meta, bytes) in &fresh {
-                put_body(&mut writer, meta, bytes, Pid::of_bytes(bytes), &pack_path)?;
+            for &(meta, bytes, digest) in &fresh {
+                put_body(&mut writer, meta, bytes, digest, &pack_path)?;
             }
         } else {
             let mut names_sorted: Vec<Symbol> = self.bins.keys().copied().collect();
             names_sorted.sort_by_cached_key(|n| n.as_str());
             for name in &names_sorted {
                 let entry = &self.bins[name];
-                // Materialize the body bytes: resident/forced bins
-                // serialize; still-lazy bodies copy raw from the old
-                // pack under the digest `read_body` just verified.
-                let (bytes, digest) = match (&entry.body, entry.forced()) {
-                    (_, Some(bin)) => {
-                        let bytes = bin.to_bytes();
-                        let digest = Pid::of_bytes(&bytes);
-                        (bytes, digest)
+                // Sealed bodies go out as they are; packed ones copy
+                // raw from the old pack under the digest `read_body`
+                // just verified.
+                match entry.body_bytes() {
+                    Ok((bytes, digest)) => {
+                        put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
                     }
-                    (BinBody::Lazy { src, .. }, None) => {
-                        match src.pack.read_body(src.offset, src.len, src.digest) {
-                            Ok(b) => (b, src.digest),
-                            Err(detail) => {
-                                // The old archive's body is bad (torn,
-                                // digest mismatch, or a forced failure):
-                                // quarantine this unit, keep the rest.
-                                trace::event("irm.bin_body_quarantined")
-                                    .field("unit", name.as_str())
-                                    .field("error", detail);
-                                quarantined.push(*name);
-                                continue;
-                            }
-                        }
+                    Err(detail) => {
+                        // The old archive's body is bad (torn, digest
+                        // mismatch): quarantine this unit, keep the rest.
+                        trace::event("irm.bin_body_quarantined")
+                            .field("unit", name.as_str())
+                            .field("error", detail);
+                        quarantined.push(*name);
                     }
-                    (BinBody::Resident(_), None) => {
-                        unreachable!("resident bodies are always forced")
-                    }
-                };
-                put_body(&mut writer, &entry.meta, &bytes, digest, &pack_path)?;
+                }
             }
         }
         // An append carries what changed; a rewrite carries everything
@@ -1071,11 +1067,11 @@ impl Irm {
         }
     }
 
-    /// Frees every decoded bin body: each body the last save wrote is
-    /// pointed at its bytes in the pack (forced again, digest-verified,
-    /// on next use), and every lazy body forced since the last release
-    /// is emptied.  Costs the bodies that save wrote plus the bodies
-    /// forced; the index is not reopened.  A long-lived session calls
+    /// Frees every bin body held in memory: each body the last save
+    /// wrote is pointed at its bytes in the pack (read, digest-verified
+    /// and decoded again on next use), and every body decoded since the
+    /// last release is emptied.  Costs the bodies that save wrote plus
+    /// the bodies decoded; the index is not reopened.  A long-lived session calls
     /// this after each save so its heap stays flat however many builds
     /// it serves; a one-shot build has no reason to.
     pub fn release_bodies(&mut self) {
@@ -1086,15 +1082,14 @@ impl Irm {
                     continue;
                 }
                 if let Some(entry) = self.bins.get_mut(&e.name) {
-                    entry.body = BinBody::Lazy {
-                        src: LazyBody {
-                            pack: Arc::clone(&bodies),
-                            offset: e.offset,
-                            len: e.len,
-                            digest: e.digest,
-                        },
-                        cell: OnceLock::new(),
+                    let src = LazyBody {
+                        pack: Arc::clone(&bodies),
+                        offset: e.offset,
+                        len: e.len,
+                        digest: e.digest,
                     };
+                    entry.body = BinBody::Packed(src);
+                    entry.cell = OnceLock::new();
                 }
             }
         }
@@ -1104,20 +1099,19 @@ impl Irm {
                 .unwrap_or_else(PoisonError::into_inner),
         );
         for unit in forced {
-            if let Some(BinEntry {
-                body: BinBody::Lazy { cell, .. },
-                ..
-            }) = self.bins.get_mut(&unit)
-            {
-                cell.take();
+            if let Some(entry) = self.bins.get_mut(&unit) {
+                entry.cell.take();
             }
         }
     }
 
-    /// Bin bodies held decoded in memory: resident, or lazy and forced.
+    /// Bin bodies held in memory: sealed, or decoded.
     #[cfg(test)]
-    pub(crate) fn decoded_bodies(&self) -> usize {
-        self.bins.values().filter(|e| e.forced().is_some()).count()
+    pub(crate) fn bodies_in_memory(&self) -> usize {
+        self.bins
+            .values()
+            .filter(|e| matches!(e.body, BinBody::Sealed { .. }) || e.cell.get().is_some())
+            .count()
     }
 
     /// Loads the bin cache under `dir`: the indexed `bins.pack` archive
@@ -1203,16 +1197,7 @@ impl Irm {
                             trace::counter(names::BIN_INDEX_ONLY, 1);
                         }
                         self.dirty.remove(&unit);
-                        self.bins.insert(
-                            unit,
-                            BinEntry {
-                                meta: pe.meta(),
-                                body: BinBody::Lazy {
-                                    src,
-                                    cell: OnceLock::new(),
-                                },
-                            },
-                        );
+                        self.bins.insert(unit, BinEntry::packed(pe.meta(), src));
                         out.loaded += 1;
                     }
                 }
@@ -1744,8 +1729,8 @@ impl Irm {
         } = out;
         report.decisions.push((name, decision));
         match new_bin {
-            Some(bin) => {
-                self.bins.insert(name, BinEntry::resident(bin));
+            Some(entry) => {
+                self.bins.insert(name, entry);
                 self.dirty.insert(name);
                 if from_store {
                     report.store_hits.push(name);
@@ -2342,14 +2327,12 @@ fn put_body(
     writer.add(meta, bytes, digest)
 }
 
-/// Publishes a freshly compiled bin to the artifact store in canonical
-/// form (`mtime == 0`, so identical compiles are bit-identical).
+/// Publishes a freshly compiled bin's bytes to the artifact store.
 /// Best-effort: a full or unwritable store must never fail the build.
-fn publish_to_store(store: &Store, key: Pid, bin: &BinFile) {
-    debug_assert_eq!(bin.mtime, 0, "store objects are published canonical");
-    if let Err(e) = store.put(key, &bin.to_bytes()) {
+fn publish_to_store(store: &Store, key: Pid, unit: Symbol, bytes: &[u8]) {
+    if let Err(e) = store.put(key, bytes) {
         trace::event("store.put_failed")
-            .field("unit", bin.unit.name.as_str())
+            .field("unit", unit.as_str())
             .field("error", e.to_string());
     }
 }
@@ -2363,8 +2346,9 @@ type EnvSlot = OnceLock<Result<Arc<Bindings>, CoreError>>;
 #[derive(Debug)]
 struct TaskOutcome {
     decision: RebuildDecision,
-    /// `Some` iff the unit recompiled or was rehydrated from the store.
-    new_bin: Option<BinFile>,
+    /// `Some` iff the unit recompiled or was fetched from the store:
+    /// its bin, sealed by the worker that made it.
+    new_bin: Option<BinEntry>,
     /// The new bin came from the artifact store, not a compile.
     from_store: bool,
     timings: CompileTimings,
@@ -2447,8 +2431,8 @@ impl ParallelShared<'_> {
             .and_then(|out| out.new_bin.as_ref());
         if let Some(b) = new_bin {
             return Some(ImportFacts {
-                export_pid: b.unit.export_pid,
-                mtime: b.mtime,
+                export_pid: b.meta.export_pid,
+                mtime: b.meta.mtime,
                 rebuilt: true,
             });
         }
@@ -2534,15 +2518,19 @@ impl ParallelShared<'_> {
                         }) =>
                     {
                         bin.mtime = tick();
+                        let bytes = BinFile::restamp(bytes, bin.mtime)?;
+                        let entry = BinEntry::sealed(bin.meta(), bytes);
+                        // No eager env publication: dependents that need
+                        // the exports rehydrate them from this bin via
+                        // `rehydrate_env`, exactly like a reused unit,
+                        // so it stays decoded.
+                        let _ = entry.cell.set(Ok(bin));
                         let decision = RebuildDecision::StoreHit {
                             key: key.to_string(),
                             cause: Box::new(decision),
                         };
-                        // No eager env publication: dependents that need
-                        // the exports rehydrate them from this bin via
-                        // `rehydrate_env`, exactly like a reused unit.
                         return Ok(TaskOutcome {
-                            new_bin: Some(bin),
+                            new_bin: Some(entry),
                             from_store: true,
                             ..TaskOutcome::decided(name, decision)
                         });
@@ -2585,18 +2573,26 @@ impl ParallelShared<'_> {
         // Publish the export environment *before* the completion signal,
         // so a dependent never rehydrates a freshly compiled unit.
         let _ = self.envs[p].set(Ok(out.exports.clone()));
-        let bin = BinFile {
+        // Seal the bin here, on this worker: its container bytes and
+        // pack digest are what the save writes.  The store gets the
+        // same bytes at the canonical `mtime` 0, so identical compiles
+        // publish identical objects.
+        let mut bin = BinFile {
             unit: out.unit,
             mtime: 0,
         };
-        if let (Some(store), Some(key)) = (self.store, store_key) {
-            publish_to_store(store, key, &bin);
-        }
+        let canonical = self.store.zip(store_key).map(|(store, key)| {
+            let bytes = bin.to_bytes();
+            publish_to_store(store, key, name, &bytes);
+            bytes
+        });
+        bin.mtime = tick();
+        let bytes = match canonical {
+            Some(bytes) => BinFile::restamp(bytes, bin.mtime)?,
+            None => bin.to_bytes(),
+        };
         Ok(TaskOutcome {
-            new_bin: Some(BinFile {
-                mtime: tick(),
-                ..bin
-            }),
+            new_bin: Some(BinEntry::sealed(bin.meta(), bytes)),
             timings: out.timings,
             warnings: out.warnings.iter().map(|w| w.to_string()).collect(),
             rehydrate,
@@ -2648,16 +2644,15 @@ impl ParallelShared<'_> {
         for &d in self.graph.import_idx(j) {
             ctx_envs.push(self.force_env(d, acc)?);
         }
-        let bin = match self.outcome(j).and_then(|out| out.new_bin.as_ref()) {
-            Some(b) => b,
-            None => match self.old_bins.get(&unit) {
-                // Forcing may find a corrupt archived body; the error
-                // propagates up as this unit's failure and the caller's
-                // quarantine-and-retry loop recompiles it.
-                Some(e) => e.force(self.forced)?,
-                None => return Err(CoreError::UnknownUnit(unit)),
-            },
-        };
+        // Forcing may find a corrupt archived body; the error
+        // propagates up as this unit's failure and the caller's
+        // quarantine-and-retry loop recompiles it.
+        let bin = self
+            .outcome(j)
+            .and_then(|out| out.new_bin.as_ref())
+            .or_else(|| self.old_bins.get(&unit))
+            .ok_or(CoreError::UnknownUnit(unit))?
+            .force(self.forced)?;
         let t0 = Instant::now();
         let _span = trace::span(names::SPAN_REHYDRATE).field("unit", unit.as_str());
         let ctx = RehydrateContext::with_pervasives(ctx_envs.iter().map(|e| e.as_ref()));

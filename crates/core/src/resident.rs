@@ -875,7 +875,7 @@ mod tests {
         let (r, queue) = fed(&dir);
         let (snap, _) = build(&r);
         assert_eq!(snap.recompiled, 3);
-        assert_eq!(r.state.lock().unwrap().session.irm.decoded_bodies(), 0);
+        assert_eq!(r.state.lock().unwrap().session.irm.bodies_in_memory(), 0);
         // A body edit in the middle: `b` recompiles against `a`'s
         // released body, forced back from the pack; `c` is cut off.
         write_chain(&dir, "x * 2");
@@ -883,7 +883,7 @@ mod tests {
         let (snap, _) = build(&r);
         assert_eq!((snap.recompiled, snap.reused), (1, 2), "{}", snap.summary);
         let st = r.state.lock().unwrap();
-        assert_eq!(st.session.irm.decoded_bodies(), 0);
+        assert_eq!(st.session.irm.bodies_in_memory(), 0);
         assert_eq!(
             export_pids(&st.session.irm, &CHAIN),
             clean_pids(&dir, &CHAIN)

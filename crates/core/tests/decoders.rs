@@ -1,4 +1,5 @@
-//! Seeded mutation over the on-disk decoders — the pack's stamp and
+//! Seeded mutation over the on-disk decoders — the pack's segment walk
+//! (each segment's length word and footer), its stamp and
 //! graph sections, its index, the `SMLCBIN2` bin container and the
 //! environment pickle inside it: bit flips, truncations and inflated
 //! counts of valid bytes must decode to `Err` (or, when the mutation
@@ -318,5 +319,115 @@ fn mutated_env_pickles_are_errors_never_panics_or_huge_allocations() {
             rehydrate(b, &ctx).is_ok()
         });
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each segment's framing — its length word and its footer (index
+/// offset, index length, index digest, magic) — is the one part of a
+/// pack no digest covers.  `pack` with segment `seg` (start, end)
+/// reframed by `framing`, a possibly mutated copy of those 48 bytes; a
+/// framing cut short cuts the file there.
+fn reframe(pack: &[u8], (start, end): (usize, usize), framing: &[u8]) -> Vec<u8> {
+    let mut out = pack[..start].to_vec();
+    out.extend_from_slice(&framing[..framing.len().min(8)]);
+    if framing.len() > 8 {
+        out.extend_from_slice(&pack[start + 8..end - 40]);
+        out.extend_from_slice(&framing[8..]);
+    }
+    out
+}
+
+/// Opens every seeded mutation of segment `seg`'s framing in `pack`
+/// and hands the result to `check`; asserts no panic and no allocation
+/// beyond the file's own size.
+fn fuzz_framing(
+    pack: &[u8],
+    seg: (usize, usize),
+    path: &std::path::Path,
+    check: impl Fn(Result<Option<PackReader>, smlsc_core::CoreError>),
+) {
+    let framing = [&pack[seg.0..seg.0 + 8], &pack[seg.1 - 40..seg.1]].concat();
+    assert_eq!(reframe(pack, seg, &framing), pack, "reframing is exact");
+    for seed in [23, 29, 0xf2a] {
+        let mut rng = Rng(seed);
+        for _ in 0..500 {
+            let f = mutate(&framing, &mut rng);
+            // Unchanged, or cut to nothing: no segment there at all.
+            if f == framing || f.is_empty() {
+                continue;
+            }
+            let bytes = reframe(pack, seg, &f);
+            std::fs::write(path, &bytes).unwrap();
+            take_largest();
+            let opened = std::panic::catch_unwind(|| PackReader::open(path))
+                .unwrap_or_else(|_| panic!("segment walk panicked on framing {f:?}"));
+            let largest = take_largest();
+            assert!(
+                largest <= bytes.len() + 4096,
+                "a {}-byte pack allocated {largest} bytes at once",
+                bytes.len()
+            );
+            check(opened);
+        }
+    }
+}
+
+/// The segments of `pack`, walked by their length words.
+fn segments(pack: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = 9;
+    while start < pack.len() {
+        let len = u64::from_le_bytes(pack[start..start + 8].try_into().unwrap()) as usize;
+        out.push((start, start + len));
+        start += len;
+    }
+    out
+}
+
+#[test]
+fn a_mutated_first_segment_frame_is_an_error_never_a_panic_or_huge_allocation() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-frame-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    built(&dir);
+    let pack = std::fs::read(dir.join(PACK_FILE)).unwrap();
+    let [first] = segments(&pack)[..] else {
+        panic!("a fresh pack is one segment")
+    };
+    fuzz_framing(&pack, first, &dir.join("mutated.pack"), |opened| {
+        assert!(opened.is_err(), "a pack with no valid first segment opened");
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_mutated_appended_segment_frame_is_a_torn_tail() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-tail-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // Enough units that one edited leaf fits the pack's growth bound
+    // and its save appends a segment.
+    let mut p = Project::new();
+    for i in 0..200 {
+        p.add(
+            format!("u{i}"),
+            format!("structure U{i} = struct val v = {i} end"),
+        );
+    }
+    let mut irm = Irm::new(Strategy::Cutoff);
+    irm.build(&p).unwrap();
+    irm.save_bins(&dir).unwrap();
+    p.edit("u7", "structure U7 = struct val v = 7000 end")
+        .unwrap();
+    irm.build(&p).unwrap();
+    irm.save_bins(&dir).unwrap();
+    let pack = std::fs::read(dir.join(PACK_FILE)).unwrap();
+    let [_, appended] = segments(&pack)[..] else {
+        panic!("the leaf edit appended one segment")
+    };
+    fuzz_framing(&pack, appended, &dir.join("mutated.pack"), |opened| {
+        let reader = opened
+            .expect("the first segment still opens")
+            .expect("present");
+        assert!(reader.torn_tail() > 0, "a mutated segment was served");
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

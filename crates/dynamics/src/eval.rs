@@ -8,7 +8,6 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use smlsc_ids::Symbol;
 use smlsc_syntax::ast::PrimOp;
@@ -47,14 +46,8 @@ enum Control {
 
 type EvalResult = Result<Value, Control>;
 
-static NEXT_EXN_ID: AtomicU64 = AtomicU64::new(1);
-
 fn fresh_exn(name: Symbol, has_arg: bool) -> Rc<ExnId> {
-    Rc::new(ExnId {
-        id: NEXT_EXN_ID.fetch_add(1, Ordering::Relaxed),
-        name,
-        has_arg,
-    })
+    Rc::new(ExnId { name, has_arg })
 }
 
 fn builtin_exn(name: &str) -> Value {

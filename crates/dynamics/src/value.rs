@@ -83,10 +83,10 @@ impl fmt::Debug for FunctorClosure {
 /// A fresh `ExnId` is allocated every time an `exception` declaration
 /// *executes* — so a functor body's exceptions are distinct per
 /// application, and re-executing a unit re-generates its exceptions.
+/// The identity is the allocation itself: constructors compare with
+/// `Rc::ptr_eq`, so no counter is shared between threads.
 #[derive(Debug)]
 pub struct ExnId {
-    /// Process-unique identity.
-    pub id: u64,
     /// Source name, for printing.
     pub name: Symbol,
     /// Whether the constructor carries an argument.

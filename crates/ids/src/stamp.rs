@@ -14,6 +14,7 @@
 //!    renumbers the stamps *bound* by a unit 1..n in traversal order so the
 //!    hash is independent of the session's global stamp counter.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,15 +68,49 @@ impl fmt::Display for Stamp {
 
 /// A source of fresh stamps.
 ///
-/// Each elaboration session owns one generator; the global process-wide
-/// generator ([`StampGenerator::global_fresh`]) backs convenience
-/// constructors in tests.  Generators hand out stamps from disjoint ranges
-/// of a process-global counter so that stamps from different sessions never
-/// collide (mirroring the paper's "stamps are unique within a process").
+/// Each elaboration session owns one generator; the process-wide
+/// [`StampGenerator::global_fresh`] backs convenience constructors.
+/// Every thread draws from its own stamp space: a thread index (taken
+/// once per thread from a process-wide counter) in the high 32 bits
+/// and a thread-local counter below, so stamps
+/// from different threads never collide (the paper's "stamps are unique
+/// within a process") and drawing one touches no shared state.
 #[derive(Debug)]
 pub struct StampGenerator(());
 
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+/// Width of the thread index in a stamp's raw value.
+const THREAD_BITS: u32 = 32;
+const LOCAL_MASK: u64 = (1 << (64 - THREAD_BITS)) - 1;
+
+/// The next thread index.  Relaxed: it only hands out distinct values.
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's next stamp; 0 until it claims a space.
+    static NEXT_STAMP: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The first stamp of a fresh thread space (local counter 1).
+fn claim_space() -> u64 {
+    let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+    assert!(t < 1 << THREAD_BITS, "stamp thread spaces exhausted");
+    (t << (64 - THREAD_BITS)) | 1
+}
+
+/// This thread's next stamp, claiming a space on first use or when the
+/// current one is spent.
+fn next_stamp() -> u64 {
+    NEXT_STAMP.with(|next| {
+        let n = next.get();
+        if n & LOCAL_MASK == 0 {
+            let fresh = claim_space();
+            next.set(fresh);
+            fresh
+        } else {
+            n
+        }
+    })
+}
 
 impl StampGenerator {
     /// Creates a generator.
@@ -85,20 +120,23 @@ impl StampGenerator {
 
     /// Returns a stamp never returned before in this process.
     pub fn fresh(&mut self) -> Stamp {
-        Stamp(NEXT_STAMP.fetch_add(1, Ordering::Relaxed))
+        StampGenerator::global_fresh()
     }
 
-    /// Process-global fresh stamp, for contexts without a generator handle.
+    /// Process-unique fresh stamp, for contexts without a generator handle.
     pub fn global_fresh() -> Stamp {
-        Stamp(NEXT_STAMP.fetch_add(1, Ordering::Relaxed))
+        let n = next_stamp();
+        NEXT_STAMP.with(|next| next.set(n + 1));
+        Stamp(n)
     }
 
-    /// The raw value the *next* stamp would get.  Used to delimit
-    /// generative stamp ranges (functor bodies, signature templates): all
-    /// stamps created between two `peek_raw` calls on one thread of
-    /// elaboration fall in `[lo, hi)`.
+    /// The raw value the *next* stamp on this thread would get.  Used
+    /// to delimit generative stamp ranges (functor bodies, signature
+    /// templates): the stamps created between two `peek_raw` calls on
+    /// one thread are exactly those in `[lo, hi)` — no other thread's
+    /// stamp falls inside, whatever ran concurrently.
     pub fn peek_raw() -> u64 {
-        NEXT_STAMP.load(Ordering::Relaxed)
+        next_stamp()
     }
 }
 

@@ -5,8 +5,17 @@
 //! is interned into a global table so that symbols compare and hash in
 //! O(1).  The interner leaks the backing strings (they live for the whole
 //! process), which matches how a compiler session uses them.
+//!
+//! Wavefront workers lex and elaborate in parallel, so the table takes
+//! no process-wide lock: [`Symbol::as_str`] is a lock-free read of an
+//! append-only table indexed by the symbol's id, and [`Symbol::intern`]
+//! hashes the string once and locks the one of `SHARDS` maps that the
+//! hash picks.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
@@ -36,38 +45,127 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: std::collections::HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// Independently locked maps from string to id.
+const SHARDS: usize = 16;
+/// The first chunk of the id table holds `1 << BASE_BITS` slots; chunk
+/// `k` holds `1 << (BASE_BITS + k)`, so the table never moves a slot.
+const BASE_BITS: u32 = 10;
+/// Enough chunks for every `u32` id.
+const CHUNKS: usize = 23;
+
+type Chunk = Box<[OnceLock<&'static str>]>;
+
+/// One shard: strings and ids by the string's hash, so an intern
+/// hashes its string once.  The hash is the default keyed SipHash, so
+/// names crafted to collide cannot be built; a string whose hash is
+/// taken by another goes to `spill`.
+#[derive(Default)]
+struct Shard {
+    by_hash: HashMap<u64, (&'static str, u32), BuildHasherDefault<Prehashed>>,
+    spill: Vec<(&'static str, u32)>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: std::collections::HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// Passes a precomputed hash through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 hashes are keys")
+    }
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+struct Interner {
+    hasher: RandomState,
+    shards: [Mutex<Shard>; SHARDS],
+    /// The next id; ids are handed out densely from 0.
+    next: AtomicU32,
+    /// The string of every id, each slot written once, before its id
+    /// is returned.
+    chunks: [OnceLock<Chunk>; CHUNKS],
+}
+
+impl Interner {
+    fn new() -> Interner {
+        Interner {
+            hasher: RandomState::new(),
+            shards: std::array::from_fn(|_| Mutex::default()),
+            next: AtomicU32::new(0),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The id of `s`, whose hash is `h`, interning it if new.
+    fn intern(&self, s: &str, h: u64) -> u32 {
+        // The shard map probes by the low bits and filters by the top
+        // seven, so the shard comes from bits in between.
+        let mut shard = self.shards[(h >> 48) as usize % SHARDS].lock();
+        let first = shard.by_hash.get(&h).copied();
+        if let Some((_, id)) = first.filter(|&(t, _)| t == s) {
+            return id;
+        }
+        if first.is_some() {
+            if let Some(&(_, id)) = shard.spill.iter().find(|&&(t, _)| t == s) {
+                return id;
+            }
+        }
+        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        // Relaxed: the counter only hands out distinct ids; the slot's
+        // `OnceLock` publishes the string.
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        assert!(id < u32::MAX, "interner overflow");
+        self.slot(id)
+            .set(leaked)
+            .expect("a fresh id's slot is written once");
+        match first {
+            None => {
+                shard.by_hash.insert(h, (leaked, id));
+            }
+            Some(_) => shard.spill.push((leaked, id)),
+        }
+        id
+    }
+
+    /// The slot of `id`: its chunk, allocated on first use, and its
+    /// offset there.
+    fn slot(&self, id: u32) -> &OnceLock<&'static str> {
+        let n = u64::from(id) + (1 << BASE_BITS);
+        let bits = u64::BITS - 1 - n.leading_zeros();
+        let chunk = self.chunks[(bits - BASE_BITS) as usize]
+            .get_or_init(|| (0..1u64 << bits).map(|_| OnceLock::new()).collect());
+        &chunk[(n - (1 << bits)) as usize]
+    }
+
+    /// The string of `id`.  Takes no lock: the slot was written before
+    /// the id existed anywhere else.
+    fn str_of(&self, id: u32) -> &'static str {
+        self.slot(id)
+            .get()
+            .expect("every symbol's slot is written before it is returned")
+    }
+}
+
+fn interner() -> &'static Interner {
+    static INTERNER: OnceLock<Interner> = OnceLock::new();
+    INTERNER.get_or_init(Interner::new)
 }
 
 impl Symbol {
     /// Interns `s`, returning its canonical `Symbol`.
     pub fn intern(s: &str) -> Symbol {
-        let mut i = interner().lock();
-        if let Some(&ix) = i.map.get(s) {
-            return Symbol(ix);
-        }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let ix = u32::try_from(i.strings.len()).expect("interner overflow");
-        i.strings.push(leaked);
-        i.map.insert(leaked, ix);
-        Symbol(ix)
+        let i = interner();
+        Symbol(i.intern(s, i.hasher.hash_one(s)))
     }
 
     /// Returns the interned string.
     pub fn as_str(self) -> &'static str {
-        interner().lock().strings[self.0 as usize]
+        interner().str_of(self.0)
     }
 
     /// Returns `true` if this symbol starts with an uppercase ASCII letter —
@@ -140,6 +238,17 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert_eq!(format!("{:?}", Symbol::intern("x")), "Symbol(\"x\")");
+    }
+
+    #[test]
+    fn strings_sharing_a_hash_stay_distinct() {
+        let i = Interner::new();
+        let a = i.intern("left", 7);
+        let b = i.intern("right", 7);
+        let c = i.intern("other", 8);
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!((i.intern("left", 7), i.intern("right", 7)), (a, b));
+        assert_eq!((i.str_of(a), i.str_of(b)), ("left", "right"));
     }
 
     #[test]

@@ -16,6 +16,11 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer appending to `buf`.
+    pub fn append_to(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -256,7 +256,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
 }
 
 struct Lexer<'s> {
-    chars: std::iter::Peekable<std::str::Chars<'s>>,
+    chars: std::str::Chars<'s>,
     line: u32,
     col: u32,
 }
@@ -264,7 +264,7 @@ struct Lexer<'s> {
 impl<'s> Lexer<'s> {
     fn new(src: &'s str) -> Lexer<'s> {
         Lexer {
-            chars: src.chars().peekable(),
+            chars: src.chars(),
             line: 1,
             col: 1,
         }
@@ -288,8 +288,18 @@ impl<'s> Lexer<'s> {
         Some(c)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        self.chars.clone().next()
+    }
+
+    /// Consumes the longest run of characters satisfying `keep` and
+    /// returns it as a slice of the source.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'s str {
+        let rest = self.chars.as_str();
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &rest[..rest.len() - self.chars.as_str().len()]
     }
 
     fn err(&self, message: impl Into<String>) -> LexError {
@@ -445,17 +455,10 @@ impl<'s> Lexer<'s> {
                 Some(c) if c.is_whitespace() => {
                     self.bump();
                 }
-                Some('(') => {
-                    // Peek two ahead for `(*` without consuming `(`.
-                    let mut clone = self.chars.clone();
-                    clone.next();
-                    if clone.peek() == Some(&'*') {
-                        self.bump();
-                        self.bump();
-                        self.skip_comment()?;
-                    } else {
-                        return Ok(());
-                    }
+                Some('(') if self.chars.as_str().starts_with("(*") => {
+                    self.bump();
+                    self.bump();
+                    self.skip_comment()?;
                 }
                 _ => return Ok(()),
             }
@@ -482,16 +485,8 @@ impl<'s> Lexer<'s> {
     }
 
     fn ident(&mut self) -> Tok {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '\'' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        match s.as_str() {
+        let s = self.take_while(|c| c.is_ascii_alphanumeric() || c == '_' || c == '\'');
+        match s {
             "and" => Tok::And,
             "as" => Tok::As,
             "andalso" => Tok::Andalso,
@@ -523,25 +518,17 @@ impl<'s> Lexer<'s> {
             "type" => Tok::Type,
             "val" => Tok::Val,
             "where" => Tok::Where,
-            _ => Tok::Ident(Symbol::intern(&s)),
+            _ => Tok::Ident(Symbol::intern(s)),
         }
     }
 
     fn tyvar(&mut self) -> Result<Tok, LexError> {
         self.bump(); // '
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let s = self.take_while(|c| c.is_ascii_alphanumeric() || c == '_');
         if s.is_empty() {
             return Err(self.err("expected a type variable name after `'`"));
         }
-        Ok(Tok::TyVar(Symbol::intern(&s)))
+        Ok(Tok::TyVar(Symbol::intern(s)))
     }
 
     fn int(&mut self, negate: bool) -> Result<Tok, LexError> {

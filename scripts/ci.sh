@@ -27,6 +27,9 @@ cargo test -q --test parallel
 echo "==> report rendering goldens (three strategies, jobs 1 and 4)"
 cargo test -q --test report_goldens
 
+echo "==> sealed bins equal to_bytes of their bins (jobs 1 and 2, store hits)"
+cargo test -q --test sealed_bodies
+
 echo "==> corruption recovery + concurrent store sharing"
 cargo test -q --test corruption
 cargo test -q --test store_concurrency
@@ -118,7 +121,7 @@ cargo test -q --test chaos
 cargo test -q --test keep_going
 cargo test -q --test daemon_concurrency
 
-echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, seeded_builds, profile; 20 runs)"
+echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, seeded_builds, profile, interner and stamp spaces; 20 runs)"
 for i in $(seq 1 20); do
   cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
   cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
@@ -130,6 +133,8 @@ for i in $(seq 1 20); do
   cargo test -q --test keep_going || { echo "error: keep_going failed on run $i" >&2; exit 1; }
   cargo test -q --test seeded_builds || { echo "error: seeded_builds failed on run $i" >&2; exit 1; }
   cargo test -q -p smlsc-core --lib profile || { echo "error: profile unit tests failed on run $i" >&2; exit 1; }
+  cargo test -q -p smlsc-ids --test threads || { echo "error: interner/stamp thread tests failed on run $i" >&2; exit 1; }
+  cargo test -q -p smlsc-statics --test stamp_spaces || { echo "error: stamp_spaces failed on run $i" >&2; exit 1; }
 done
 
 echo "==> chaos: seeded storms (--jobs 4, three fixed seeds)"
