@@ -681,7 +681,9 @@ impl BinEntry {
         let unit = self.meta.name;
         self.cell
             .get_or_init(|| {
-                trace::counter(names::BIN_LAZY_BODIES, 1);
+                if let BinBody::Packed(_) = self.body {
+                    trace::counter(names::BIN_LAZY_BODIES, 1);
+                }
                 forced
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -2327,12 +2329,14 @@ fn put_body(
     writer.add(meta, bytes, digest)
 }
 
-/// Publishes a freshly compiled bin's bytes to the artifact store.
+/// Publishes a freshly compiled bin to the artifact store in canonical
+/// form (`mtime == 0`, so identical compiles are bit-identical).
 /// Best-effort: a full or unwritable store must never fail the build.
-fn publish_to_store(store: &Store, key: Pid, unit: Symbol, bytes: &[u8]) {
-    if let Err(e) = store.put(key, bytes) {
+fn publish_to_store(store: &Store, key: Pid, bin: &BinFile) {
+    debug_assert_eq!(bin.mtime, 0, "store objects are published canonical");
+    if let Err(e) = store.put(key, &bin.to_bytes()) {
         trace::event("store.put_failed")
-            .field("unit", unit.as_str())
+            .field("unit", bin.unit.name.as_str())
             .field("error", e.to_string());
     }
 }
@@ -2518,13 +2522,10 @@ impl ParallelShared<'_> {
                         }) =>
                     {
                         bin.mtime = tick();
-                        let bytes = BinFile::restamp(bytes, bin.mtime)?;
-                        let entry = BinEntry::sealed(bin.meta(), bytes);
                         // No eager env publication: dependents that need
-                        // the exports rehydrate them from this bin via
-                        // `rehydrate_env`, exactly like a reused unit,
-                        // so it stays decoded.
-                        let _ = entry.cell.set(Ok(bin));
+                        // the exports decode and rehydrate this bin via
+                        // `rehydrate_env`, exactly like a reused unit.
+                        let entry = BinEntry::sealed(bin.meta(), bin.to_bytes());
                         let decision = RebuildDecision::StoreHit {
                             key: key.to_string(),
                             cause: Box::new(decision),
@@ -2573,26 +2574,18 @@ impl ParallelShared<'_> {
         // Publish the export environment *before* the completion signal,
         // so a dependent never rehydrates a freshly compiled unit.
         let _ = self.envs[p].set(Ok(out.exports.clone()));
-        // Seal the bin here, on this worker: its container bytes and
-        // pack digest are what the save writes.  The store gets the
-        // same bytes at the canonical `mtime` 0, so identical compiles
-        // publish identical objects.
         let mut bin = BinFile {
             unit: out.unit,
             mtime: 0,
         };
-        let canonical = self.store.zip(store_key).map(|(store, key)| {
-            let bytes = bin.to_bytes();
-            publish_to_store(store, key, name, &bytes);
-            bytes
-        });
+        if let (Some(store), Some(key)) = (self.store, store_key) {
+            publish_to_store(store, key, &bin);
+        }
+        // Seal the bin here, on this worker: its container bytes and
+        // pack digest are what the save writes.
         bin.mtime = tick();
-        let bytes = match canonical {
-            Some(bytes) => BinFile::restamp(bytes, bin.mtime)?,
-            None => bin.to_bytes(),
-        };
         Ok(TaskOutcome {
-            new_bin: Some(BinEntry::sealed(bin.meta(), bytes)),
+            new_bin: Some(BinEntry::sealed(bin.meta(), bin.to_bytes())),
             timings: out.timings,
             warnings: out.warnings.iter().map(|w| w.to_string()).collect(),
             rehydrate,

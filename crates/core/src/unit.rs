@@ -97,7 +97,9 @@ impl BinFile {
     /// no archive index covers, such as store objects).  No JSON
     /// anywhere on the warm path.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = smlsc_pickle::wire::Writer::append_to(BIN_MAGIC.to_vec());
+        let mut out = Vec::with_capacity(self.unit.env_pickle.len() + 256);
+        out.extend_from_slice(BIN_MAGIC);
+        let mut w = smlsc_pickle::wire::Writer::append_to(out);
         w.str(self.unit.name.as_str());
         w.u128(self.unit.source_pid.as_raw());
         w.u128(self.unit.export_pid.as_raw());
@@ -113,34 +115,6 @@ impl BinFile {
         let digest = Pid::of_bytes(&out[BIN_MAGIC.len()..]);
         out.extend_from_slice(&digest.as_raw().to_le_bytes());
         out
-    }
-
-    /// `bytes`, a bin as [`BinFile::to_bytes`] writes it, with its
-    /// mtime replaced and its self-digest recomputed: the bytes
-    /// `to_bytes` gives for the same bin at that mtime, without
-    /// serializing it again.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::CorruptBin`] when `bytes` is too short for a bin.
-    pub fn restamp(mut bytes: Vec<u8>, mtime: u64) -> Result<Vec<u8>, CoreError> {
-        let short = || CoreError::CorruptBin("truncated bin file".into());
-        // The payload opens with the name (u32 length, bytes) and the
-        // source and export pids (16 bytes each); the mtime follows.
-        let name_len = bytes
-            .get(BIN_MAGIC.len()..BIN_MAGIC.len() + 4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")) as usize)
-            .ok_or_else(short)?;
-        let at = BIN_MAGIC.len() + 4 + name_len + 32;
-        let end = bytes
-            .len()
-            .checked_sub(16)
-            .filter(|&e| e >= at + 8)
-            .ok_or_else(short)?;
-        bytes[at..at + 8].copy_from_slice(&mtime.to_le_bytes());
-        let digest = Pid::of_bytes(&bytes[BIN_MAGIC.len()..end]);
-        bytes[end..].copy_from_slice(&digest.as_raw().to_le_bytes());
-        Ok(bytes)
     }
 
     /// Deserializes a bin file.
@@ -217,15 +191,6 @@ mod tests {
         let bytes = bin.to_bytes();
         let back = BinFile::from_bytes(&bytes).unwrap();
         assert_eq!(back.mtime, 42);
-        let later = BinFile {
-            mtime: 7,
-            ..bin.clone()
-        };
-        assert_eq!(
-            BinFile::restamp(bytes.clone(), 7).unwrap(),
-            later.to_bytes()
-        );
-        assert!(BinFile::restamp(bytes[..60].to_vec(), 7).is_err());
         assert_eq!(back.unit.name, Symbol::intern("a"));
         assert_eq!(back.unit.imports, bin.unit.imports);
         assert_eq!(back.unit.env_pickle, vec![1, 2, 3]);

@@ -7,8 +7,9 @@
 //! process, every build drains an inotify watch on the project
 //! directory and re-stats only the files it names, and CLI clients get
 //! build, stats and status answers over a per-project Unix-domain
-//! socket.  After each build that ran, decoded bin bodies are released
-//! and freed heap is trimmed, so the daemon's memory stays flat.
+//! socket.  After each build that ran, bin bodies are released, and
+//! freed heap is trimmed once the daemon is idle, so the daemon's memory
+//! stays flat.
 //!
 //! The crate splits along the obvious seams:
 //!

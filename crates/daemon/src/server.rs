@@ -143,10 +143,12 @@ impl Server {
     fn serve(self) -> std::io::Result<()> {
         let active = Arc::new(AtomicUsize::new(0));
         let last_activity = Arc::new(Mutex::new(Instant::now()));
+        let trim = Arc::new(AtomicBool::new(false));
         let supervisor = spawn_supervisor(
             Arc::clone(&self.shutdown),
             Arc::clone(&active),
             Arc::clone(&last_activity),
+            Arc::clone(&trim),
             self.socket.clone(),
             self.config.idle_timeout,
         );
@@ -172,6 +174,7 @@ impl Server {
                 resident: Arc::clone(&self.resident),
                 counters: Arc::clone(&self.counters),
                 shutdown: Arc::clone(&self.shutdown),
+                trim: Arc::clone(&trim),
                 socket: self.socket.clone(),
                 default_jobs: self.config.jobs,
             };
@@ -222,12 +225,20 @@ impl Drop for ConnectionDone {
     }
 }
 
+/// How often the supervisor looks; also how long the daemon must have
+/// been idle before it trims the heap.
+const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
+
 /// The supervisor thread: polls for a termination signal and for idle
-/// expiry, and wakes the blocking accept when either fires.
+/// expiry, and wakes the blocking accept when either fires.  Once no
+/// request has run for a poll period, it also trims the heap a build
+/// left behind (`trim` is set when one ran), so a trim never holds up
+/// a request that follows a build closely.
 fn spawn_supervisor(
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     last_activity: Arc<Mutex<Instant>>,
+    trim: Arc<AtomicBool>,
     socket: PathBuf,
     idle_timeout: Option<Duration>,
 ) -> JoinHandle<()> {
@@ -235,12 +246,16 @@ fn spawn_supervisor(
         .name("smlsc-daemon-supervisor".to_string())
         .spawn(move || {
             while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(100));
+                std::thread::sleep(SUPERVISOR_POLL);
                 let signalled = crate::signal::requested();
-                let idle = idle_timeout.is_some_and(|limit| {
+                let idle_for = |limit| {
                     active.load(Ordering::SeqCst) == 0
                         && last_activity.lock().expect("activity lock").elapsed() >= limit
-                });
+                };
+                if idle_for(SUPERVISOR_POLL) && trim.swap(false, Ordering::SeqCst) {
+                    trim_heap();
+                }
+                let idle = idle_timeout.is_some_and(idle_for);
                 if signalled || idle {
                     shutdown.store(true, Ordering::SeqCst);
                     // Wake the blocking accept so the loop observes it.
@@ -255,6 +270,8 @@ struct HandlerCtx {
     resident: Arc<Resident>,
     counters: Arc<DaemonCounters>,
     shutdown: Arc<AtomicBool>,
+    /// Set when a build ran; the supervisor trims the heap once idle.
+    trim: Arc<AtomicBool>,
     socket: PathBuf,
     default_jobs: usize,
 }
@@ -285,8 +302,8 @@ fn handle_connection(mut stream: UnixStream, ctx: &HandlerCtx) {
     match request.kind.as_str() {
         "stop" => initiate_shutdown(ctx),
         // A build that ran (not a cached reply) freed its working set;
-        // hand it back once the reply is on its way.
-        "build" if !response.cached => trim_heap(),
+        // the supervisor hands it back once the daemon is idle.
+        "build" if !response.cached => ctx.trim.store(true, Ordering::SeqCst),
         _ => {}
     }
 }

@@ -90,25 +90,15 @@ thread_local! {
     static NEXT_STAMP: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The first stamp of a fresh thread space (local counter 1).
-fn claim_space() -> u64 {
-    let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    assert!(t < 1 << THREAD_BITS, "stamp thread spaces exhausted");
-    (t << (64 - THREAD_BITS)) | 1
-}
-
-/// This thread's next stamp, claiming a space on first use or when the
-/// current one is spent.
+/// This thread's next stamp, claiming the thread's space on first use.
 fn next_stamp() -> u64 {
     NEXT_STAMP.with(|next| {
-        let n = next.get();
-        if n & LOCAL_MASK == 0 {
-            let fresh = claim_space();
-            next.set(fresh);
-            fresh
-        } else {
-            n
+        if next.get() == 0 {
+            let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+            assert!(t < 1 << THREAD_BITS, "stamp thread spaces exhausted");
+            next.set((t << (64 - THREAD_BITS)) | 1);
         }
+        next.get()
     })
 }
 
@@ -126,6 +116,12 @@ impl StampGenerator {
     /// Process-unique fresh stamp, for contexts without a generator handle.
     pub fn global_fresh() -> Stamp {
         let n = next_stamp();
+        // Spilling into the next thread's space would break the
+        // `peek_raw` range guarantee, so a spent space is fatal.
+        assert!(
+            n & LOCAL_MASK != LOCAL_MASK,
+            "a thread's stamp space is spent"
+        );
         NEXT_STAMP.with(|next| next.set(n + 1));
         Stamp(n)
     }

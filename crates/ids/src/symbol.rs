@@ -6,16 +6,13 @@
 //! O(1).  The interner leaks the backing strings (they live for the whole
 //! process), which matches how a compiler session uses them.
 //!
-//! Wavefront workers lex and elaborate in parallel, so the table takes
-//! no process-wide lock: [`Symbol::as_str`] is a lock-free read of an
-//! append-only table indexed by the symbol's id, and [`Symbol::intern`]
-//! hashes the string once and locks the one of `SHARDS` maps that the
-//! hash picks.
+//! Wavefront workers lex and elaborate in parallel, and most of their
+//! symbol traffic is reads, so [`Symbol::as_str`] takes no lock: it reads
+//! an append-only table indexed by the symbol's id.  Only
+//! [`Symbol::intern`] locks, to look the string up.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
@@ -45,8 +42,6 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-/// Independently locked maps from string to id.
-const SHARDS: usize = 16;
 /// The first chunk of the id table holds `1 << BASE_BITS` slots; chunk
 /// `k` holds `1 << (BASE_BITS + k)`, so the table never moves a slot.
 const BASE_BITS: u32 = 10;
@@ -55,37 +50,10 @@ const CHUNKS: usize = 23;
 
 type Chunk = Box<[OnceLock<&'static str>]>;
 
-/// One shard: strings and ids by the string's hash, so an intern
-/// hashes its string once.  The hash is the default keyed SipHash, so
-/// names crafted to collide cannot be built; a string whose hash is
-/// taken by another goes to `spill`.
-#[derive(Default)]
-struct Shard {
-    by_hash: HashMap<u64, (&'static str, u32), BuildHasherDefault<Prehashed>>,
-    spill: Vec<(&'static str, u32)>,
-}
-
-/// Passes a precomputed hash through.
-#[derive(Default)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("only u64 hashes are keys")
-    }
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 struct Interner {
-    hasher: RandomState,
-    shards: [Mutex<Shard>; SHARDS],
-    /// The next id; ids are handed out densely from 0.
-    next: AtomicU32,
+    /// Every interned string and its id; ids are handed out densely
+    /// from 0, so the next id is the map's length.
+    ids: Mutex<HashMap<&'static str, u32>>,
     /// The string of every id, each slot written once, before its id
     /// is returned.
     chunks: [OnceLock<Chunk>; CHUNKS],
@@ -94,41 +62,23 @@ struct Interner {
 impl Interner {
     fn new() -> Interner {
         Interner {
-            hasher: RandomState::new(),
-            shards: std::array::from_fn(|_| Mutex::default()),
-            next: AtomicU32::new(0),
+            ids: Mutex::default(),
             chunks: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    /// The id of `s`, whose hash is `h`, interning it if new.
-    fn intern(&self, s: &str, h: u64) -> u32 {
-        // The shard map probes by the low bits and filters by the top
-        // seven, so the shard comes from bits in between.
-        let mut shard = self.shards[(h >> 48) as usize % SHARDS].lock();
-        let first = shard.by_hash.get(&h).copied();
-        if let Some((_, id)) = first.filter(|&(t, _)| t == s) {
+    /// The id of `s`, interning it if new.
+    fn intern(&self, s: &str) -> u32 {
+        let mut ids = self.ids.lock();
+        if let Some(&id) = ids.get(s) {
             return id;
         }
-        if first.is_some() {
-            if let Some(&(_, id)) = shard.spill.iter().find(|&&(t, _)| t == s) {
-                return id;
-            }
-        }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        // Relaxed: the counter only hands out distinct ids; the slot's
-        // `OnceLock` publishes the string.
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(id < u32::MAX, "interner overflow");
+        let id = u32::try_from(ids.len()).expect("interner overflow");
         self.slot(id)
             .set(leaked)
             .expect("a fresh id's slot is written once");
-        match first {
-            None => {
-                shard.by_hash.insert(h, (leaked, id));
-            }
-            Some(_) => shard.spill.push((leaked, id)),
-        }
+        ids.insert(leaked, id);
         id
     }
 
@@ -159,8 +109,7 @@ fn interner() -> &'static Interner {
 impl Symbol {
     /// Interns `s`, returning its canonical `Symbol`.
     pub fn intern(s: &str) -> Symbol {
-        let i = interner();
-        Symbol(i.intern(s, i.hasher.hash_one(s)))
+        Symbol(interner().intern(s))
     }
 
     /// Returns the interned string.
@@ -238,17 +187,6 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert_eq!(format!("{:?}", Symbol::intern("x")), "Symbol(\"x\")");
-    }
-
-    #[test]
-    fn strings_sharing_a_hash_stay_distinct() {
-        let i = Interner::new();
-        let a = i.intern("left", 7);
-        let b = i.intern("right", 7);
-        let c = i.intern("other", 8);
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!((i.intern("left", 7), i.intern("right", 7)), (a, b));
-        assert_eq!((i.str_of(a), i.str_of(b)), ("left", "right"));
     }
 
     #[test]

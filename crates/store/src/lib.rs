@@ -248,8 +248,15 @@ impl Store {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(&version_file, format!("{LAYOUT_VERSION}\n"))
-                    .map_err(|e| io_err(&version_file, e))?;
+                // Staged and renamed into place: a process opening the
+                // same new store meanwhile reads no file or the whole
+                // one, never an empty one.
+                fsutil::commit_atomic(
+                    &version_file,
+                    format!("{LAYOUT_VERSION}\n").as_bytes(),
+                    None,
+                )
+                .map_err(|e| io_err(&version_file, e))?;
             }
             Err(e) => return Err(io_err(&version_file, e)),
         }
@@ -685,6 +692,21 @@ mod tests {
         trace::uninstall();
         assert_eq!(collector.counter(names::STORE_DEGRADED), 1);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_opens_of_a_new_store_all_succeed() {
+        for round in 0..300 {
+            let root = tmp_root(&format!("open-race-{round}"));
+            let opened: Vec<bool> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| s.spawn(|| Store::open(&root).is_ok()))
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert_eq!(opened, [true; 4], "round {round}");
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]
