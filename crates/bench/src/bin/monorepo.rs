@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smlsc_bench::{ms, workload};
-use smlsc_core::irm::{BuildReport, Irm, Project, Strategy};
+use smlsc_core::irm::{BuildReport, Irm, Strategy};
 use smlsc_core::store::Store;
 use smlsc_core::trace::{self, names};
 use smlsc_core::BuildSession;
@@ -125,10 +125,17 @@ fn pipeline(
 ) -> (Duration, BuildReport, Irm) {
     let t0 = Instant::now();
     let store = (mode == Mode::Store).then(|| Arc::new(Store::open(store).expect("store opens")));
-    let session = BuildSession::open(bins, Strategy::Cutoff, mode == Mode::Paranoid, store);
+    let (session, project) = BuildSession::open_dir(
+        src,
+        bins,
+        Strategy::Cutoff,
+        mode == Mode::Paranoid,
+        store,
+        jobs,
+    )
+    .expect("bench sources scan");
     assert!(session.notes.is_empty(), "{:?}", session.notes);
     let mut irm = session.irm;
-    let project = Project::from_dir(src).expect("bench sources scan");
     let report = irm.build_with_jobs(&project, jobs).expect("bench build");
     (t0.elapsed(), report, irm)
 }

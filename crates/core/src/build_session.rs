@@ -1,8 +1,9 @@
 //! The one build session every client of the IRM runs (DESIGN §6j).
 //!
 //! The in-process `smlsc build` and the daemon's
-//! [`Resident`](crate::resident::Resident) both [`open`](BuildSession::open)
-//! a bin dir, [`build`](BuildSession::build) and render the report, then
+//! [`Resident`](crate::resident::Resident) both
+//! [`open_dir`](BuildSession::open_dir) a source dir and a bin dir,
+//! [`build`](BuildSession::build) and render the report, then
 //! [`finish`](BuildSession::finish) it: persist, then append the ledger
 //! record.  With the one [`exit_code`] mapping and the one
 //! [`explain_lines`] rendering, a build prints the same lines and exits
@@ -14,9 +15,9 @@ use std::time::Instant;
 
 use smlsc_ids::Symbol;
 use smlsc_store::Store;
-use smlsc_trace::{Collector, RebuildDecision};
+use smlsc_trace::{self as trace, names, Collector, RebuildDecision};
 
-use crate::irm::{BuildReport, FailurePolicy, Irm, Project, Strategy, UnitOutcome};
+use crate::irm::{self, BuildReport, FailurePolicy, Irm, Project, Strategy, UnitOutcome};
 use crate::ledger::{Ledger, LedgerRecord};
 use crate::CoreError;
 
@@ -115,6 +116,31 @@ pub struct Built {
 }
 
 impl BuildSession {
+    /// Opens `bin_dir` ([`Self::open`]) and scans `dir` into a lazy
+    /// project ([`Project::from_dir`]).  The two read different
+    /// directories, so with `jobs >= 2` they run on two workers and the
+    /// open costs the slower of them, not their sum.
+    ///
+    /// # Errors
+    ///
+    /// The scan's [`CoreError`]; an empty project is not an error.
+    pub fn open_dir(
+        dir: &Path,
+        bin_dir: &Path,
+        strategy: Strategy,
+        paranoid: bool,
+        store: Option<Arc<Store>>,
+        jobs: usize,
+    ) -> Result<(BuildSession, Project), CoreError> {
+        let _span = trace::span(names::SPAN_SESSION_OPEN);
+        let (project, session) = irm::join(
+            jobs,
+            || Project::from_dir(dir),
+            || BuildSession::open(bin_dir, strategy, paranoid, store),
+        );
+        Ok((session, project?))
+    }
+
     /// Opens `bin_dir`: `store`, and the pack with its stamp and graph
     /// sections.  `paranoid` is set first, so the load verifies every
     /// body.  A missing or corrupt cache only costs recompiles.

@@ -295,11 +295,14 @@ impl Project {
         size: u64,
     ) {
         observe(mtime_ns);
-        let name = Symbol::intern(&name.into());
+        self.upsert_lazy(Symbol::intern(&name.into()), path.into(), mtime_ns, size);
+    }
+
+    fn upsert_lazy(&mut self, name: Symbol, path: PathBuf, mtime_ns: u64, size: u64) {
         self.upsert(SourceFile {
             name,
             text: SourceText::Lazy {
-                path: path.into(),
+                path,
                 size,
                 cell: Arc::new(OnceLock::new()),
             },
@@ -312,6 +315,12 @@ impl Project {
     /// warm build against a stamp cache then decides everything from
     /// stats alone and never opens a source file.  Files are sorted by
     /// unit name for deterministic ordering.
+    ///
+    /// Each entry is stat'ed relative to the open directory
+    /// ([`std::fs::DirEntry::metadata`], no walk of the full path).  That
+    /// stat does not follow a symlink, so a link, known as one from the
+    /// directory read itself, is stat'ed by path: the project sees its
+    /// target.
     ///
     /// # Errors
     ///
@@ -331,14 +340,26 @@ impl Project {
             let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            let meta = std::fs::metadata(&path)
-                .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
+            let meta = match entry.file_type() {
+                Ok(t) if t.is_symlink() => std::fs::metadata(&path),
+                _ => entry.metadata(),
+            }
+            .map_err(|e| CoreError::Io(format!("{}: {e}", path.display())))?;
             files.push((stem.to_string(), path, mtime_ns(&meta), meta.len()));
         }
         files.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut p = Project::new();
+        if let Some(latest) = files.iter().map(|f| f.2).max() {
+            observe(latest);
+        }
+        let mut p = Project {
+            files: Vec::with_capacity(files.len()),
+            index: HashMap::with_capacity(files.len()),
+        };
+        // Interned in one burst after the stats: interning between them
+        // contends with the overlapped pack load for the symbol table's
+        // lock (a 20k-unit open took 110–119 ms that way, 43–62 ms so).
         for (stem, path, mtime_ns, size) in files {
-            p.add_lazy(stem, path, mtime_ns, size);
+            p.upsert_lazy(Symbol::intern(&stem), path, mtime_ns, size);
         }
         Ok(p)
     }
@@ -713,6 +734,26 @@ impl BinEntry {
     }
 }
 
+/// Bin bodies and decoded bins displaced by [`Irm::release_bodies`];
+/// dropping this frees them.
+#[derive(Debug, Default)]
+pub struct ReleasedBodies {
+    bodies: Vec<BinBody>,
+    bins: Vec<Result<BinFile, CoreError>>,
+}
+
+impl ReleasedBodies {
+    /// How many bodies and decoded bins are held.
+    pub fn len(&self) -> usize {
+        self.bodies.len() + self.bins.len()
+    }
+
+    /// True when nothing was released.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The manager.
 #[derive(Debug, Default)]
 pub struct Irm {
@@ -831,6 +872,11 @@ impl Irm {
     /// The active strategy.
     pub fn strategy(&self) -> Strategy {
         self.strategy.unwrap_or(Strategy::Cutoff)
+    }
+
+    /// The analysis cache: loaded from the pack, updated by builds.
+    pub fn stamps(&self) -> &StampCache {
+        &self.stamps
     }
 
     /// The cached bin for a unit, if any — decodes its body on first
@@ -1069,14 +1115,18 @@ impl Irm {
         }
     }
 
-    /// Frees every bin body held in memory: each body the last save
+    /// Releases every bin body held in memory: each body the last save
     /// wrote is pointed at its bytes in the pack (read, digest-verified
     /// and decoded again on next use), and every body decoded since the
     /// last release is emptied.  Costs the bodies that save wrote plus
-    /// the bodies decoded; the index is not reopened.  A long-lived session calls
-    /// this after each save so its heap stays flat however many builds
-    /// it serves; a one-shot build has no reason to.
-    pub fn release_bodies(&mut self) {
+    /// the bodies decoded; the index is not reopened.  A long-lived
+    /// session calls this after each save so its heap stays flat however
+    /// many builds it serves; a one-shot build has no reason to.
+    ///
+    /// The displaced bodies and decoded bins come back, so the caller
+    /// chooses when to pay for freeing them (a daemon: after its reply).
+    pub fn release_bodies(&mut self) -> ReleasedBodies {
+        let mut released = ReleasedBodies::default();
         if let Some((bodies, entries)) = self.saved.take() {
             for e in entries {
                 // A bin rebuilt since that save is not what it wrote.
@@ -1090,8 +1140,10 @@ impl Irm {
                         len: e.len,
                         digest: e.digest,
                     };
-                    entry.body = BinBody::Packed(src);
-                    entry.cell = OnceLock::new();
+                    released
+                        .bodies
+                        .push(std::mem::replace(&mut entry.body, BinBody::Packed(src)));
+                    released.bins.extend(entry.cell.take());
                 }
             }
         }
@@ -1102,9 +1154,10 @@ impl Irm {
         );
         for unit in forced {
             if let Some(entry) = self.bins.get_mut(&unit) {
-                entry.cell.take();
+                released.bins.extend(entry.cell.take());
             }
         }
+        released
     }
 
     /// Bin bodies held in memory: sealed, or decoded.
@@ -1152,12 +1205,13 @@ impl Irm {
                             .field("bytes", reader.torn_tail());
                     }
                     tail = Some(reader.tail().clone());
-                    let (stamps, graph) = reader.take_state();
+                    let (entries, stamps, graph) = reader.take_state();
                     self.stamps = stamps;
                     self.graph_synced = graph.is_some();
                     self.graph = graph.map(Arc::new);
-                    pack_entries = reader.entries().len();
-                    for pe in reader.entries() {
+                    pack_entries = entries.len();
+                    self.bins.reserve(pack_entries);
+                    for pe in entries {
                         let unit = pe.name;
                         let fault = if faults::active() {
                             faults::check(points::BIN_LOAD, unit.as_str())
@@ -1195,12 +1249,14 @@ impl Irm {
                                 out.corrupt.push((pack_path.clone(), e));
                                 continue;
                             }
-                        } else {
-                            trace::counter(names::BIN_INDEX_ONLY, 1);
                         }
                         self.dirty.remove(&unit);
-                        self.bins.insert(unit, BinEntry::packed(pe.meta(), src));
+                        self.bins
+                            .insert(unit, BinEntry::packed(pe.into_meta(), src));
                         out.loaded += 1;
+                    }
+                    if !self.paranoid && out.loaded > 0 {
+                        trace::counter(names::BIN_INDEX_ONLY, out.loaded as u64);
                     }
                 }
                 Ok(None) => {}
@@ -1281,7 +1337,7 @@ impl Irm {
             let a = analysis_of(&self.stamps, *name)?;
             names_pids.push(a.names_pid);
             let units: Vec<Symbol> = a
-                .imports
+                .imports()
                 .iter()
                 .map(|n| exporters[n])
                 .collect::<Vec<_>>()
@@ -2101,6 +2157,39 @@ impl<'a> Wavefront<'a> {
     }
 }
 
+/// Runs `a` and `b` on [`on_workers`] and returns both results: on two
+/// workers when `jobs >= 2`, else one after the other on the calling
+/// thread.
+pub(crate) fn join<A: Send, B: Send>(
+    jobs: usize,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    fn run<T>(task: &Mutex<Option<impl FnOnce() -> T>>, out: &Mutex<Option<T>>) {
+        let task = task.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(task) = task {
+            let result = task();
+            *out.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        }
+    }
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    let next = AtomicUsize::new(0);
+    on_workers(jobs.clamp(1, 2), |_| loop {
+        match next.fetch_add(1, Ordering::Relaxed) {
+            0 => run(&a, &ra),
+            1 => run(&b, &rb),
+            _ => break,
+        }
+    });
+    fn took<T>(out: Mutex<Option<T>>) -> T {
+        out.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("on_workers returns once every task ran")
+    }
+    (took(ra), took(rb))
+}
+
 /// Runs `work(w)` for each worker `w` in `0..jobs` and returns when
 /// all have: worker 0 on the calling thread, the rest on scoped threads
 /// that report to the caller's trace sink and see its fault plan.
@@ -2664,7 +2753,7 @@ fn exporters(project: &Project, stamps: &StampCache) -> Result<HashMap<Symbol, S
     let mut units: Vec<Symbol> = project.files().iter().map(|f| f.name).collect();
     units.sort_by_key(|s| s.as_str());
     for unit in units {
-        for name in &analysis_of(stamps, unit)?.exports {
+        for name in analysis_of(stamps, unit)?.exports() {
             if let Some(prev) = map.insert(*name, unit) {
                 if prev != unit {
                     return Err(CoreError::DuplicateExport {
@@ -2687,7 +2776,7 @@ fn topo_order(
 ) -> Result<Vec<Symbol>, CoreError> {
     // Validate imports first for a precise error.
     for f in project.files() {
-        for import in &analysis_of(stamps, f.name)?.imports {
+        for import in analysis_of(stamps, f.name)?.imports() {
             if !exporters.contains_key(import) {
                 return Err(CoreError::UnresolvedImport {
                     unit: f.name,
@@ -2718,7 +2807,7 @@ fn topo_order(
         state.insert(unit, 1);
         stack.push(unit);
         let mut deps: Vec<Symbol> = analysis_of(stamps, unit)?
-            .imports
+            .imports()
             .iter()
             .map(|n| exporters[n])
             .collect();

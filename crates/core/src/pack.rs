@@ -114,7 +114,7 @@ pub const PACK_FILE: &str = "bins.pack";
 
 /// Version byte after the leading magic; anything else rejects the
 /// pack (the units then just recompile).
-pub const PACK_VERSION: u8 = 4;
+pub const PACK_VERSION: u8 = 5;
 
 const PACK_MAGIC: &[u8; 8] = b"SMLSPAK3";
 const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";
@@ -179,6 +179,17 @@ impl PackEntry {
             mtime: self.mtime,
         }
     }
+
+    /// [`Self::meta`], moving the import list instead of copying it.
+    pub fn into_meta(self) -> BinMeta {
+        BinMeta {
+            name: self.name,
+            source_pid: self.source_pid,
+            imports: self.imports,
+            export_pid: self.export_pid,
+            mtime: self.mtime,
+        }
+    }
 }
 
 /// An upper bound on the bytes one unit adds to a segment: its body,
@@ -197,33 +208,50 @@ pub fn section_len(len: usize) -> u64 {
     SECTION_HEADER_LEN + len as u64
 }
 
-/// Encodes the binary index: string table, flat edge table,
-/// fixed-width entry table.
-fn encode_index(entries: &[PackEntry]) -> Vec<u8> {
-    let mut strings: Vec<Symbol> = Vec::new();
-    let mut string_ix: std::collections::HashMap<Symbol, u32> = std::collections::HashMap::new();
-    let mut intern = |s: Symbol| -> u32 {
-        *string_ix.entry(s).or_insert_with(|| {
-            strings.push(s);
-            (strings.len() - 1) as u32
+/// The name table at the front of the index and of a stamp section:
+/// each distinct name written once (`u32 n; n × (u32 len | bytes)`), in
+/// first-appearance order, and referred to by its `u32` position.
+#[derive(Debug, Default)]
+pub(crate) struct NameTable {
+    names: Vec<Symbol>,
+    ids: std::collections::HashMap<Symbol, u32>,
+}
+
+impl NameTable {
+    /// The id of `name`, adding it on first appearance.
+    pub(crate) fn id(&mut self, name: Symbol) -> u32 {
+        *self.ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            (self.names.len() - 1) as u32
         })
-    };
+    }
+
+    /// Writes the table.
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.u32(self.names.len() as u32);
+        for s in &self.names {
+            w.str(s.as_str());
+        }
+    }
+}
+
+/// Encodes the binary index: name table, flat edge table, fixed-width
+/// entry table.
+fn encode_index(entries: &[PackEntry]) -> Vec<u8> {
+    let mut table = NameTable::default();
     // First-appearance order: entry names, then their import names.
     let mut edges: Vec<(u32, Pid)> = Vec::new();
     let mut slots: Vec<(u32, u32, u32)> = Vec::with_capacity(entries.len());
     for e in entries {
-        let name_ix = intern(e.name);
+        let name_ix = table.id(e.name);
         let start = edges.len() as u32;
         for i in &e.imports {
-            edges.push((intern(i.unit), i.pid));
+            edges.push((table.id(i.unit), i.pid));
         }
         slots.push((name_ix, start, e.imports.len() as u32));
     }
     let mut w = Writer::new();
-    w.u32(strings.len() as u32);
-    for s in &strings {
-        w.str(s.as_str());
-    }
+    table.write(&mut w);
     w.u32(edges.len() as u32);
     for (ix, pid) in &edges {
         w.u32(*ix);
@@ -607,9 +635,14 @@ impl PackReader {
         self.graph.as_ref()
     }
 
-    /// Moves the stamp cache and the graph out of the reader.
-    pub fn take_state(&mut self) -> (StampCache, Option<DepGraph>) {
-        (std::mem::take(&mut self.stamps), self.graph.take())
+    /// Moves the merged index, the stamp cache and the graph out of the
+    /// reader, leaving them empty.
+    pub fn take_state(&mut self) -> (Vec<PackEntry>, StampCache, Option<DepGraph>) {
+        (
+            std::mem::take(&mut self.entries),
+            std::mem::take(&mut self.stamps),
+            self.graph.take(),
+        )
     }
 
     /// Where an append to this file would go (see [`PackWriter::open`]).

@@ -52,10 +52,14 @@
 //!   last build succeeded, [`Resident::build`] answers from the cached
 //!   snapshot without running the analysis ladder, rendered as the
 //!   no-op a rerun would print ([`BuildSnapshot::as_noop`]).
-//! * **Flat memory.**  After each save the session frees every
+//! * **Flat memory.**  After each save the session releases every
 //!   decoded bin body ([`Irm::release_bodies`](crate::irm::Irm::release_bodies)):
 //!   a long-lived daemon would otherwise keep every body it ever
-//!   compiled or forced.
+//!   compiled or forced.  The released bodies are held until
+//!   [`Resident::drop_released`] (the daemon calls it once idle) or the
+//!   start of the next build that runs, so freeing them (≈1,300 decoded
+//!   bins after a hub interface edit at 20k units) is not on the reply
+//!   path, and a build never holds them beside its own.
 //!
 //! [`SourceFile`]: crate::irm::SourceFile
 
@@ -68,7 +72,7 @@ use smlsc_store::Store;
 use smlsc_trace::{self as trace, names, RebuildDecision};
 
 use crate::build_session::BuildSession;
-use crate::irm::{mtime_ns, with_implied_reuses, FailurePolicy, Project, Strategy};
+use crate::irm::{mtime_ns, with_implied_reuses, FailurePolicy, Project, ReleasedBodies, Strategy};
 use crate::CoreError;
 
 /// One filesystem change to feed into the resident session.
@@ -214,6 +218,8 @@ struct State {
 pub struct Resident {
     state: Mutex<State>,
     last: RwLock<Option<Arc<BuildSnapshot>>>,
+    /// What the last build released, until [`Self::drop_released`].
+    released: Mutex<ReleasedBodies>,
     /// Builds currently executing inside the state lock (structurally
     /// ≤ 1; the high-water mark proves the single-writer invariant to
     /// the concurrency stress test).
@@ -225,7 +231,8 @@ pub struct Resident {
 
 impl Resident {
     /// Opens a resident session: `bin_dir` as a [`BuildSession`], and
-    /// `dir` scanned (stat-only) into a lazy project.  Every build
+    /// `dir` scanned (stat-only) into a lazy project, overlapped
+    /// ([`BuildSession::open_dir`]) on the host's workers.  Every build
     /// rescans until [`Self::set_feed`] attaches a change feed.
     ///
     /// # Errors
@@ -239,8 +246,9 @@ impl Resident {
         strategy: Strategy,
         store: Option<Arc<Store>>,
     ) -> Result<Resident, CoreError> {
-        let session = BuildSession::open(bin_dir, strategy, false, store);
-        let project = Project::from_dir(dir)?;
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (session, project) =
+            BuildSession::open_dir(dir, bin_dir, strategy, false, store, jobs)?;
         if project.files().is_empty() {
             return Err(CoreError::Io(format!("no .sml files in {}", dir.display())));
         }
@@ -255,6 +263,7 @@ impl Resident {
                 seq: 0,
             }),
             last: RwLock::new(None),
+            released: Mutex::default(),
             building: AtomicUsize::new(0),
             building_high_water: AtomicUsize::new(0),
             invalidations: AtomicU64::new(0),
@@ -267,6 +276,14 @@ impl Resident {
     /// scan and the first event.
     pub fn set_feed(&self, feed: Box<dyn ChangeFeed>) {
         self.state.lock().expect("resident state lock").feed = Some(feed);
+    }
+
+    /// Frees the bin bodies the last build released, outside the state
+    /// lock: a caller that answers builds calls this once it is idle.
+    /// A build that starts meanwhile waits for the free (the lock is
+    /// held through it), so the freed memory is there for it to reuse.
+    pub fn drop_released(&self) {
+        *self.released.lock().expect("released lock") = ReleasedBodies::default();
     }
 
     /// Stat-only sweep of the project directory, diffed against the
@@ -324,6 +341,7 @@ impl Resident {
                 return Ok((last.as_noop(), true));
             }
         }
+        self.drop_released();
         let started = std::time::Instant::now();
         let n = self.building.fetch_add(1, Ordering::SeqCst) + 1;
         self.building_high_water.fetch_max(n, Ordering::SeqCst);
@@ -337,7 +355,7 @@ impl Resident {
         // reports it; the render and the drop of the replaced snapshot
         // come after it, both sized to the units the build touched.
         let span = trace::span(names::SPAN_RESIDENT_SNAPSHOT);
-        st.session.irm.release_bodies();
+        *self.released.lock().expect("released lock") = st.session.irm.release_bodies();
         built.notes.extend(warnings);
         st.seq += 1;
         let report = built.report;
@@ -876,6 +894,10 @@ mod tests {
         let (snap, _) = build(&r);
         assert_eq!(snap.recompiled, 3);
         assert_eq!(r.state.lock().unwrap().session.irm.bodies_in_memory(), 0);
+        // The three sealed bodies wait for the caller to free them.
+        assert_eq!(r.released.lock().unwrap().len(), 3);
+        r.drop_released();
+        assert!(r.released.lock().unwrap().is_empty());
         // A body edit in the middle: `b` recompiles against `a`'s
         // released body, forced back from the pack; `c` is cut off.
         write_chain(&dir, "x * 2");

@@ -36,38 +36,51 @@
 //!
 //! ```text
 //! u64 save instant (nanoseconds since the epoch)
+//! u32 nnames; nnames × (u32 len | bytes)   -- the section's name table
 //! u32 record count
 //! per record, sorted by unit name:
-//!   str  unit name
+//!   u32  unit name id
 //!   u8   1 when a stat follows, else 0
 //!   u64  mtime_ns, u64 size (the stat)
 //!   u128 source pid, u128 names pid
-//!   u32  import count, then that many names
-//!   u32  export count, then that many names
+//!   u32  import count, then that many name ids
+//!   u32  export count, then that many name ids
 //! ```
+//!
+//! Each name is written and interned once per section, however many
+//! records import it (a hub module is imported by a thousand units), as
+//! in the pack index ([`crate::pack`]).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use smlsc_ids::{Pid, Symbol};
 use smlsc_pickle::wire::{Reader, Writer};
+
+use crate::pack::NameTable;
 
 /// The dependency analysis of one source: its content digest, its
 /// import/export lists, and a digest of those lists.  Shared by [`Arc`],
 /// so a cache hit costs a refcount bump — never a clone of the vectors
 /// (at monorepo scale those per-unit clones dominated the no-op analyze
 /// phase).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A record loaded from a stamp section decodes its lists only when
+/// something reads them (a graph re-derivation, a save that rewrites
+/// the record): a warm build whose graph still matches reads only the
+/// stat and the two pids.
+#[derive(Debug, Clone)]
 pub struct Analysis {
     /// Digest of the file contents the analysis was parsed from.
     pub source_pid: Pid,
-    /// Digest of `imports` and `exports`: everything the import graph
-    /// reads of this unit ([`crate::depgraph::DepGraph`] is keyed on it).
+    /// Digest of the import and export lists: everything the import
+    /// graph reads of this unit ([`crate::depgraph::DepGraph`] is keyed
+    /// on it).
     pub names_pid: Pid,
-    /// Imported module names, sorted.
-    pub imports: Vec<Symbol>,
-    /// Exported module names.
-    pub exports: Vec<Symbol>,
+    /// `[imports, exports]`, once known.
+    lists: OnceLock<[Vec<Symbol>; 2]>,
+    /// Where a loaded record's lists are decoded from.
+    packed: Option<(Arc<SectionNames>, usize)>,
 }
 
 impl Analysis {
@@ -84,9 +97,114 @@ impl Analysis {
         Analysis {
             source_pid,
             names_pid: Pid::of_bytes(&w.into_bytes()),
-            imports,
-            exports,
+            lists: OnceLock::from([imports, exports]),
+            packed: None,
         }
+    }
+
+    /// Imported module names, sorted.
+    pub fn imports(&self) -> &[Symbol] {
+        &self.lists()[0]
+    }
+
+    /// Exported module names.
+    pub fn exports(&self) -> &[Symbol] {
+        &self.lists()[1]
+    }
+
+    fn lists(&self) -> &[Vec<Symbol>; 2] {
+        self.lists.get_or_init(|| {
+            let (section, at) = self
+                .packed
+                .as_ref()
+                .expect("an analysis without lists was loaded from a section");
+            section
+                .id_lists(*at)
+                .map(|ids| ids.iter().map(|&id| section.name(id)).collect())
+        })
+    }
+
+    /// Writes the two lists as ids into `table`.  A loaded record whose
+    /// lists were never read is written from its section's ids, each
+    /// section name interned once: a save that rewrites every record
+    /// neither decodes nor keeps their lists.
+    fn write_lists(&self, table: &mut NameTable, w: &mut Writer) {
+        let mut write = |list: &mut dyn ExactSizeIterator<Item = Symbol>| {
+            w.u32(list.len() as u32);
+            for s in list {
+                w.u32(table.id(s));
+            }
+        };
+        match (self.lists.get(), &self.packed) {
+            (None, Some((section, at))) => {
+                let symbols = section.symbols();
+                for ids in section.id_lists(*at) {
+                    write(&mut ids.iter().map(|&id| symbols[id as usize]));
+                }
+            }
+            _ => {
+                for list in self.lists() {
+                    write(&mut list.iter().copied());
+                }
+            }
+        }
+    }
+}
+
+impl PartialEq for Analysis {
+    fn eq(&self, other: &Analysis) -> bool {
+        self.source_pid == other.source_pid
+            && self.names_pid == other.names_pid
+            && self.lists() == other.lists()
+    }
+}
+
+impl Eq for Analysis {}
+
+/// A loaded stamp section's name table and name lists, shared by the
+/// records it holds so that each decodes its lists on first use.
+/// [`decode_section`] checked every name id against the table.
+#[derive(Default)]
+struct SectionNames {
+    /// The table's names, concatenated: name `i` ends at `ends[i]`.
+    text: String,
+    ends: Vec<u32>,
+    /// Each record's import and export lists: a count, then that many
+    /// name ids, twice.
+    lists: Vec<u32>,
+    /// Every table name interned, once a save needed them all.
+    symbols: OnceLock<Vec<Symbol>>,
+}
+
+impl std::fmt::Debug for SectionNames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SectionNames({} names)", self.ends.len())
+    }
+}
+
+impl SectionNames {
+    fn name(&self, id: u32) -> Symbol {
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        Symbol::intern(&self.text[start..self.ends[id] as usize])
+    }
+
+    fn symbols(&self) -> &[Symbol] {
+        self.symbols.get_or_init(|| {
+            (0..self.ends.len() as u32)
+                .map(|id| self.name(id))
+                .collect()
+        })
+    }
+
+    /// The two id lists starting at `lists[at]`.
+    fn id_lists(&self, mut at: usize) -> [&[u32]; 2] {
+        [(); 2].map(|()| {
+            let n = self.lists[at] as usize;
+            let ids = &self.lists[at + 1..at + 1 + n];
+            at += 1 + n;
+            ids
+        })
     }
 }
 
@@ -101,9 +219,9 @@ pub struct StampEntry {
     pub analysis: Arc<Analysis>,
 }
 
-/// The fewest bytes one encoded record can take: an empty name, the
-/// stat flag, two pids and two empty lists.
-const MIN_RECORD_LEN: usize = 4 + 1 + 16 + 16 + 4 + 4;
+/// The fewest bytes one encoded record can take: a name id, the stat
+/// flag and stat, two pids and two empty lists.
+const MIN_RECORD_LEN: usize = 4 + 1 + 16 + 32 + 4 + 4;
 
 /// The persistent analysis cache.  See the module docs.
 #[derive(Debug, Default)]
@@ -172,27 +290,29 @@ impl StampCache {
             return None;
         }
         units.sort_by_key(|u| u.as_str());
-        let mut w = Writer::new();
-        w.u64(saved_at);
-        w.u32(units.len() as u32);
-        for unit in units {
+        let mut table = NameTable::default();
+        let mut records = Writer::new();
+        for &unit in &units {
             let e = &self.entries[&unit];
             let a = &e.analysis;
-            w.str(unit.as_str());
+            records.u32(table.id(unit));
             let (mtime_ns, size) = e.stat.unwrap_or((0, 0));
-            w.u8(u8::from(e.stat.is_some()));
-            w.u64(mtime_ns);
-            w.u64(size);
-            w.u128(a.source_pid.as_raw());
-            w.u128(a.names_pid.as_raw());
-            for list in [&a.imports, &a.exports] {
-                w.u32(list.len() as u32);
-                for s in list {
-                    w.str(s.as_str());
-                }
-            }
+            records.u8(u8::from(e.stat.is_some()));
+            records.u64(mtime_ns);
+            records.u64(size);
+            records.u128(a.source_pid.as_raw());
+            records.u128(a.names_pid.as_raw());
+            a.write_lists(&mut table, &mut records);
         }
-        Some(w.into_bytes())
+        let mut header = Writer::new();
+        header.u64(saved_at);
+        table.write(&mut header);
+        header.u32(units.len() as u32);
+        // In front of the records, in place: a full rewrite's section is
+        // megabytes at 20k units, and a second copy would be its peak.
+        let mut bytes = records.into_bytes();
+        bytes.splice(0..0, header.into_bytes());
+        Some(bytes)
     }
 
     /// True when every record is in the pack: a save need write no
@@ -290,11 +410,30 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
     let saved_at = r.u64().map_err(err)?;
     // The segment digest vouches for the bytes; the bounded counts keep
     // the allocations proportional to the section even for a
-    // well-digested section from a buggy writer.
+    // well-digested section from a buggy writer.  Only the unit names
+    // are interned here; list names wait until a record's lists are
+    // first read.
+    let ntable = r.count(4).map_err(err)?;
+    let mut names = SectionNames {
+        ends: Vec::with_capacity(ntable),
+        ..SectionNames::default()
+    };
+    for _ in 0..ntable {
+        names.text.push_str(r.str_ref().map_err(err)?);
+        // The text is shorter than the section, whose length is a u32.
+        names.ends.push(names.text.len() as u32);
+    }
+    let id = |r: &mut Reader<'_>| -> Result<u32, String> {
+        let id = r.u32().map_err(err)?;
+        if id as usize >= ntable {
+            return Err(format!("stamp section: name index {id} out of range"));
+        }
+        Ok(id)
+    };
     let count = r.count(MIN_RECORD_LEN).map_err(err)?;
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let unit = Symbol::intern(r.str_ref().map_err(err)?);
+        let unit = names.name(id(&mut r)?);
         let stated = match r.u8().map_err(err)? {
             0 => false,
             1 => true,
@@ -304,32 +443,35 @@ pub fn decode_section(bytes: &[u8]) -> Result<StampSection, String> {
         let size = r.u64().map_err(err)?;
         let source_pid = Pid::from_raw(r.u128().map_err(err)?);
         let names_pid = Pid::from_raw(r.u128().map_err(err)?);
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            // Every name takes at least its 4-byte length.
+        let lists_at = names.lists.len();
+        for _ in 0..2 {
+            // Every name takes its 4-byte id.
             let n = r.count(4).map_err(err)?;
-            list.reserve_exact(n);
+            names.lists.push(n as u32);
             for _ in 0..n {
-                list.push(Symbol::intern(r.str_ref().map_err(err)?));
+                names.lists.push(id(&mut r)?);
             }
         }
-        let [imports, exports] = lists;
-        records.push((
-            unit,
-            StampEntry {
-                stat: stated.then_some((mtime_ns, size)),
-                analysis: Arc::new(Analysis {
-                    source_pid,
-                    names_pid,
-                    imports,
-                    exports,
-                }),
-            },
-        ));
+        let stat = stated.then_some((mtime_ns, size));
+        records.push((unit, stat, source_pid, names_pid, lists_at));
     }
     if !r.at_end() {
         return Err("stamp section: trailing bytes after the last record".into());
     }
+    let names = Arc::new(names);
+    let records = records
+        .into_iter()
+        .map(|(unit, stat, source_pid, names_pid, lists_at)| {
+            let analysis = Analysis {
+                source_pid,
+                names_pid,
+                lists: OnceLock::new(),
+                packed: Some((Arc::clone(&names), lists_at)),
+            };
+            let analysis = Arc::new(analysis);
+            (unit, StampEntry { stat, analysis })
+        })
+        .collect();
     Ok(StampSection { saved_at, records })
 }
 
@@ -488,9 +630,11 @@ mod tests {
         assert!(decode_section(&long).is_err(), "trailing byte");
         let mut inflated = bytes.clone();
         inflated[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_section(&inflated).is_err(), "inflated count");
-        let mut flag = bytes;
-        flag[12 + 4 + 1] = 2;
+        assert!(decode_section(&inflated).is_err(), "inflated name count");
+        // The one record is the last 69 bytes: its unit id, the stat
+        // flag, the stat (16), the pids (32) and two one-name lists (16).
+        let mut flag = bytes.clone();
+        flag[bytes.len() - 69 + 4] = 2;
         assert!(decode_section(&flag).is_err(), "bad stat flag");
     }
 }

@@ -1,6 +1,6 @@
 //! Seeded mutation over the on-disk decoders — the pack's segment walk
-//! (each segment's length word and footer), its stamp and
-//! graph sections, its index, the `SMLCBIN2` bin container and the
+//! (each segment's length word and footer), its stamp section (name
+//! table, name ids) and graph section, its index, the `SMLCBIN2` bin container and the
 //! environment pickle inside it: bit flips, truncations and inflated
 //! counts of valid bytes must decode to `Err` (or, when the mutation
 //! happens to stay well-formed, `Ok`), never panic, and never allocate
@@ -171,6 +171,69 @@ fn mutated_sections_are_errors_never_panics_or_huge_allocations() {
     for seed in [1, 7, 0x5eed] {
         fuzz(&stamps, seed, 2_000, |b| decode_section(b).is_ok());
         fuzz(&graph, seed, 2_000, |b| DepGraph::decode(b).is_ok());
+    }
+}
+
+/// The byte offsets of every name id in a stamp section, and its name
+/// table's length: the section layout of `smlsc_core::stamps`, walked.
+fn stamp_name_ids(section: &[u8]) -> (Vec<usize>, u32) {
+    let u32_at = |at: usize| u32::from_le_bytes(section[at..at + 4].try_into().unwrap());
+    let ntable = u32_at(8);
+    let mut at = 12;
+    for _ in 0..ntable {
+        at += 4 + u32_at(at) as usize;
+    }
+    let records = u32_at(at);
+    at += 4;
+    let mut ids = Vec::new();
+    for _ in 0..records {
+        ids.push(at);
+        // The id, the stat flag and stat, the two pids.
+        at += 4 + 1 + 16 + 32;
+        for _ in 0..2 {
+            let n = u32_at(at) as usize;
+            ids.extend((0..n).map(|k| at + 4 + 4 * k));
+            at += 4 + 4 * n;
+        }
+    }
+    assert_eq!(at, section.len(), "walked the whole section");
+    (ids, ntable)
+}
+
+/// Decodes `input` as a stamp section, which must fail without a panic
+/// or an allocation beyond the input.
+fn stamp_section_rejects(input: &[u8], what: &str) {
+    take_largest();
+    let decoded = std::panic::catch_unwind(|| decode_section(input).is_ok())
+        .unwrap_or_else(|_| panic!("{what}: decoder panicked"));
+    let largest = take_largest();
+    assert!(!decoded, "{what}: decoded");
+    assert!(
+        largest <= 4 * input.len() + 4096,
+        "{what}: a {}-byte input allocated {largest} bytes at once",
+        input.len()
+    );
+}
+
+#[test]
+fn stamp_name_ids_out_of_range_inflated_tables_and_truncations_are_errors() {
+    let valid = stamp_section();
+    let (ids, ntable) = stamp_name_ids(&valid);
+    assert!(ids.len() > 8, "records carry unit, import and export ids");
+    for &at in &ids {
+        for bad in [ntable, ntable + 1, u32::MAX] {
+            let mut input = valid.clone();
+            input[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            stamp_section_rejects(&input, &format!("id {bad} at byte {at}"));
+        }
+    }
+    for inflated in [ntable + 1, valid.len() as u32, u32::MAX / 2, u32::MAX] {
+        let mut input = valid.clone();
+        input[8..12].copy_from_slice(&inflated.to_le_bytes());
+        stamp_section_rejects(&input, &format!("table count {inflated}"));
+    }
+    for cut in 0..valid.len() {
+        stamp_section_rejects(&valid[..cut], &format!("cut at {cut}"));
     }
 }
 

@@ -69,9 +69,18 @@ impl Client {
 ///
 /// # Errors
 ///
-/// Any error from [`connect`] or [`Client::request`].
+/// Any error from [`connect`] or [`Client::request`], its message
+/// prefixed with the step that failed: `connect` (including the
+/// handshake), `send` or `reply`.
 pub fn request(socket: &Path, request: &Request) -> std::io::Result<Response> {
-    connect(socket)?.request(request)
+    let mut client = connect(socket).map_err(at_step("connect"))?;
+    protocol::send(&mut client.stream, request).map_err(at_step("send"))?;
+    protocol::recv(&mut client.stream).map_err(at_step("reply"))
+}
+
+/// Prefixes an error's message with the request step that failed.
+fn at_step(step: &'static str) -> impl Fn(Error) -> Error {
+    move |e| Error::new(e.kind(), format!("{step}: {e}"))
 }
 
 /// Is a daemon answering on this socket right now?  (A full handshake,

@@ -145,6 +145,7 @@ impl Server {
         let last_activity = Arc::new(Mutex::new(Instant::now()));
         let trim = Arc::new(AtomicBool::new(false));
         let supervisor = spawn_supervisor(
+            Arc::clone(&self.resident),
             Arc::clone(&self.shutdown),
             Arc::clone(&active),
             Arc::clone(&last_activity),
@@ -231,10 +232,13 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
 
 /// The supervisor thread: polls for a termination signal and for idle
 /// expiry, and wakes the blocking accept when either fires.  Once no
-/// request has run for a poll period, it also trims the heap a build
-/// left behind (`trim` is set when one ran), so a trim never holds up
-/// a request that follows a build closely.
+/// request has run for a poll period, it also frees the bodies a build
+/// released ([`Resident::drop_released`]) and trims the heap (`trim` is
+/// set when a build ran), so neither holds up a reply or a request
+/// that follows a build closely; a build that comes first frees them
+/// itself.
 fn spawn_supervisor(
+    resident: Arc<Resident>,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     last_activity: Arc<Mutex<Instant>>,
@@ -253,6 +257,7 @@ fn spawn_supervisor(
                         && last_activity.lock().expect("activity lock").elapsed() >= limit
                 };
                 if idle_for(SUPERVISOR_POLL) && trim.swap(false, Ordering::SeqCst) {
+                    resident.drop_released();
                     trim_heap();
                 }
                 let idle = idle_timeout.is_some_and(idle_for);
@@ -301,8 +306,9 @@ fn handle_connection(mut stream: UnixStream, ctx: &HandlerCtx) {
     stream.flush().ok();
     match request.kind.as_str() {
         "stop" => initiate_shutdown(ctx),
-        // A build that ran (not a cached reply) freed its working set;
-        // the supervisor hands it back once the daemon is idle.
+        // A build that ran (not a cached reply) released its working
+        // set: the supervisor frees it and hands the heap back once the
+        // daemon is idle.
         "build" if !response.cached => ctx.trim.store(true, Ordering::SeqCst),
         _ => {}
     }

@@ -87,7 +87,7 @@ use std::time::Duration;
 use smlsc::core::build_session::{
     exit_code, explain_lines, BuildSession, EXIT_COMPILE, EXIT_IO, EXIT_OK,
 };
-use smlsc::core::irm::{FailurePolicy, Project, Strategy};
+use smlsc::core::irm::{FailurePolicy, Strategy};
 use smlsc::core::session::Session;
 use smlsc::core::store::fsutil;
 use smlsc::core::store::{GcConfig, Store};
@@ -309,37 +309,43 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     // noise against a compile.
     let collector = trace::Collector::new();
     collector.install();
-    // A stat-only scan: a warm build whose stamps all match never opens
-    // a source.
-    let project = match Project::from_dir(&dir) {
-        Ok(p) if !p.files().is_empty() => p,
-        Ok(_) => {
+    let store = resolve_store(&opts.store).map(|store_dir| {
+        Store::open(&store_dir)
+            .map(Arc::new)
+            .map_err(|e| format!("cannot open store {}: {e}", store_dir.display()))
+    });
+    let jobs = opts.effective_jobs();
+    // A stat-only scan, beside the pack load: a warm build whose stamps
+    // all match never opens a source.
+    let opened = BuildSession::open_dir(
+        &dir,
+        &bin_dir,
+        opts.strategy,
+        opts.paranoid,
+        store.clone().and_then(Result::ok),
+        jobs,
+    );
+    let (mut session, project) = match opened {
+        Ok((_, p)) if p.files().is_empty() => {
             eprintln!("error: no .sml files in {}", dir.display());
             return EXIT_COMPILE;
         }
+        Ok(opened) => opened,
         Err(e) => {
             eprintln!("error: {e}");
             return EXIT_COMPILE;
         }
     };
-    let store = match resolve_store(&opts.store) {
-        None => None,
-        Some(store_dir) => match Store::open(&store_dir) {
-            Ok(store) => Some(Arc::new(store)),
-            Err(e) => {
-                // A requested-but-unusable store is a hard error: the
-                // user asked for shared caching and silently building
-                // without it would hide misconfiguration.
-                eprintln!("error: cannot open store {}: {e}", store_dir.display());
-                return EXIT_IO;
-            }
-        },
-    };
-    let mut session = BuildSession::open(&bin_dir, opts.strategy, opts.paranoid, store);
+    if let Some(Err(e)) = store {
+        // A requested-but-unusable store is a hard error: the user
+        // asked for shared caching and silently building without it
+        // would hide misconfiguration.
+        eprintln!("error: {e}");
+        return EXIT_IO;
+    }
     if session.irm.bin_count() > 0 {
         println!("loaded {} cached bin(s)", session.irm.bin_count());
     }
-    let jobs = opts.effective_jobs();
     let policy = if opts.keep_going {
         FailurePolicy::KeepGoing
     } else {
@@ -452,7 +458,9 @@ fn daemon_eligible(opts: &BuildOpts) -> bool {
 /// the lockfile's owner is dead (SIGKILLed daemon, reboot debris), the
 /// client restarts the daemon once — stale-owner takeover clears the
 /// corpse — and retries the request a single time before falling back
-/// to an in-process build.
+/// to an in-process build.  A fallback with a socket present prints one
+/// warning naming the failed step (`connect`, `send` or `reply`) and its
+/// error; a restart that serves the retry stays quiet.
 fn daemon_dispatch(opts: &BuildOpts, bin_dir: &Path) -> Option<i32> {
     let socket = smlsc::daemon::socket_path(bin_dir);
     if !socket.exists() {
@@ -465,13 +473,18 @@ fn daemon_dispatch(opts: &BuildOpts, bin_dir: &Path) -> Option<i32> {
     request.jobs = opts.jobs.unwrap_or(0) as u64;
     request.keep_going = opts.keep_going;
     request.explain = opts.explain;
-    let response = match smlsc::daemon::client::request(&socket, &request) {
+    let response = smlsc::daemon::client::request(&socket, &request).or_else(|e| {
+        if restart_dead_daemon(opts, bin_dir, &socket) {
+            smlsc::daemon::client::request(&socket, &request)
+        } else {
+            Err(e)
+        }
+    });
+    let response = match response {
         Ok(response) => response,
-        Err(_) => {
-            if !restart_dead_daemon(opts, bin_dir, &socket) {
-                return None;
-            }
-            smlsc::daemon::client::request(&socket, &request).ok()?
+        Err(e) => {
+            eprintln!("warning: daemon request failed ({e}); building in-process");
+            return None;
         }
     };
     if !response.ok {

@@ -400,6 +400,56 @@ fn accept_fault_drops_the_connection_and_the_client_falls_back() {
 }
 
 #[test]
+fn a_socket_that_drops_every_request_warns_and_builds_in_process() {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let proj = temp("drops");
+    write_project(&proj);
+    let bins = proj.join(".smlsc-bins");
+    std::fs::create_dir_all(&bins).unwrap();
+    // The lock's owner is alive (this test), so the client must not
+    // restart the "daemon": it falls back in-process, and says so.
+    std::fs::write(
+        bins.join("daemon.lock"),
+        format!("{}\n", std::process::id()),
+    )
+    .unwrap();
+    let socket = bins.join("daemon.sock");
+    let listener = UnixListener::bind(&socket).unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let closer = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                drop(conn);
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        })
+    };
+    let out = smlsc().arg("build").arg(&proj).output().unwrap();
+    done.store(true, Ordering::SeqCst);
+    UnixStream::connect(&socket).ok();
+    closer.join().unwrap();
+
+    assert!(out.status.success(), "fallback build must succeed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("built 2 unit(s)"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("daemon")).collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(
+        warnings[0].starts_with("warning: daemon request failed (connect: ")
+            && warnings[0].ends_with("); building in-process"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&proj).ok();
+}
+
+#[test]
 fn stop_is_idempotent_and_status_reports_a_missing_daemon() {
     let proj = temp("verbs");
     write_project(&proj);

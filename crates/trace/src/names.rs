@@ -175,6 +175,10 @@ pub const SPAN_RESIDENT_SNAPSHOT: &str = "resident.snapshot";
 
 /// Span: one whole `Irm::build` call.
 pub const SPAN_BUILD: &str = "irm.build";
+/// Span: opening a build session over a source directory
+/// (`BuildSession::open_dir`): the scan and the pack load, overlapped
+/// on two workers when the build has them.
+pub const SPAN_SESSION_OPEN: &str = "session.open";
 /// Span: loading the pack archive's index (`Irm::load_bins`).
 pub const SPAN_LOAD_BINS: &str = "irm.load_bins";
 /// Span: scanning a source directory (`Project::from_dir`).
