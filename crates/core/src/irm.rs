@@ -73,7 +73,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -702,17 +702,25 @@ impl BinEntry {
         let unit = self.meta.name;
         self.cell
             .get_or_init(|| {
-                if let BinBody::Packed(_) = self.body {
-                    trace::counter(names::BIN_LAZY_BODIES, 1);
-                }
+                let _span = trace::span(names::SPAN_BIN_DECODE).field("unit", unit.as_str());
                 forced
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .push(unit);
-                let (bytes, _) = self
-                    .body_bytes()
-                    .map_err(|detail| CoreError::BinBodyCorrupt { unit, detail })?;
-                BinFile::from_bytes(&bytes).map_err(|e| CoreError::BinBodyCorrupt {
+                let decoded = match &self.body {
+                    BinBody::Sealed { bytes, .. } => BinFile::from_bytes(bytes),
+                    BinBody::Packed(src) => {
+                        trace::counter(names::BIN_LAZY_BODIES, 1);
+                        let bytes = src
+                            .pack
+                            .read_body(src.offset, src.len, src.digest)
+                            .map_err(|detail| CoreError::BinBodyCorrupt { unit, detail })?;
+                        // The index digest just checked covers every
+                        // byte, so the body's own need not be.
+                        BinFile::from_verified_bytes(&bytes)
+                    }
+                };
+                decoded.map_err(|e| CoreError::BinBodyCorrupt {
                     unit,
                     detail: e.to_string(),
                 })
@@ -1421,11 +1429,12 @@ impl Irm {
             let next = AtomicUsize::new(0);
             let slots: Vec<OnceLock<Result<FileAnalysis, CoreError>>> =
                 reads.iter().map(|_| OnceLock::new()).collect();
-            on_workers(jobs.min(reads.len()), |_| loop {
+            let analyze = |_| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&i) = reads.get(k) else { break };
                 let _ = slots[k].set(read_and_analyze(&files[i], stamps));
-            });
+            };
+            on_workers(jobs.min(reads.len()), analyze, || analyze(0));
             slots
                 .into_iter()
                 .map(|s| s.into_inner().expect("every analysis slot is filled"))
@@ -1719,10 +1728,11 @@ impl Irm {
                     }),
                     Condvar::new(),
                 );
-                on_workers(workers, |w| {
+                let drain = |w| {
                     let _worker_span = trace::span(names::SPAN_WORKER).field("worker", w);
                     drain_wavefront(&sched, &shared);
-                });
+                };
+                on_workers(workers, drain, || drain(0));
                 let (lock, _) = sched;
                 lock.into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -1821,8 +1831,8 @@ impl Irm {
         self.execute_with_jobs(project, 1)
     }
 
-    /// [`Irm::execute`] with the build phase on `jobs` workers (linking
-    /// and execution stay sequential — they are effectful and ordered).
+    /// [`Irm::execute`] with the build on `jobs` workers, then
+    /// [`Irm::link_with_jobs`] over its report.
     ///
     /// # Errors
     ///
@@ -1832,34 +1842,111 @@ impl Irm {
         project: &Project,
         jobs: usize,
     ) -> Result<(BuildReport, DynEnv), CoreError> {
-        // Linking forces every body.  A corrupt archived body found
-        // here quarantines the unit and rebuilds (it recompiles alone,
-        // pids unchanged), then linking restarts.  Bounded: each retry
-        // removes one cached entry.
+        let report = self.build_with_jobs(project, jobs)?;
+        self.link_with_jobs(project, report, jobs)
+    }
+
+    /// Links and executes the units of `report`, the successful build
+    /// that just ran, in its order, returning the report the final
+    /// link ran against and the populated dynamic environment.
+    ///
+    /// Linking forces every body.  A corrupt archived body found here
+    /// quarantines the unit and builds again (it recompiles alone, pids
+    /// unchanged), then linking restarts from the first unit.  Bounded:
+    /// each retry removes one cached entry.
+    ///
+    /// # Errors
+    ///
+    /// Build errors of a rebuild, or a
+    /// [`LinkError`](crate::link::LinkError) wrapped in
+    /// [`CoreError::Link`].
+    pub fn link_with_jobs(
+        &mut self,
+        project: &Project,
+        mut report: BuildReport,
+        jobs: usize,
+    ) -> Result<(BuildReport, DynEnv), CoreError> {
         loop {
-            let report = self.build_with_jobs(project, jobs)?;
+            let (unit, detail) = match self.link_pass(&report.order, jobs)? {
+                Ok(env) => return Ok((report, env)),
+                Err(corrupt) => corrupt,
+            };
+            if !self.quarantine_bin(unit) {
+                return Err(CoreError::BinBodyCorrupt { unit, detail });
+            }
+            report = self.build_with_jobs(project, jobs)?;
+        }
+    }
+
+    /// One link pass over `order`.  The calling thread is the linker:
+    /// it links and executes each unit in order, and the dynamic
+    /// environment (`Rc`-based values) never leaves it.  Workers
+    /// `1..jobs` take bodies in link order from a shared cursor and
+    /// decode them into their cells ahead of it; when the linker's next
+    /// body is not taken yet, the linker takes and decodes it itself
+    /// rather than wait.  Returns the environment, or the first unit in
+    /// order whose body would not decode; the decoders stop as soon as
+    /// the linker does.  The cells, not the cursor, publish the decoded
+    /// bins, so the atomics need no ordering.
+    fn link_pass(
+        &self,
+        order: &[Symbol],
+        jobs: usize,
+    ) -> Result<Result<DynEnv, (Symbol, String)>, CoreError> {
+        let _span = trace::span(names::SPAN_LINK)
+            .field("units", order.len())
+            .field("jobs", jobs);
+        let entries = order
+            .iter()
+            .map(|name| self.bins.get(name).ok_or(CoreError::UnknownUnit(*name)))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The first body in link order nobody has taken.
+        let next = AtomicUsize::new(0);
+        let stopped = AtomicBool::new(false);
+        // Takes the next untaken body and decodes it; false when none
+        // is left.  A failure stays in the cell for the linker.
+        let decode_next = || match entries.get(next.fetch_add(1, Ordering::Relaxed)) {
+            Some(entry) => {
+                let _ = entry.force(&self.forced);
+                true
+            }
+            None => false,
+        };
+        let decode_ahead = |_| {
+            while !stopped.load(Ordering::Relaxed) {
+                if !decode_next() {
+                    break;
+                }
+            }
+        };
+        let link_in_order = || {
             let mut env = DynEnv::new();
-            let mut bad_unit = None;
-            for name in &report.order {
-                let entry = self.bins.get(name).ok_or(CoreError::UnknownUnit(*name))?;
+            for (i, entry) in entries.iter().enumerate() {
+                // While a decoder holds this body, decode the next
+                // untaken one instead of waiting; an untaken body is
+                // the linker's own.
+                while entry.cell.get().is_none() && next.fetch_max(i + 1, Ordering::Relaxed) > i {
+                    if !decode_next() {
+                        break;
+                    }
+                }
                 match entry.force(&self.forced) {
                     Ok(bin) => {
                         link_and_execute(&bin.unit, &mut env).map_err(CoreError::Link)?;
                     }
                     Err(CoreError::BinBodyCorrupt { unit, detail }) => {
-                        bad_unit = Some((unit, detail));
-                        break;
+                        return Ok(Err((unit, detail)));
                     }
                     Err(e) => return Err(e),
                 }
             }
-            let Some((unit, detail)) = bad_unit else {
-                return Ok((report, env));
-            };
-            if !self.quarantine_bin(unit) {
-                return Err(CoreError::BinBodyCorrupt { unit, detail });
-            }
-        }
+            Ok(Ok(env))
+        };
+        on_workers(jobs.min(entries.len()), decode_ahead, || {
+            let linked = link_in_order();
+            stopped.store(true, Ordering::Relaxed);
+            linked
+        })
     }
 }
 
@@ -2175,13 +2262,14 @@ pub(crate) fn join<A: Send, B: Send>(
     let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
     let (ra, rb) = (Mutex::new(None), Mutex::new(None));
     let next = AtomicUsize::new(0);
-    on_workers(jobs.clamp(1, 2), |_| loop {
+    let take = |_| loop {
         match next.fetch_add(1, Ordering::Relaxed) {
             0 => run(&a, &ra),
             1 => run(&b, &rb),
             _ => break,
         }
-    });
+    };
+    on_workers(jobs.clamp(1, 2), take, || take(0));
     fn took<T>(out: Mutex<Option<T>>) -> T {
         out.into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -2190,10 +2278,12 @@ pub(crate) fn join<A: Send, B: Send>(
     (took(ra), took(rb))
 }
 
-/// Runs `work(w)` for each worker `w` in `0..jobs` and returns when
-/// all have: worker 0 on the calling thread, the rest on scoped threads
-/// that report to the caller's trace sink and see its fault plan.
-fn on_workers(jobs: usize, work: impl Fn(usize) + Sync) {
+/// Runs `lead()` as worker 0 on the calling thread and `work(w)` for
+/// each other worker `w` in `1..jobs` on scoped threads that report to
+/// the caller's trace sink and see its fault plan; returns `lead`'s
+/// result once all have returned.  `lead` never leaves the calling
+/// thread, so it need be neither `Send` nor `Sync`.
+fn on_workers<R>(jobs: usize, work: impl Fn(usize) + Sync, lead: impl FnOnce() -> R) -> R {
     std::thread::scope(|scope| {
         for w in 1..jobs {
             let sink = trace::fork_current();
@@ -2208,8 +2298,8 @@ fn on_workers(jobs: usize, work: impl Fn(usize) + Sync) {
                 trace::uninstall();
             });
         }
-        work(0);
-    });
+        lead()
+    })
 }
 
 /// What the wavefront's workers share under one lock.

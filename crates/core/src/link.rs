@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use smlsc_dynamics::eval::execute;
 use smlsc_dynamics::value::Value;
 use smlsc_ids::{Pid, Symbol};
+use smlsc_trace::{self as trace, names};
 
 use crate::unit::CompiledUnit;
 
@@ -138,7 +139,7 @@ pub fn verify_imports(unit: &CompiledUnit, env: &DynEnv) -> Result<(), LinkError
 ///
 /// Any [`LinkError`]; on error the environment is unchanged.
 pub fn link_and_execute(unit: &CompiledUnit, env: &mut DynEnv) -> Result<Value, LinkError> {
-    let _span = smlsc_trace::span("link.execute").field("unit", unit.name.as_str());
+    let _span = trace::span(names::SPAN_LINK_EXECUTE).field("unit", unit.name.as_str());
     verify_imports(unit, env)?;
     let imports: Vec<Value> = unit
         .imports

@@ -117,13 +117,33 @@ impl BinFile {
         out
     }
 
-    /// Deserializes a bin file.
+    /// Deserializes a bin file, checking its self-digest first.
     ///
     /// # Errors
     ///
     /// [`CoreError::CorruptBin`] when the magic, self-digest, or payload
     /// is malformed.
     pub fn from_bytes(bytes: &[u8]) -> Result<BinFile, CoreError> {
+        let (payload, digest) = Self::unseal(bytes)?;
+        if Pid::of_bytes(payload) != digest {
+            return Err(CoreError::CorruptBin("bin self-digest mismatch".into()));
+        }
+        Self::decode_payload(payload)
+    }
+
+    /// Deserializes a bin file whose every byte a digest has just
+    /// verified — a `bins.pack` body checked against its index entry —
+    /// so the self-digest would only repeat that check.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::CorruptBin`] when the magic or payload is malformed.
+    pub(crate) fn from_verified_bytes(bytes: &[u8]) -> Result<BinFile, CoreError> {
+        Self::decode_payload(Self::unseal(bytes)?.0)
+    }
+
+    /// Splits a bin file into its payload and its self-digest.
+    fn unseal(bytes: &[u8]) -> Result<(&[u8], Pid), CoreError> {
         let sealed = bytes
             .strip_prefix(BIN_MAGIC.as_slice())
             .ok_or_else(|| CoreError::CorruptBin("bad magic".into()))?;
@@ -132,9 +152,11 @@ impl BinFile {
         }
         let (payload, tail) = sealed.split_at(sealed.len() - 16);
         let digest = Pid::from_raw(u128::from_le_bytes(tail.try_into().expect("16 bytes")));
-        if Pid::of_bytes(payload) != digest {
-            return Err(CoreError::CorruptBin("bin self-digest mismatch".into()));
-        }
+        Ok((payload, digest))
+    }
+
+    /// Decodes a bin payload: metadata, environment pickle, code.
+    fn decode_payload(payload: &[u8]) -> Result<BinFile, CoreError> {
         let corrupt = |e: smlsc_pickle::PickleError| CoreError::CorruptBin(e.to_string());
         let mut r = smlsc_pickle::wire::Reader::new(payload);
         let name = Symbol::intern(r.str_ref().map_err(corrupt)?);

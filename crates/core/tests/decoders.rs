@@ -494,3 +494,79 @@ fn a_mutated_appended_segment_frame_is_a_torn_tail() {
     });
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Writes each seeded mutation of `valid` (skipping any that leaves it
+/// unchanged) to `path`, then fetches `key` from `store` and decodes
+/// the payload as a bin: every mutation must fail one of the two, with
+/// no panic and no allocation beyond a small multiple of the input.
+fn fetch_rejects_all(
+    store: &smlsc_core::store::Store,
+    key: Pid,
+    valid: &[u8],
+    seed: u64,
+    object: impl Fn(&[u8]) -> Vec<u8>,
+) {
+    let path = store.object_path(key);
+    let mut rng = Rng(seed);
+    for _ in 0..400 {
+        let input = mutate(valid, &mut rng);
+        if input == valid {
+            continue;
+        }
+        let bytes = object(&input);
+        std::fs::write(&path, &bytes).unwrap();
+        take_largest();
+        let fetched = std::panic::catch_unwind(|| {
+            store
+                .get(key)
+                .map(|payload| BinFile::from_bytes(&payload).is_ok())
+        })
+        .unwrap_or_else(|_| panic!("store fetch panicked on {bytes:?}"));
+        let largest = take_largest();
+        assert!(
+            largest <= 64 * bytes.len() + 4096,
+            "a {}-byte object allocated {largest} bytes at once",
+            bytes.len()
+        );
+        assert_ne!(
+            fetched,
+            Some(true),
+            "a mutated object was served: {bytes:?}"
+        );
+    }
+}
+
+/// `SMLSTOR1` store objects: the magic, the payload's 16-byte digest,
+/// then the payload — here a sealed bin.  A mutated object is a miss.
+/// Resealed under a recomputed envelope digest, a mutated bin still
+/// fails its own self-digest: no pack index vouches for store bytes.
+#[test]
+fn mutated_store_objects_are_errors_never_panics_or_huge_allocations() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let [top, ..] = built(&dir.join("bins"));
+    let store = smlsc_core::store::Store::open(dir.join("store")).unwrap();
+    let key = Pid::of_bytes(b"top");
+    let bin = top.to_bytes();
+    assert!(store.put(key, &bin).unwrap());
+    let object = std::fs::read(store.object_path(key)).unwrap();
+    assert_eq!(
+        store.get(key),
+        Some(bin.clone()),
+        "the valid object is served"
+    );
+    let envelope = |payload: &[u8]| {
+        [
+            b"SMLSTOR1".as_slice(),
+            &Pid::of_bytes(payload).as_raw().to_le_bytes(),
+            payload,
+        ]
+        .concat()
+    };
+    assert_eq!(envelope(&bin), object, "resealing is exact");
+    for seed in [31, 37, 0x570] {
+        fetch_rejects_all(&store, key, &object, seed, <[u8]>::to_vec);
+        fetch_rejects_all(&store, key, &bin, seed, envelope);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

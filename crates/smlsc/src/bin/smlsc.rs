@@ -372,7 +372,7 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     for warning in &warnings {
         eprintln!("{warning}");
     }
-    let report = built.report;
+    let mut report = built.report;
     if let Some(path) = &opts.report_json {
         let json = smlsc::core::build_report_json(&record, &report, &collector);
         match std::fs::write(path, json) {
@@ -398,7 +398,10 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
         }
     }
     if run && report.succeeded() {
-        let (_, env) = match session.irm.execute_with_jobs(&project, jobs) {
+        // Links against the report just printed; only a corrupt body
+        // builds again.
+        let env;
+        (report, env) = match session.irm.link_with_jobs(&project, report, jobs) {
             Ok(x) => x,
             Err(e) => {
                 eprintln!("error: {e}");

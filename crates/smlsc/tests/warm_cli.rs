@@ -109,6 +109,41 @@ fn warm_rebuild_reads_no_sources_and_only_the_index() {
     std::fs::remove_dir_all(&proj).ok();
 }
 
+/// A warm `run` builds once, then links against that build's report:
+/// `--stats` shows one build, one link pass, and one body decode and
+/// one link per unit.
+#[test]
+fn warm_run_reports_its_link_layers_and_builds_once() {
+    use smlsc::core::trace::names;
+    let proj = temp("run-layers");
+    write_project(&proj);
+    build_stats(&proj);
+    for jobs in ["1", "2"] {
+        let out = smlsc()
+            .args(["run", "--no-daemon", "--stats", "--jobs", jobs])
+            .arg(&proj)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("main: export pid"), "{stdout}");
+        let json = stats_line(&stdout);
+        for (span, count) in [
+            (names::SPAN_BUILD, 1),
+            (names::SPAN_LINK, 1),
+            (names::SPAN_BIN_DECODE, 2),
+            (names::SPAN_LINK_EXECUTE, 2),
+        ] {
+            let histogram = format!(r#""{span}":{{"count":{count},"#);
+            assert!(
+                json.contains(&histogram),
+                "jobs {jobs}: {histogram} in {json}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&proj).ok();
+}
+
 #[test]
 fn paranoid_flag_redigests_every_source() {
     let proj = temp("paranoid");

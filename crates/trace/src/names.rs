@@ -206,6 +206,15 @@ pub const SPAN_ELABORATE: &str = "compile.elaborate";
 pub const SPAN_HASH: &str = "compile.hash";
 /// Span: dehydrate phase of one unit's compile.
 pub const SPAN_DEHYDRATE: &str = "compile.dehydrate";
+/// Span: one whole link pass (`Irm::link_with_jobs`): the caller links
+/// and executes every unit in build order while the other workers
+/// decode bodies ahead of it.
+pub const SPAN_LINK: &str = "irm.link";
+/// Span: decoding one cached bin body on first use — the pack read and
+/// digest check, then the container decode.
+pub const SPAN_BIN_DECODE: &str = "bin.decode";
+/// Span: linking and executing one unit (type-safe linkage, §5).
+pub const SPAN_LINK_EXECUTE: &str = "link.execute";
 /// Span: one artifact-store probe (read + verify).
 pub const SPAN_STORE_GET: &str = "store.get";
 /// Span: one artifact-store publication (stage + fsync + rename).
