@@ -702,7 +702,6 @@ impl BinEntry {
         let unit = self.meta.name;
         self.cell
             .get_or_init(|| {
-                let _span = trace::span(names::SPAN_BIN_DECODE).field("unit", unit.as_str());
                 forced
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -1853,7 +1852,9 @@ impl Irm {
     /// Linking forces every body.  A corrupt archived body found here
     /// quarantines the unit and builds again (it recompiles alone, pids
     /// unchanged), then linking restarts from the first unit.  Bounded:
-    /// each retry removes one cached entry.
+    /// each retry removes one cached entry.  A unit of `report` that
+    /// has no bin by now — a save since the build that rewrote the pack
+    /// quarantined its lazy body — builds again the same way.
     ///
     /// # Errors
     ///
@@ -1867,6 +1868,9 @@ impl Irm {
         jobs: usize,
     ) -> Result<(BuildReport, DynEnv), CoreError> {
         loop {
+            if report.order.iter().any(|u| !self.bins.contains_key(u)) {
+                report = self.build_with_jobs(project, jobs)?;
+            }
             let (unit, detail) = match self.link_pass(&report.order, jobs)? {
                 Ok(env) => return Ok((report, env)),
                 Err(corrupt) => corrupt,
@@ -1874,7 +1878,6 @@ impl Irm {
             if !self.quarantine_bin(unit) {
                 return Err(CoreError::BinBodyCorrupt { unit, detail });
             }
-            report = self.build_with_jobs(project, jobs)?;
         }
     }
 
@@ -1903,11 +1906,21 @@ impl Irm {
         // The first body in link order nobody has taken.
         let next = AtomicUsize::new(0);
         let stopped = AtomicBool::new(false);
+        // Decodes a taken body into its cell, unless the build already
+        // did.  A failure stays in the cell for the linker.  The span is
+        // here, not in `force`, so builds that force bodies record none.
+        let decode = |entry: &BinEntry| {
+            if entry.cell.get().is_none() {
+                let _span =
+                    trace::span(names::SPAN_BIN_DECODE).field("unit", entry.meta.name.as_str());
+                let _ = entry.force(&self.forced);
+            }
+        };
         // Takes the next untaken body and decodes it; false when none
-        // is left.  A failure stays in the cell for the linker.
+        // is left.
         let decode_next = || match entries.get(next.fetch_add(1, Ordering::Relaxed)) {
             Some(entry) => {
-                let _ = entry.force(&self.forced);
+                decode(entry);
                 true
             }
             None => false,
@@ -1922,10 +1935,14 @@ impl Irm {
         let link_in_order = || {
             let mut env = DynEnv::new();
             for (i, entry) in entries.iter().enumerate() {
-                // While a decoder holds this body, decode the next
-                // untaken one instead of waiting; an untaken body is
-                // the linker's own.
-                while entry.cell.get().is_none() && next.fetch_max(i + 1, Ordering::Relaxed) > i {
+                // An untaken body is the linker's own; while a decoder
+                // holds this one, decode the next untaken one instead of
+                // waiting.
+                while entry.cell.get().is_none() {
+                    if next.fetch_max(i + 1, Ordering::Relaxed) <= i {
+                        decode(entry);
+                        break;
+                    }
                     if !decode_next() {
                         break;
                     }

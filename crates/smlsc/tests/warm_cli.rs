@@ -144,6 +144,65 @@ fn warm_run_reports_its_link_layers_and_builds_once() {
     std::fs::remove_dir_all(&proj).ok();
 }
 
+/// The export pid lines a `run` prints.
+fn pid_lines(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .filter(|l| l.contains(": export pid"))
+        .collect()
+}
+
+/// A save that rewrites the pack copies each still-lazy body under its
+/// index digest and quarantines one that fails it — after the build,
+/// before the link.  A deleted source forces that rewrite; `run` must
+/// then build again, recompile the quarantined unit alone and link it
+/// with the pids it had.
+#[test]
+fn run_rebuilds_a_body_the_save_quarantined() {
+    for jobs in ["1", "2"] {
+        let proj = temp(&format!("run-quarantine-{jobs}"));
+        write_project(&proj);
+        write_settled(&proj, "extra.sml", "structure Extra = struct val z = 0 end");
+        let run = || {
+            smlsc()
+                .args(["run", "--no-daemon", "--stats", "--jobs", jobs])
+                .arg(&proj)
+                .output()
+                .unwrap()
+        };
+        let out = run();
+        assert!(out.status.success(), "{out:?}");
+        let before = String::from_utf8_lossy(&out.stdout).into_owned();
+
+        let pack = proj.join(".smlsc-bins").join("bins.pack");
+        let util = smlsc::core::pack::PackReader::open(&pack)
+            .unwrap()
+            .unwrap()
+            .entries()
+            .iter()
+            .find(|e| e.name.as_str() == "util")
+            .cloned()
+            .unwrap();
+        let mut bytes = std::fs::read(&pack).unwrap();
+        bytes[(util.offset + util.len / 2) as usize] ^= 0xff;
+        std::fs::write(&pack, &bytes).unwrap();
+        std::fs::remove_file(proj.join("extra.sml")).unwrap();
+
+        let out = run();
+        assert!(out.status.success(), "jobs {jobs}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let expected: Vec<&str> = pid_lines(&before)
+            .into_iter()
+            .filter(|l| !l.starts_with("extra:"))
+            .collect();
+        assert_eq!(pid_lines(&stdout), expected, "jobs {jobs}");
+        let json = stats_line(&stdout);
+        assert!(json.contains(r#""bin.body_quarantined":1"#), "{json}");
+        assert!(json.contains(r#""irm.units_compiled":1"#), "{json}");
+        std::fs::remove_dir_all(&proj).ok();
+    }
+}
+
 #[test]
 fn paranoid_flag_redigests_every_source() {
     let proj = temp("paranoid");
