@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the separate-compilation primitives:
-//! digesting, intrinsic-pid hashing, pickling, compiling, and no-op
+//! digesting, pickling an interface and naming it, compiling, and no-op
 //! manager builds.  One group per table/figure-adjacent cost center; the
 //! `paper_tables` binary produces the paper-shaped tables themselves.
 
@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smlsc_core::irm::{Irm, Strategy};
-use smlsc_core::{compile_unit, hash_exports};
+use smlsc_core::{compile_unit, pickle_interface};
 use smlsc_ids::{Digest128, Symbol};
 use smlsc_pickle::{dehydrate, rehydrate, ContextPids, PickleOptions, RehydrateContext};
 use smlsc_statics::elab::{elaborate_unit, ImportEnv};
@@ -40,48 +40,18 @@ fn bench_digest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Clears the derived pids of a unit's own entities, so the hasher does a
-/// genuine first-time traversal (pervasives keep their preset pids).
-fn clear_pids(exports: &smlsc_statics::env::Bindings) {
-    use smlsc_pickle::Entity;
-    for e in smlsc_pickle::reachable_entities(exports) {
-        match &e {
-            Entity::Tycon(t) => {
-                if !matches!(&*t.def.read(), smlsc_statics::types::TyconDef::Prim)
-                    && t.name.as_str() != "bool"
-                    && t.name.as_str() != "list"
-                    && t.name.as_str() != "option"
-                {
-                    t.entity_pid.set(None);
-                }
-            }
-            Entity::Str(s) => s.entity_pid.set(None),
-            Entity::Sig(s) => s.entity_pid.set(None),
-            Entity::Fct(f) => f.entity_pid.set(None),
-        }
-    }
-}
-
-/// E1's hash column: intrinsic-pid hashing of an export environment
-/// (first-time hashing, then the cheap re-hash of an already-pidded env —
-/// the cutoff-check cost).
-fn bench_hash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hash_exports");
+/// E1's dehydrate and hash columns together: pickling an export
+/// environment, digesting the bytes and deriving the entity pids.
+fn bench_interface(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pickle_interface");
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
     for funs in [8usize, 64] {
         let ast = smlsc_syntax::parse_unit(&module_src(funs)).unwrap();
         let unit = elaborate_unit(&ast, &ImportEnv::empty()).unwrap();
-        group.bench_with_input(BenchmarkId::new("first", funs), &funs, |b, _| {
-            b.iter(|| {
-                clear_pids(&unit.exports);
-                hash_exports(Symbol::intern("m"), &unit.exports).unwrap()
-            })
-        });
-        hash_exports(Symbol::intern("m"), &unit.exports).unwrap();
-        group.bench_with_input(BenchmarkId::new("rehash", funs), &funs, |b, _| {
-            b.iter(|| hash_exports(Symbol::intern("m"), &unit.exports).unwrap())
+        group.bench_with_input(BenchmarkId::from_parameter(funs), &funs, |b, _| {
+            b.iter(|| pickle_interface(Symbol::intern("m"), &unit.exports, []).unwrap())
         });
     }
     group.finish();
@@ -91,7 +61,6 @@ fn bench_hash(c: &mut Criterion) {
 fn bench_pickle(c: &mut Criterion) {
     let ast = smlsc_syntax::parse_unit(&module_src(64)).unwrap();
     let unit = elaborate_unit(&ast, &ImportEnv::empty()).unwrap();
-    hash_exports(Symbol::intern("m"), &unit.exports).unwrap();
     let ctx = ContextPids::indexed([]);
     let mut group = c.benchmark_group("pickle");
     group
@@ -101,14 +70,15 @@ fn bench_pickle(c: &mut Criterion) {
         b.iter(|| dehydrate(&unit.exports, &ctx, &PickleOptions::default()).unwrap())
     });
     let pickled = dehydrate(&unit.exports, &ctx, &PickleOptions::default()).unwrap();
+    let pid = smlsc_pickle::export_pid(&pickled.bytes);
     let rctx = RehydrateContext::with_pervasives([]);
     group.bench_function("rehydrate_64fn", |b| {
-        b.iter(|| rehydrate(&pickled.bytes, &rctx).unwrap())
+        b.iter(|| rehydrate(&pickled.bytes, &rctx, Symbol::intern("m"), pid).unwrap())
     });
     group.finish();
 }
 
-/// Whole-unit compilation (parse + elaborate + hash + pickle).
+/// Whole-unit compilation (parse + elaborate + pickle + hash).
 fn bench_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("compile_unit");
     group
@@ -165,7 +135,7 @@ fn bench_manager(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_digest,
-    bench_hash,
+    bench_interface,
     bench_pickle,
     bench_compile,
     bench_manager

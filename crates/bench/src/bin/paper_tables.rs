@@ -257,7 +257,6 @@ fn e4_sharing() {
         }
         let ast = smlsc_syntax::parse_unit(&src).expect("parses");
         let unit = elaborate_unit(&ast, &ImportEnv::empty()).expect("elaborates");
-        smlsc_pickle::testing::assign_dummy_pids(&unit.exports);
         let shared = dehydrate(
             &unit.exports,
             &ContextPids::indexed([]),
@@ -291,7 +290,9 @@ fn e5_indexed_contexts() {
     let dep_src = "structure Dep = struct datatype d = D of int val x = D 1 fun get (D n) = n end";
     let dep_ast = smlsc_syntax::parse_unit(dep_src).expect("parses");
     let dep = elaborate_unit(&dep_ast, &ImportEnv::empty()).expect("elaborates");
-    smlsc_core::hash_exports(smlsc_ids::Symbol::intern("dep"), &dep.exports).expect("hashes");
+    // Gives Dep's entities their pids, so the client's pickle stubs them.
+    smlsc_core::pickle_interface(smlsc_ids::Symbol::intern("dep"), &dep.exports, [])
+        .expect("pickles");
 
     let mut client_src = String::from("structure C = struct\n");
     for i in 0..60 {
@@ -311,7 +312,6 @@ fn e5_indexed_contexts() {
         },
     )
     .expect("elaborates");
-    smlsc_core::hash_exports(smlsc_ids::Symbol::intern("client"), &client.exports).expect("hashes");
     let real = collect_external_pids([dep.exports.as_ref()]);
 
     println!(

@@ -1,17 +1,38 @@
-//! The compile pipeline: parse → dependency analysis → elaborate → hash →
-//! dehydrate (§3's `compile`, with §5's hashing and §4's pickling).
+//! The compile pipeline: parse → dependency analysis → elaborate →
+//! dehydrate → hash (§3's `compile`, with §4's pickling and §5's
+//! intrinsic pids).
+//!
+//! The pickle is the only walk over an exported environment.  The export
+//! pid is the digest of the pickle's bytes, so it has §5's properties
+//! because the pickle holds exactly the interface:
+//!
+//! * editing comments, whitespace or a function body without changing an
+//!   exported type leaves the bytes, hence the pid, unchanged — this is
+//!   what makes **cutoff recompilation** possible;
+//! * any observable interface change (new export, changed type, changed
+//!   datatype shape, a functor's parameter name) changes the bytes;
+//! * entities the unit creates are numbered in the order the pickle
+//!   writes them, never by session stamp (the paper's alpha-conversion of
+//!   provisional pids), and entity `n` then receives the pid
+//!   `digest(unit, export pid, n)`;
+//! * previously compiled entities (imports, pervasives, re-exports) are
+//!   stubs carrying their existing pids, so the interface reflects the
+//!   precise identities of the types it re-exports.
+//!
+//! Unlike the paper we also mix the *unit name* into derived entity pids:
+//! two units with structurally identical interfaces then export equal
+//! interface pids but distinct generative entities (sound linkage).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smlsc_ids::{Pid, Symbol};
-use smlsc_pickle::{collect_external_pids, dehydrate, ContextPids, PickleOptions};
+use smlsc_pickle::{collect_external_pids, dehydrate, ContextPids, Pickle, PickleOptions};
 use smlsc_statics::elab::{elaborate_unit, ImportEnv, ImportedUnit};
 use smlsc_statics::env::Bindings;
 use smlsc_syntax::{deps::free_module_names, parse_unit};
 use smlsc_trace::{self as trace, names};
 
-use crate::hash::hash_exports;
 use crate::unit::{CompiledUnit, ImportEdge};
 use crate::CoreError;
 
@@ -35,9 +56,10 @@ pub struct CompileTimings {
     pub parse: Duration,
     /// Elaboration (type checking + translation).
     pub elaborate: Duration,
-    /// Intrinsic-pid hashing.
+    /// The export pid: the digest of the pickle, and the entity pids
+    /// derived from it.
     pub hash: Duration,
-    /// Dehydration of the export environment.
+    /// Dehydration of the export environment, its context set included.
     pub dehydrate: Duration,
 }
 
@@ -69,6 +91,67 @@ pub struct CompileOutput {
     pub warnings: Vec<smlsc_statics::ElabWarning>,
 }
 
+/// A unit's pickled interface and the pid that names it.
+#[derive(Debug)]
+pub struct Interface {
+    /// The digest of the pickle's bytes.
+    pub export_pid: Pid,
+    /// The pickle: bytes, statistics and the unit's new entities.
+    pub pickle: Pickle,
+    /// The `dehydrate` and `hash` phases (the others are zero).
+    pub timings: CompileTimings,
+}
+
+/// Pickles `exports`, the exports of unit `unit`, against the entities
+/// reachable from `imports` and the pervasives; names the interface by
+/// the digest of the bytes; and gives each entity the pickle wrote as
+/// new its pid.
+///
+/// An entity that already carries a pid but is outside the context is
+/// written as new and gets a pid again.  For a unit's own rehydrated
+/// entities that is the pid they had; an elaboration never reaches
+/// another unit's entity except through `imports`.
+///
+/// # Errors
+///
+/// [`CoreError::Pickle`] when an exported type is unsolved.
+pub fn pickle_interface<'a>(
+    unit: Symbol,
+    exports: &Bindings,
+    imports: impl IntoIterator<Item = &'a Bindings>,
+) -> Result<Interface, CoreError> {
+    let t0 = Instant::now();
+    let pickle = {
+        let _span = trace::span(names::SPAN_DEHYDRATE).field("unit", unit.as_str());
+        let context = ContextPids::indexed(collect_external_pids(imports));
+        dehydrate(exports, &context, &PickleOptions::default())
+            .map_err(|error| CoreError::Pickle { unit, error })?
+    };
+    trace::counter(names::PICKLE_NODES, pickle.stats.nodes as u64);
+    trace::counter(names::PICKLE_STUBS, pickle.stats.stubs as u64);
+    trace::counter(names::PICKLE_BACKREFS, pickle.stats.backrefs as u64);
+    let dehydrate = t0.elapsed();
+
+    let t0 = Instant::now();
+    let export_pid = {
+        let _span = trace::span(names::SPAN_HASH).field("unit", unit.as_str());
+        let export_pid = smlsc_pickle::export_pid(&pickle.bytes);
+        for (n, e) in pickle.entities.iter().enumerate() {
+            e.set_pid(smlsc_pickle::entity_pid(unit, export_pid, n));
+        }
+        export_pid
+    };
+    Ok(Interface {
+        export_pid,
+        pickle,
+        timings: CompileTimings {
+            hash: t0.elapsed(),
+            dehydrate,
+            ..CompileTimings::default()
+        },
+    })
+}
+
 /// Digest of a source text (used for cutoff's "did the source change").
 pub fn source_pid(text: &str) -> Pid {
     Pid::of_bytes(text.as_bytes())
@@ -78,8 +161,7 @@ pub fn source_pid(text: &str) -> Pid {
 ///
 /// # Errors
 ///
-/// Parse, elaboration, hashing, or pickling failures, wrapped in
-/// [`CoreError`].
+/// Parse, elaboration or pickling failures, wrapped in [`CoreError`].
 pub fn compile_unit(
     name: Symbol,
     source: &str,
@@ -114,33 +196,11 @@ pub fn compile_unit(
     drop(elab_span);
     let elaborate = t0.elapsed();
 
-    let t0 = Instant::now();
-    let hash = {
-        let _span = trace::span(names::SPAN_HASH).field("unit", name.as_str());
-        hash_exports(name, &elab.exports).map_err(|e| CoreError::Hash {
-            unit: name,
-            error: e,
-        })?
-    };
-    let hash_time = t0.elapsed();
-
-    let t0 = Instant::now();
-    let dehydrate_span = trace::span(names::SPAN_DEHYDRATE).field("unit", name.as_str());
-    let external = collect_external_pids(imports.iter().map(|i| i.exports.as_ref()));
-    let pickle = dehydrate(
+    let iface = pickle_interface(
+        name,
         &elab.exports,
-        &ContextPids::indexed(external),
-        &PickleOptions::default(),
-    )
-    .map_err(|e| CoreError::Pickle {
-        unit: name,
-        error: e,
-    })?;
-    drop(dehydrate_span);
-    trace::counter(names::PICKLE_NODES, pickle.stats.nodes as u64);
-    trace::counter(names::PICKLE_STUBS, pickle.stats.stubs as u64);
-    trace::counter(names::PICKLE_BACKREFS, pickle.stats.backrefs as u64);
-    let dehydrate_time = t0.elapsed();
+        imports.iter().map(|i| i.exports.as_ref()),
+    )?;
 
     Ok(CompileOutput {
         unit: CompiledUnit {
@@ -153,16 +213,15 @@ pub fn compile_unit(
                     pid: i.pid,
                 })
                 .collect(),
-            export_pid: hash.export_pid,
-            env_pickle: pickle.bytes,
+            export_pid: iface.export_pid,
+            env_pickle: iface.pickle.bytes,
             code: elab.code,
         },
         exports: elab.exports,
         timings: CompileTimings {
             parse,
             elaborate,
-            hash: hash_time,
-            dehydrate: dehydrate_time,
+            ..iface.timings
         },
         warnings: elab.warnings,
     })

@@ -676,11 +676,11 @@ struct LazyBody {
 }
 
 impl BinEntry {
-    /// An entry for a body sealed as `bytes`, under their pack digest.
-    fn sealed(meta: BinMeta, bytes: Vec<u8>) -> BinEntry {
-        let digest = Pid::of_bytes(&bytes);
+    /// An entry for `bin`, sealed here under its pack digest.
+    fn sealed(bin: &BinFile) -> BinEntry {
+        let (bytes, digest) = bin.seal();
         BinEntry {
-            meta,
+            meta: bin.meta(),
             body: BinBody::Sealed { bytes, digest },
             cell: OnceLock::new(),
         }
@@ -707,7 +707,7 @@ impl BinEntry {
                     .unwrap_or_else(PoisonError::into_inner)
                     .push(unit);
                 let decoded = match &self.body {
-                    BinBody::Sealed { bytes, .. } => BinFile::from_bytes(bytes),
+                    BinBody::Sealed { bytes, .. } => BinFile::from_verified_bytes(bytes),
                     BinBody::Packed(src) => {
                         trace::counter(names::BIN_LAZY_BODIES, 1);
                         let bytes = src
@@ -911,8 +911,7 @@ impl Irm {
     pub fn inject_bin(&mut self, bin: BinFile) {
         self.seedable = false;
         self.dirty.insert(bin.unit.name);
-        self.bins
-            .insert(bin.unit.name, BinEntry::sealed(bin.meta(), bin.to_bytes()));
+        self.bins.insert(bin.unit.name, BinEntry::sealed(&bin));
     }
 
     /// Enables or disables paranoid mode: when on, no file is trusted
@@ -1841,20 +1840,20 @@ impl Irm {
         project: &Project,
         jobs: usize,
     ) -> Result<(BuildReport, DynEnv), CoreError> {
-        let report = self.build_with_jobs(project, jobs)?;
-        self.link_with_jobs(project, report, jobs)
+        let mut report = self.build_with_jobs(project, jobs)?;
+        let env = self.link_with_jobs(project, &mut report, jobs)?;
+        Ok((report, env))
     }
 
     /// Links and executes the units of `report`, the successful build
-    /// that just ran, in its order, returning the report the final
-    /// link ran against and the populated dynamic environment.
+    /// that just ran, in its order, returning the populated dynamic
+    /// environment; `report` ends as the report the final link ran
+    /// against.
     ///
     /// Linking forces every body.  A corrupt archived body found here
     /// quarantines the unit and builds again (it recompiles alone, pids
     /// unchanged), then linking restarts from the first unit.  Bounded:
-    /// each retry removes one cached entry.  A unit of `report` that
-    /// has no bin by now — a save since the build that rewrote the pack
-    /// quarantined its lazy body — builds again the same way.
+    /// each retry removes one cached entry.
     ///
     /// # Errors
     ///
@@ -1864,20 +1863,18 @@ impl Irm {
     pub fn link_with_jobs(
         &mut self,
         project: &Project,
-        mut report: BuildReport,
+        report: &mut BuildReport,
         jobs: usize,
-    ) -> Result<(BuildReport, DynEnv), CoreError> {
+    ) -> Result<DynEnv, CoreError> {
         loop {
-            if report.order.iter().any(|u| !self.bins.contains_key(u)) {
-                report = self.build_with_jobs(project, jobs)?;
-            }
             let (unit, detail) = match self.link_pass(&report.order, jobs)? {
-                Ok(env) => return Ok((report, env)),
+                Ok(env) => return Ok(env),
                 Err(corrupt) => corrupt,
             };
             if !self.quarantine_bin(unit) {
                 return Err(CoreError::BinBodyCorrupt { unit, detail });
             }
+            *report = self.build_with_jobs(project, jobs)?;
         }
     }
 
@@ -2721,7 +2718,7 @@ impl ParallelShared<'_> {
                         // No eager env publication: dependents that need
                         // the exports decode and rehydrate this bin via
                         // `rehydrate_env`, exactly like a reused unit.
-                        let entry = BinEntry::sealed(bin.meta(), bin.to_bytes());
+                        let entry = BinEntry::sealed(&bin);
                         let decision = RebuildDecision::StoreHit {
                             key: key.to_string(),
                             cause: Box::new(decision),
@@ -2781,7 +2778,7 @@ impl ParallelShared<'_> {
         // pack digest are what the save writes.
         bin.mtime = tick();
         Ok(TaskOutcome {
-            new_bin: Some(BinEntry::sealed(bin.meta(), bin.to_bytes())),
+            new_bin: Some(BinEntry::sealed(&bin)),
             timings: out.timings,
             warnings: out.warnings.iter().map(|w| w.to_string()).collect(),
             rehydrate,
@@ -2845,8 +2842,13 @@ impl ParallelShared<'_> {
         let t0 = Instant::now();
         let _span = trace::span(names::SPAN_REHYDRATE).field("unit", unit.as_str());
         let ctx = RehydrateContext::with_pervasives(ctx_envs.iter().map(|e| e.as_ref()));
-        let (env, stats) = rehydrate(&bin.unit.env_pickle, &ctx)
-            .map_err(|e| CoreError::Pickle { unit, error: e })?;
+        let (env, stats) = rehydrate(
+            &bin.unit.env_pickle,
+            &ctx,
+            bin.unit.name,
+            bin.unit.export_pid,
+        )
+        .map_err(|e| CoreError::Pickle { unit, error: e })?;
         trace::counter(names::REHYDRATE_NODES, stats.nodes as u64);
         trace::counter(names::REHYDRATE_STUBS, stats.stubs as u64);
         *acc += t0.elapsed();

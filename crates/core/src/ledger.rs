@@ -69,7 +69,8 @@ pub struct LedgerRecord {
     pub parse_us: u64,
     /// Elaboration phase total.
     pub elaborate_us: u64,
-    /// Interface-hash phase total.
+    /// Interface-hash phase total (digesting pickles, deriving entity
+    /// pids).
     pub hash_us: u64,
     /// Dehydrate (pickle) phase total.
     pub dehydrate_us: u64,

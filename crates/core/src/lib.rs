@@ -3,13 +3,12 @@
 //! Appel & MacQueen, *Separate Compilation for Standard ML* (PLDI 1994),
 //! reproduced in Rust:
 //!
-//! * [`hash`] — intrinsic pids: 128-bit interface digests with
-//!   provisional-pid alpha conversion (§5);
 //! * [`mod@unit`] — compiled units and bin files
 //!   (`Unit = statenv × code × imports × exports`, §3);
 //! * [`compile`] — the compile pipeline gluing the frontend
-//!   (`smlsc-syntax`, `smlsc-statics`), the hasher and the pickler
-//!   (`smlsc-pickle`) into §3's `compile`;
+//!   (`smlsc-syntax`, `smlsc-statics`) and the pickler (`smlsc-pickle`)
+//!   into §3's `compile`, with §5's intrinsic pids: the export pid is
+//!   the digest of the pickled interface;
 //! * [`link`] — type-safe linkage: import/export pid verification before
 //!   execution (§5);
 //! * [`irm`] — the Incremental Recompilation Manager with **cutoff**
@@ -55,7 +54,6 @@ pub mod compile;
 pub mod depgraph;
 pub mod doctor;
 pub mod groups;
-pub mod hash;
 pub mod ircodec;
 pub mod irm;
 pub mod ledger;
@@ -73,11 +71,12 @@ use std::fmt;
 use smlsc_ids::Symbol;
 
 pub use build_session::BuildSession;
-pub use compile::{compile_unit, CompileOutput, CompileTimings, ImportSource};
+pub use compile::{
+    compile_unit, pickle_interface, CompileOutput, CompileTimings, ImportSource, Interface,
+};
 pub use depgraph::DepGraph;
 pub use doctor::{DoctorReport, DoctorVerdict};
 pub use groups::{Group, GroupedProject};
-pub use hash::{hash_exports, HashError, HashResult};
 pub use irm::{BuildReport, FailurePolicy, Irm, Project, Strategy, UnitOutcome};
 pub use ledger::{build_report_json, Ledger, LedgerAudit, LedgerRecord, LEDGER_VERSION};
 pub use link::{link_and_execute, DynEnv, LinkError};
@@ -107,13 +106,6 @@ pub enum CoreError {
         unit: Symbol,
         /// The elaborator's error.
         error: smlsc_statics::ElabError,
-    },
-    /// Interface hashing failed.
-    Hash {
-        /// The unit.
-        unit: Symbol,
-        /// The hasher's error.
-        error: HashError,
     },
     /// Pickling or unpickling failed.
     Pickle {
@@ -215,7 +207,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Parse { unit, error } => write!(f, "unit `{unit}`: {error}"),
             CoreError::Elab { unit, error } => write!(f, "unit `{unit}`: {error}"),
-            CoreError::Hash { unit, error } => write!(f, "unit `{unit}`: {error}"),
             CoreError::Pickle { unit, error } => write!(f, "unit `{unit}`: {error}"),
             CoreError::CorruptBin(m) => write!(f, "corrupt bin file: {m}"),
             CoreError::BinBodyCorrupt { unit, detail } => {

@@ -114,7 +114,7 @@ pub const PACK_FILE: &str = "bins.pack";
 
 /// Version byte after the leading magic; anything else rejects the
 /// pack (the units then just recompile).
-pub const PACK_VERSION: u8 = 5;
+pub const PACK_VERSION: u8 = 6;
 
 const PACK_MAGIC: &[u8; 8] = b"SMLSPAK3";
 const FOOTER_MAGIC: &[u8; 8] = b"SMLSPKI1";

@@ -6,7 +6,7 @@
 //! environments of everything evaluated so far, executed against the
 //! layered dynamic environment, and its exports pushed as a new layer
 //! (later layers shadow earlier ones).  Nothing in the loop bypasses
-//! `compile`/`hash`/`execute`.
+//! `compile`/`pickle`/`execute`.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use smlsc_statics::env::{Bindings, ValKind};
 use smlsc_statics::types::format_scheme;
 use smlsc_syntax::parse_unit;
 
-use crate::hash::hash_exports;
+use crate::compile::pickle_interface;
 use crate::irm::{Irm, Project};
 use crate::link::verify_imports;
 use crate::CoreError;
@@ -89,7 +89,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Parse, elaboration, hash or execution failures; the session state
+    /// Parse, elaboration, pickling or execution failures; the session state
     /// is unchanged on error.
     pub fn eval(&mut self, source: &str) -> Result<EvalOutcome, CoreError> {
         let name = Symbol::intern(&format!("it{}", self.counter));
@@ -98,7 +98,7 @@ impl Session {
         // per-unit panic guard as IRM builds: a compiler bug fails this
         // one input with `CoreError::Internal` and the session — its
         // state untouched — keeps accepting input.
-        let (elab, hash, values) = crate::irm::isolate_unit(name, || {
+        let (elab, export_pid, values) = crate::irm::isolate_unit(name, || {
             let ast = parse_unit(source).map_err(|e| CoreError::Parse {
                 unit: name,
                 error: e,
@@ -118,17 +118,18 @@ impl Session {
                 unit: name,
                 error: e,
             })?;
-            let hash = hash_exports(name, &elab.exports).map_err(|e| CoreError::Hash {
-                unit: name,
-                error: e,
-            })?;
+            let iface = pickle_interface(
+                name,
+                &elab.exports,
+                self.layers.iter().map(|l| l.exports.as_ref()),
+            )?;
             let import_values: Vec<Value> = self.layers.iter().map(|l| l.values.clone()).collect();
             let limit = self.step_limit.unwrap_or(u64::MAX);
             let values = smlsc_dynamics::eval::execute_limited(&elab.code, &import_values, limit)
                 .map_err(|e| {
                 CoreError::Link(crate::link::LinkError::Execution(e.to_string()))
             })?;
-            Ok((elab, hash, values))
+            Ok((elab, iface.export_pid, values))
         })?;
         let bindings = describe_bindings(&elab.exports);
         let warnings = elab.warnings.iter().map(ToString::to_string).collect();
@@ -140,7 +141,7 @@ impl Session {
         });
         Ok(EvalOutcome {
             unit: name,
-            export_pid: hash.export_pid,
+            export_pid,
             bindings,
             warnings,
         })
@@ -185,13 +186,16 @@ impl Session {
             let ctx = smlsc_pickle::RehydrateContext::with_pervasives(
                 ctx_envs.iter().map(|e| e.as_ref()),
             );
-            let (exports, _) =
-                smlsc_pickle::rehydrate(&bin.unit.env_pickle, &ctx).map_err(|e| {
-                    CoreError::Pickle {
-                        unit: *name,
-                        error: e,
-                    }
-                })?;
+            let (exports, _) = smlsc_pickle::rehydrate(
+                &bin.unit.env_pickle,
+                &ctx,
+                bin.unit.name,
+                bin.unit.export_pid,
+            )
+            .map_err(|e| CoreError::Pickle {
+                unit: *name,
+                error: e,
+            })?;
             // Type-safe linkage before execution.
             verify_imports(&bin.unit, &dyn_env).map_err(CoreError::Link)?;
             let import_vals: Vec<Value> = bin

@@ -6,7 +6,7 @@
 //! the export pid.  [`BinFile`] is its on-disk form.
 
 use smlsc_dynamics::ir::Ir;
-use smlsc_ids::{Pid, Symbol};
+use smlsc_ids::{Digest128, Pid, Symbol};
 
 use crate::CoreError;
 
@@ -67,13 +67,13 @@ pub struct BinMeta {
     pub mtime: u64,
 }
 
-const BIN_MAGIC: &[u8; 8] = b"SMLCBIN2";
+const BIN_MAGIC: &[u8; 8] = b"SMLCBIN3";
 
 /// Version of the bin-file container format (mirrored by the trailing
 /// digit of the magic).  Artifact-store cache keys fold this in, so
 /// bumping it when [`BinFile`]'s serialization changes invalidates
 /// every shared-store entry instead of misreading it.
-pub const BIN_FORMAT_VERSION: u32 = 2;
+pub const BIN_FORMAT_VERSION: u32 = 3;
 
 impl BinFile {
     /// The bin's decision-relevant metadata (no pickle, no code).
@@ -87,16 +87,25 @@ impl BinFile {
         }
     }
 
-    /// Serializes the bin file.
+    /// Serializes the bin file; see [`BinFile::seal`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.seal().0
+    }
+
+    /// Serializes the bin file and digests it in one pass, returning
+    /// the bytes and the digest of all of them (a `bins.pack` body's
+    /// digest).
     ///
     /// The container is the `pickle::wire` little-endian format end to
     /// end: metadata fields, the raw static-environment pickle bytes
     /// (already the custom byte format of `smlsc-pickle`), then the code
     /// object via [`crate::ircodec`], sealed by a 16-byte self-digest of
-    /// the payload (a bit flip anywhere is detected even for bytes that
-    /// no archive index covers, such as store objects).  No JSON
-    /// anywhere on the warm path.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// the magic and payload (a bit flip anywhere is detected even for
+    /// bytes that no archive index covers, such as store objects).  The
+    /// digest of the whole bytes continues the seal's digest over the
+    /// seal itself, so no byte is digested twice.  No JSON anywhere on
+    /// the warm path.
+    pub fn seal(&self) -> (Vec<u8>, Pid) {
         let mut out = Vec::with_capacity(self.unit.env_pickle.len() + 256);
         out.extend_from_slice(BIN_MAGIC);
         let mut w = smlsc_pickle::wire::Writer::append_to(out);
@@ -112,9 +121,12 @@ impl BinFile {
         w.bytes(&self.unit.env_pickle);
         crate::ircodec::write_ir(&mut w, &self.unit.code);
         let mut out = w.into_bytes();
-        let digest = Pid::of_bytes(&out[BIN_MAGIC.len()..]);
-        out.extend_from_slice(&digest.as_raw().to_le_bytes());
-        out
+        let mut d = Digest128::new();
+        d.write_bytes(&out);
+        let seal = d.finish();
+        out.extend_from_slice(&seal.to_le_bytes());
+        d.write_u128(seal);
+        (out, d.finish_pid())
     }
 
     /// Deserializes a bin file, checking its self-digest first.
@@ -125,7 +137,7 @@ impl BinFile {
     /// is malformed.
     pub fn from_bytes(bytes: &[u8]) -> Result<BinFile, CoreError> {
         let (payload, digest) = Self::unseal(bytes)?;
-        if Pid::of_bytes(payload) != digest {
+        if Pid::of_bytes(&bytes[..bytes.len() - 16]) != digest {
             return Err(CoreError::CorruptBin("bin self-digest mismatch".into()));
         }
         Self::decode_payload(payload)
@@ -133,7 +145,8 @@ impl BinFile {
 
     /// Deserializes a bin file whose every byte a digest has just
     /// verified — a `bins.pack` body checked against its index entry —
-    /// so the self-digest would only repeat that check.
+    /// or that [`BinFile::seal`] wrote in this process, so the
+    /// self-digest would only repeat that check.
     ///
     /// # Errors
     ///
@@ -210,7 +223,12 @@ mod tests {
             },
             mtime: 42,
         };
-        let bytes = bin.to_bytes();
+        let (bytes, digest) = bin.seal();
+        assert_eq!(
+            digest,
+            Pid::of_bytes(&bytes),
+            "one pass gives the body digest"
+        );
         let back = BinFile::from_bytes(&bytes).unwrap();
         assert_eq!(back.mtime, 42);
         assert_eq!(back.unit.name, Symbol::intern("a"));
@@ -226,10 +244,15 @@ mod tests {
             Err(CoreError::CorruptBin(_))
         ));
         // The JSON container of earlier releases (magic ending in `1`)
-        // is not read either.
+        // is not read either, nor the payload-only seal of `2`.
         let mut old = BIN_MAGIC.to_vec();
         old[7] = b'1';
         old.extend_from_slice(br#"{"unit":{},"mtime":0}"#);
+        assert!(matches!(
+            BinFile::from_bytes(&old),
+            Err(CoreError::CorruptBin(m)) if m == "bad magic"
+        ));
+        old[7] = b'2';
         assert!(matches!(
             BinFile::from_bytes(&old),
             Err(CoreError::CorruptBin(m)) if m == "bad magic"

@@ -1,10 +1,11 @@
-//! Seeded mutation over the on-disk decoders — the pack's segment walk
-//! (each segment's length word and footer), its stamp section (name
-//! table, name ids) and graph section, its index, the `SMLCBIN2` bin container and the
-//! environment pickle inside it: bit flips, truncations and inflated
-//! counts of valid bytes must decode to `Err` (or, when the mutation
-//! happens to stay well-formed, `Ok`), never panic, and never allocate
-//! out of proportion to the input.
+//! Seeded mutation over the on-disk and on-socket decoders — the pack's
+//! segment walk (each segment's length word and footer), its stamp
+//! section (name table, name ids) and graph section, its index, the
+//! `SMLCBIN3` bin container and the environment pickle inside it, store
+//! objects, daemon frames and `builds.jsonl` lines: bit flips,
+//! truncations and inflated counts of valid bytes must decode to `Err`
+//! (or, when the mutation happens to stay well-formed, `Ok`), never
+//! panic, and never allocate out of proportion to the input.
 //!
 //! The index and the bin payload sit under digests; each mutation is
 //! resealed under a recomputed digest, so the mutated bytes reach the
@@ -106,6 +107,18 @@ fn mutate(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
 /// asserting each call returns without panicking and without any
 /// allocation larger than a small multiple of its input.
 fn fuzz(valid: &[u8], seed: u64, iterations: usize, decode: impl Fn(&[u8]) -> bool) {
+    fuzz_with(valid, seed, iterations, 0, decode);
+}
+
+/// [`fuzz`] for a decoder that also allocates a `fixed`-byte buffer
+/// whatever its input (a file reader's).
+fn fuzz_with(
+    valid: &[u8],
+    seed: u64,
+    iterations: usize,
+    fixed: usize,
+    decode: impl Fn(&[u8]) -> bool,
+) {
     assert!(decode(valid), "the unmutated section decodes");
     let mut rng = Rng(seed);
     let mut rejected = 0;
@@ -116,7 +129,7 @@ fn fuzz(valid: &[u8], seed: u64, iterations: usize, decode: impl Fn(&[u8]) -> bo
             .unwrap_or_else(|_| panic!("decoder panicked on {input:?}"));
         let largest = take_largest();
         assert!(
-            largest <= 64 * input.len() + 4096,
+            largest <= 64 * input.len() + 4096 + fixed,
             "a {}-byte input allocated {largest} bytes at once",
             input.len()
         );
@@ -265,13 +278,13 @@ fn built(dir: &std::path::Path) -> [BinFile; 3] {
     ["top", "base", "lib"].map(|u| irm.bin(u).expect("every unit has a bin").clone())
 }
 
-/// `SMLCBIN2` magic, payload, then the payload's 16-byte digest.
+/// `SMLCBIN3` magic, payload, then the 16-byte digest of both.
 const BIN_MAGIC_LEN: usize = 8;
 
 fn reseal_bin(magic: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
     out.extend_from_slice(payload);
-    out.extend_from_slice(&Pid::of_bytes(payload).as_raw().to_le_bytes());
+    out.extend_from_slice(&Pid::of_bytes(&out).as_raw().to_le_bytes());
     out
 }
 
@@ -379,7 +392,7 @@ fn mutated_env_pickles_are_errors_never_panics_or_huge_allocations() {
     let ctx = RehydrateContext::with_pervasives(std::iter::empty());
     for (bin, seed) in [(&base, 17), (&lib, 19), (&lib, 0xe4f)] {
         fuzz(&bin.unit.env_pickle, seed, 2_000, |b| {
-            rehydrate(b, &ctx).is_ok()
+            rehydrate(b, &ctx, bin.unit.name, bin.unit.export_pid).is_ok()
         });
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -566,6 +579,104 @@ fn mutated_store_objects_are_errors_never_panics_or_huge_allocations() {
     for seed in [31, 37, 0x570] {
         fetch_rejects_all(&store, key, &object, seed, <[u8]>::to_vec, None);
         fetch_rejects_all(&store, key, &bin, seed, envelope, Some(false));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A build request and a build response, each as one daemon frame.
+fn daemon_frames() -> [Vec<u8>; 2] {
+    use smlsc_daemon::{protocol, Request, Response};
+    let mut request = Vec::new();
+    protocol::send(&mut request, &Request::build(true)).unwrap();
+    let mut reply = Response::new();
+    reply.summary = "built 2 unit(s) [cutoff]: 1 recompiled, 1 reused".into();
+    reply.notes = vec!["warning: unit `a`: inexhaustive match".into()];
+    reply.exit_code = 1;
+    let mut response = Vec::new();
+    protocol::send(&mut response, &reply).unwrap();
+    [request, response]
+}
+
+#[test]
+fn mutated_daemon_frames_are_errors_never_panics_or_huge_allocations() {
+    use smlsc_daemon::{protocol, Request, Response};
+    let [request, response] = daemon_frames();
+    for seed in [41, 43, 0xda3] {
+        fuzz(&request, seed, 2_000, |b| {
+            protocol::recv::<Request>(&mut std::io::Cursor::new(b)).is_ok()
+        });
+        fuzz(&response, seed, 2_000, |b| {
+            protocol::recv::<Response>(&mut std::io::Cursor::new(b)).is_ok()
+        });
+    }
+}
+
+/// A length prefix alone commits no memory: reading a frame that
+/// declares `MAX_FRAME` and then ends allocates one chunk.
+#[test]
+fn a_bare_max_frame_prefix_allocates_one_chunk() {
+    use smlsc_daemon::protocol::{read_frame, MAX_FRAME, READ_CHUNK};
+    let prefix = MAX_FRAME.to_le_bytes();
+    take_largest();
+    let err = read_frame(&mut std::io::Cursor::new(prefix)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    let largest = take_largest();
+    assert!(largest <= READ_CHUNK, "allocated {largest} bytes at once");
+}
+
+/// 50,000 nested `[` — a 50 KB input — parse to `Err` on a thread with
+/// a 256 KiB stack, from the socket and from the ledger alike.
+#[test]
+fn deep_nesting_is_an_error_on_a_small_stack() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-deep-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = "[".repeat(50_000);
+    let worker = std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn({
+            let dir = dir.clone();
+            move || {
+                let mut frame = Vec::new();
+                smlsc_daemon::protocol::write_frame(&mut frame, deep.as_bytes()).unwrap();
+                let got = smlsc_daemon::protocol::recv::<smlsc_daemon::Request>(
+                    &mut std::io::Cursor::new(frame),
+                );
+                assert_eq!(got.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+                let ledger = smlsc_core::Ledger::for_bin_dir(&dir);
+                std::fs::write(dir.join("builds.jsonl"), format!("{deep}\n")).unwrap();
+                assert!(ledger.read().is_empty());
+                assert_eq!(ledger.audit().valid, 0);
+            }
+        })
+        .unwrap();
+    worker.join().expect("no stack overflow");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mutated_ledger_lines_are_errors_never_panics_or_huge_allocations() {
+    let dir = std::env::temp_dir().join(format!("smlsc-decoders-ledger-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = smlsc_core::Ledger::for_bin_dir(&dir);
+    let report = {
+        let mut p = Project::new();
+        p.add("a", "structure A = struct val x = 1 end");
+        Irm::new(Strategy::Cutoff).build(&p).unwrap()
+    };
+    let collector = smlsc_core::trace::Collector::new();
+    let record = smlsc_core::LedgerRecord::from_build(&report, &collector, 2, 1234, 0);
+    ledger.append(&record).unwrap();
+    let line = std::fs::read(dir.join("builds.jsonl")).unwrap();
+    // `Ledger::read` reads through a `BufReader` with its 8 KiB buffer.
+    for seed in [47, 53, 0x1ed] {
+        fuzz_with(&line, seed, 1_000, 8 << 10, |b| {
+            std::fs::write(dir.join("builds.jsonl"), b).unwrap();
+            let records = ledger.read();
+            assert!(records.len() <= 1);
+            records.len() == 1
+        });
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -180,7 +180,14 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
     stream.flush()
 }
 
+/// The first read of a frame body; later reads double what arrived.
+pub const READ_CHUNK: usize = 8 << 10;
+
 /// Reads one length-prefixed frame.
+///
+/// The body is read in growing chunks — one [`READ_CHUNK`], then as much
+/// as has arrived — so memory follows the bytes the peer sends, never
+/// the length it declares: a bare prefix costs one chunk.
 ///
 /// # Errors
 ///
@@ -196,8 +203,13 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(start.max(READ_CHUNK)), 0);
+        stream.read_exact(&mut payload[start..])?;
+    }
     Ok(payload)
 }
 
@@ -238,6 +250,14 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert!(read_frame(&mut r).is_err(), "eof after the last frame");
+        // A body of several chunks, and one cut short.
+        let big: Vec<u8> = (0..5 * READ_CHUNK + 7).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &big).unwrap();
+        assert_eq!(read_frame(&mut std::io::Cursor::new(&buf)).unwrap(), big);
+        buf.pop();
+        let err = read_frame(&mut std::io::Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Stamps are totally ordered and hashable; their numeric value is
 /// meaningless outside the session that generated them (which is exactly
-/// why pid hashing alpha-converts them; see `smlsc-core`'s hasher).
+/// why the pickle numbers a unit's new entities by position instead;
+/// see `smlsc-pickle`).
 ///
 /// # Examples
 ///
@@ -41,9 +42,8 @@ pub struct Stamp(u64);
 impl Stamp {
     /// Constructs a stamp from a raw number.
     ///
-    /// Intended for the pickler (which renumbers stamps on rehydration) and
-    /// the pid hasher (which alpha-converts them); ordinary elaboration
-    /// should go through [`StampGenerator::fresh`].
+    /// Intended for the pickler (which renumbers stamps on rehydration);
+    /// ordinary elaboration should go through [`StampGenerator::fresh`].
     pub fn from_raw(n: u64) -> Stamp {
         Stamp(n)
     }

@@ -33,6 +33,16 @@ impl Entity {
         }
     }
 
+    /// Records the entity's persistent pid.
+    pub fn set_pid(&self, pid: Pid) {
+        match self {
+            Entity::Tycon(t) => t.entity_pid.set(Some(pid)),
+            Entity::Str(s) => s.entity_pid.set(Some(pid)),
+            Entity::Sig(s) => s.entity_pid.set(Some(pid)),
+            Entity::Fct(f) => f.entity_pid.set(Some(pid)),
+        }
+    }
+
     /// The entity's session stamp.
     pub fn stamp(&self) -> Stamp {
         match self {

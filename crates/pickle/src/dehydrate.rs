@@ -10,23 +10,29 @@
 //!
 //! Node indices are assigned in depth-first discovery order on both
 //! sides, so the rehydrater reconstructs the same numbering without a
-//! table in the stream.
+//! table in the stream.  A `NEW` node carries no pid: the `n`th `NEW`
+//! of any kind is the unit's entity `n`, whose pid both sides derive
+//! from the digest of the bytes ([`crate::entity_pid`]).  An entity
+//! outside the context is `NEW` even when it carries a pid already —
+//! a unit's own rehydrated entities re-pickle to the same bytes, and
+//! get the same pids back.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use smlsc_dynamics::ir::ConTag;
-use smlsc_ids::Stamp;
+use smlsc_ids::{Pid, Stamp};
 use smlsc_statics::env::{Bindings, FunctorEnv, SignatureEnv, StructureEnv, ValBind, ValKind};
 use smlsc_statics::types::{Scheme, Tycon, TyconDef, Type};
 
-use crate::context::ContextPids;
+use crate::context::{ContextPids, Entity};
 use crate::wire::Writer;
 use crate::PickleError;
 
 /// Magic number at the head of every pickle.
 pub(crate) const MAGIC: u32 = 0x534d_4c50; // "SMLP"
 /// Format version.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 
 pub(crate) const REF_STUB: u8 = 0;
 pub(crate) const REF_BACK: u8 = 1;
@@ -84,17 +90,18 @@ pub struct Pickle {
     pub bytes: Vec<u8>,
     /// What was written.
     pub stats: DehydrateStats,
+    /// The entity of each `NEW` node, in the order written: entity `n`
+    /// of the unit.
+    pub entities: Vec<Entity>,
 }
 
 /// Dehydrates `exports` against the given context.
 ///
-/// Every internal entity must already carry a pid (run the intrinsic-pid
-/// hasher first).
-///
 /// # Errors
 ///
-/// [`PickleError::MissingPid`] if an internal entity has no pid, or
-/// [`PickleError::UnsolvedType`] if an exported type is not fully solved.
+/// [`PickleError::UnsolvedType`] if an exported type is not fully
+/// solved, or [`PickleError::PrimitiveOutsideContext`] if a primitive
+/// type is missing from `context`.
 pub fn dehydrate(
     exports: &Bindings,
     context: &ContextPids,
@@ -112,6 +119,7 @@ pub fn dehydrate(
         in_progress: HashSet::new(),
         next: [0; 4],
         stats: DehydrateStats::default(),
+        entities: Vec::new(),
     };
     d.w.u32(MAGIC);
     d.w.u32(VERSION);
@@ -124,6 +132,7 @@ pub fn dehydrate(
     Ok(Pickle {
         stats: d.stats,
         bytes: d.w.into_bytes(),
+        entities: d.entities,
     })
 }
 
@@ -144,6 +153,7 @@ struct Dehydrator<'a> {
     in_progress: HashSet<Stamp>,
     next: [u32; 4],
     stats: DehydrateStats,
+    entities: Vec<Entity>,
 }
 
 impl<'a> Dehydrator<'a> {
@@ -153,16 +163,14 @@ impl<'a> Dehydrator<'a> {
         &mut self,
         kind: usize,
         stamp: Stamp,
-        pid: Option<smlsc_ids::Pid>,
-        kind_name: &'static str,
-    ) -> Result<bool, PickleError> {
-        if let Some(p) = pid {
-            if self.context.contains(p) {
-                self.w.u8(REF_STUB);
-                self.w.u128(p.as_raw());
-                self.stats.stubs += 1;
-                return Ok(false);
-            }
+        pid: Option<Pid>,
+        entity: impl FnOnce() -> Entity,
+    ) -> bool {
+        if let Some(p) = pid.filter(|&p| self.context.contains(p)) {
+            self.w.u8(REF_STUB);
+            self.w.u128(p.as_raw());
+            self.stats.stubs += 1;
+            return false;
         }
         let memo = match kind {
             K_TYCON => &self.tycon_ix,
@@ -177,10 +185,9 @@ impl<'a> Dehydrator<'a> {
                 self.w.u8(REF_BACK);
                 self.w.u32(ix);
                 self.stats.backrefs += 1;
-                return Ok(false);
+                return false;
             }
         }
-        let p = pid.ok_or(PickleError::MissingPid(kind_name))?;
         let ix = self.next[kind];
         self.next[kind] += 1;
         match kind {
@@ -190,13 +197,15 @@ impl<'a> Dehydrator<'a> {
             _ => self.fct_ix.insert(stamp, ix),
         };
         self.w.u8(REF_NEW);
-        self.w.u128(p.as_raw());
+        self.entities.push(entity());
         self.stats.nodes += 1;
-        Ok(true)
+        true
     }
 
-    fn tycon(&mut self, tc: &Tycon) -> Result<(), PickleError> {
-        if !self.start_ref(K_TYCON, tc.stamp, tc.entity_pid.get(), "type constructor")? {
+    fn tycon(&mut self, tc: &Arc<Tycon>) -> Result<(), PickleError> {
+        if !self.start_ref(K_TYCON, tc.stamp, tc.entity_pid.get(), || {
+            Entity::Tycon(tc.clone())
+        }) {
             return Ok(());
         }
         self.in_progress.insert(tc.stamp);
@@ -204,11 +213,8 @@ impl<'a> Dehydrator<'a> {
         self.w.u32(tc.arity as u32);
         let def = tc.def.read().clone();
         match def {
-            // A primitive here means a pervasive whose pid was somehow not
-            // in the context; treat as corrupt setup.
-            TyconDef::Prim => {
-                return Err(PickleError::MissingPid("primitive tycon outside context"))
-            }
+            // Only the context can name a primitive.
+            TyconDef::Prim => return Err(PickleError::PrimitiveOutsideContext(tc.name)),
             TyconDef::Abstract => self.w.u8(DEF_ABSTRACT),
             TyconDef::Datatype(info) => {
                 self.w.u8(DEF_DATATYPE);
@@ -233,15 +239,19 @@ impl<'a> Dehydrator<'a> {
         Ok(())
     }
 
-    fn structure(&mut self, s: &StructureEnv) -> Result<(), PickleError> {
-        if !self.start_ref(K_STR, s.stamp, s.entity_pid.get(), "structure")? {
+    fn structure(&mut self, s: &Arc<StructureEnv>) -> Result<(), PickleError> {
+        if !self.start_ref(K_STR, s.stamp, s.entity_pid.get(), || {
+            Entity::Str(s.clone())
+        }) {
             return Ok(());
         }
         self.bindings(&s.bindings)
     }
 
-    fn signature(&mut self, s: &SignatureEnv) -> Result<(), PickleError> {
-        if !self.start_ref(K_SIG, s.stamp, s.entity_pid.get(), "signature")? {
+    fn signature(&mut self, s: &Arc<SignatureEnv>) -> Result<(), PickleError> {
+        if !self.start_ref(K_SIG, s.stamp, s.entity_pid.get(), || {
+            Entity::Sig(s.clone())
+        }) {
             return Ok(());
         }
         self.structure(&s.body)?;
@@ -259,8 +269,10 @@ impl<'a> Dehydrator<'a> {
         Ok(())
     }
 
-    fn functor(&mut self, f: &FunctorEnv) -> Result<(), PickleError> {
-        if !self.start_ref(K_FCT, f.stamp, f.entity_pid.get(), "functor")? {
+    fn functor(&mut self, f: &Arc<FunctorEnv>) -> Result<(), PickleError> {
+        if !self.start_ref(K_FCT, f.stamp, f.entity_pid.get(), || {
+            Entity::Fct(f.clone())
+        }) {
             return Ok(());
         }
         self.w.str(f.param_name.as_str());

@@ -3,7 +3,9 @@
 //!
 //! Node indices are reconstructed by reading in the same depth-first
 //! order the dehydrater wrote; internal entities get fresh session stamps
-//! and carry their persistent pids from the stream.  Signature and
+//! and the persistent pids their unit's compiler gave them, derived
+//! again from the unit's name, its export pid and their `NEW` order
+//! ([`crate::entity_pid`]).  Signature and
 //! functor generative ranges are recomputed around the rebuild of their
 //! templates, so instantiation and application behave identically to the
 //! session that produced the pickle.
@@ -21,6 +23,7 @@ use crate::dehydrate::{
     DEF_ABSTRACT, DEF_ALIAS, DEF_DATATYPE, KIND_CON, KIND_EXN, KIND_PLAIN, KIND_PRIM, MAGIC,
     REF_BACK, REF_NEW, REF_STUB, TY_ARROW, TY_CON, TY_PARAM, TY_TUPLE, VERSION,
 };
+use crate::entity_pid;
 use crate::wire::Reader;
 use crate::PickleError;
 
@@ -41,7 +44,8 @@ pub struct RehydrateStats {
     pub bytes: usize,
 }
 
-/// Rehydrates a pickled environment.
+/// Rehydrates a pickled environment: the exports of unit `unit`, whose
+/// export pid is `export_pid`.
 ///
 /// # Errors
 ///
@@ -51,11 +55,15 @@ pub struct RehydrateStats {
 pub fn rehydrate(
     bytes: &[u8],
     context: &RehydrateContext,
+    unit: Symbol,
+    export_pid: Pid,
 ) -> Result<(Arc<Bindings>, RehydrateStats), PickleError> {
     let span = smlsc_trace::span("pickle.rehydrate").field("bytes", bytes.len());
     let mut r = Rehydrator {
         r: Reader::new(bytes),
         context,
+        unit,
+        export_pid,
         tycons: Vec::new(),
         strs: Vec::new(),
         sigs: Vec::new(),
@@ -86,6 +94,8 @@ pub fn rehydrate(
 struct Rehydrator<'a, 'b> {
     r: Reader<'b>,
     context: &'a RehydrateContext,
+    unit: Symbol,
+    export_pid: Pid,
     tycons: Vec<Arc<Tycon>>,
     strs: Vec<Arc<StructureEnv>>,
     sigs: Vec<Arc<SignatureEnv>>,
@@ -105,7 +115,11 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
         match self.r.u8()? {
             REF_STUB => Ok(RefHead::Stub(Pid::from_raw(self.r.u128()?))),
             REF_BACK => Ok(RefHead::Back(self.r.u32()?)),
-            REF_NEW => Ok(RefHead::New(Pid::from_raw(self.r.u128()?))),
+            REF_NEW => {
+                let pid = entity_pid(self.unit, self.export_pid, self.stats.nodes);
+                self.stats.nodes += 1;
+                Ok(RefHead::New(pid))
+            }
             t => Err(PickleError::Corrupt(format!("bad ref tag {t}"))),
         }
     }
@@ -131,7 +145,6 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 .cloned()
                 .ok_or_else(|| PickleError::Corrupt(format!("tycon backref {ix}"))),
             RefHead::New(pid) => {
-                self.stats.nodes += 1;
                 let name = self.sym()?;
                 let arity = self.r.u32()? as usize;
                 // Allocate the shell before reading the definition so that
@@ -186,7 +199,6 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 .cloned()
                 .ok_or_else(|| PickleError::Corrupt(format!("structure backref {ix}"))),
             RefHead::New(pid) => {
-                self.stats.nodes += 1;
                 // Reserve the index before descending: substructure order
                 // must match the dehydrater's numbering.
                 let ix = self.strs.len();
@@ -217,7 +229,6 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 .cloned()
                 .ok_or_else(|| PickleError::Corrupt(format!("signature backref {ix}"))),
             RefHead::New(pid) => {
-                self.stats.nodes += 1;
                 let ix = self.sigs.len();
                 // Placeholder; replaced after the body is read.
                 self.sigs.push(Arc::new(SignatureEnv {
@@ -271,7 +282,6 @@ impl<'a, 'b> Rehydrator<'a, 'b> {
                 .cloned()
                 .ok_or_else(|| PickleError::Corrupt(format!("functor backref {ix}"))),
             RefHead::New(pid) => {
-                self.stats.nodes += 1;
                 let ix = self.fcts.len();
                 let stamp = self.stamper.fresh();
                 // Placeholder for numbering; replaced below.

@@ -6,18 +6,24 @@ use std::sync::Arc;
 
 use smlsc_dynamics::eval::execute;
 use smlsc_ids::Symbol;
-use smlsc_pickle::testing::assign_dummy_pids;
 use smlsc_pickle::{
-    dehydrate, rehydrate, ContextPids, PickleError, PickleOptions, RehydrateContext,
+    dehydrate, entity_pid, export_pid, ContextPids, PickleError, PickleOptions, RehydrateContext,
+    RehydrateStats,
 };
 use smlsc_statics::elab::{elaborate_unit, ElabUnit, ImportEnv, ImportedUnit};
 use smlsc_statics::env::Bindings;
 
 fn compile(src: &str, imports: &ImportEnv) -> ElabUnit {
     let ast = smlsc_syntax::parse_unit(src).unwrap();
-    let u = elaborate_unit(&ast, imports).unwrap_or_else(|e| panic!("{e}"));
-    assign_dummy_pids(&u.exports);
-    u
+    elaborate_unit(&ast, imports).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Rehydrates `bytes` as the exports of a unit named `u`.
+fn rehydrate(
+    bytes: &[u8],
+    ctx: &RehydrateContext,
+) -> Result<(Arc<Bindings>, RehydrateStats), PickleError> {
+    smlsc_pickle::rehydrate(bytes, ctx, Symbol::intern("u"), export_pid(bytes))
 }
 
 fn roundtrip(exports: &Bindings) -> Arc<Bindings> {
@@ -218,17 +224,35 @@ fn missing_stub_is_a_linkage_error() {
 }
 
 #[test]
-fn missing_pid_is_rejected() {
-    let ast = smlsc_syntax::parse_unit("structure A = struct datatype d = D end").unwrap();
-    let u = elaborate_unit(&ast, &ImportEnv::empty()).unwrap();
-    // No pids assigned.
-    let err = dehydrate(
+fn rehydrated_entities_get_the_pids_of_their_new_order() {
+    // Dehydration needs no pids: the `n`th NEW node is entity `n`, and
+    // the rehydrater derives its pid from the unit name, the export pid
+    // and `n` — the pid the compiler gives the live entity.
+    let u = compile(
+        "structure A = struct datatype d = D of int structure In = struct end end
+         signature S = sig type t end
+         functor F (X : S) = struct type u = X.t end",
+        &ImportEnv::empty(),
+    );
+    let p = dehydrate(
         &u.exports,
         &ContextPids::indexed([]),
         &PickleOptions::default(),
     )
-    .unwrap_err();
-    assert!(matches!(err, PickleError::MissingPid(_)), "{err}");
+    .unwrap();
+    assert_eq!(p.entities.len(), p.stats.nodes);
+    assert!(p.entities.iter().all(|e| e.pid().is_none()));
+    let (unit, pid) = (Symbol::intern("u"), export_pid(&p.bytes));
+    let (back, _) = rehydrate(&p.bytes, &RehydrateContext::with_pervasives([])).unwrap();
+    let live = smlsc_pickle::reachable_entities(&u.exports);
+    let rebuilt = smlsc_pickle::reachable_entities(&back);
+    assert_eq!(live.len(), rebuilt.len());
+    for (n, e) in p.entities.iter().enumerate() {
+        e.set_pid(entity_pid(unit, pid, n));
+    }
+    for (l, r) in live.iter().zip(&rebuilt) {
+        assert_eq!(l.pid(), r.pid(), "{:?}", l.stamp());
+    }
 }
 
 #[test]

@@ -351,7 +351,7 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     } else {
         FailurePolicy::FailFast
     };
-    let built = match session.build(&project, jobs, policy) {
+    let mut built = match session.build(&project, jobs, policy) {
         Ok(built) => built,
         Err(e) => {
             print_build(&session.notes, Err(&e.to_string()), &[]);
@@ -368,13 +368,21 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
         Ok(&built.summary),
         &explain.unwrap_or_default(),
     );
+    // Links against the report just printed (only a corrupt body builds
+    // again) before the persist, so the save keeps what the link
+    // repaired and the record times the link too.
+    let linked = (run && built.report.succeeded()).then(|| {
+        session
+            .irm
+            .link_with_jobs(&project, &mut built.report, jobs)
+    });
     let (record, warnings) = session.finish(&built, &collector, jobs, started, false);
     for warning in &warnings {
         eprintln!("{warning}");
     }
-    let mut report = built.report;
+    let report = &built.report;
     if let Some(path) = &opts.report_json {
-        let json = smlsc::core::build_report_json(&record, &report, &collector);
+        let json = smlsc::core::build_report_json(&record, report, &collector);
         match std::fs::write(path, json) {
             Ok(()) => println!("report written to {}", path.display()),
             Err(e) => {
@@ -391,30 +399,26 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
                 let hint =
                     mean_compile_us_from_history(&smlsc::core::Ledger::for_bin_dir(&bin_dir));
                 let profile =
-                    smlsc::core::BuildProfile::compute(&collector.spans(), &graph, &report, hint);
+                    smlsc::core::BuildProfile::compute(&collector.spans(), &graph, report, hint);
                 print!("{}", profile.render(opts.top.unwrap_or(10)));
             }
             Err(e) => eprintln!("warning: no profile: {e}"),
         }
     }
-    if run && report.succeeded() {
-        // Links against the report just printed; only a corrupt body
-        // builds again.
-        let env;
-        (report, env) = match session.irm.link_with_jobs(&project, report, jobs) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return exit_code(Err(&e));
+    match linked {
+        Some(Ok(env)) => {
+            for unit in &report.order {
+                let linked = env.get(*unit).expect("linked in order");
+                println!("{unit}: export pid {}", linked.export_pid);
             }
-        };
-        for unit in &report.order {
-            let linked = env.get(*unit).expect("linked in order");
-            println!("{unit}: export pid {}", linked.export_pid);
+            std::mem::forget(env);
         }
-        std::mem::forget(env);
-    } else if run {
-        eprintln!("error: not running: the build did not complete");
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return exit_code(Err(&e));
+        }
+        None if run => eprintln!("error: not running: the build did not complete"),
+        None => {}
     }
     trace::uninstall();
     if let Some(path) = &opts.trace_out {
@@ -433,8 +437,9 @@ fn build(opts: BuildOpts, mode: Mode) -> i32 {
     // dropped; the process exits next.  Freeing the manager's 20k-unit
     // maps, the project and the collector would only delay the exit.
     std::io::stdout().flush().ok();
-    std::mem::forget((session, project, collector, report));
-    built.exit_code
+    let exit = built.exit_code;
+    std::mem::forget((session, project, collector, built));
+    exit
 }
 
 /// Whether this build may be dispatched to a daemon.  Only "plain"

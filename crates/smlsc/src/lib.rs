@@ -13,7 +13,7 @@
 //! | [`statics`] | Types, static environments, signature matching, functors, elaboration |
 //! | [`dynamics`] | Runtime IR, values, the `execute` interpreter |
 //! | [`pickle`] | Dehydration/rehydration of static environments |
-//! | [`core`] | Intrinsic-pid hashing, units, type-safe linkage, the IRM, sessions |
+//! | [`core`] | Intrinsic pids, units, type-safe linkage, the IRM, sessions |
 //! | [`trace`] | Structured spans, build telemetry, rebuild-decision records |
 //! | [`faults`] | Deterministic fault injection for chaos testing |
 //! | [`daemon`] | Resident build server: filesystem watch, socket protocol |

@@ -153,10 +153,10 @@ fn pid_lines(stdout: &str) -> Vec<&str> {
 }
 
 /// A save that rewrites the pack copies each still-lazy body under its
-/// index digest and quarantines one that fails it — after the build,
-/// before the link.  A deleted source forces that rewrite; `run` must
-/// then build again, recompile the quarantined unit alone and link it
-/// with the pids it had.
+/// index digest and quarantines one that fails it.  A deleted source
+/// forces that rewrite; `run`, whose link reads the body first, must
+/// build again, recompile the quarantined unit alone and link it with
+/// the pids it had.
 #[test]
 fn run_rebuilds_a_body_the_save_quarantined() {
     for jobs in ["1", "2"] {
@@ -199,6 +199,64 @@ fn run_rebuilds_a_body_the_save_quarantined() {
         let json = stats_line(&stdout);
         assert!(json.contains(r#""bin.body_quarantined":1"#), "{json}");
         assert!(json.contains(r#""irm.units_compiled":1"#), "{json}");
+        std::fs::remove_dir_all(&proj).ok();
+    }
+}
+
+/// `run` saves after its link, so a body the link quarantined and
+/// recompiled is in the pack for the next `run`, and `doctor` finds
+/// nothing to repair.
+#[test]
+fn run_saves_the_body_its_link_repaired() {
+    for jobs in ["1", "2"] {
+        let proj = temp(&format!("run-repair-{jobs}"));
+        write_project(&proj);
+        let run = || {
+            let out = smlsc()
+                .args(["run", "--no-daemon", "--stats", "--jobs", jobs])
+                .arg(&proj)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "jobs {jobs}: {out:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let before = run();
+        let pack = proj.join(".smlsc-bins").join("bins.pack");
+        let util = smlsc::core::pack::PackReader::open(&pack)
+            .unwrap()
+            .unwrap()
+            .entries()
+            .iter()
+            .find(|e| e.name.as_str() == "util")
+            .cloned()
+            .unwrap();
+        let mut bytes = std::fs::read(&pack).unwrap();
+        bytes[(util.offset + util.len / 2) as usize] ^= 0xff;
+        std::fs::write(&pack, &bytes).unwrap();
+
+        let repaired = run();
+        let json = stats_line(&repaired);
+        assert!(json.contains(r#""bin.body_quarantined":1"#), "{json}");
+        assert!(json.contains(r#""irm.units_compiled":1"#), "{json}");
+        let again = run();
+        let json = stats_line(&again);
+        assert!(
+            !json.contains(r#""bin.body_quarantined""#),
+            "jobs {jobs}: {json}"
+        );
+        assert!(
+            !json.contains(r#""irm.units_compiled""#),
+            "jobs {jobs}: {json}"
+        );
+        assert_eq!(pid_lines(&again), pid_lines(&before), "jobs {jobs}");
+
+        let out = smlsc().arg("doctor").arg(&proj).output().unwrap();
+        let doctor = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "jobs {jobs}: {doctor}");
+        assert!(
+            doctor.contains(r#""verdict":"healthy""#),
+            "jobs {jobs}: {doctor}"
+        );
         std::fs::remove_dir_all(&proj).ok();
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Bindings`] is the paper's "environment mapping names to types and
 //! values" (§3), split by namespace and kept in insertion order — order
-//! matters both for deterministic intrinsic-pid hashing (§5 does a
-//! prefix-order traversal) and because a module's *runtime record layout*
+//! matters both for deterministic intrinsic pids (§5: the export pid
+//! digests the pickle, a prefix-order traversal) and because a module's *runtime record layout*
 //! is derived positionally from its bindings (see [`runtime_slots`]).
 
 use smlsc_ids::PidCell;

@@ -3,8 +3,8 @@
 //! Every type constructor carries a generative [`Stamp`] — two tycons are
 //! the same type iff their stamps are equal — and an `entity_pid` cell
 //! that the compilation manager fills when the tycon is first exported
-//! (§5: provisional pids are replaced by "real" pids derived from the
-//! export hash).  Inference is standard Hindley–Milner with level-based
+//! (§5: pids derived from the export pid, the digest of the unit's
+//! pickled interface).  Inference is standard Hindley–Milner with level-based
 //! generalization and the SML value restriction.
 
 use std::fmt;

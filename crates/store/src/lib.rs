@@ -86,7 +86,7 @@ use fsutil::{AtomicFile, LockGuard, Stale};
 
 /// Version of the key derivation itself; bumping it invalidates every
 /// key without touching on-disk objects.
-pub const KEY_SCHEMA_VERSION: u32 = 1;
+pub const KEY_SCHEMA_VERSION: u32 = 2;
 
 /// Version of the store's on-disk layout, recorded in a `VERSION` file
 /// at the root; a store of a different layout version refuses to open.

@@ -202,9 +202,11 @@ pub const SPAN_REHYDRATE: &str = "irm.rehydrate";
 pub const SPAN_PARSE: &str = "compile.parse";
 /// Span: elaborate phase of one unit's compile.
 pub const SPAN_ELABORATE: &str = "compile.elaborate";
-/// Span: interface-hash phase of one unit's compile.
+/// Span: interface-hash phase of one unit's compile: the digest of the
+/// pickle's bytes and the entity pids derived from it.
 pub const SPAN_HASH: &str = "compile.hash";
-/// Span: dehydrate phase of one unit's compile.
+/// Span: dehydrate phase of one unit's compile, its context set
+/// included.
 pub const SPAN_DEHYDRATE: &str = "compile.dehydrate";
 /// Span: one whole link pass (`Irm::link_with_jobs`): the caller links
 /// and executes every unit in build order while the other workers

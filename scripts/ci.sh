@@ -121,7 +121,7 @@ cargo test -q --test chaos
 cargo test -q --test keep_going
 cargo test -q --test daemon_concurrency
 
-echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, seeded_builds, profile, interner, stamp spaces, scan and session open, parallel link, store-object decoders; 20 runs)"
+echo "==> chaos: fault-plan, lock and scheduler isolation (warm_builds, crash_recovery, pack appends, smlsc-store, store_concurrency, parallel, keep_going, seeded_builds, profile, interner, stamp spaces, scan and session open, parallel link, store-object, daemon-frame and ledger-line decoders, interface pids; 20 runs)"
 for i in $(seq 1 20); do
   cargo test -q --test warm_builds || { echo "error: warm_builds failed on run $i" >&2; exit 1; }
   cargo test -q --test crash_recovery || { echo "error: crash_recovery failed on run $i" >&2; exit 1; }
@@ -138,6 +138,8 @@ for i in $(seq 1 20); do
   cargo test -q --test session_open || { echo "error: session_open failed on run $i" >&2; exit 1; }
   cargo test -q --test parallel_link || { echo "error: parallel_link failed on run $i" >&2; exit 1; }
   cargo test -q -p smlsc-core --test decoders -- store_objects || { echo "error: store-object decoder cases failed on run $i" >&2; exit 1; }
+  cargo test -q -p smlsc-core --test decoders -- daemon_frames max_frame deep_nesting ledger_lines || { echo "error: frame and ledger decoder cases failed on run $i" >&2; exit 1; }
+  cargo test -q --test interface_pids || { echo "error: interface_pids failed on run $i" >&2; exit 1; }
 done
 
 echo "==> chaos: seeded storms (--jobs 4, three fixed seeds)"
